@@ -18,7 +18,7 @@ from .errors import (ConfigError, DegenerateState,
                      NotPositiveSemiDefinite, SimplexDiffError,
                      SingularNesting, SumViolation, UnsupportedProcess)
 from .integrator import (IntegratorConfig, RandomSource, Snapshot, StepResult,
-                         Trajectory, factor_diffusion, simulate, step)
+                         Trajectory, simulate, step)
 from .processes import (BetaParams, DirichletParams, GenDirichletParams,
                         WrightFisherParams, beta_process, broken_process,
                         dirichlet_process, gen_dirichlet_process,
@@ -42,7 +42,7 @@ __all__ = [
     "SimplexDiffError", "SingularNesting", "SumViolation",
     "UnsupportedProcess",
     "IntegratorConfig", "RandomSource", "Snapshot", "StepResult",
-    "Trajectory", "factor_diffusion", "simulate", "step",
+    "Trajectory", "simulate", "step",
     "BetaParams", "DirichletParams", "GenDirichletParams",
     "WrightFisherParams", "beta_process", "broken_process",
     "dirichlet_process", "gen_dirichlet_process", "wright_fisher_process",

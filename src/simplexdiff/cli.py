@@ -77,7 +77,8 @@ def build_process(cfg: dict):
             c = params.pop("c", None)
             if c == "reduction":
                 base = DirichletParams(b=params["b"], S=params["S"],
-                                       kappa=params["kappa"])
+                                       kappa=params["kappa"],
+                                       dirichlet_invariant=True)
                 return gen_dirichlet_process(GenDirichletParams.reduction_of(base))
             return gen_dirichlet_process(GenDirichletParams(c=c, **params))
         if name == "broken":

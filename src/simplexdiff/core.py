@@ -83,12 +83,13 @@ class ProcessDefinition:
     semi-definite (..., N-1, N-1) matrices.  Both must be pure and handle
     batched input.
 
-    diffusion_is_diagonal, diffusion_diag and diffusion_factor are optional
-    fast paths for the integrator: a diagonal flag lets noise be generated
-    from the square root of the diagonal, diffusion_diag(Y, t) -> (..., K)
-    returns that diagonal without building matrices, and an explicit
-    factor(Y, t) -> (..., K, K) with factor @ factor.T == diffusion
-    short-circuits numerical factorization.
+    diffusion_factor and diffusion_diag supply the integrator's noise
+    factor: factor(Y, t) -> (..., K, K) with factor @ factor.T == diffusion,
+    or, for a process whose diffusion matrix is diagonal, diffusion_diag(Y, t)
+    -> (..., K) returning that diagonal, whose square root is then the
+    factor.  A process that supplies neither is factored through an
+    eigendecomposition of its diffusion matrix.  Supplying diffusion_diag
+    also declares the diffusion diagonal to the boundary audit.
     """
 
     dimension: int
@@ -96,7 +97,6 @@ class ProcessDefinition:
     diffusion: Callable[[np.ndarray, float], np.ndarray]
     name: str
     parameters: dict = field(default_factory=dict)
-    diffusion_is_diagonal: bool = False
     diffusion_diag: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     diffusion_factor: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 

@@ -30,7 +30,7 @@ class SingularNesting(SimplexDiffError):
 
 
 class NotPositiveSemiDefinite(SimplexDiffError):
-    """A diffusion matrix has a negative pivot beyond the allowed shift."""
+    """A diffusion matrix has a negative eigenvalue or diagonal entry beyond roundoff."""
 
 
 class DegenerateState(SimplexDiffError):

@@ -1,10 +1,11 @@
 """Explicit Euler-Maruyama integration of simplex ensembles.
 
 The integrator advances all particles of an ensemble with independent
-noise drawn from a counter-based (Philox) stream, factorizes the diffusion
-matrix where an analytic factor is not supplied, and enforces the simplex
-constraints on every accepted step, so that every recorded state is
-realizable by construction.
+noise drawn from a counter-based (Philox) stream, maps it through the noise
+factor the process supplies (an explicit factor, the square root of a
+diagonal, or an eigendecomposition of the diffusion matrix), and enforces
+the simplex constraints on every accepted step, so that every recorded state
+is realizable by construction; a non-finite proposal stops the run.
 """
 
 from __future__ import annotations
@@ -48,16 +49,12 @@ class RandomSource:
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
-    scheme: str = "euler_maruyama"
     boundary_policy: str = "reject_resample"
     max_resample: int = 100
-    factorization_shift: float = 1e-14
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.scheme != "euler_maruyama":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.boundary_policy not in ("reject_resample", "clip_renormalize"):
             raise ValueError(f"unknown boundary policy {self.boundary_policy!r}")
         if self.max_resample < 1:
@@ -70,7 +67,6 @@ class Snapshot:
 
     t: float
     moments: "stats_mod.MomentSet"
-    rates: "stats_mod.MomentRates"
     batch_moments: dict
     batch_rates: dict
 
@@ -88,49 +84,14 @@ class Trajectory:
     dumps: dict = field(default_factory=dict)
 
 
-def factor_diffusion(B: np.ndarray, shift: float = 1e-14) -> np.ndarray:
-    """Lower-triangular b with b b^T = B for a symmetric PSD matrix.
-
-    Semidefinite Cholesky: a pivot within shift*max|B| of zero completes
-    its column with zeros, so exactly singular matrices (boundary states)
-    factor cleanly.  A pivot below -shift*max|B|, or a round-trip residual
-    above 1e-10*max(1, max|B|), raises NotPositiveSemiDefinite.
-    """
-    B = np.asarray(B, dtype=float)
-    n = B.shape[0]
-    if B.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got {B.shape}")
-    if np.max(np.abs(B - B.T)) > 1e-12:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    scale = max(np.max(np.abs(B)), 1.0)
-    L = np.zeros_like(B)
-    for j in range(n):
-        pivot = B[j, j] - L[j, :j] @ L[j, :j]
-        if pivot < -shift * scale:
-            raise NotPositiveSemiDefinite(
-                f"pivot {pivot:.3e} at column {j + 1} (shift {shift:.1e})")
-        if pivot <= shift * scale:
-            continue  # zero-column completion for the singular direction
-        L[j, j] = np.sqrt(pivot)
-        for i in range(j + 1, n):
-            L[i, j] = (B[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
-    if np.max(np.abs(L @ L.T - B)) > 1e-10 * scale:
-        raise NotPositiveSemiDefinite("round-trip residual exceeds tolerance; "
-                                      "matrix is not positive semi-definite")
-    return L
-
-
 def _batched_noise(proc: ProcessDefinition, ys: np.ndarray, t: float,
-                   xi: np.ndarray, shift: float) -> np.ndarray:
+                   xi: np.ndarray) -> np.ndarray:
     """Map unit normals through a factor of the diffusion matrix."""
     if proc.diffusion_factor is not None:
         L = proc.diffusion_factor(ys, t)
         return np.einsum("...ij,...j->...i", L, xi)
-    if proc.diffusion_is_diagonal:
-        if proc.diffusion_diag is not None:
-            d = proc.diffusion_diag(ys, t)
-        else:
-            d = np.diagonal(proc.diffusion(ys, t), axis1=-2, axis2=-1)
+    if proc.diffusion_diag is not None:
+        d = proc.diffusion_diag(ys, t)
         if np.min(d) < NEGATIVE_CLAMP:
             raise NotPositiveSemiDefinite(
                 f"diagonal diffusion entry {np.min(d):.3e} < 0")
@@ -145,10 +106,10 @@ def _batched_noise(proc: ProcessDefinition, ys: np.ndarray, t: float,
     return np.einsum("...ij,...j->...i", L, xi)
 
 
-def _propose(proc, ys, t, dt, xi, shift):
+def _propose(proc, ys, t, dt, xi):
     try:
         a = proc.drift(ys, t)
-        noise = _batched_noise(proc, ys, t, xi, shift)
+        noise = _batched_noise(proc, ys, t, xi)
     except NotPositiveSemiDefinite:
         raise
     except Exception as exc:  # drift/diffusion raised at a simulated state
@@ -156,8 +117,9 @@ def _propose(proc, ys, t, dt, xi, shift):
     return ys + a * dt + noise * np.sqrt(dt)
 
 
-def _invalid_mask(ys):
-    return np.any(ys < 0.0, axis=-1) | (np.sum(ys, axis=-1) > 1.0)
+def _invalid_mask(ys, tol=0.0):
+    """Rows outside the reduced simplex; a non-finite row counts as outside."""
+    return ~(np.all(ys >= 0.0, axis=-1) & (np.sum(ys, axis=-1) <= 1.0 + tol))
 
 
 def _clip_renormalize(ys):
@@ -174,17 +136,25 @@ def _advance(proc, ys, t, cfg, rng):
     """One Euler-Maruyama step for a batch; returns (states, modified, clipped)."""
     m = ys.shape[0]
     xi = rng.normals((m, ys.shape[1]))
-    prop = _propose(proc, ys, t, cfg.dt, xi, cfg.factorization_shift)
+    prop = _propose(proc, ys, t, cfg.dt, xi)
     bad = _invalid_mask(prop)
     modified = bad.copy()
-    if cfg.boundary_policy == "reject_resample" and np.any(bad):
+    if not np.any(bad):
+        return prop, modified, bad
+    # non-finite rows are among the invalid ones; a resample from the same
+    # drift and noise factor could not make them finite
+    rows = np.flatnonzero(bad)
+    finite = np.all(np.isfinite(prop[rows]), axis=-1)
+    if not np.all(finite):
+        raise DegenerateState(
+            f"non-finite proposal for particle {rows[np.argmin(finite)]}")
+    if cfg.boundary_policy == "reject_resample":
         for _ in range(cfg.max_resample):
             idx = np.flatnonzero(bad)
             if idx.size == 0:
                 break
             xi_new = rng.normals((idx.size, ys.shape[1]))
-            prop[idx] = _propose(proc, ys[idx], t, cfg.dt, xi_new,
-                                 cfg.factorization_shift)
+            prop[idx] = _propose(proc, ys[idx], t, cfg.dt, xi_new)
             bad[idx] = _invalid_mask(prop[idx])
     clipped = bad
     if np.any(bad):
@@ -220,10 +190,11 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     """Advance an ensemble to t_end, recording moment snapshots.
 
     Snapshots are taken at t=0, every record_every steps, and at the final
-    step; each carries full-ensemble moments, the moment evolution rates
-    evaluated on the ensemble, and per-batch replicas of both for standard
-    error estimation.  Realizability of every post-step state is verified
-    and violations counted (the boundary policy should make the count zero).
+    step; each carries full-ensemble moments plus per-batch moments and
+    moment evolution rates for standard-error estimation.  Realizability of
+    every post-step state is verified and violations counted (the boundary
+    policy should make the count zero); a non-finite proposal raises
+    DegenerateState naming the step and the particle.
     """
     if init.size < 1:
         raise ValueError("initial ensemble is empty")
@@ -243,9 +214,8 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     def record(t, ys):
         full = _full_states(ys)
         moments = stats_mod.estimate_moments(full)
-        rates = stats_mod.estimate_rates(full, proc, t)
         bm, br = stats_mod.batch_statistics(full, proc, t, n_batches)
-        traj.snapshots.append(Snapshot(t=t, moments=moments, rates=rates,
+        traj.snapshots.append(Snapshot(t=t, moments=moments,
                                        batch_moments=bm, batch_rates=br))
         times.append(t)
 
@@ -261,8 +231,7 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
         traj.particle_steps += ys.shape[0]
         traj.modified_steps += int(np.count_nonzero(modified))
         traj.clipped_steps += int(np.count_nonzero(clipped))
-        bad = np.any(ys < 0.0, axis=-1) | (np.sum(ys, axis=-1) > 1.0 + VIOLATION_TOL)
-        traj.violation_count += int(np.count_nonzero(bad))
+        traj.violation_count += int(np.count_nonzero(_invalid_mask(ys, VIOLATION_TOL)))
         if k % record_every == 0 or k == n_steps:
             record(k * cfg.dt, ys)
         if dump_every and (k % dump_every == 0 or k == n_steps):

@@ -18,6 +18,15 @@ from .errors import DirichletConstraintViolated, InvalidParameter, SingularNesti
 DIRCONST_RTOL = 1e-10
 
 
+def _diag_matrix(d):
+    """(..., K) diagonals -> (..., K, K) diagonal matrices."""
+    k = d.shape[-1]
+    out = np.zeros(d.shape + (k,))
+    idx = np.arange(k)
+    out[..., idx, idx] = d
+    return out
+
+
 def _as_vector(x, name, length=None):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -168,7 +177,7 @@ def beta_process(p: BetaParams) -> ProcessDefinition:
         dimension=2, drift=drift, diffusion=diffusion, name="beta",
         parameters={"b": b, "S": S, "kappa": kappa,
                     "absorbing_allowed": p.absorbing_allowed},
-        diffusion_is_diagonal=True, diffusion_diag=diffusion_diag)
+        diffusion_diag=diffusion_diag)
 
 
 def _wf_diffusion_factor(y):
@@ -228,17 +237,13 @@ def dirichlet_process(p: DirichletParams) -> ProcessDefinition:
         return kappa * y * y_last
 
     def diffusion(y, t):
-        d = diffusion_diag(y, t)
-        out = np.zeros(y.shape + (k,))
-        idx = np.arange(k)
-        out[..., idx, idx] = d
-        return out
+        return _diag_matrix(diffusion_diag(y, t))
 
     return ProcessDefinition(
         dimension=k + 1, drift=drift, diffusion=diffusion, name="dirichlet",
         parameters={"b": b.tolist(), "S": S.tolist(), "kappa": kappa.tolist(),
                     "dirichlet_invariant": p.dirichlet_invariant},
-        diffusion_is_diagonal=True, diffusion_diag=diffusion_diag)
+        diffusion_diag=diffusion_diag)
 
 
 def _gen_dirichlet_terms(y, p: GenDirichletParams):
@@ -290,17 +295,13 @@ def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
         return d
 
     def diffusion(y, t):
-        d = diffusion_diag(y, t)
-        out = np.zeros(y.shape + (k,))
-        idx = np.arange(k)
-        out[..., idx, idx] = d
-        return out
+        return _diag_matrix(diffusion_diag(y, t))
 
     return ProcessDefinition(
         dimension=k + 1, drift=drift, diffusion=diffusion, name="gen_dirichlet",
         parameters={"b": b.tolist(), "S": S.tolist(), "kappa": kappa.tolist(),
                     "c": p.c.tolist()},
-        diffusion_is_diagonal=True, diffusion_diag=diffusion_diag)
+        diffusion_diag=diffusion_diag)
 
 
 def broken_process(style: str, n: int = 3) -> ProcessDefinition:
@@ -310,30 +311,28 @@ def broken_process(style: str, n: int = 3) -> ProcessDefinition:
     every face); "outward_drift" pushes every component with rate -1
     (outward across every zero face).
     """
-    k = n - 1
-
     if style == "constant_diffusion":
         def drift(y, t):
             return np.zeros_like(y)
 
-        def diffusion(y, t):
-            out = np.zeros(y.shape + (k,))
-            idx = np.arange(k)
-            out[..., idx, idx] = 0.1
-            return out
+        def diffusion_diag(y, t):
+            return np.full(y.shape, 0.1)
 
         name = "broken_constant_diffusion"
     elif style == "outward_drift":
         def drift(y, t):
             return np.full_like(y, -1.0)
 
-        def diffusion(y, t):
-            return np.zeros(y.shape + (k,))
+        def diffusion_diag(y, t):
+            return np.zeros(y.shape)
 
         name = "broken_outward_drift"
     else:
         raise InvalidParameter("style", f"unknown style {style!r}")
 
+    def diffusion(y, t):
+        return _diag_matrix(diffusion_diag(y, t))
+
     return ProcessDefinition(
         dimension=n, drift=drift, diffusion=diffusion, name=name,
-        parameters={"style": style, "n": n}, diffusion_is_diagonal=True)
+        parameters={"style": style, "n": n}, diffusion_diag=diffusion_diag)

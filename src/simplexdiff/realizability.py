@@ -146,7 +146,7 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
             viol, loc = _worst(np.abs(B.sum(axis=(1, 2)))[:, np.newaxis], pts)
             report.add(f"{label}:diffusion-total-sum", label, viol, loc,
                        tol.diffusion_zero_tol)
-            if proc.diffusion_is_diagonal:
+            if proc.diffusion_diag is not None:
                 viol, loc = _worst(a, pts)
                 report.add(f"{label}:drift-componentwise", label, viol, loc,
                            tol.drift_sign_tol)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .core import ProcessDefinition
 from .errors import (EnsembleTooSmall, InsufficientSnapshots,
@@ -283,17 +282,22 @@ def cross_validate_rates(traj, proc: ProcessDefinition,
 
 
 def dirichlet_moments(alpha: np.ndarray) -> MomentSet:
-    """Exact mean/central moments of a Dirichlet law with concentration alpha."""
+    """Exact mean/central moments of a Dirichlet law with concentration alpha.
+
+    Component i is Beta(a, b) distributed with a = alpha_i and b the sum of
+    the other concentrations; with s = a + b its central moments are
+    mu_3 = 2ab(b - a) / (s^3 (s+1)(s+2)) and
+    mu_4 = 3ab(ab(s+2) + 2(a-b)^2) / (s^4 (s+1)(s+2)(s+3)).
+    """
     alpha = np.asarray(alpha, dtype=float)
     a0 = alpha.sum()
     mean = alpha / a0
     cov = (np.diag(mean) - np.outer(mean, mean)) / (a0 + 1.0)
-    third = np.empty_like(mean)
-    fourth = np.empty_like(mean)
-    for i, a in enumerate(alpha):
-        _, v, s, k = beta_dist.stats(a, a0 - a, moments="mvsk")
-        third[i] = float(s) * float(v) ** 1.5
-        fourth[i] = (float(k) + 3.0) * float(v) ** 2
+    # summing the others, not a0 - alpha, keeps b - a free of cancellation
+    a, b, s = alpha, alpha @ (1.0 - np.eye(alpha.shape[0])), a0
+    third = 2.0 * a * b * (b - a) / (s ** 3 * (s + 1.0) * (s + 2.0))
+    fourth = (3.0 * a * b * (a * b * (s + 2.0) + 2.0 * (a - b) ** 2)
+              / (s ** 4 * (s + 1.0) * (s + 2.0) * (s + 3.0)))
     skew, kurt = _guarded_shape_stats(cov, third, fourth)
     return MomentSet(mean=mean, covariance=cov, third=third, fourth=fourth,
                      skewness=skew, kurtosis=kurt, ensemble_size=0)

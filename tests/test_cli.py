@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import simplexdiff.cli as cli
 from simplexdiff.cli import FMT, load_config, main
 
 
@@ -47,6 +50,28 @@ def test_check_broken_fails_listing_every_face(tmp_path):
     report = json.loads((tmp_path / "out" / "audit.json").read_text())
     faces = {c["constraint"].split(":")[0] for c in report["checks"]}
     assert faces == {"zero-face-1", "zero-face-2", "unit-sum-face"}
+
+
+def test_reduction_needs_dirichlet_invariant_base(tmp_path):
+    """c: "reduction" refuses a base whose (1 - S) b / kappa varies."""
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, process={
+        "name": "gen_dirichlet",
+        "params": {"b": [2.0, 2.0], "S": [0.5, 0.4], "kappa": [1.0, 1.0],
+                   "c": "reduction"}})
+    assert main(["check", "--config", str(cfg_path),
+                 "--outdir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "audit.json").exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, simplexdiff.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_malformed_config_exits_2(tmp_path):

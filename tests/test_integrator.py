@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (BetaParams, Ensemble, IntegratorConfig,
-                         NotPositiveSemiDefinite, ProcessDefinition,
-                         RandomSource, WrightFisherParams, beta_process,
-                         factor_diffusion, make_state, simulate, step,
+from simplexdiff import (BetaParams, DegenerateState, Ensemble,
+                         IntegratorConfig, NotPositiveSemiDefinite,
+                         ProcessDefinition, RandomSource, WrightFisherParams,
+                         beta_process, make_state, simulate, step,
                          wright_fisher_process)
 from simplexdiff.core import ReducedState
 
@@ -22,41 +22,7 @@ def constant_process(a, n=3):
         return np.zeros(y.shape + (k,))
 
     return ProcessDefinition(dimension=n, drift=drift, diffusion=diffusion,
-                             name="constant", diffusion_is_diagonal=True)
-
-
-def test_factor_diagonal():
-    b = factor_diffusion(np.diag([0.125, 0.125]))
-    npt.assert_allclose(b, np.diag([np.sqrt(0.125)] * 2))
-
-
-def test_factor_singular_rank_one():
-    B = np.array([[0.25, -0.25], [-0.25, 0.25]])
-    b = factor_diffusion(B)
-    npt.assert_allclose(b, [[0.5, 0.0], [-0.5, 0.0]])
-    npt.assert_allclose(b @ b.T, B, atol=1e-15)
-
-
-def test_factor_indefinite_raises():
-    with pytest.raises(NotPositiveSemiDefinite):
-        factor_diffusion(np.diag([-0.1, 0.1]))
-
-
-def test_factor_asymmetric_rejected():
-    with pytest.raises(ValueError):
-        factor_diffusion(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_factor_roundtrip_wf_states():
-    """Round-trip residual bound over random interior diffusion matrices."""
-    p = wright_fisher_process(WrightFisherParams(np.ones(3)))
-    rng = np.random.default_rng(8)
-    y = rng.dirichlet(np.ones(3), size=10000)[:, :2]
-    B = p.diffusion(y, 0.0)
-    for i in range(0, 10000, 250):
-        b = factor_diffusion(B[i])
-        scale = max(1.0, np.max(np.abs(B[i])))
-        assert np.max(np.abs(b @ b.T - B[i])) <= 1e-10 * scale
+                             name="constant")
 
 
 def test_step_zero_diffusion_is_euler():
@@ -144,5 +110,42 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, boundary_policy="bounce")
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=1e-3, scheme="milstein")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_drift_raises_with_step_and_particle(bad):
+    """A non-finite proposal stops the run instead of passing the checks."""
+    def drift(y, t):
+        a = np.zeros_like(y)
+        if t > 0.0:  # the second step poisons particle 3
+            a[3, 1] = bad
+        return a
+
+    p = ProcessDefinition(dimension=3, drift=drift, name="poisoned",
+                          diffusion=lambda y, t: np.zeros(y.shape + (2,)),
+                          diffusion_diag=lambda y, t: np.zeros(y.shape))
+    ens = Ensemble.from_delta(make_state([0.2, 0.3, 0.5]), 10)
+    for policy in ("reject_resample", "clip_renormalize"):
+        with pytest.raises(DegenerateState, match=r"step 2 .*particle 3\b"):
+            simulate(p, ens, IntegratorConfig(dt=1e-2, boundary_policy=policy),
+                     t_end=0.05, record_every=100, rng=RandomSource(4, 0))
+
+
+@pytest.mark.parametrize("path", ["diffusion_diag", "eigh"])
+def test_indefinite_diffusion_raises(path):
+    """Both noise-factor paths refuse a diffusion with a negative direction."""
+    d = np.array([0.1, -0.1])
+
+    def diffusion_diag(y, t):
+        return np.broadcast_to(d, y.shape)
+
+    def diffusion(y, t):
+        return np.broadcast_to(np.diag(d), y.shape + (2,))
+
+    p = ProcessDefinition(
+        dimension=3, drift=lambda y, t: np.zeros_like(y), diffusion=diffusion,
+        name="indefinite",
+        diffusion_diag=diffusion_diag if path == "diffusion_diag" else None)
+    with pytest.raises(NotPositiveSemiDefinite):
+        step(ReducedState(np.array([0.3, 0.4])), p, 0.0,
+             IntegratorConfig(dt=1e-3), RandomSource(6, 0))

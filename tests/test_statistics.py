@@ -115,7 +115,7 @@ def _static_process(n=3):
 
     from simplexdiff import ProcessDefinition
     return ProcessDefinition(dimension=n, drift=drift, diffusion=diffusion,
-                             name="static", diffusion_is_diagonal=True)
+                             name="static")
 
 
 def test_cross_validation_static_process():
@@ -131,6 +131,10 @@ def test_cross_validation_static_process():
 
 def test_dirichlet_moments_against_sampling():
     """Analytic Dirichlet moments vs direct numpy sampling."""
+    flat = dirichlet_moments(np.ones(3))
+    # each component is Beta(1, 2): both central moments are 1/135 exactly
+    npt.assert_array_equal(flat.third, np.full(3, 1.0 / 135.0))
+    npt.assert_array_equal(flat.fourth, np.full(3, 1.0 / 135.0))
     alpha = np.array([1.0, 2.0, 3.0])
     m = dirichlet_moments(alpha)
     rng = np.random.default_rng(19)
