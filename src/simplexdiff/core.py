@@ -80,8 +80,10 @@ class ProcessDefinition:
 
     drift(Y, t) maps an (..., N-1) array of reduced states to drift rates of
     the same shape; diffusion(Y, t) maps it to symmetric non-negative
-    semi-definite (..., N-1, N-1) matrices.  Both must be pure and handle
-    batched input.
+    semi-definite (..., N-1, N-1) matrices.  Every closure must be pure and
+    act row by row: a row's output depends only on that row, since the
+    integrator evaluates each closure once per step on the whole batch and
+    reuses the rows of rejected proposals.
 
     diffusion_factor and diffusion_diag supply the integrator's noise
     factor: factor(Y, t) -> (..., K, K) with factor @ factor.T == diffusion,
@@ -160,26 +162,29 @@ def boundary_distance(state: ReducedState) -> float:
     return max(min(d_zero, d_sum), 0.0)
 
 
-def sample_face(face: BoundaryFace, rng: np.random.Generator, k: int) -> ReducedState:
-    """Uniform sample on one boundary face of the reduced k-dim polytope.
+def face_points(face: BoundaryFace, k: int, n_samples: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """n_samples uniform points on one boundary face of the reduced k-dim polytope.
 
     Points on a zero face have that coordinate exactly zero with the rest
     uniform on their sub-simplex; unit-sum face points sum exactly to one.
     """
     if face.kind == "zero":
-        y = np.zeros(k)
+        pts = np.zeros((n_samples, k))
         if k > 1:
             # uniform on {x >= 0, sum x <= 1} in k-1 free coordinates
-            u = rng.dirichlet(np.ones(k))
-            y[[i for i in range(k) if i != face.alpha]] = u[:-1]
-        return ReducedState(_readonly(y))
+            sub = rng.dirichlet(np.ones(k), size=n_samples)[:, :-1]
+            pts[:, [i for i in range(k) if i != face.alpha]] = sub
+        return pts
     if face.kind == "unitsum":
-        if k == 1:
-            return ReducedState(_readonly(np.array([1.0])))
-        u = rng.dirichlet(np.ones(k))
-        u = u / u.sum()  # tighten roundoff on the face equation
-        return ReducedState(_readonly(u))
+        pts = rng.dirichlet(np.ones(k), size=n_samples) if k > 1 else np.ones((n_samples, 1))
+        return pts / pts.sum(axis=1, keepdims=True)  # tighten the face equation
     raise ValueError(f"unknown face kind {face.kind!r}")
+
+
+def sample_face(face: BoundaryFace, rng: np.random.Generator, k: int) -> ReducedState:
+    """One uniform sample on a boundary face: the single-row face_points."""
+    return ReducedState(_readonly(face_points(face, k, 1, rng)[0]))
 
 
 class Ensemble:

@@ -5,7 +5,9 @@ noise drawn from a counter-based (Philox) stream, maps it through the noise
 factor the process supplies (an explicit factor, the square root of a
 diagonal, or an eigendecomposition of the diffusion matrix), and enforces
 the simplex constraints on every accepted step, so that every recorded state
-is realizable by construction; a non-finite proposal stops the run.
+is realizable by construction; a non-finite proposal stops the run.  Drift
+and noise factor are evaluated once per step: a rejected proposal redraws
+only its normals.
 """
 
 from __future__ import annotations
@@ -84,37 +86,28 @@ class Trajectory:
     dumps: dict = field(default_factory=dict)
 
 
-def _batched_noise(proc: ProcessDefinition, ys: np.ndarray, t: float,
-                   xi: np.ndarray) -> np.ndarray:
-    """Map unit normals through a factor of the diffusion matrix."""
+def _noise_factor(proc: ProcessDefinition, ys: np.ndarray, t: float) -> np.ndarray:
+    """Per-row noise factor: (M, K) diagonal roots or (M, K, K) matrices."""
     if proc.diffusion_factor is not None:
-        L = proc.diffusion_factor(ys, t)
-        return np.einsum("...ij,...j->...i", L, xi)
+        return proc.diffusion_factor(ys, t)
     if proc.diffusion_diag is not None:
         d = proc.diffusion_diag(ys, t)
         if np.min(d) < NEGATIVE_CLAMP:
             raise NotPositiveSemiDefinite(
                 f"diagonal diffusion entry {np.min(d):.3e} < 0")
-        return np.sqrt(np.maximum(d, 0.0)) * xi
+        return np.sqrt(np.maximum(d, 0.0))
     B = proc.diffusion(ys, t)
     w, V = np.linalg.eigh(B)
     scale = max(float(np.max(np.abs(B))), 1.0)
     if np.min(w) < -1e-10 * scale:
         raise NotPositiveSemiDefinite(
             f"diffusion eigenvalue {np.min(w):.3e} at a simulated state")
-    L = V * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]
-    return np.einsum("...ij,...j->...i", L, xi)
+    return V * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]
 
 
-def _propose(proc, ys, t, dt, xi):
-    try:
-        a = proc.drift(ys, t)
-        noise = _batched_noise(proc, ys, t, xi)
-    except NotPositiveSemiDefinite:
-        raise
-    except Exception as exc:  # drift/diffusion raised at a simulated state
-        raise DegenerateState(f"evaluation failed at t={t}: {exc}") from exc
-    return ys + a * dt + noise * np.sqrt(dt)
+def _noise(L, xi):
+    """Map unit normals through per-row noise factors."""
+    return L * xi if L.ndim == xi.ndim else np.einsum("...ij,...j->...i", L, xi)
 
 
 def _invalid_mask(ys, tol=0.0):
@@ -134,15 +127,21 @@ def _clip_renormalize(ys):
 
 def _advance(proc, ys, t, cfg, rng):
     """One Euler-Maruyama step for a batch; returns (states, modified, clipped)."""
-    m = ys.shape[0]
-    xi = rng.normals((m, ys.shape[1]))
-    prop = _propose(proc, ys, t, cfg.dt, xi)
+    xi = rng.normals(ys.shape)
+    try:
+        a = proc.drift(ys, t)
+        L = _noise_factor(proc, ys, t)
+    except NotPositiveSemiDefinite:
+        raise
+    except Exception as exc:  # drift/diffusion raised at a simulated state
+        raise DegenerateState(f"evaluation failed at t={t}: {exc}") from exc
+    base = ys + a * cfg.dt
+    prop = base + _noise(L, xi) * np.sqrt(cfg.dt)
     bad = _invalid_mask(prop)
     modified = bad.copy()
     if not np.any(bad):
         return prop, modified, bad
-    # non-finite rows are among the invalid ones; a resample from the same
-    # drift and noise factor could not make them finite
+    # invalid rows include non-finite ones; redraws of finite rows stay finite
     rows = np.flatnonzero(bad)
     finite = np.all(np.isfinite(prop[rows]), axis=-1)
     if not np.all(finite):
@@ -154,7 +153,7 @@ def _advance(proc, ys, t, cfg, rng):
             if idx.size == 0:
                 break
             xi_new = rng.normals((idx.size, ys.shape[1]))
-            prop[idx] = _propose(proc, ys[idx], t, cfg.dt, xi_new)
+            prop[idx] = base[idx] + _noise(L[idx], xi_new) * np.sqrt(cfg.dt)
             bad[idx] = _invalid_mask(prop[idx])
     clipped = bad
     if np.any(bad):

@@ -27,6 +27,13 @@ def _diag_matrix(d):
     return out
 
 
+def invariant_ratio(b, S, kappa):
+    """(1-S) b / kappa, and whether it is constant (a Dirichlet invariant law)."""
+    ratio = (1.0 - S) * b / kappa
+    varies = np.max(np.abs(ratio - ratio[0])) > DIRCONST_RTOL * max(1.0, abs(ratio[0]))
+    return ratio, not varies
+
+
 def _as_vector(x, name, length=None):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -102,8 +109,8 @@ class DirichletParams:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "kappa", kappa)
         if self.dirichlet_invariant:
-            ratio = (1.0 - S) * b / kappa
-            if np.max(np.abs(ratio - ratio[0])) > DIRCONST_RTOL * max(1.0, abs(ratio[0])):
+            ratio, constant = invariant_ratio(b, S, kappa)
+            if not constant:
                 raise DirichletConstraintViolated(
                     f"(1-S) b / kappa must be constant, got {ratio}")
 
@@ -246,29 +253,20 @@ def dirichlet_process(p: DirichletParams) -> ProcessDefinition:
         diffusion_diag=diffusion_diag)
 
 
-def _gen_dirichlet_terms(y, p: GenDirichletParams):
-    """Nesting remainders, their inverse products, and the coupling sum.
+def _gen_dirichlet_terms(y):
+    """Nesting remainders cy, the last one, and the prefactors u.
 
-    Returns (remainders cy, prefactors u, coupling sum) with guarded
-    division: a vanishing numerator forces the product to zero; any other
-    division by a zero remainder raises SingularNesting.
+    A zero remainder leaves an infinite prefactor, which the callers guard.
     """
-    k = p.b.shape[0]
+    k = y.shape[-1]
     cy = 1.0 - np.cumsum(y, axis=-1)          # cy[..., a] = 1 - Y_1 - ... - Y_{a+1}
-    cy_last = cy[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         # u[..., a] = 1 / (cy[a] * ... * cy[k-2]); u[..., k-1] = 1
         u = np.ones(y.shape)
         if k > 1:
             prod = np.cumprod(cy[..., k - 2::-1], axis=-1)[..., ::-1]
             u[..., : k - 1] = 1.0 / prod
-        csum = np.zeros(y.shape)
-        for a in range(k - 1):
-            for beta in range(a, k - 1):
-                num = y[..., a] * cy_last * p.c[a, beta]
-                ratio = np.where(num == 0.0, 0.0, num / cy[..., beta])
-                csum[..., a] += ratio
-    return cy, cy_last, u, csum
+    return cy, cy[..., -1], u
 
 
 def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
@@ -277,7 +275,13 @@ def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
     k = b.shape[0]
 
     def drift(y, t):
-        cy, cy_last, u, csum = _gen_dirichlet_terms(y, p)
+        cy, cy_last, u = _gen_dirichlet_terms(y)
+        csum = np.zeros(y.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a in range(k - 1):  # a vanishing numerator forces its ratio to 0
+                for beta in range(a, k - 1):
+                    num = y[..., a] * cy_last * p.c[a, beta]
+                    csum[..., a] += np.where(num == 0.0, 0.0, num / cy[..., beta])
         bracket = b * (S * cy_last[..., np.newaxis] - (1.0 - S) * y) + csum
         out = np.where(bracket == 0.0, 0.0, 0.5 * u * bracket)
         if not np.all(np.isfinite(out)):
@@ -286,7 +290,7 @@ def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
         return out
 
     def diffusion_diag(y, t):
-        cy, cy_last, u, csum = _gen_dirichlet_terms(y, p)
+        cy, cy_last, u = _gen_dirichlet_terms(y)
         num = kappa * y * cy_last[..., np.newaxis]
         d = np.where(num == 0.0, 0.0, num * u)
         if not np.all(np.isfinite(d)):

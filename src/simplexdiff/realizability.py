@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundaryFace, ProcessDefinition, enumerate_faces
+from .core import ProcessDefinition, enumerate_faces, face_points
 from .errors import EvaluationFailure
 from .statistics import MomentSet
 
@@ -80,20 +80,6 @@ def _generator(rng):
     return rng.generator if hasattr(rng, "generator") else rng
 
 
-def _face_points(face: BoundaryFace, k: int, n_samples: int,
-                 gen: np.random.Generator) -> np.ndarray:
-    """n_samples points with the face equation substituted exactly."""
-    if face.kind == "zero":
-        pts = np.zeros((n_samples, k))
-        if k > 1:
-            sub = gen.dirichlet(np.ones(k), size=n_samples)[:, :-1]
-            cols = [i for i in range(k) if i != face.alpha]
-            pts[:, cols] = sub
-        return pts
-    pts = gen.dirichlet(np.ones(k), size=n_samples) if k > 1 else np.ones((n_samples, 1))
-    return pts / pts.sum(axis=1, keepdims=True)
-
-
 def _worst(values: np.ndarray, pts: np.ndarray):
     """Largest value over (sample, ...) and the sample where it occurs."""
     flat = values.reshape(values.shape[0], -1)
@@ -120,7 +106,7 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
     k = proc.k
     report = AuditReport()
     for face in enumerate_faces(proc.dimension):
-        pts = _face_points(face, k, samples_per_face, gen)
+        pts = face_points(face, k, samples_per_face, gen)
         try:
             a = np.atleast_2d(proc.drift(pts, 0.0))
             B = proc.diffusion(pts, 0.0)

@@ -15,6 +15,7 @@ import numpy as np
 from .core import ProcessDefinition
 from .errors import (EnsembleTooSmall, InsufficientSnapshots,
                      UnsupportedProcess)
+from .processes import invariant_ratio
 
 #: variances below this leave skewness/kurtosis undefined (NaN)
 VAR_GUARD = 1e-14
@@ -233,8 +234,7 @@ def cross_validate_rates(traj, proc: ProcessDefinition,
     for mkey, rkeys in _MOMENT_TO_RATE.items():
         bmom = np.stack([s.batch_moments[mkey] for s in snaps])  # (T, nb, ...)
         for rkey in rkeys:
-            brate = np.stack([s.batch_rates[rkey if mkey != "mean" else "mean"]
-                              for s in snaps])
+            brate = np.stack([s.batch_rates[rkey] for s in snaps])
             rate_overall = brate.mean(axis=1)
             ok = True
             for k in range(1, len(snaps) - 1):
@@ -245,10 +245,9 @@ def cross_validate_rates(traj, proc: ProcessDefinition,
                 mean_diff = diff_b.mean(axis=0)
                 se = diff_b.std(axis=0, ddof=1) / np.sqrt(nb)
                 # truncation allowance from the curvature of the rate series
-                if 1 <= k <= len(snaps) - 2 and len(snaps) >= 4:
-                    lo, hi = max(k - 1, 0), min(k + 1, len(snaps) - 1)
-                    rdd = (rate_overall[hi] - 2.0 * rate_overall[k]
-                           + rate_overall[lo]) / ((times[k + 1] - times[k]) ** 2)
+                if len(snaps) >= 4:
+                    rdd = (rate_overall[k + 1] - 2.0 * rate_overall[k]
+                           + rate_overall[k - 1]) / ((times[k + 1] - times[k]) ** 2)
                 else:
                     rdd = np.zeros_like(mean_diff)
                 trunc = (h / 2.0) ** 2 / 6.0 * np.abs(rdd)
@@ -335,8 +334,8 @@ def analytic_stationary(proc: ProcessDefinition) -> MomentSet:
         b = np.asarray(p["b"], dtype=float)
         S = np.asarray(p["S"], dtype=float)
         kappa = np.asarray(p["kappa"], dtype=float)
-        ratio = (1.0 - S) * b / kappa
-        if np.max(np.abs(ratio - ratio[0])) > 1e-10 * max(1.0, abs(ratio[0])):
+        ratio, constant = invariant_ratio(b, S, kappa)
+        if not constant:
             raise UnsupportedProcess(
                 "stationary law is not Dirichlet: (1-S) b / kappa varies "
                 f"across components: {ratio}")

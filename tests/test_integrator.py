@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (BetaParams, DegenerateState, Ensemble,
+from simplexdiff import (BetaParams, DegenerateState, DirichletParams, Ensemble,
                          IntegratorConfig, NotPositiveSemiDefinite,
                          ProcessDefinition, RandomSource, WrightFisherParams,
-                         beta_process, make_state, simulate, step,
-                         wright_fisher_process)
+                         beta_process, broken_process, dirichlet_process,
+                         make_state, simulate, step, wright_fisher_process)
 from simplexdiff.core import ReducedState
+from simplexdiff.integrator import _advance, _clip_renormalize, _invalid_mask
 
 
 def constant_process(a, n=3):
@@ -149,3 +152,115 @@ def test_indefinite_diffusion_raises(path):
     with pytest.raises(NotPositiveSemiDefinite):
         step(ReducedState(np.array([0.3, 0.4])), p, 0.0,
              IntegratorConfig(dt=1e-3), RandomSource(6, 0))
+
+
+def _factor_forms():
+    """One process per noise-factor form: diagonal, explicit factor, eigh."""
+    wf = wright_fisher_process(WrightFisherParams(np.ones(3)))
+    return {"diagonal": dirichlet_process(DirichletParams(
+                b=[4.0, 4.0], S=[0.5, 0.5], kappa=[1.0, 1.0])),
+            "factor": wf,
+            "eigh": dataclasses.replace(wf, diffusion_factor=None)}
+
+
+def _noise_factor_name(proc):
+    if proc.diffusion_factor is not None:
+        return "diffusion_factor"
+    return "diffusion_diag" if proc.diffusion_diag is not None else "diffusion"
+
+
+def _counted(proc, calls):
+    """A copy of proc whose drift and noise-factor closure count their calls."""
+    def wrap(name):
+        fn = getattr(proc, name)
+
+        def call(y, t):
+            calls[name] += 1
+            return fn(y, t)
+        return call
+    names = ("drift", _noise_factor_name(proc))
+    return dataclasses.replace(proc, **{n: wrap(n) for n in names})
+
+
+class CountingSource(RandomSource):
+    def __init__(self, seed, calls):
+        super().__init__(seed, 0)
+        self.calls = calls
+
+    def normals(self, shape):
+        self.calls["normals"] += 1
+        return super().normals(shape)
+
+
+@pytest.mark.parametrize("form", ["diagonal", "factor", "eigh"])
+def test_advance_evaluates_each_closure_once(form):
+    """Resample rounds redraw normals without re-evaluating the process."""
+    calls = {"drift": 0, "diffusion_factor": 0, "diffusion_diag": 0,
+             "diffusion": 0, "normals": 0}
+    proc = _factor_forms()[form]
+    ys = Ensemble.from_uniform(3, 400, np.random.default_rng(11)).reduced.copy()
+    _advance(_counted(proc, calls), ys, 0.0, IntegratorConfig(dt=0.05),
+             CountingSource(12, calls))
+    assert calls["normals"] > 1  # at least one resample round ran
+    assert calls["drift"] == 1
+    assert calls[_noise_factor_name(proc)] == 1
+
+
+def test_step_evaluates_each_closure_once():
+    """An always-rejected step: every round redraws, then the state is clipped."""
+    calls = {"drift": 0, "diffusion_diag": 0, "normals": 0}
+    proc = _counted(broken_process("outward_drift"), calls)
+    res = step(ReducedState(np.array([0.3, 0.4])), proc, 0.0,
+               IntegratorConfig(dt=1.0, max_resample=5), CountingSource(13, calls))
+    assert res.clipped
+    assert calls == {"drift": 1, "diffusion_diag": 1, "normals": 6}
+
+
+def _reference_advance(proc, ys, t, cfg, rng):
+    """The step that re-evaluates drift and noise factor at rejected rows."""
+    def propose(ys, xi):
+        a = proc.drift(ys, t)
+        if proc.diffusion_factor is not None:
+            L = proc.diffusion_factor(ys, t)
+            noise = np.einsum("...ij,...j->...i", L, xi)
+        elif proc.diffusion_diag is not None:
+            noise = np.sqrt(np.maximum(proc.diffusion_diag(ys, t), 0.0)) * xi
+        else:
+            w, V = np.linalg.eigh(proc.diffusion(ys, t))
+            L = V * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]
+            noise = np.einsum("...ij,...j->...i", L, xi)
+        return ys + a * cfg.dt + noise * np.sqrt(cfg.dt)
+
+    prop = propose(ys, rng.normals(ys.shape))
+    bad = _invalid_mask(prop)
+    modified = bad.copy()
+    for _ in range(cfg.max_resample):
+        idx = np.flatnonzero(bad)
+        if idx.size == 0:
+            break
+        prop[idx] = propose(ys[idx], rng.normals((idx.size, ys.shape[1])))
+        bad[idx] = _invalid_mask(prop[idx])
+    if np.any(bad):
+        prop[bad] = _clip_renormalize(prop[bad])
+    return prop, modified, bad
+
+
+@pytest.mark.parametrize("form", ["diagonal", "factor", "eigh"])
+def test_advance_matches_re_evaluating_reference(form):
+    """Reusing drift and factor changes no bit of any step."""
+    proc = _factor_forms()[form]
+    cfg = IntegratorConfig(dt=0.02, max_resample=1)
+    ys = Ensemble.from_uniform(3, 200, np.random.default_rng(21)).reduced.copy()
+    rng, ref_rng = RandomSource(22, 0), RandomSource(22, 0)
+    modified = clipped = 0
+    for k in range(300):
+        out, mod, clip = _advance(proc, ys, k * cfg.dt, cfg, rng)
+        ref, ref_mod, ref_clip = _reference_advance(proc, ys, k * cfg.dt, cfg,
+                                                    ref_rng)
+        assert out.tobytes() == ref.tobytes(), f"step {k}"
+        npt.assert_array_equal(mod, ref_mod)
+        npt.assert_array_equal(clip, ref_clip)
+        modified += np.count_nonzero(mod)
+        clipped += np.count_nonzero(clip)
+        ys = out
+    assert modified > 100 and clipped > 0  # rejections were forced
