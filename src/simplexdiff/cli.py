@@ -199,7 +199,15 @@ def cmd_check(cfg: dict, args) -> int:
     return 0 if report.overall_pass else 1
 
 
-def _run_simulation(cfg: dict, args, outdir: str):
+def _trajectory_counters(traj) -> dict:
+    """The trajectory's counters, as written to run_meta.json."""
+    return {"violation_count": traj.violation_count,
+            "particle_steps": traj.particle_steps,
+            "modified_steps": traj.modified_steps,
+            "clipped_steps": traj.clipped_steps}
+
+
+def _run_simulation(cfg: dict, args, outdir: str, dump_every=None):
     """Shared setup + integration for simulate/compare; returns (proc, traj)."""
     proc = build_process(cfg)
     seed = int(args.seed if args.seed is not None else cfg["seed"])
@@ -213,26 +221,25 @@ def _run_simulation(cfg: dict, args, outdir: str):
     ispec = cfg.get("integrator", {})
     t_end = float(ispec.get("t_end", 1.0))
     record_every = int(ispec.get("record_every", 100))
-    dump_every = cfg.get("output", {}).get("dump_every")
     rng = RandomSource(seed, 0)
     init = build_ensemble(cfg, proc.dimension, RandomSource(seed, 2).generator)
     traj = simulate(proc, init, icfg, t_end, record_every, rng,
-                    dump_every=int(dump_every) if dump_every else None)
+                    dump_every=dump_every)
     return proc, traj, seed
 
 
 def cmd_simulate(cfg: dict, args) -> int:
     outdir = resolve_outdir(cfg, args)
-    proc, traj, seed = _run_simulation(cfg, args, outdir)
+    dump_every = cfg.get("output", {}).get("dump_every")
+    proc, traj, seed = _run_simulation(cfg, args, outdir,
+                                       int(dump_every) if dump_every else None)
     if traj is None:
         return 1
     write_moments_csv(os.path.join(outdir, "moments.csv"), traj, proc.dimension)
     for t, states in traj.dumps.items():
         write_ensemble_csv(os.path.join(outdir, f"ensemble_{t:g}.csv"), t, states)
     write_run_meta(os.path.join(outdir, "run_meta.json"), cfg, seed,
-                   {"violation_count": traj.violation_count,
-                    "particle_steps": traj.particle_steps,
-                    "clipped_steps": traj.clipped_steps})
+                   _trajectory_counters(traj))
     if traj.violation_count:
         print(f"{traj.violation_count} realizability violations recorded",
               file=sys.stderr)
@@ -331,7 +338,7 @@ def cmd_compare(cfg: dict, args) -> int:
         f.write("\n")
     write_moments_csv(os.path.join(outdir, "moments.csv"), traj, proc.dimension)
     write_run_meta(os.path.join(outdir, "run_meta.json"), cfg, seed,
-                   {"violation_count": traj.violation_count})
+                   _trajectory_counters(traj))
     print(f"compare: rate check {'pass' if rate_report.overall_pass else 'FAIL'}"
           f" (third form: {rate_report.matching_third_form},"
           f" fourth form: {rate_report.matching_fourth_form});"

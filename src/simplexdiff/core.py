@@ -78,20 +78,23 @@ def enumerate_faces(n: int) -> list[BoundaryFace]:
 class ProcessDefinition:
     """A drift/diffusion pair over the reduced (N-1)-dimensional state.
 
-    drift(Y, t) maps an (..., N-1) array of reduced states to drift rates of
-    the same shape; diffusion(Y, t) maps it to symmetric non-negative
-    semi-definite (..., N-1, N-1) matrices.  Every closure must be pure and
-    act row by row: a row's output depends only on that row, since the
-    integrator evaluates each closure once per step on the whole batch and
-    reuses the rows of rejected proposals.
+    The closures take component-major states: Y has shape (K, ...), K = N-1,
+    with one row per reduced component and the particles along the trailing
+    axes; a single (K,) state is one particle.  drift(Y, t) returns drift
+    rates of Y's shape; diffusion(Y, t) returns symmetric non-negative
+    semi-definite matrices of shape (K, K, ...).  Every closure must be
+    pure and act particle by particle: a particle's output depends only on
+    its own state, since the integrator evaluates each closure once per step
+    on the whole batch and reuses the particles of rejected proposals.
 
     diffusion_factor and diffusion_diag supply the integrator's noise
-    factor: factor(Y, t) -> (..., K, K) with factor @ factor.T == diffusion,
-    or, for a process whose diffusion matrix is diagonal, diffusion_diag(Y, t)
-    -> (..., K) returning that diagonal, whose square root is then the
-    factor.  A process that supplies neither is factored through an
-    eigendecomposition of its diffusion matrix.  Supplying diffusion_diag
-    also declares the diffusion diagonal to the boundary audit.
+    factor: factor(Y, t) -> (K, K, ...) with factor @ factor.T == diffusion
+    for each particle, or, for a process whose diffusion matrix is diagonal,
+    diffusion_diag(Y, t) -> (K, ...) returning that diagonal, whose square
+    root is then the factor.  A process that supplies neither is factored
+    through an eigendecomposition of its diffusion matrix.  Supplying
+    diffusion_diag also declares the diffusion diagonal to the boundary
+    audit.
     """
 
     dimension: int
@@ -105,6 +108,20 @@ class ProcessDefinition:
     @property
     def k(self) -> int:
         return self.dimension - 1
+
+
+def component_major(states: np.ndarray) -> np.ndarray:
+    """Particle-major (M, K) states as the contiguous (K, M) array closures take."""
+    return np.ascontiguousarray(states.T)
+
+
+def particle_major(x: np.ndarray) -> np.ndarray:
+    """A component-major closure output (K, ..., M) as a C-ordered (M, K, ...) copy.
+
+    Estimators and audits keep particle-major arrays, so that their sums and
+    matrix products run in the same order as for particle-major input.
+    """
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
 
 def make_state(fractions) -> SimplexState:

@@ -7,7 +7,10 @@ diagonal, or an eigendecomposition of the diffusion matrix), and enforces
 the simplex constraints on every accepted step, so that every recorded state
 is realizable by construction; a non-finite proposal stops the run.  Drift
 and noise factor are evaluated once per step: a rejected proposal redraws
-only its normals.
+only its normals.  The ensemble is held component-major, as a (K, M) array
+with one row per reduced component, so that sums over components run along
+the leading axis; the normals are still drawn particle by particle, as
+(M, K), and transposed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Ensemble, ProcessDefinition, ReducedState, _readonly
+from .core import (Ensemble, ProcessDefinition, ReducedState, _readonly,
+                   component_major)
 from .errors import DegenerateState, NotPositiveSemiDefinite
 from . import statistics as stats_mod
 
@@ -87,7 +91,7 @@ class Trajectory:
 
 
 def _noise_factor(proc: ProcessDefinition, ys: np.ndarray, t: float) -> np.ndarray:
-    """Per-row noise factor: (M, K) diagonal roots or (M, K, K) matrices."""
+    """Per-particle noise factor: (K, M) diagonal roots or (K, K, M) matrices."""
     if proc.diffusion_factor is not None:
         return proc.diffusion_factor(ys, t)
     if proc.diffusion_diag is not None:
@@ -97,37 +101,50 @@ def _noise_factor(proc: ProcessDefinition, ys: np.ndarray, t: float) -> np.ndarr
                 f"diagonal diffusion entry {np.min(d):.3e} < 0")
         return np.sqrt(np.maximum(d, 0.0))
     B = proc.diffusion(ys, t)
-    w, V = np.linalg.eigh(B)
+    w, V = np.linalg.eigh(np.moveaxis(B, -1, 0))
     scale = max(float(np.max(np.abs(B))), 1.0)
     if np.min(w) < -1e-10 * scale:
         raise NotPositiveSemiDefinite(
             f"diffusion eigenvalue {np.min(w):.3e} at a simulated state")
-    return V * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]
+    return np.moveaxis(V * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :], 0, -1)
 
 
 def _noise(L, xi):
-    """Map unit normals through per-row noise factors."""
-    return L * xi if L.ndim == xi.ndim else np.einsum("...ij,...j->...i", L, xi)
+    """Map (K, M) unit normals through per-particle noise factors."""
+    if L.ndim == xi.ndim:
+        return L * xi
+    # even and odd columns summed apart, each from zero and left to right:
+    # the order of einsum("...ij,...j->...i"), bit for bit
+    half = np.zeros((2,) + xi.shape)
+    for j in range(xi.shape[0]):
+        half[j % 2] += L[:, j] * xi[j]
+    return half[0] + half[1]
+
+
+def _normals(rng, m, k):
+    """(K, m) unit normals, drawn particle by particle as (m, K)."""
+    return np.ascontiguousarray(rng.normals((m, k)).T)
 
 
 def _invalid_mask(ys, tol=0.0):
-    """Rows outside the reduced simplex; a non-finite row counts as outside."""
-    return ~(np.all(ys >= 0.0, axis=-1) & (np.sum(ys, axis=-1) <= 1.0 + tol))
+    """Columns outside the reduced simplex; a non-finite column counts as outside."""
+    return ~(np.all(ys >= 0.0, axis=0) & (np.sum(ys, axis=0) <= 1.0 + tol))
 
 
 def _clip_renormalize(ys):
-    """Clamp negatives to zero; scale rows whose reduced sum exceeds one."""
+    """Clamp negatives to zero; scale columns whose reduced sum exceeds one."""
     ys = np.maximum(ys, 0.0)
-    s = np.sum(ys, axis=-1)
+    s = np.sum(ys, axis=0)
     over = s > 1.0
     if np.any(over):
-        ys[over] /= s[over, np.newaxis]
+        ys[:, over] /= s[over]
     return ys
 
 
 def _advance(proc, ys, t, cfg, rng):
-    """One Euler-Maruyama step for a batch; returns (states, modified, clipped)."""
-    xi = rng.normals(ys.shape)
+    """One Euler-Maruyama step for a (K, M) batch; returns (states, modified, clipped)."""
+    k, m = ys.shape
+    xi = _normals(rng, m, k)
     try:
         a = proc.drift(ys, t)
         L = _noise_factor(proc, ys, t)
@@ -141,23 +158,23 @@ def _advance(proc, ys, t, cfg, rng):
     modified = bad.copy()
     if not np.any(bad):
         return prop, modified, bad
-    # invalid rows include non-finite ones; redraws of finite rows stay finite
-    rows = np.flatnonzero(bad)
-    finite = np.all(np.isfinite(prop[rows]), axis=-1)
+    # invalid columns include non-finite ones; redraws of finite ones stay finite
+    cols = np.flatnonzero(bad)
+    finite = np.all(np.isfinite(prop[:, cols]), axis=0)
     if not np.all(finite):
         raise DegenerateState(
-            f"non-finite proposal for particle {rows[np.argmin(finite)]}")
+            f"non-finite proposal for particle {cols[np.argmin(finite)]}")
     if cfg.boundary_policy == "reject_resample":
         for _ in range(cfg.max_resample):
             idx = np.flatnonzero(bad)
             if idx.size == 0:
                 break
-            xi_new = rng.normals((idx.size, ys.shape[1]))
-            prop[idx] = base[idx] + _noise(L[idx], xi_new) * np.sqrt(cfg.dt)
-            bad[idx] = _invalid_mask(prop[idx])
+            xi_new = _normals(rng, idx.size, k)
+            prop[:, idx] = base[:, idx] + _noise(L[..., idx], xi_new) * np.sqrt(cfg.dt)
+            bad[idx] = _invalid_mask(prop[:, idx])
     clipped = bad
     if np.any(bad):
-        prop[bad] = _clip_renormalize(prop[bad])
+        prop[:, bad] = _clip_renormalize(prop[:, bad])
     return prop, modified, clipped
 
 
@@ -171,16 +188,18 @@ class StepResult:
 def step(state: ReducedState, proc: ProcessDefinition, t: float,
          cfg: IntegratorConfig, rng: RandomSource) -> StepResult:
     """Advance a single reduced state by one time step."""
-    ys = state.fractions[np.newaxis, :].copy()
+    ys = state.fractions[:, np.newaxis].copy()
     out, modified, clipped = _advance(proc, ys, t, cfg, rng)
-    return StepResult(ReducedState(_readonly(out[0])),
+    return StepResult(ReducedState(_readonly(out[:, 0])),
                       bool(modified[0]), bool(clipped[0]))
 
 
 def _full_states(ys):
-    """Reduced batch -> full batch with the clamped remainder appended."""
-    rest = np.maximum(1.0 - np.sum(ys, axis=-1, keepdims=True), 0.0)
-    return np.concatenate([ys, rest], axis=-1)
+    """(K, M) reduced batch -> (M, N) full states with the clamped remainder."""
+    full = np.empty((ys.shape[1], ys.shape[0] + 1))
+    full[:, :-1] = ys.T
+    full[:, -1] = np.maximum(1.0 - np.sum(ys, axis=0), 0.0)
+    return full
 
 
 def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
@@ -205,35 +224,39 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
         raise ValueError(f"ensemble has {init.n} components, "
                          f"process expects {proc.dimension}")
     n_steps = max(int(round(t_end / cfg.dt)), 1)
-    ys = init.reduced.copy()
+    ys = component_major(init.reduced)
     traj = Trajectory(times=None, snapshots=[], config=cfg,
                       process_name=proc.name)
     times = []
 
-    def record(t, ys):
+    def observe(k, ys):
+        """The snapshot and dump due after step k, from one full-state array."""
+        snap = k % record_every == 0 or k == n_steps
+        dump = dump_every and (k % dump_every == 0 or k == n_steps)
+        if not (snap or dump):
+            return
+        t = k * cfg.dt
         full = _full_states(ys)
-        moments = stats_mod.estimate_moments(full)
-        bm, br = stats_mod.batch_statistics(full, proc, t, n_batches)
-        traj.snapshots.append(Snapshot(t=t, moments=moments,
-                                       batch_moments=bm, batch_rates=br))
-        times.append(t)
+        if snap:
+            moments = stats_mod.estimate_moments(full)
+            bm, br = stats_mod.batch_statistics(full, proc, t, n_batches)
+            traj.snapshots.append(Snapshot(t=t, moments=moments,
+                                           batch_moments=bm, batch_rates=br))
+            times.append(t)
+        if dump:
+            traj.dumps[t] = full
 
-    record(0.0, ys)
-    if dump_every:
-        traj.dumps[0.0] = _full_states(ys)
+    observe(0, ys)
     for k in range(1, n_steps + 1):
         t = (k - 1) * cfg.dt
         try:
             ys, modified, clipped = _advance(proc, ys, t, cfg, rng)
         except (DegenerateState, NotPositiveSemiDefinite) as exc:
             raise DegenerateState(f"step {k} at t={t}: {exc}") from exc
-        traj.particle_steps += ys.shape[0]
+        traj.particle_steps += ys.shape[1]
         traj.modified_steps += int(np.count_nonzero(modified))
         traj.clipped_steps += int(np.count_nonzero(clipped))
         traj.violation_count += int(np.count_nonzero(_invalid_mask(ys, VIOLATION_TOL)))
-        if k % record_every == 0 or k == n_steps:
-            record(k * cfg.dt, ys)
-        if dump_every and (k % dump_every == 0 or k == n_steps):
-            traj.dumps[k * cfg.dt] = _full_states(ys)
+        observe(k, ys)
     traj.times = np.array(times)
     return traj

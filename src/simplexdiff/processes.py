@@ -1,8 +1,9 @@
 """The four realizable simplex diffusion processes plus negative controls.
 
 Each constructor validates its parameters and returns a ProcessDefinition
-whose drift/diffusion closures accept batched reduced states of shape
-(..., N-1).  Drift components carry units of 1/time, diffusion entries
+whose closures take component-major reduced states of shape (N-1, ...):
+drift and diffusion_diag return (N-1, ...), diffusion and diffusion_factor
+(N-1, N-1, ...).  Drift components carry units of 1/time, diffusion entries
 1/time.
 """
 
@@ -19,11 +20,29 @@ DIRCONST_RTOL = 1e-10
 
 
 def _diag_matrix(d):
-    """(..., K) diagonals -> (..., K, K) diagonal matrices."""
-    k = d.shape[-1]
-    out = np.zeros(d.shape + (k,))
+    """(K, ...) diagonals -> (K, K, ...) diagonal matrices."""
+    k = d.shape[0]
+    out = np.zeros((k,) + d.shape)
     idx = np.arange(k)
-    out[..., idx, idx] = d
+    out[idx, idx] = d
+    return out
+
+
+def _col(v, y):
+    """A per-component array shaped to broadcast against component-major y."""
+    return v.reshape(v.shape + (1,) * (y.ndim - 1))
+
+
+def _running(op, y):
+    """op.accumulate over the leading axis, one row at a time.
+
+    The result is np.cumsum(y, axis=0) for np.add (np.cumprod for
+    np.multiply) bit for bit; numpy's own accumulate walks the short leading
+    axis innermost, which is many times slower.
+    """
+    out = y.copy()
+    for i in range(1, out.shape[0]):
+        out[i] = op(out[i - 1], out[i])
     return out
 
 
@@ -178,7 +197,7 @@ def beta_process(p: BetaParams) -> ProcessDefinition:
         return kappa * y * (1.0 - y)
 
     def diffusion(y, t):
-        return diffusion_diag(y, t)[..., np.newaxis]
+        return diffusion_diag(y, t)[np.newaxis]
 
     return ProcessDefinition(
         dimension=2, drift=drift, diffusion=diffusion, name="beta",
@@ -193,18 +212,18 @@ def _wf_diffusion_factor(y):
     Built from the nested remainders q_j = 1 - Y_1 - ... - Y_j; columns
     whose remainder has hit zero carry no noise and are zeroed.
     """
-    k = y.shape[-1]
-    q = 1.0 - np.cumsum(y, axis=-1)
-    q_prev = np.concatenate([np.ones(y.shape[:-1] + (1,)), q[..., :-1]], axis=-1)
-    L = np.zeros(y.shape + (k,))
+    k = y.shape[0]
+    q = 1.0 - _running(np.add, y)
+    q_prev = np.concatenate([np.ones((1,) + y.shape[1:]), q[:-1]], axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(k):
-            rad = y[..., i] * q[..., i] / q_prev[..., i]
-            L[..., i, i] = np.sqrt(np.maximum(np.nan_to_num(rad, nan=0.0), 0.0))
-            for j in range(i):
-                rad = y[..., j] / (q[..., j] * q_prev[..., j])
-                rad = np.maximum(np.nan_to_num(rad, nan=0.0, posinf=0.0), 0.0)
-                L[..., i, j] = -y[..., i] * np.sqrt(rad)
+        diag = y * q / q_prev
+        col = y / (q * q_prev)
+    diag = np.sqrt(np.maximum(np.nan_to_num(diag, nan=0.0), 0.0))
+    col = np.sqrt(np.maximum(np.nan_to_num(col, nan=0.0, posinf=0.0), 0.0))
+    L = np.zeros((k, k) + y.shape[1:])
+    for i in range(k):
+        L[i, i] = diag[i]
+        L[i, :i] = -y[i] * col[:i]
     return L
 
 
@@ -214,13 +233,15 @@ def wright_fisher_process(p: WrightFisherParams) -> ProcessDefinition:
     w = p.omega_total
     k = omega.shape[0] - 1
     om = omega[:k]
+    eye = np.eye(k)
 
     def drift(y, t):
-        return 0.5 * (om - w * y)
+        return 0.5 * (_col(om, y) - w * y)
 
     def diffusion(y, t):
-        eye = np.eye(k)
-        return y[..., :, np.newaxis] * (eye - y[..., np.newaxis, :])
+        B = _col(eye, y) - y[np.newaxis]
+        B *= y[:, np.newaxis]   # in place: one (K, K, ...) array, same products
+        return B
 
     return ProcessDefinition(
         dimension=k + 1, drift=drift, diffusion=diffusion, name="wright_fisher",
@@ -236,12 +257,12 @@ def dirichlet_process(p: DirichletParams) -> ProcessDefinition:
     c_out = 0.5 * b * (1.0 - S)
 
     def drift(y, t):
-        y_last = 1.0 - np.sum(y, axis=-1, keepdims=True)
-        return c_in * y_last - c_out * y
+        y_last = 1.0 - np.sum(y, axis=0)
+        return _col(c_in, y) * y_last - _col(c_out, y) * y
 
     def diffusion_diag(y, t):
-        y_last = 1.0 - np.sum(y, axis=-1, keepdims=True)
-        return kappa * y * y_last
+        y_last = 1.0 - np.sum(y, axis=0)
+        return _col(kappa, y) * y * y_last
 
     def diffusion(y, t):
         return _diag_matrix(diffusion_diag(y, t))
@@ -258,15 +279,15 @@ def _gen_dirichlet_terms(y):
 
     A zero remainder leaves an infinite prefactor, which the callers guard.
     """
-    k = y.shape[-1]
-    cy = 1.0 - np.cumsum(y, axis=-1)          # cy[..., a] = 1 - Y_1 - ... - Y_{a+1}
+    k = y.shape[0]
+    cy = 1.0 - _running(np.add, y)            # cy[a] = 1 - Y_1 - ... - Y_{a+1}
     with np.errstate(divide="ignore", invalid="ignore"):
-        # u[..., a] = 1 / (cy[a] * ... * cy[k-2]); u[..., k-1] = 1
+        # u[a] = 1 / (cy[a] * ... * cy[k-2]); u[k-1] = 1
         u = np.ones(y.shape)
         if k > 1:
-            prod = np.cumprod(cy[..., k - 2::-1], axis=-1)[..., ::-1]
-            u[..., : k - 1] = 1.0 / prod
-    return cy, cy[..., -1], u
+            prod = _running(np.multiply, cy[k - 2::-1])[::-1]
+            u[: k - 1] = 1.0 / prod
+    return cy, cy[-1], u
 
 
 def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
@@ -280,9 +301,9 @@ def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
         with np.errstate(divide="ignore", invalid="ignore"):
             for a in range(k - 1):  # a vanishing numerator forces its ratio to 0
                 for beta in range(a, k - 1):
-                    num = y[..., a] * cy_last * p.c[a, beta]
-                    csum[..., a] += np.where(num == 0.0, 0.0, num / cy[..., beta])
-        bracket = b * (S * cy_last[..., np.newaxis] - (1.0 - S) * y) + csum
+                    num = y[a] * cy_last * p.c[a, beta]
+                    csum[a] += np.where(num == 0.0, 0.0, num / cy[beta])
+        bracket = _col(b, y) * (_col(S, y) * cy_last - _col(1.0 - S, y) * y) + csum
         out = np.where(bracket == 0.0, 0.0, 0.5 * u * bracket)
         if not np.all(np.isfinite(out)):
             raise SingularNesting("drift is undefined: zero nested remainder "
@@ -291,7 +312,7 @@ def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
 
     def diffusion_diag(y, t):
         cy, cy_last, u = _gen_dirichlet_terms(y)
-        num = kappa * y * cy_last[..., np.newaxis]
+        num = _col(kappa, y) * y * cy_last
         d = np.where(num == 0.0, 0.0, num * u)
         if not np.all(np.isfinite(d)):
             raise SingularNesting("diffusion is undefined: zero nested remainder "

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProcessDefinition, enumerate_faces, face_points
+from .core import (ProcessDefinition, enumerate_faces, face_points,
+                   particle_major)
 from .errors import EvaluationFailure
-from .statistics import MomentSet
+from .statistics import MomentSet, drift_and_diffusion
 
 #: identities that hold per-sample are checked at this fixed tolerance
 EXACT_TOL = 1e-12
@@ -108,12 +109,11 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
     for face in enumerate_faces(proc.dimension):
         pts = face_points(face, k, samples_per_face, gen)
         try:
-            a = np.atleast_2d(proc.drift(pts, 0.0))
-            B = proc.diffusion(pts, 0.0)
+            a, B = drift_and_diffusion(proc, pts, 0.0)
+            B = particle_major(B)
         except Exception as exc:
             raise EvaluationFailure(
                 f"drift/diffusion raised on {face.label()}: {exc}") from exc
-        B = B.reshape(pts.shape[0], k, k)
         label = face.label()
         if face.kind == "zero":
             viol, loc = _worst(-a[:, face.alpha: face.alpha + 1], pts)

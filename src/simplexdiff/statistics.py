@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProcessDefinition
+from .core import ProcessDefinition, component_major, particle_major
 from .errors import (EnsembleTooSmall, InsufficientSnapshots,
                      UnsupportedProcess)
 from .processes import invariant_ratio
@@ -100,6 +100,16 @@ def estimate_moments(states: np.ndarray) -> MomentSet:
                      ensemble_size=states.shape[0])
 
 
+def drift_and_diffusion(proc: ProcessDefinition, reduced: np.ndarray, t: float):
+    """Drift as a particle-major (M, K) array and the (K, K, M) diffusion.
+
+    The closures get a contiguous component-major copy of the (M, K)
+    states, which is freed on return.
+    """
+    y = component_major(reduced)
+    return particle_major(proc.drift(y, t)), proc.diffusion(y, t)
+
+
 def _rates_from_arrays(y, a, B):
     """Moment rates from centered reduced states, drifts, and diffusions."""
     m = y.shape[0]
@@ -127,9 +137,8 @@ def estimate_rates(states: np.ndarray, proc: ProcessDefinition,
         raise EnsembleTooSmall(f"need M >= 2 particles, got {states.shape[0]}")
     reduced = states[:, :-1]
     y = reduced - reduced.mean(axis=0)
-    a = proc.drift(reduced, t)
-    B = proc.diffusion(reduced, t)
-    return _rates_from_arrays(y, a, B)
+    a, B = drift_and_diffusion(proc, reduced, t)
+    return _rates_from_arrays(y, a, particle_major(B))
 
 
 def batch_slices(m: int, n_batches: int):
@@ -144,12 +153,12 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
     """Per-batch reduced moments and rates for standard-error estimation.
 
     Returns (batch_moments, batch_rates) dicts of stacked arrays whose
-    leading axis indexes the batch.
+    leading axis indexes the batch.  The (K, K, M) diffusion is made
+    particle-major one batch at a time.
     """
     states = np.asarray(states, dtype=float)
     reduced = states[:, :-1]
-    a = proc.drift(reduced, t)
-    B = proc.diffusion(reduced, t)
+    a, B = drift_and_diffusion(proc, reduced, t)
     bm = {"mean": [], "cov": [], "third": [], "fourth": []}
     br = {"mean": [], "cov": [], "third_ito": [], "third_printed": [],
           "fourth_ito": [], "fourth_printed": []}
@@ -160,7 +169,7 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
         bm["cov"].append(cov)
         bm["third"].append(third)
         bm["fourth"].append(fourth)
-        rates = _rates_from_arrays(yb - mean, a[sl], B[sl])
+        rates = _rates_from_arrays(yb - mean, a[sl], particle_major(B[..., sl]))
         br["mean"].append(rates.mean_rate)
         br["cov"].append(rates.cov_rate)
         br["third_ito"].append(rates.third_rate)

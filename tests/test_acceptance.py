@@ -240,14 +240,14 @@ def zero_flux_residual(proc, omega, y):
     k = y.shape[1]
     y_last = 1.0 - y.sum(axis=1)
     h = 1e-3 * np.minimum(y.min(axis=1), y_last)
-    lhs = 2.0 * proc.drift(y, 0.0)
-    diag = proc.diffusion_diag(y, 0.0)
+    lhs = 2.0 * proc.drift(y.T, 0.0).T
+    diag = proc.diffusion_diag(y.T, 0.0).T
     worst = 0.0
     for a in range(k):
         def log_b(steps):
             shifted = y.copy()
             shifted[:, a] += steps * h
-            return np.log(proc.diffusion_diag(shifted, 0.0)[:, a])
+            return np.log(proc.diffusion_diag(shifted.T, 0.0)[a])
         dlog_b = (-log_b(2) + 8.0 * log_b(1) - 8.0 * log_b(-1)
                   + log_b(-2)) / (12.0 * h)
         dlog_p = (omega[a] - 1.0) / y[:, a] - (omega[-1] - 1.0) / y_last

@@ -193,6 +193,31 @@ def test_compare_beta_stationary(tmp_path):
     assert var_check["residual"] <= var_check["threshold"]
 
 
+def test_compare_writes_counters_and_builds_no_dumps(tmp_path, monkeypatch):
+    """compare writes simulate's trajectory counters and asks for no dumps."""
+    dump_requests = []
+    simulate = cli.simulate
+
+    def recording(*args, **kwargs):
+        dump_requests.append(kwargs.get("dump_every"))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", recording)
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, output={"dump_every": 500})
+    metas = {}
+    for command in ("simulate", "compare"):
+        out = tmp_path / command
+        main([command, "--config", str(cfg_path), "--outdir", str(out)])
+        metas[command] = json.loads((out / "run_meta.json").read_text())
+        assert any(out.glob("ensemble_*.csv")) == (command == "simulate")
+    assert dump_requests == [500, None]
+    for key in ("violation_count", "particle_steps", "modified_steps",
+                "clipped_steps"):
+        assert metas["compare"][key] == metas["simulate"][key], key
+    assert metas["compare"]["particle_steps"] == 500 * 1000
+
+
 def test_compare_too_few_snapshots_exits_2(tmp_path):
     cfg_path = tmp_path / "run.yaml"
     write_config(cfg_path,

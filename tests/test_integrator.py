@@ -5,12 +5,14 @@ import numpy.testing as npt
 import pytest
 
 from simplexdiff import (BetaParams, DegenerateState, DirichletParams, Ensemble,
-                         IntegratorConfig, NotPositiveSemiDefinite,
-                         ProcessDefinition, RandomSource, WrightFisherParams,
-                         beta_process, broken_process, dirichlet_process,
-                         make_state, simulate, step, wright_fisher_process)
+                         GenDirichletParams, IntegratorConfig,
+                         NotPositiveSemiDefinite, ProcessDefinition,
+                         RandomSource, WrightFisherParams, beta_process,
+                         broken_process, dirichlet_process,
+                         gen_dirichlet_process, make_state, simulate, step,
+                         wright_fisher_process)
 from simplexdiff.core import ReducedState
-from simplexdiff.integrator import _advance, _clip_renormalize, _invalid_mask
+from simplexdiff.integrator import _advance
 
 
 def constant_process(a, n=3):
@@ -19,10 +21,10 @@ def constant_process(a, n=3):
     a = np.asarray(a, dtype=float)
 
     def drift(y, t):
-        return np.broadcast_to(a, y.shape).copy()
+        return np.broadcast_to(a.reshape((k,) + (1,) * (y.ndim - 1)), y.shape).copy()
 
     def diffusion(y, t):
-        return np.zeros(y.shape + (k,))
+        return np.zeros((k,) + y.shape)
 
     return ProcessDefinition(dimension=n, drift=drift, diffusion=diffusion,
                              name="constant")
@@ -121,11 +123,11 @@ def test_non_finite_drift_raises_with_step_and_particle(bad):
     def drift(y, t):
         a = np.zeros_like(y)
         if t > 0.0:  # the second step poisons particle 3
-            a[3, 1] = bad
+            a[1, 3] = bad
         return a
 
     p = ProcessDefinition(dimension=3, drift=drift, name="poisoned",
-                          diffusion=lambda y, t: np.zeros(y.shape + (2,)),
+                          diffusion=lambda y, t: np.zeros((2,) + y.shape),
                           diffusion_diag=lambda y, t: np.zeros(y.shape))
     ens = Ensemble.from_delta(make_state([0.2, 0.3, 0.5]), 10)
     for policy in ("reject_resample", "clip_renormalize"):
@@ -140,10 +142,10 @@ def test_indefinite_diffusion_raises(path):
     d = np.array([0.1, -0.1])
 
     def diffusion_diag(y, t):
-        return np.broadcast_to(d, y.shape)
+        return np.broadcast_to(d[:, np.newaxis], y.shape)
 
     def diffusion(y, t):
-        return np.broadcast_to(np.diag(d), y.shape + (2,))
+        return np.broadcast_to(np.diag(d)[..., np.newaxis], (2,) + y.shape)
 
     p = ProcessDefinition(
         dimension=3, drift=lambda y, t: np.zeros_like(y), diffusion=diffusion,
@@ -154,13 +156,22 @@ def test_indefinite_diffusion_raises(path):
              IntegratorConfig(dt=1e-3), RandomSource(6, 0))
 
 
-def _factor_forms():
-    """One process per noise-factor form: diagonal, explicit factor, eigh."""
-    wf = wright_fisher_process(WrightFisherParams(np.ones(3)))
-    return {"diagonal": dirichlet_process(DirichletParams(
-                b=[4.0, 4.0], S=[0.5, 0.5], kappa=[1.0, 1.0])),
+def _factor_forms(n=3):
+    """One process per noise-factor form: diagonal, explicit factor, eigh,
+    and the nested process, each with n components."""
+    k = n - 1
+    wf = wright_fisher_process(WrightFisherParams(np.ones(n)))
+    base = DirichletParams(b=np.full(k, 4.0), S=np.full(k, 0.5),
+                           kappa=np.ones(k), dirichlet_invariant=True)
+    return {"diagonal": dirichlet_process(base),
             "factor": wf,
-            "eigh": dataclasses.replace(wf, diffusion_factor=None)}
+            "eigh": dataclasses.replace(wf, diffusion_factor=None),
+            "nested": gen_dirichlet_process(GenDirichletParams.reduction_of(base))}
+
+
+def _uniform_states(n, m, seed):
+    """m uniform reduced states, component-major (n-1, m)."""
+    return Ensemble.from_uniform(n, m, np.random.default_rng(seed)).reduced.T.copy()
 
 
 def _noise_factor_name(proc):
@@ -198,7 +209,7 @@ def test_advance_evaluates_each_closure_once(form):
     calls = {"drift": 0, "diffusion_factor": 0, "diffusion_diag": 0,
              "diffusion": 0, "normals": 0}
     proc = _factor_forms()[form]
-    ys = Ensemble.from_uniform(3, 400, np.random.default_rng(11)).reduced.copy()
+    ys = _uniform_states(3, 400, 11)
     _advance(_counted(proc, calls), ys, 0.0, IntegratorConfig(dt=0.05),
              CountingSource(12, calls))
     assert calls["normals"] > 1  # at least one resample round ran
@@ -216,51 +227,99 @@ def test_step_evaluates_each_closure_once():
     assert calls == {"drift": 1, "diffusion_diag": 1, "normals": 6}
 
 
+def _invalid_rows(ys):
+    return ~(np.all(ys >= 0.0, axis=-1) & (np.sum(ys, axis=-1) <= 1.0))
+
+
+def _clip_rows(ys):
+    ys = np.maximum(ys, 0.0)
+    s = np.sum(ys, axis=-1)
+    over = s > 1.0
+    if np.any(over):
+        ys[over] /= s[over, np.newaxis]
+    return ys
+
+
 def _reference_advance(proc, ys, t, cfg, rng):
-    """The step that re-evaluates drift and noise factor at rejected rows."""
+    """A particle-major step on (M, K) states that re-evaluates drift and
+    noise factor at rejected rows; closures are called through transposes."""
     def propose(ys, xi):
-        a = proc.drift(ys, t)
+        y = ys.T
+        a = proc.drift(y, t).T
         if proc.diffusion_factor is not None:
-            L = proc.diffusion_factor(ys, t)
+            L = np.ascontiguousarray(np.moveaxis(proc.diffusion_factor(y, t), -1, 0))
             noise = np.einsum("...ij,...j->...i", L, xi)
         elif proc.diffusion_diag is not None:
-            noise = np.sqrt(np.maximum(proc.diffusion_diag(ys, t), 0.0)) * xi
+            noise = np.sqrt(np.maximum(proc.diffusion_diag(y, t).T, 0.0)) * xi
         else:
-            w, V = np.linalg.eigh(proc.diffusion(ys, t))
+            w, V = np.linalg.eigh(np.moveaxis(proc.diffusion(y, t), -1, 0))
             L = V * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]
             noise = np.einsum("...ij,...j->...i", L, xi)
         return ys + a * cfg.dt + noise * np.sqrt(cfg.dt)
 
     prop = propose(ys, rng.normals(ys.shape))
-    bad = _invalid_mask(prop)
+    bad = _invalid_rows(prop)
     modified = bad.copy()
     for _ in range(cfg.max_resample):
         idx = np.flatnonzero(bad)
         if idx.size == 0:
             break
         prop[idx] = propose(ys[idx], rng.normals((idx.size, ys.shape[1])))
-        bad[idx] = _invalid_mask(prop[idx])
+        bad[idx] = _invalid_rows(prop[idx])
     if np.any(bad):
-        prop[bad] = _clip_renormalize(prop[bad])
+        prop[bad] = _clip_rows(prop[bad])
     return prop, modified, bad
 
 
-@pytest.mark.parametrize("form", ["diagonal", "factor", "eigh"])
-def test_advance_matches_re_evaluating_reference(form):
-    """Reusing drift and factor changes no bit of any step."""
-    proc = _factor_forms()[form]
+@pytest.mark.parametrize("form,n", [
+    pytest.param(form, n, id=form if n == 3 else f"{form}-{n}")
+    for n, forms in ((3, ("diagonal", "factor", "eigh", "nested")),
+                     (8, ("diagonal", "factor", "eigh")))
+    for form in forms])
+def test_advance_matches_re_evaluating_reference(form, n):
+    """The component-major step with reused drift and factor changes no bit
+    of the particle-major, re-evaluating step."""
+    proc = _factor_forms(n)[form]
     cfg = IntegratorConfig(dt=0.02, max_resample=1)
-    ys = Ensemble.from_uniform(3, 200, np.random.default_rng(21)).reduced.copy()
+    ys = _uniform_states(n, 200, 21)
     rng, ref_rng = RandomSource(22, 0), RandomSource(22, 0)
     modified = clipped = 0
     for k in range(300):
         out, mod, clip = _advance(proc, ys, k * cfg.dt, cfg, rng)
-        ref, ref_mod, ref_clip = _reference_advance(proc, ys, k * cfg.dt, cfg,
-                                                    ref_rng)
-        assert out.tobytes() == ref.tobytes(), f"step {k}"
+        ref, ref_mod, ref_clip = _reference_advance(proc, ys.T.copy(),
+                                                    k * cfg.dt, cfg, ref_rng)
+        assert out.T.tobytes() == ref.tobytes(), f"step {k}"
         npt.assert_array_equal(mod, ref_mod)
         npt.assert_array_equal(clip, ref_clip)
         modified += np.count_nonzero(mod)
         clipped += np.count_nonzero(clip)
         ys = out
     assert modified > 100 and clipped > 0  # rejections were forced
+
+
+class ReplaySource:
+    """Serves prepared normals in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def normals(self, shape):
+        xi = self.draws.pop(0)
+        assert xi.shape == tuple(shape)
+        return xi
+
+
+@pytest.mark.parametrize("form", ["diagonal", "factor", "eigh", "nested"])
+@pytest.mark.parametrize("n", [3, 8])
+def test_step_matches_batched_column(form, n):
+    """A single (K,) state steps exactly as its column of a batch does."""
+    proc = _factor_forms(n)[form]
+    cfg = IntegratorConfig(dt=1e-6)
+    ys = _uniform_states(n, 50, 31)
+    xi = RandomSource(32, 0).normals((50, n - 1))
+    out, modified, _ = _advance(proc, ys, 0.0, cfg, ReplaySource(xi))
+    assert not np.any(modified)
+    for j in range(50):
+        res = step(ReducedState(ys[:, j].copy()), proc, 0.0, cfg,
+                   ReplaySource(xi[j:j + 1]))
+        assert res.state.fractions.tobytes() == out[:, j].tobytes(), f"particle {j}"

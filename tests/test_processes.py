@@ -11,19 +11,19 @@ from simplexdiff import (BetaParams, DirichletParams,
 
 def test_beta_substitution():
     p = beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
-    y = np.array([[0.0], [1.0], [0.5]])
-    npt.assert_allclose(p.drift(y, 0.0), [[0.5], [-0.5], [0.0]])
+    y = np.array([[0.0, 1.0, 0.5]])
+    npt.assert_allclose(p.drift(y, 0.0), [[0.5, -0.5, 0.0]])
     B = p.diffusion(y, 0.0)
-    npt.assert_allclose(B[:, 0, 0], [0.0, 0.0, 0.25])
+    npt.assert_allclose(B[0, 0, :], [0.0, 0.0, 0.25])
 
 
 def test_beta_drift_affine_diffusion_quadratic():
     p = beta_process(BetaParams(b=3.0, S=0.3, kappa=2.0))
-    y = np.linspace(0.0, 1.0, 11)[:, None]
-    a = p.drift(y, 0.0)[:, 0]
+    y = np.linspace(0.0, 1.0, 11)[None, :]
+    a = p.drift(y, 0.0)[0]
     # affine: second differences vanish
     npt.assert_allclose(np.diff(a, 2), 0.0, atol=1e-14)
-    d = p.diffusion(y, 0.0)[:, 0, 0]
+    d = p.diffusion(y, 0.0)[0, 0, :]
     assert d[0] == 0.0 and d[-1] == 0.0
     assert np.all(d[1:-1] > 0.0)
     npt.assert_allclose(p.diffusion(np.array([[0.5]]), 0.0)[0, 0, 0], 2.0 / 4)
@@ -66,8 +66,8 @@ def test_wright_fisher_psd_interior():
     p = wright_fisher_process(WrightFisherParams(np.array([0.5, 1.5, 2.0, 1.0])))
     rng = np.random.default_rng(2)
     y = rng.dirichlet(np.ones(4), size=500)[:, :3]
-    B = p.diffusion(y, 0.0)
-    w = np.linalg.eigvalsh(B)
+    B = p.diffusion(y.T, 0.0)
+    w = np.linalg.eigvalsh(np.moveaxis(B, -1, 0))
     assert w.min() >= -1e-12
 
 
@@ -75,9 +75,9 @@ def test_wright_fisher_factor_roundtrip():
     p = wright_fisher_process(WrightFisherParams(np.ones(3)))
     rng = np.random.default_rng(3)
     y = rng.dirichlet(np.ones(3), size=200)[:, :2]
-    L = p.diffusion_factor(y, 0.0)
-    npt.assert_allclose(np.einsum("mik,mjk->mij", L, L),
-                        p.diffusion(y, 0.0), atol=1e-13)
+    L = p.diffusion_factor(y.T, 0.0)
+    npt.assert_allclose(np.einsum("ikm,jkm->ijm", L, L),
+                        p.diffusion(y.T, 0.0), atol=1e-13)
 
 
 def test_dirichlet_substitution():
@@ -126,10 +126,10 @@ def test_gen_dirichlet_k1_equals_beta():
     gp = gen_dirichlet_process(GenDirichletParams(
         b=np.array([2.0]), S=np.array([0.4]), kappa=np.array([1.5])))
     bp = beta_process(BetaParams(b=2.0, S=0.4, kappa=1.5))
-    y = np.linspace(0.01, 0.99, 23)[:, None]
+    y = np.linspace(0.01, 0.99, 23)[None, :]
     npt.assert_allclose(gp.drift(y, 0.0), bp.drift(y, 0.0), rtol=1e-14)
-    npt.assert_allclose(gp.diffusion(y, 0.0)[:, 0, 0],
-                        bp.diffusion(y, 0.0)[:, 0, 0], rtol=1e-14)
+    npt.assert_allclose(gp.diffusion(y, 0.0)[0, 0, :],
+                        bp.diffusion(y, 0.0)[0, 0, :], rtol=1e-14)
 
 
 def test_gen_dirichlet_triangularity_enforced():

@@ -111,7 +111,7 @@ def _static_process(n=3):
         return np.zeros_like(y)
 
     def diffusion(y, t):
-        return np.zeros(y.shape + (k,))
+        return np.zeros((k,) + y.shape)
 
     from simplexdiff import ProcessDefinition
     return ProcessDefinition(dimension=n, drift=drift, diffusion=diffusion,
