@@ -91,8 +91,8 @@ def build_process(cfg: dict):
 def build_ensemble(cfg: dict, n: int, gen: np.random.Generator) -> Ensemble:
     spec = cfg.get("ensemble", {})
     m = int(spec.get("size", 1000))
-    if m < 1:
-        raise ConfigError(f"ensemble size must be >= 1, got {m}")
+    if m < 2:
+        raise ConfigError(f"ensemble size must be >= 2, got {m}")
     init = spec.get("initial", {"kind": "uniform"})
     kind = init.get("kind")
     try:

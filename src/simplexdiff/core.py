@@ -118,8 +118,8 @@ def component_major(states: np.ndarray) -> np.ndarray:
 def particle_major(x: np.ndarray) -> np.ndarray:
     """A component-major closure output (K, ..., M) as a C-ordered (M, K, ...) copy.
 
-    Estimators and audits keep particle-major arrays, so that their sums and
-    matrix products run in the same order as for particle-major input.
+    The boundary audit keeps particle-major arrays, so that its sums run in
+    the same order as for particle-major input.
     """
     return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 

@@ -195,11 +195,11 @@ def step(state: ReducedState, proc: ProcessDefinition, t: float,
 
 
 def _full_states(ys):
-    """(K, M) reduced batch -> (M, N) full states with the clamped remainder."""
-    full = np.empty((ys.shape[1], ys.shape[0] + 1))
-    full[:, :-1] = ys.T
-    full[:, -1] = np.maximum(1.0 - np.sum(ys, axis=0), 0.0)
-    return full
+    """(K, M) reduced batch -> (M, N) full states, a transposed (N, M) array."""
+    full = np.empty((ys.shape[0] + 1, ys.shape[1]))
+    full[:-1] = ys
+    full[-1] = np.maximum(1.0 - np.sum(ys, axis=0), 0.0)
+    return full.T
 
 
 def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
@@ -214,8 +214,8 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     policy should make the count zero); a non-finite proposal raises
     DegenerateState naming the step and the particle.
     """
-    if init.size < 1:
-        raise ValueError("initial ensemble is empty")
+    if init.size < 2:
+        raise ValueError(f"need an ensemble of >= 2 particles, got {init.size}")
     if not t_end > 0:
         raise ValueError(f"t_end must be > 0, got {t_end}")
     if record_every < 1:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ProcessDefinition, enumerate_faces, face_points,
-                   particle_major)
+from .core import (ProcessDefinition, component_major, enumerate_faces,
+                   face_points, particle_major)
 from .errors import EvaluationFailure
-from .statistics import MomentSet, drift_and_diffusion
+from .statistics import MomentSet
 
 #: identities that hold per-sample are checked at this fixed tolerance
 EXACT_TOL = 1e-12
@@ -109,8 +109,9 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
     for face in enumerate_faces(proc.dimension):
         pts = face_points(face, k, samples_per_face, gen)
         try:
-            a, B = drift_and_diffusion(proc, pts, 0.0)
-            B = particle_major(B)
+            y = component_major(pts)
+            a = particle_major(proc.drift(y, 0.0))
+            B = particle_major(proc.diffusion(y, 0.0))
         except Exception as exc:
             raise EvaluationFailure(
                 f"drift/diffusion raised on {face.label()}: {exc}") from exc

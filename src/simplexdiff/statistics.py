@@ -3,7 +3,10 @@
 Moments are always computed over the full N components (the remainder is
 reconstructed before estimation), so the zero-row-sum structure of the
 covariance matrix is checkable on the complete matrix.  Rates are defined
-over the N-1 independent components.
+over the N-1 independent components.  Snapshot statistics are
+component-major: every sum runs along the particle axis of a contiguous
+(components, particles) array, all batches in one segment sum, and a
+snapshot evaluates drift and one diffusion closure once.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProcessDefinition, component_major, particle_major
+from .core import ProcessDefinition, component_major
 from .errors import (EnsembleTooSmall, InsufficientSnapshots,
                      UnsupportedProcess)
 from .processes import invariant_ratio
@@ -63,16 +66,49 @@ class MomentRates:
     fourth_rate_variant: np.ndarray  # (K,) printed form
 
 
-def _central_moments(states: np.ndarray):
-    mean = states.mean(axis=0)
-    # one compensation pass removes the strided-reduction roundoff
-    mean = mean + (states - mean).mean(axis=0)
-    y = states - mean
-    m = states.shape[0]
-    cov = y.T @ y / m
-    third = np.mean(y ** 3, axis=0)
-    fourth = np.mean(y ** 4, axis=0)
-    return mean, cov, third, fourth
+def batch_slices(m: int, n_batches: int):
+    """Contiguous near-equal particle batches in fixed order; none is empty."""
+    n_batches = min(n_batches, m)
+    edges = np.linspace(0, m, n_batches + 1).astype(int)
+    return [slice(edges[i], edges[i + 1]) for i in range(n_batches)]
+
+
+class _Batches:
+    """Per-batch sums along the trailing particle axis over batch_slices."""
+
+    def __init__(self, m: int, n_batches: int):
+        if m < 2:
+            raise EnsembleTooSmall(f"need M >= 2 particles, got {m}")
+        self.slices = batch_slices(m, n_batches)
+        self.starts = [s.start for s in self.slices]
+        self.counts = np.diff(self.starts + [m])
+
+    def mean(self, v):
+        """Per-batch means of a (..., M) array, batch axis first."""
+        # batch_slices makes no empty segment, for which reduceat is not 0
+        return np.moveaxis(np.add.reduceat(v, self.starts, axis=-1)
+                           / self.counts, -1, 0)
+
+    def centre(self, v, mean):
+        """A (K, M) array minus its (nb, K) batch means."""
+        return v - np.repeat(mean.T, self.counts, axis=-1)
+
+    def products(self, u, v):
+        """Per-batch means of u v^T for (K, M) arrays, as (nb, K, K)."""
+        return (np.stack([u[:, s] @ v[:, s].T for s in self.slices])
+                / self.counts[:, None, None])
+
+    def moments(self, x):
+        """Batch means and central moments of a (K, M) array; centred values."""
+        mean = self.mean(x)
+        # one compensation pass removes the roundoff of the first mean
+        mean = mean + self.mean(self.centre(x, mean))
+        c = self.centre(x, mean)
+        c2 = c * c
+        c3 = c2 * c
+        return ({"mean": mean, "cov": self.products(c, c),
+                 "third": self.mean(c3), "fourth": self.mean(c2 * c2)},
+                (c, c2, c3))
 
 
 def _guarded_shape_stats(cov, third, fourth):
@@ -86,66 +122,24 @@ def _guarded_shape_stats(cov, third, fourth):
 def estimate_moments(states: np.ndarray) -> MomentSet:
     """Plain Monte-Carlo moments of an (M, N) array of full states.
 
-    Central moments use the two-pass form (mean first, then centered
-    powers); numpy's pairwise summation keeps the reductions deterministic
-    and accurate.
+    The states are taken as one contiguous component-major (N, M) array,
+    so every sum runs along the particle axis, pairwise.  Central moments
+    are two-pass: the compensated mean first, then centred powers.
     """
     states = np.asarray(states, dtype=float)
-    if states.shape[0] < 2:
-        raise EnsembleTooSmall(f"need M >= 2 particles, got {states.shape[0]}")
-    mean, cov, third, fourth = _central_moments(states)
-    skew, kurt = _guarded_shape_stats(cov, third, fourth)
-    return MomentSet(mean=mean, covariance=cov, third=third, fourth=fourth,
-                     skewness=skew, kurtosis=kurt,
-                     ensemble_size=states.shape[0])
-
-
-def drift_and_diffusion(proc: ProcessDefinition, reduced: np.ndarray, t: float):
-    """Drift as a particle-major (M, K) array and the (K, K, M) diffusion.
-
-    The closures get a contiguous component-major copy of the (M, K)
-    states, which is freed on return.
-    """
-    y = component_major(reduced)
-    return particle_major(proc.drift(y, t)), proc.diffusion(y, t)
-
-
-def _rates_from_arrays(y, a, B):
-    """Moment rates from centered reduced states, drifts, and diffusions."""
-    m = y.shape[0]
-    mean_rate = a.mean(axis=0)
-    cov_rate = (y.T @ a + a.T @ y) / m + B.mean(axis=0)
-    diag = np.diagonal(B, axis1=-2, axis2=-1)       # (M, K)
-    ac = a - mean_rate                               # drift fluctuation
-    third = 3.0 * np.mean(y ** 2 * ac, axis=0) + 3.0 * np.mean(y * diag, axis=0)
-    third_var = (3.0 * np.mean(y ** 2 * a, axis=0)
-                 + 3.0 * np.mean(y * diag.sum(axis=1, keepdims=True), axis=0))
-    fourth = 4.0 * np.mean(y ** 3 * ac, axis=0) + 6.0 * np.mean(y ** 2 * diag, axis=0)
-    fourth_var = (4.0 * np.mean(y ** 3 * a, axis=0)
-                  + 6.0 * np.mean(y ** 2 * diag.sum(axis=1, keepdims=True), axis=0))
-    return MomentRates(mean_rate=mean_rate, cov_rate=cov_rate,
-                       third_rate=third, fourth_rate=fourth,
-                       third_rate_variant=third_var,
-                       fourth_rate_variant=fourth_var)
+    mom, _ = _Batches(states.shape[0], 1).moments(component_major(states))
+    mean, cov, third, fourth = (v[0] for v in mom.values())
+    return MomentSet(mean, cov, third, fourth,
+                     *_guarded_shape_stats(cov, third, fourth), states.shape[0])
 
 
 def estimate_rates(states: np.ndarray, proc: ProcessDefinition,
                    t: float) -> MomentRates:
-    """Evaluate the moment evolution rates on an ensemble at fixed time."""
-    states = np.asarray(states, dtype=float)
-    if states.shape[0] < 2:
-        raise EnsembleTooSmall(f"need M >= 2 particles, got {states.shape[0]}")
-    reduced = states[:, :-1]
-    y = reduced - reduced.mean(axis=0)
-    a, B = drift_and_diffusion(proc, reduced, t)
-    return _rates_from_arrays(y, a, particle_major(B))
-
-
-def batch_slices(m: int, n_batches: int):
-    """Contiguous near-equal particle batches in fixed order."""
-    n_batches = min(n_batches, m)
-    edges = np.linspace(0, m, n_batches + 1).astype(int)
-    return [slice(edges[i], edges[i + 1]) for i in range(n_batches)]
+    """The moment evolution rates: batch_statistics with one batch."""
+    _, r = batch_statistics(states, proc, t, 1)
+    return MomentRates(*(r[k][0] for k in ("mean", "cov", "third_ito",
+                                           "fourth_ito", "third_printed",
+                                           "fourth_printed")))
 
 
 def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
@@ -153,31 +147,35 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
     """Per-batch reduced moments and rates for standard-error estimation.
 
     Returns (batch_moments, batch_rates) dicts of stacked arrays whose
-    leading axis indexes the batch.  The (K, K, M) diffusion is made
-    particle-major one batch at a time.
+    leading axis indexes the batch.  Drift and one diffusion closure are
+    evaluated once on the contiguous component-major (K, M) reduced states:
+    diffusion_diag for a diagonal process, which builds no (K, K, M)
+    matrix, and diffusion otherwise.  Every per-batch sum is one segment
+    sum over batch_slices, on batch-centred values.
     """
     states = np.asarray(states, dtype=float)
-    reduced = states[:, :-1]
-    a, B = drift_and_diffusion(proc, reduced, t)
-    bm = {"mean": [], "cov": [], "third": [], "fourth": []}
-    br = {"mean": [], "cov": [], "third_ito": [], "third_printed": [],
-          "fourth_ito": [], "fourth_printed": []}
-    for sl in batch_slices(states.shape[0], n_batches):
-        yb = reduced[sl]
-        mean, cov, third, fourth = _central_moments(yb)
-        bm["mean"].append(mean)
-        bm["cov"].append(cov)
-        bm["third"].append(third)
-        bm["fourth"].append(fourth)
-        rates = _rates_from_arrays(yb - mean, a[sl], particle_major(B[..., sl]))
-        br["mean"].append(rates.mean_rate)
-        br["cov"].append(rates.cov_rate)
-        br["third_ito"].append(rates.third_rate)
-        br["third_printed"].append(rates.third_rate_variant)
-        br["fourth_ito"].append(rates.fourth_rate)
-        br["fourth_printed"].append(rates.fourth_rate_variant)
-    return ({k: np.stack(v) for k, v in bm.items()},
-            {k: np.stack(v) for k, v in br.items()})
+    y = component_major(states[:, :-1])
+    batches = _Batches(states.shape[0], n_batches)
+    moments, (c, c2, c3) = batches.moments(y)
+    a = proc.drift(y, t)
+    a_mean = batches.mean(a)
+    ac = batches.centre(a, a_mean)
+    ya = batches.products(c, a)
+    if proc.diffusion_diag is not None:
+        d = proc.diffusion_diag(y, t)
+        b_mean = np.stack([np.diag(v) for v in batches.mean(d)])
+    else:
+        B = proc.diffusion(y, t)
+        d = np.einsum("iim->im", B)
+        b_mean = batches.mean(B)
+    trace = d.sum(axis=0)
+    mean = batches.mean
+    return moments, {
+        "mean": a_mean, "cov": ya + ya.transpose(0, 2, 1) + b_mean,
+        "third_ito": 3.0 * mean(c2 * ac) + 3.0 * mean(c * d),
+        "third_printed": 3.0 * mean(c2 * a) + 3.0 * mean(c * trace),
+        "fourth_ito": 4.0 * mean(c3 * ac) + 6.0 * mean(c2 * d),
+        "fourth_printed": 4.0 * mean(c3 * a) + 6.0 * mean(c2 * trace)}
 
 
 @dataclass

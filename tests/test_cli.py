@@ -85,6 +85,17 @@ def test_malformed_config_exits_2(tmp_path):
     assert main(["check", "--config", str(wrong_schema)]) == 2
 
 
+def test_single_particle_ensemble_exits_2(tmp_path):
+    cfg_path = tmp_path / "run.yaml"
+    cfg = write_config(cfg_path, ensemble={
+        "size": 1, "initial": {"kind": "delta", "point": [0.9, 0.1]}})
+    with pytest.raises(cli.ConfigError, match=">= 2"):
+        cli.build_ensemble(cfg, 2, np.random.default_rng(0))
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--outdir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "moments.csv").exists()
+
+
 def test_simulate_outputs(tmp_path):
     cfg_path = tmp_path / "run.yaml"
     write_config(cfg_path, output={"dump_every": 500})

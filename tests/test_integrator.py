@@ -110,6 +110,14 @@ def test_clip_renormalize_policy():
     assert traj.violation_count == 0
 
 
+def test_simulate_rejects_single_particle():
+    """One particle has no moments, so simulate refuses it before stepping."""
+    ens = Ensemble.from_delta(make_state([0.2, 0.3, 0.5]), 1)
+    with pytest.raises(ValueError, match=">= 2 particles"):
+        simulate(constant_process([0.0, 0.0]), ens, IntegratorConfig(dt=1e-2),
+                 t_end=0.1, record_every=1, rng=RandomSource(0, 0))
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0)

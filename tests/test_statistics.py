@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,8 +12,10 @@ from simplexdiff import (BetaParams, DirichletParams, Ensemble,
                          dirichlet_process, estimate_moments, estimate_rates,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
+from simplexdiff import statistics
 from simplexdiff.processes import GenDirichletParams
-from simplexdiff.statistics import cross_validate_rates
+from simplexdiff.statistics import (batch_slices, batch_statistics,
+                                    cross_validate_rates)
 
 
 def test_degenerate_ensemble_moments():
@@ -30,6 +35,24 @@ def test_two_point_ensemble_moments():
     npt.assert_allclose(np.diagonal(m.covariance), [0.25, 0.25])
     npt.assert_allclose(m.skewness, [0.0, 0.0], atol=1e-15)
     npt.assert_allclose(m.kurtosis, [1.0, 1.0])
+
+
+def test_moments_match_exact_two_pass_sums():
+    """Every particle-axis sum is pairwise: 1e6 draws agree with math.fsum."""
+    draws = np.random.default_rng(41).dirichlet([2.0, 3.0, 5.0], size=10 ** 6)
+    m = estimate_moments(draws)
+    for i in range(3):
+        x = draws[:, i]
+        mean = math.fsum(x.tolist()) / x.size
+        c = x - mean
+        c2 = c * c
+        ref = {"mean": mean, "var": math.fsum(c2.tolist()) / x.size,
+               "third": math.fsum((c2 * c).tolist()) / x.size,
+               "fourth": math.fsum((c2 * c2).tolist()) / x.size}
+        got = {"mean": m.mean[i], "var": m.covariance[i, i],
+               "third": m.third[i], "fourth": m.fourth[i]}
+        for key, value in ref.items():
+            assert abs(got[key] - value) <= 1e-14 * abs(value), (i, key)
 
 
 def test_moments_too_small():
@@ -184,3 +207,147 @@ def test_stationary_unsupported():
                                            kappa=np.array([1.0, 1.0])))
     with pytest.raises(UnsupportedProcess):
         analytic_stationary(p2)
+
+
+def _reference_batch_statistics(states, proc, t, n_batches=20):
+    """The particle-major per-batch loop that batch_statistics replaced."""
+    def central_moments(x):
+        mean = x.mean(axis=0)
+        mean = mean + (x - mean).mean(axis=0)
+        y = x - mean
+        return (mean, y.T @ y / x.shape[0], np.mean(y ** 3, axis=0),
+                np.mean(y ** 4, axis=0))
+
+    def rates(y, a, B):
+        m = y.shape[0]
+        mean_rate = a.mean(axis=0)
+        diag = np.diagonal(B, axis1=-2, axis2=-1)
+        trace = diag.sum(axis=1, keepdims=True)
+        ac = a - mean_rate
+        return {"mean": mean_rate,
+                "cov": (y.T @ a + a.T @ y) / m + B.mean(axis=0),
+                "third_ito": (3.0 * np.mean(y ** 2 * ac, axis=0)
+                              + 3.0 * np.mean(y * diag, axis=0)),
+                "third_printed": (3.0 * np.mean(y ** 2 * a, axis=0)
+                                  + 3.0 * np.mean(y * trace, axis=0)),
+                "fourth_ito": (4.0 * np.mean(y ** 3 * ac, axis=0)
+                               + 6.0 * np.mean(y ** 2 * diag, axis=0)),
+                "fourth_printed": (4.0 * np.mean(y ** 3 * a, axis=0)
+                                   + 6.0 * np.mean(y ** 2 * trace, axis=0))}
+
+    reduced = states[:, :-1]
+    a = proc.drift(reduced.T.copy(), t).T
+    B = np.moveaxis(proc.diffusion(reduced.T.copy(), t), -1, 0)
+    bm, br = {}, {}
+    for sl in batch_slices(states.shape[0], n_batches):
+        mean, cov, third, fourth = central_moments(reduced[sl])
+        for key, value in zip(("mean", "cov", "third", "fourth"),
+                              (mean, cov, third, fourth)):
+            bm.setdefault(key, []).append(value)
+        for key, value in rates(reduced[sl] - mean, a[sl], B[sl]).items():
+            br.setdefault(key, []).append(value)
+    return ({k: np.stack(v) for k, v in bm.items()},
+            {k: np.stack(v) for k, v in br.items()})
+
+
+def _statistics_processes():
+    """Each family at N = 2, 3 and 8, and a user process with only diffusion."""
+    procs = {"beta": beta_process(BetaParams(b=2.0, S=0.4, kappa=1.5))}
+    for n in (3, 8):
+        k = n - 1
+        base = DirichletParams(b=np.linspace(2.0, 4.0, k), S=np.full(k, 0.4),
+                               kappa=np.linspace(1.0, 2.0, k))
+        procs[f"dirichlet-{n}"] = dirichlet_process(base)
+        procs[f"wright_fisher-{n}"] = wright_fisher_process(
+            WrightFisherParams(np.linspace(0.5, 3.0, n)))
+        procs[f"nested-{n}"] = gen_dirichlet_process(GenDirichletParams(
+            b=base.b, S=base.S, kappa=base.kappa,
+            c=np.triu(np.ones((k - 1, k - 1)))))
+    procs["user-3"] = dataclasses.replace(procs["dirichlet-3"],
+                                          diffusion_diag=None, name="user")
+    return procs
+
+
+def _assert_scaled_close(got, ref, what):
+    assert got.shape == ref.shape, what
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), what
+
+
+@pytest.mark.parametrize("m", [10 ** 4, 1003, 7])
+@pytest.mark.parametrize("name", list(_statistics_processes()))
+def test_batch_statistics_match_per_batch_loop(name, m):
+    """Segment sums over the batches agree with a loop over batch slices."""
+    proc = _statistics_processes()[name]
+    states = np.random.default_rng(23).dirichlet(np.full(proc.dimension, 1.5),
+                                                 size=m)
+    got = batch_statistics(states, proc, 0.3)
+    ref = _reference_batch_statistics(states, proc, 0.3)
+    assert got[0]["mean"].shape[0] == min(m, 20)
+    for g, r in zip(got, ref):
+        assert g.keys() == r.keys()
+        for key in r:
+            _assert_scaled_close(g[key], r[key], key)
+    rates = estimate_rates(states, proc, 0.3)
+    _, whole = _reference_batch_statistics(states, proc, 0.3, n_batches=1)
+    for key, value in {"mean": rates.mean_rate, "cov": rates.cov_rate,
+                       "third_ito": rates.third_rate,
+                       "fourth_ito": rates.fourth_rate,
+                       "third_printed": rates.third_rate_variant,
+                       "fourth_printed": rates.fourth_rate_variant}.items():
+        _assert_scaled_close(value, whole[key][0], key)
+
+
+def test_batch_slices_cover_in_non_empty_batches():
+    """Segment sums need every batch non-empty: reduceat gives the next
+    element, not 0, for an empty segment."""
+    for m in range(1, 2100):
+        for n_batches in (1, 7, 20):
+            slices = batch_slices(m, n_batches)
+            assert len(slices) == min(m, n_batches)
+            assert slices[0].start == 0 and slices[-1].stop == m
+            assert all(s.stop > s.start for s in slices)
+            assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+
+
+def _counting(proc, calls):
+    """A copy of proc whose closures count their calls."""
+    def wrap(name, fn):
+        def call(y, t):
+            calls[name] += 1
+            return fn(y, t)
+        return call
+    names = [n for n in ("drift", "diffusion", "diffusion_diag",
+                         "diffusion_factor") if getattr(proc, n) is not None]
+    return dataclasses.replace(proc, **{n: wrap(n, getattr(proc, n))
+                                        for n in names})
+
+
+@pytest.mark.parametrize("name", ["beta", "dirichlet-3", "wright_fisher-3",
+                                  "nested-3", "user-3"])
+def test_snapshot_evaluates_each_closure_once(name, monkeypatch):
+    """simulate computes the statistics once per snapshot, and
+    batch_statistics evaluates drift and one diffusion closure once."""
+    proc = _statistics_processes()[name]
+    counts = {"estimate_moments": 0, "batch_statistics": 0}
+    for fname in counts:
+        fn = getattr(statistics, fname)
+
+        def counted(*args, _fn=fn, _name=fname, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(statistics, fname, counted)
+    ens = Ensemble.from_uniform(proc.dimension, 200, np.random.default_rng(5))
+    traj = simulate(proc, ens, IntegratorConfig(dt=1e-2), t_end=0.1,
+                    record_every=3, rng=RandomSource(6, 0))
+    assert len(traj.snapshots) == 5
+    assert counts == {"estimate_moments": 5, "batch_statistics": 5}
+
+    calls = dict.fromkeys(("drift", "diffusion", "diffusion_diag",
+                           "diffusion_factor"), 0)
+    states = np.random.default_rng(7).dirichlet(np.ones(proc.dimension),
+                                                size=300)
+    batch_statistics(states, _counting(proc, calls), 0.0)
+    diffusion = ("diffusion_diag" if proc.diffusion_diag is not None
+                 else "diffusion")
+    assert calls == {"drift": 1, "diffusion": 0, "diffusion_diag": 0,
+                     "diffusion_factor": 0, diffusion: 1}
