@@ -31,7 +31,7 @@ from .processes import (BetaParams, DirichletParams, GenDirichletParams,
                         wright_fisher_process)
 from .realizability import ToleranceSet, audit_boundary
 from .statistics import (UnsupportedProcess, analytic_stationary,
-                         cross_validate_rates)
+                         batch_mean_se, cross_validate_rates)
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "SIMPLEXDIFF_OUTDIR"
@@ -211,19 +211,19 @@ def _run_simulation(cfg: dict, args, outdir: str, dump_every=None):
     """Shared setup + integration for simulate/compare; returns (proc, traj)."""
     proc = build_process(cfg)
     seed = int(args.seed if args.seed is not None else cfg["seed"])
+    # validated before the audit writes; the ensemble has its own stream
+    icfg = build_integrator(cfg)
+    init = build_ensemble(cfg, proc.dimension, RandomSource(seed, 2).generator)
     if not args.skip_audit:
         report = _run_audit(proc, cfg, seed, outdir, quiet=True)
         if not report.overall_pass:
             print("boundary audit failed; rerun with --skip-audit to force",
                   file=sys.stderr)
             return proc, None, seed
-    icfg = build_integrator(cfg)
     ispec = cfg.get("integrator", {})
     t_end = float(ispec.get("t_end", 1.0))
     record_every = int(ispec.get("record_every", 100))
-    rng = RandomSource(seed, 0)
-    init = build_ensemble(cfg, proc.dimension, RandomSource(seed, 2).generator)
-    traj = simulate(proc, init, icfg, t_end, record_every, rng,
+    traj = simulate(proc, init, icfg, t_end, record_every, RandomSource(seed, 0),
                     dump_every=dump_every)
     return proc, traj, seed
 
@@ -286,12 +286,10 @@ def stationary_checks(traj, oracle, window, stat_tol: float):
         covs.append(c)
     mean_b = np.mean(means, axis=0)          # (nb, N) per-batch time average
     cov_b = np.mean(covs, axis=0)            # (nb, N, N)
-    nb = mean_b.shape[0]
     checks = []
 
     def judge(name, batch_vals, oracle_vals):
-        est = batch_vals.mean(axis=0)
-        se = batch_vals.std(axis=0, ddof=1) / np.sqrt(nb)
+        est, se = batch_mean_se(batch_vals)
         thresh = np.maximum(stat_tol * se, 1e-12)
         res = np.abs(est - oracle_vals)
         for pos in np.ndindex(est.shape):

@@ -1,4 +1,4 @@
-"""State representation and geometry of the unit simplex.
+"""State representation, geometry of the unit simplex, and process definitions.
 
 An N-component state is a vector of non-negative fractions summing to one.
 Only the first N-1 components are independent; the last one is the remainder.
@@ -94,34 +94,43 @@ class ProcessDefinition:
     root is then the factor.  A process that supplies neither is factored
     through an eigendecomposition of its diffusion matrix.  Supplying
     diffusion_diag also declares the diffusion diagonal to the boundary
-    audit.
+    audit, and diffusion may then be omitted: it is built from the diagonal.
     """
 
     dimension: int
     drift: Callable[[np.ndarray, float], np.ndarray]
-    diffusion: Callable[[np.ndarray, float], np.ndarray]
     name: str
+    diffusion: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     parameters: dict = field(default_factory=dict)
     diffusion_diag: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     diffusion_factor: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.diffusion is None:
+            diag = self.diffusion_diag
+            if diag is None:
+                raise ValueError(f"process {self.name!r} needs diffusion "
+                                 "or diffusion_diag")
+            object.__setattr__(self, "diffusion",
+                               lambda y, t: _diag_matrix(diag(y, t)))
 
     @property
     def k(self) -> int:
         return self.dimension - 1
 
 
+def _diag_matrix(d):
+    """(K, ...) diagonals -> (K, K, ...) diagonal matrices."""
+    k = d.shape[0]
+    out = np.zeros((k,) + d.shape)
+    idx = np.arange(k)
+    out[idx, idx] = d
+    return out
+
+
 def component_major(states: np.ndarray) -> np.ndarray:
     """Particle-major (M, K) states as the contiguous (K, M) array closures take."""
     return np.ascontiguousarray(states.T)
-
-
-def particle_major(x: np.ndarray) -> np.ndarray:
-    """A component-major closure output (K, ..., M) as a C-ordered (M, K, ...) copy.
-
-    The boundary audit keeps particle-major arrays, so that its sums run in
-    the same order as for particle-major input.
-    """
-    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
 
 def make_state(fractions) -> SimplexState:

@@ -39,17 +39,12 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
-                        self.stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF,
+                        int(stream_id) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
     def normals(self, shape) -> np.ndarray:
         return self.generator.standard_normal(shape)
-
-    def spawn(self, stream_id: int) -> "RandomSource":
-        return RandomSource(self.seed, stream_id)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Each constructor validates its parameters and returns a ProcessDefinition
 whose closures take component-major reduced states of shape (N-1, ...):
 drift and diffusion_diag return (N-1, ...), diffusion and diffusion_factor
-(N-1, N-1, ...).  Drift components carry units of 1/time, diffusion entries
-1/time.
+(N-1, N-1, ...).  The diagonal-diffusion processes supply diffusion_diag
+alone; ProcessDefinition builds their matrices.  Drift and diffusion
+entries carry units of 1/time.
 """
 
 from __future__ import annotations
@@ -17,15 +18,6 @@ from .core import ProcessDefinition
 from .errors import DirichletConstraintViolated, InvalidParameter, SingularNesting
 
 DIRCONST_RTOL = 1e-10
-
-
-def _diag_matrix(d):
-    """(K, ...) diagonals -> (K, K, ...) diagonal matrices."""
-    k = d.shape[0]
-    out = np.zeros((k,) + d.shape)
-    idx = np.arange(k)
-    out[idx, idx] = d
-    return out
 
 
 def _col(v, y):
@@ -60,6 +52,21 @@ def _as_vector(x, name, length=None):
     if length is not None and v.shape[0] != length:
         raise InvalidParameter(name, f"expected length {length}, got {v.shape[0]}")
     return v
+
+
+def _validate_rate_vectors(p):
+    """Check p.b, p.S and p.kappa as vectors of one length; store them as arrays."""
+    b = _as_vector(p.b, "b")
+    S = _as_vector(p.S, "S", b.shape[0])
+    kappa = _as_vector(p.kappa, "kappa", b.shape[0])
+    if np.any(b <= 0):
+        raise InvalidParameter("b", "all components must be > 0")
+    if np.any(kappa <= 0):
+        raise InvalidParameter("kappa", "all components must be > 0")
+    if np.any((S <= 0) | (S >= 1)):
+        raise InvalidParameter("S", "all components must be in (0, 1)")
+    for name, v in (("b", b), ("S", S), ("kappa", kappa)):
+        object.__setattr__(p, name, v)
 
 
 @dataclass(frozen=True)
@@ -115,20 +122,9 @@ class DirichletParams:
     dirichlet_invariant: bool = False
 
     def __post_init__(self):
-        b = _as_vector(self.b, "b")
-        S = _as_vector(self.S, "S", b.shape[0])
-        kappa = _as_vector(self.kappa, "kappa", b.shape[0])
-        if np.any(b <= 0):
-            raise InvalidParameter("b", "all components must be > 0")
-        if np.any(kappa <= 0):
-            raise InvalidParameter("kappa", "all components must be > 0")
-        if np.any((S <= 0) | (S >= 1)):
-            raise InvalidParameter("S", "all components must be in (0, 1)")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "kappa", kappa)
+        _validate_rate_vectors(self)
         if self.dirichlet_invariant:
-            ratio, constant = invariant_ratio(b, S, kappa)
+            ratio, constant = invariant_ratio(self.b, self.S, self.kappa)
             if not constant:
                 raise DirichletConstraintViolated(
                     f"(1-S) b / kappa must be constant, got {ratio}")
@@ -148,16 +144,8 @@ class GenDirichletParams:
     c: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        b = _as_vector(self.b, "b")
-        S = _as_vector(self.S, "S", b.shape[0])
-        kappa = _as_vector(self.kappa, "kappa", b.shape[0])
-        if np.any(b <= 0):
-            raise InvalidParameter("b", "all components must be > 0")
-        if np.any(kappa <= 0):
-            raise InvalidParameter("kappa", "all components must be > 0")
-        if np.any((S <= 0) | (S >= 1)):
-            raise InvalidParameter("S", "all components must be in (0, 1)")
-        k = b.shape[0]
+        _validate_rate_vectors(self)
+        k = self.b.shape[0]
         c = self.c
         if c is None:
             c = np.zeros((k - 1, k - 1))
@@ -166,9 +154,6 @@ class GenDirichletParams:
             raise InvalidParameter("c", f"expected shape {(k - 1, k - 1)}, got {c.shape}")
         if k > 1 and np.any(np.tril(c, -1) != 0.0):
             raise InvalidParameter("c", "entries below the diagonal must be zero")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "c", c)
 
     @classmethod
@@ -196,11 +181,8 @@ def beta_process(p: BetaParams) -> ProcessDefinition:
     def diffusion_diag(y, t):
         return kappa * y * (1.0 - y)
 
-    def diffusion(y, t):
-        return diffusion_diag(y, t)[np.newaxis]
-
     return ProcessDefinition(
-        dimension=2, drift=drift, diffusion=diffusion, name="beta",
+        dimension=2, drift=drift, name="beta",
         parameters={"b": b, "S": S, "kappa": kappa,
                     "absorbing_allowed": p.absorbing_allowed},
         diffusion_diag=diffusion_diag)
@@ -264,11 +246,8 @@ def dirichlet_process(p: DirichletParams) -> ProcessDefinition:
         y_last = 1.0 - np.sum(y, axis=0)
         return _col(kappa, y) * y * y_last
 
-    def diffusion(y, t):
-        return _diag_matrix(diffusion_diag(y, t))
-
     return ProcessDefinition(
-        dimension=k + 1, drift=drift, diffusion=diffusion, name="dirichlet",
+        dimension=k + 1, drift=drift, name="dirichlet",
         parameters={"b": b.tolist(), "S": S.tolist(), "kappa": kappa.tolist(),
                     "dirichlet_invariant": p.dirichlet_invariant},
         diffusion_diag=diffusion_diag)
@@ -293,17 +272,18 @@ def _gen_dirichlet_terms(y):
 def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
     """Nested generalization of the Dirichlet process with triangular coupling."""
     b, S, kappa = p.b, p.S, p.kappa
-    k = b.shape[0]
+    c_t = np.ascontiguousarray(p.c.T)    # c_t[beta, a] = c[a, beta]
 
     def drift(y, t):
         cy, cy_last, u = _gen_dirichlet_terms(y)
-        csum = np.zeros(y.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for a in range(k - 1):  # a vanishing numerator forces its ratio to 0
-                for beta in range(a, k - 1):
-                    num = y[a] * cy_last * p.c[a, beta]
-                    csum[a] += np.where(num == 0.0, 0.0, num / cy[beta])
-        bracket = _col(b, y) * (_col(S, y) * cy_last - _col(1.0 - S, y) * y) + csum
+        # rows a < K-1 gain c[a, beta] Y_a Y_N / cy[beta], summed over the
+        # leading beta axis in order (c_t is C-ordered, so num is); a zero
+        # numerator is not divided: a zero bracket gives 0 whatever its sign
+        num = _col(c_t, y) * (y[:-1] * cy_last)
+        with np.errstate(divide="ignore"):
+            np.divide(num, cy[:-1, np.newaxis], out=num, where=num != 0.0)
+        bracket = _col(b, y) * (_col(S, y) * cy_last - _col(1.0 - S, y) * y)
+        bracket[:-1] += num.sum(axis=0)
         out = np.where(bracket == 0.0, 0.0, 0.5 * u * bracket)
         if not np.all(np.isfinite(out)):
             raise SingularNesting("drift is undefined: zero nested remainder "
@@ -319,11 +299,8 @@ def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
                                   "against a non-zero numerator")
         return d
 
-    def diffusion(y, t):
-        return _diag_matrix(diffusion_diag(y, t))
-
     return ProcessDefinition(
-        dimension=k + 1, drift=drift, diffusion=diffusion, name="gen_dirichlet",
+        dimension=b.shape[0] + 1, drift=drift, name="gen_dirichlet",
         parameters={"b": b.tolist(), "S": S.tolist(), "kappa": kappa.tolist(),
                     "c": p.c.tolist()},
         diffusion_diag=diffusion_diag)
@@ -354,10 +331,6 @@ def broken_process(style: str, n: int = 3) -> ProcessDefinition:
         name = "broken_outward_drift"
     else:
         raise InvalidParameter("style", f"unknown style {style!r}")
-
-    def diffusion(y, t):
-        return _diag_matrix(diffusion_diag(y, t))
-
     return ProcessDefinition(
-        dimension=n, drift=drift, diffusion=diffusion, name=name,
+        dimension=n, drift=drift, name=name,
         parameters={"style": style, "n": n}, diffusion_diag=diffusion_diag)

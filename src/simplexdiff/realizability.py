@@ -2,7 +2,8 @@
 
 The boundary audit samples each face of the reduced-space polytope,
 substitutes the face equation exactly (zeros, or a unit sum), and checks
-the sign of the inward drift and the vanishing of the diffusion there.
+the sign of the inward drift and the vanishing of the diffusion there, on
+the component-major closure outputs.
 Moment audits check the closed bounds and the zero-row-sum structure that
 any ensemble of realizable states must satisfy.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ProcessDefinition, component_major, enumerate_faces,
-                   face_points, particle_major)
+                   face_points)
 from .errors import EvaluationFailure
 from .statistics import MomentSet
 
@@ -82,9 +83,8 @@ def _generator(rng):
 
 
 def _worst(values: np.ndarray, pts: np.ndarray):
-    """Largest value over (sample, ...) and the sample where it occurs."""
-    flat = values.reshape(values.shape[0], -1)
-    per_sample = flat.max(axis=1)
+    """Largest value over (..., sample) and the sample where it occurs."""
+    per_sample = values.reshape(-1, values.shape[-1]).max(axis=0)
     i = int(np.argmax(per_sample))
     return float(per_sample[i]), pts[i]
 
@@ -110,27 +110,27 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
         pts = face_points(face, k, samples_per_face, gen)
         try:
             y = component_major(pts)
-            a = particle_major(proc.drift(y, 0.0))
-            B = particle_major(proc.diffusion(y, 0.0))
+            a = proc.drift(y, 0.0)              # (K, M)
+            B = proc.diffusion(y, 0.0)          # (K, K, M)
         except Exception as exc:
             raise EvaluationFailure(
                 f"drift/diffusion raised on {face.label()}: {exc}") from exc
         label = face.label()
         if face.kind == "zero":
-            viol, loc = _worst(-a[:, face.alpha: face.alpha + 1], pts)
+            viol, loc = _worst(-a[face.alpha], pts)
             report.add(f"{label}:drift-inward", label, viol, loc,
                        tol.drift_sign_tol)
-            viol, loc = _worst(np.abs(B[:, face.alpha, :]), pts)
+            viol, loc = _worst(np.abs(B[face.alpha]), pts)
             report.add(f"{label}:diffusion-zero", label, viol, loc,
                        tol.diffusion_zero_tol)
         else:
-            viol, loc = _worst(a.sum(axis=1, keepdims=True), pts)
+            viol, loc = _worst(a.sum(axis=0), pts)
             report.add(f"{label}:drift-inward", label, viol, loc,
                        tol.drift_sign_tol)
-            viol, loc = _worst(np.abs(B.sum(axis=2)), pts)
+            viol, loc = _worst(np.abs(B.sum(axis=1)), pts)
             report.add(f"{label}:diffusion-row-sums", label, viol, loc,
                        tol.diffusion_zero_tol)
-            viol, loc = _worst(np.abs(B.sum(axis=(1, 2)))[:, np.newaxis], pts)
+            viol, loc = _worst(np.abs(B.sum(axis=(0, 1))), pts)
             report.add(f"{label}:diffusion-total-sum", label, viol, loc,
                        tol.diffusion_zero_tol)
             if proc.diffusion_diag is not None:

@@ -193,7 +193,7 @@ class RateCheck:
 class CrossValidationReport:
     """Finite-difference moment derivatives versus recorded evolution rates."""
 
-    checks: list
+    checks: list             # every RateCheck made, passed or not
     form_pass: dict          # form name -> bool (all its checks passed)
     matching_third_form: str     # "ito" | "printed" | "both" | "neither"
     matching_fourth_form: str
@@ -220,13 +220,23 @@ _MOMENT_TO_RATE = {"mean": ["mean"], "cov": ["cov"],
                    "third": ["third_ito", "third_printed"],
                    "fourth": ["fourth_ito", "fourth_printed"]}
 
+#: (ito form passed, printed form passed) -> the matching form
+_MATCHING_FORM = {(True, True): "both", (True, False): "ito",
+                  (False, True): "printed", (False, False): "neither"}
+
+
+def batch_mean_se(values: np.ndarray, axis: int = 0):
+    """Mean over the batch axis of per-batch values, and its standard error."""
+    return (values.mean(axis=axis),
+            values.std(axis=axis, ddof=1) / np.sqrt(values.shape[axis]))
+
 
 def cross_validate_rates(traj, proc: ProcessDefinition,
                          tol_multiplier: float = 3.0) -> CrossValidationReport:
     """Compare central finite differences of recorded moments with rates.
 
-    For each interior snapshot, the difference FD - rate is formed per
-    particle batch and judged against tol_multiplier * (batch standard
+    At every interior snapshot at once, the difference FD - rate is formed
+    per particle batch and judged against tol_multiplier * (batch standard
     error + a finite-difference truncation allowance + an Euler step-bias
     allowance).  Third/fourth moments are checked against both rate forms
     and the report states which one matches.
@@ -235,56 +245,42 @@ def cross_validate_rates(traj, proc: ProcessDefinition,
     if len(snaps) < 3:
         raise InsufficientSnapshots(f"need >= 3 snapshots, got {len(snaps)}")
     times = np.array([s.t for s in snaps])
-    dt = traj.config.dt
     checks = []
     form_pass = {}
     for mkey, rkeys in _MOMENT_TO_RATE.items():
         bmom = np.stack([s.batch_moments[mkey] for s in snaps])  # (T, nb, ...)
+        # per interior snapshot, shaped to broadcast against (T-2, ...)
+        col = (-1,) + (1,) * (bmom.ndim - 2)
+        h = (times[2:] - times[:-2]).reshape(col)
+        fd_b = (bmom[2:] - bmom[:-2]) / h[:, np.newaxis]
+        fd = fd_b.mean(axis=1)
         for rkey in rkeys:
             brate = np.stack([s.batch_rates[rkey] for s in snaps])
-            rate_overall = brate.mean(axis=1)
-            ok = True
-            for k in range(1, len(snaps) - 1):
-                h = times[k + 1] - times[k - 1]
-                fd_b = (bmom[k + 1] - bmom[k - 1]) / h
-                diff_b = fd_b - brate[k]
-                nb = diff_b.shape[0]
-                mean_diff = diff_b.mean(axis=0)
-                se = diff_b.std(axis=0, ddof=1) / np.sqrt(nb)
-                # truncation allowance from the curvature of the rate series
-                if len(snaps) >= 4:
-                    rdd = (rate_overall[k + 1] - 2.0 * rate_overall[k]
-                           + rate_overall[k - 1]) / ((times[k + 1] - times[k]) ** 2)
-                else:
-                    rdd = np.zeros_like(mean_diff)
-                trunc = (h / 2.0) ** 2 / 6.0 * np.abs(rdd)
-                em = dt * np.abs(rate_overall[k])
-                threshold = tol_multiplier * (se + trunc + em)
-                bad = np.abs(mean_diff) > threshold
-                if np.any(bad):
-                    ok = False
-                    for idx in np.argwhere(bad):
-                        tup = tuple(int(i) + 1 for i in idx)
-                        checks.append(RateCheck(
-                            quantity=f"{mkey}{list(tup)}", form=rkey,
-                            t=float(times[k]), fd=float(fd_b.mean(axis=0)[tuple(idx)]),
-                            rate=float(brate[k].mean(axis=0)[tuple(idx)]),
-                            threshold=float(threshold[tuple(idx)]), passed=False))
-            form_pass[rkey] = ok
-    def adjudicate(ito, printed):
-        if ito and printed:
-            return "both"
-        if ito:
-            return "ito"
-        if printed:
-            return "printed"
-        return "neither"
+            rate = brate.mean(axis=1)
+            mean_diff, se = batch_mean_se(fd_b - brate[1:-1], axis=1)
+            # truncation allowance from the curvature of the rate series
+            if len(snaps) >= 4:
+                rdd = ((rate[2:] - 2.0 * rate[1:-1] + rate[:-2])
+                       / ((times[2:] - times[1:-1]) ** 2).reshape(col))
+            else:
+                rdd = np.zeros_like(mean_diff)
+            trunc = (h / 2.0) ** 2 / 6.0 * np.abs(rdd)
+            em = traj.config.dt * np.abs(rate[1:-1])
+            threshold = tol_multiplier * (se + trunc + em)
+            bad = np.abs(mean_diff) > threshold
+            form_pass[rkey] = not np.any(bad)
+            for idx in np.ndindex(bad.shape):
+                checks.append(RateCheck(
+                    quantity=f"{mkey}{[i + 1 for i in idx[1:]]}", form=rkey,
+                    t=float(times[idx[0] + 1]), fd=float(fd[idx]),
+                    rate=float(rate[1:-1][idx]),
+                    threshold=float(threshold[idx]), passed=not bad[idx]))
     return CrossValidationReport(
         checks=checks, form_pass=form_pass,
-        matching_third_form=adjudicate(form_pass["third_ito"],
-                                       form_pass["third_printed"]),
-        matching_fourth_form=adjudicate(form_pass["fourth_ito"],
-                                        form_pass["fourth_printed"]))
+        matching_third_form=_MATCHING_FORM[form_pass["third_ito"],
+                                           form_pass["third_printed"]],
+        matching_fourth_form=_MATCHING_FORM[form_pass["fourth_ito"],
+                                            form_pass["fourth_printed"]])
 
 
 def dirichlet_moments(alpha: np.ndarray) -> MomentSet:

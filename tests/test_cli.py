@@ -94,6 +94,18 @@ def test_single_particle_ensemble_exits_2(tmp_path):
     assert main(["simulate", "--config", str(cfg_path),
                  "--outdir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out" / "moments.csv").exists()
+    # the section is rejected before the boundary audit runs
+    assert not (tmp_path / "out" / "audit.json").exists()
+
+
+def test_invalid_integrator_exits_2_before_audit(tmp_path):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, integrator={"dt": 0.0, "t_end": 1.0})
+    for command in ("simulate", "compare"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path),
+                     "--outdir", str(out)]) == 2
+        assert not (out / "audit.json").exists()
 
 
 def test_simulate_outputs(tmp_path):

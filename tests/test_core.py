@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexdiff import (BoundaryFace, Ensemble, NegativeComponent,
-                         ReducedState, SumViolation, boundary_distance,
-                         complete_reduced, enumerate_faces, make_state,
-                         sample_face)
+                         ProcessDefinition, ReducedState, SumViolation,
+                         boundary_distance, complete_reduced, enumerate_faces,
+                         make_state, sample_face)
 
 
 def test_make_state_exact_sum():
@@ -119,3 +121,31 @@ def test_ensemble_constructors():
     ens2 = Ensemble.from_uniform(3, 100, np.random.default_rng(1))
     assert ens2.states.shape == (100, 3)
     npt.assert_allclose(ens2.states.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_process_definition_derives_diagonal_diffusion():
+    """diffusion defaults to the diagonal matrices of diffusion_diag."""
+    def drift(y, t):
+        return -y
+
+    def diag(y, t):
+        return y * (1.0 - y)
+
+    p = ProcessDefinition(dimension=3, drift=drift, name="diag",
+                          diffusion_diag=diag)
+    y = np.array([[0.2, 0.1, 0.0], [0.3, 0.6, 1.0]])
+    B = p.diffusion(y, 0.0)
+    assert B.shape == (2, 2, 3)
+    npt.assert_array_equal(np.einsum("iim->im", B), diag(y, 0.0))
+    npt.assert_array_equal(B[0, 1], 0.0)
+    npt.assert_array_equal(B[1, 0], 0.0)
+    npt.assert_array_equal(p.diffusion(y[:, 0], 0.0), np.diag(diag(y[:, 0], 0.0)))
+    with pytest.raises(ValueError, match="needs diffusion"):
+        ProcessDefinition(dimension=3, drift=drift, name="none")
+
+    def matrix(y, t):
+        return np.zeros((2,) + y.shape)
+
+    assert dataclasses.replace(p, diffusion=matrix).diffusion is matrix
+    # name precedes diffusion for positional callers
+    assert ProcessDefinition(3, drift, "pos", matrix).diffusion is matrix

@@ -7,6 +7,8 @@ from simplexdiff import (BetaParams, DirichletParams,
                          InvalidParameter, WrightFisherParams, beta_process,
                          broken_process, dirichlet_process,
                          gen_dirichlet_process, wright_fisher_process)
+from simplexdiff.core import enumerate_faces, face_points
+from simplexdiff.processes import _gen_dirichlet_terms
 
 
 def test_beta_substitution():
@@ -130,6 +132,44 @@ def test_gen_dirichlet_k1_equals_beta():
     npt.assert_allclose(gp.drift(y, 0.0), bp.drift(y, 0.0), rtol=1e-14)
     npt.assert_allclose(gp.diffusion(y, 0.0)[0, 0, :],
                         bp.diffusion(y, 0.0)[0, 0, :], rtol=1e-14)
+
+
+def _reference_nested_drift(p, y):
+    """The nested drift with the per-(a, beta) double loop it replaced."""
+    b, S = p.b[:, None], p.S[:, None]
+    k = y.shape[0]
+    cy, cy_last, u = _gen_dirichlet_terms(y)
+    csum = np.zeros(y.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(k - 1):
+            for beta in range(a, k - 1):
+                num = y[a] * cy_last * p.c[a, beta]
+                csum[a] += np.where(num == 0.0, 0.0, num / cy[beta])
+    bracket = b * (S * cy_last - (1.0 - S) * y) + csum
+    return np.where(bracket == 0.0, 0.0, 0.5 * u * bracket)
+
+
+@pytest.mark.parametrize("n", [3, 8, 12])
+def test_gen_dirichlet_drift_matches_double_loop(n):
+    """The broadcast coupling sum is the double loop bit for bit, on
+    interior and face states, for the reduction and a random coupling, and
+    for a single state (K, 1), whose sum must stay in order of beta too."""
+    rng = np.random.default_rng(37)
+    k = n - 1
+    base = DirichletParams(b=np.full(k, 4.0), S=np.full(k, 0.5),
+                           kappa=np.linspace(1.0, 2.0, k))
+    pts = [rng.dirichlet(np.ones(n), size=2000)[:, :-1]]
+    pts += [face_points(f, k, 200, rng) for f in enumerate_faces(n)]
+    y = np.ascontiguousarray(np.concatenate(pts).T)
+    couplings = {"reduction": GenDirichletParams.reduction_of(base),
+                 "random": GenDirichletParams(
+                     b=base.b, S=base.S, kappa=base.kappa,
+                     c=np.triu(rng.normal(size=(k - 1, k - 1))))}
+    for name, params in couplings.items():
+        for states in (y, y[:, :1].copy()):
+            got = gen_dirichlet_process(params).drift(states, 0.0)
+            ref = _reference_nested_drift(params, states)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), name
 
 
 def test_gen_dirichlet_triangularity_enforced():

@@ -150,6 +150,80 @@ def test_cross_validation_static_process():
     assert rep.overall_pass
     assert rep.matching_third_form == "both"
     assert rep.matching_fourth_form == "both"
+    # every check made is counted: 5 interior snapshots x 14 (entry, form)
+    # pairs at K = 2 (mean 2, cov 4, third and fourth 2 x 2 forms each)
+    assert rep.to_dict()["n_checks"] == 5 * 14
+    assert rep.to_dict()["failures"] == []
+
+
+def _reference_cross_validate(traj, tol_multiplier):
+    """The per-snapshot loop that cross_validate_rates replaced, as to_dict()
+    without n_checks; it recorded failed checks only."""
+    snaps = traj.snapshots
+    times = np.array([s.t for s in snaps])
+    dt = traj.config.dt
+    failures, form_pass = [], {}
+    for mkey, rkeys in {"mean": ["mean"], "cov": ["cov"],
+                        "third": ["third_ito", "third_printed"],
+                        "fourth": ["fourth_ito", "fourth_printed"]}.items():
+        bmom = np.stack([s.batch_moments[mkey] for s in snaps])
+        for rkey in rkeys:
+            brate = np.stack([s.batch_rates[rkey] for s in snaps])
+            rate_overall = brate.mean(axis=1)
+            ok = True
+            for k in range(1, len(snaps) - 1):
+                h = times[k + 1] - times[k - 1]
+                fd_b = (bmom[k + 1] - bmom[k - 1]) / h
+                diff_b = fd_b - brate[k]
+                nb = diff_b.shape[0]
+                mean_diff = diff_b.mean(axis=0)
+                se = diff_b.std(axis=0, ddof=1) / np.sqrt(nb)
+                if len(snaps) >= 4:
+                    rdd = (rate_overall[k + 1] - 2.0 * rate_overall[k]
+                           + rate_overall[k - 1]) / ((times[k + 1] - times[k]) ** 2)
+                else:
+                    rdd = np.zeros_like(mean_diff)
+                trunc = (h / 2.0) ** 2 / 6.0 * np.abs(rdd)
+                em = dt * np.abs(rate_overall[k])
+                threshold = tol_multiplier * (se + trunc + em)
+                bad = np.abs(mean_diff) > threshold
+                for idx in np.argwhere(bad):
+                    ok = False
+                    tup = tuple(int(i) for i in idx)
+                    failures.append({
+                        "quantity": f"{mkey}{[i + 1 for i in tup]}", "form": rkey,
+                        "t": float(times[k]), "fd": float(fd_b.mean(axis=0)[tup]),
+                        "rate": float(brate[k].mean(axis=0)[tup]),
+                        "threshold": float(threshold[tup]), "passed": False})
+            form_pass[rkey] = ok
+    names = {(True, True): "both", (True, False): "ito",
+             (False, True): "printed", (False, False): "neither"}
+    third = names[form_pass["third_ito"], form_pass["third_printed"]]
+    fourth = names[form_pass["fourth_ito"], form_pass["fourth_printed"]]
+    return {"overall_pass": (form_pass["mean"] and form_pass["cov"]
+                             and "neither" not in (third, fourth)),
+            "form_pass": form_pass, "matching_third_form": third,
+            "matching_fourth_form": fourth, "failures": failures}
+
+
+@pytest.mark.parametrize("record_every", [10, 4])
+def test_cross_validation_matches_per_snapshot_loop(record_every):
+    """All interior snapshots judged at once give the per-snapshot loop's
+    verdicts, failures and numbers exactly, with 3 and with 6 snapshots."""
+    p = dirichlet_process(DirichletParams(b=np.array([4.0, 4.0]),
+                                          S=np.array([0.5, 0.5]),
+                                          kappa=np.array([1.0, 1.0])))
+    ens = Ensemble.from_delta(make_state([0.3, 0.3, 0.4]), 2000)
+    traj = simulate(p, ens, IntegratorConfig(dt=1e-2), t_end=0.2,
+                    record_every=record_every, rng=RandomSource(31, 0))
+    interior = len(traj.snapshots) - 2
+    assert interior == {10: 1, 4: 4}[record_every]
+    for tol in (3.0, 1.0):
+        got = cross_validate_rates(traj, p, tol).to_dict()
+        assert got.pop("n_checks") == interior * 14
+        ref = _reference_cross_validate(traj, tol)
+        assert ref["failures"]
+        assert got == ref
 
 
 def test_dirichlet_moments_against_sampling():
