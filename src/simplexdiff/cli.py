@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check or validation failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -414,7 +415,21 @@ _COMMANDS = {"check": cmd_check, "simulate": cmd_simulate,
              "compare": cmd_compare, "sweep": cmd_sweep}
 
 
+def keep_heap_resident():
+    """Set glibc's mmap and trim thresholds so that each step's freed
+    temporaries stay in the heap instead of faulting in again next step.
+    Does nothing where the libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: above every per-step temporary
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: no trim of the working heap
+
+
 def main(argv=None) -> int:
+    keep_heap_resident()
     parser = make_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,6 +8,7 @@ All types here are immutable values after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,13 +89,15 @@ class ProcessDefinition:
     on the whole batch and reuses the particles of rejected proposals.
 
     diffusion_factor and diffusion_diag supply the integrator's noise
-    factor: factor(Y, t) -> (K, K, ...) with factor @ factor.T == diffusion
-    for each particle, or, for a process whose diffusion matrix is diagonal,
-    diffusion_diag(Y, t) -> (K, ...) returning that diagonal, whose square
-    root is then the factor.  A process that supplies neither is factored
-    through an eigendecomposition of its diffusion matrix.  Supplying
-    diffusion_diag also declares the diffusion diagonal to the boundary
-    audit, and diffusion may then be omitted: it is built from the diagonal.
+    factor.  diffusion_factor(Y, t) -> (d, u, v), three (K, ...) arrays, is
+    the lower-triangular L with L[i, i] = d[i], L[i, j] = u[i] * v[j] for
+    j < i and L @ L.T == diffusion.  diffusion_diag(Y, t) -> (K, ...) is the
+    diagonal of a diagonal diffusion matrix; its square root is the factor.
+    A process that supplies neither is factored through an
+    eigendecomposition of its diffusion matrix.  Supplying diffusion_diag
+    also declares the diffusion diagonal to the boundary audit, and
+    diffusion may then be omitted: it is built from the diagonal, again
+    whenever dataclasses.replace gives a new one.
     """
 
     dimension: int
@@ -103,24 +106,25 @@ class ProcessDefinition:
     diffusion: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     parameters: dict = field(default_factory=dict)
     diffusion_diag: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    diffusion_factor: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    diffusion_factor: Optional[Callable[[np.ndarray, float], tuple]] = None
 
     def __post_init__(self):
-        if self.diffusion is None:
-            diag = self.diffusion_diag
-            if diag is None:
-                raise ValueError(f"process {self.name!r} needs diffusion "
-                                 "or diffusion_diag")
-            object.__setattr__(self, "diffusion",
-                               lambda y, t: _diag_matrix(diag(y, t)))
+        diag = self.diffusion_diag
+        derived = getattr(self.diffusion, "func", None) is _diag_matrices
+        if diag is not None and (self.diffusion is None or derived):
+            object.__setattr__(self, "diffusion", partial(_diag_matrices, diag))
+        elif self.diffusion is None:
+            raise ValueError(f"process {self.name!r} needs diffusion "
+                             "or diffusion_diag")
 
     @property
     def k(self) -> int:
         return self.dimension - 1
 
 
-def _diag_matrix(d):
-    """(K, ...) diagonals -> (K, K, ...) diagonal matrices."""
+def _diag_matrices(diag, y, t):
+    """The (K, K, ...) diagonal matrices of the (K, ...) diagonals diag(y, t)."""
+    d = diag(y, t)
     k = d.shape[0]
     out = np.zeros((k,) + d.shape)
     idx = np.arange(k)

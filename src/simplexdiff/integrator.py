@@ -2,15 +2,15 @@
 
 The integrator advances all particles of an ensemble with independent
 noise drawn from a counter-based (Philox) stream, maps it through the noise
-factor the process supplies (an explicit factor, the square root of a
-diagonal, or an eigendecomposition of the diffusion matrix), and enforces
-the simplex constraints on every accepted step, so that every recorded state
-is realizable by construction; a non-finite proposal stops the run.  Drift
-and noise factor are evaluated once per step: a rejected proposal redraws
-only its normals.  The ensemble is held component-major, as a (K, M) array
-with one row per reduced component, so that sums over components run along
-the leading axis; the normals are still drawn particle by particle, as
-(M, K), and transposed.
+factor the process supplies (a (d, u, v) triangular factor, the square root
+of a diagonal, or an eigendecomposition of the diffusion matrix), and
+enforces the simplex constraints on every accepted step, so that every
+recorded state is realizable by construction; a non-finite proposal stops
+the run.  Drift and noise factor are evaluated once per step: a rejected
+proposal redraws only its normals.  The ensemble is held component-major,
+as a (K, M) array with one row per reduced component, so that sums over
+components run along the leading axis; the normals are still drawn
+particle by particle, as (M, K), and transposed.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class Trajectory:
     dumps: dict = field(default_factory=dict)
 
 
-def _noise_factor(proc: ProcessDefinition, ys: np.ndarray, t: float) -> np.ndarray:
-    """Per-particle noise factor: (K, M) diagonal roots or (K, K, M) matrices."""
+def _noise_factor(proc: ProcessDefinition, ys: np.ndarray, t: float):
+    """Per-particle noise factor: (K, M) diagonal roots, (d, u, v) or (K, K, M)."""
     if proc.diffusion_factor is not None:
         return proc.diffusion_factor(ys, t)
     if proc.diffusion_diag is not None:
@@ -104,15 +104,28 @@ def _noise_factor(proc: ProcessDefinition, ys: np.ndarray, t: float) -> np.ndarr
     return np.moveaxis(V * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :], 0, -1)
 
 
+def _columns(L, idx):
+    """The noise factor of the particles idx."""
+    return tuple(a[:, idx] for a in L) if isinstance(L, tuple) else L[..., idx]
+
+
 def _noise(L, xi):
     """Map (K, M) unit normals through per-particle noise factors."""
-    if L.ndim == xi.ndim:
+    if not isinstance(L, tuple) and L.ndim == xi.ndim:
         return L * xi
     # even and odd columns summed apart, each from zero and left to right:
-    # the order of einsum("...ij,...j->...i"), bit for bit
+    # the order of einsum("...ij,...j->...i"), bit for bit.  A structured
+    # factor skips the zeros above its diagonal, which change no sum.
     half = np.zeros((2,) + xi.shape)
+    col = np.empty(xi.shape)
     for j in range(xi.shape[0]):
-        half[j % 2] += L[:, j] * xi[j]
+        if isinstance(L, tuple):
+            d, u, v = L
+            half[j % 2, j] += d[j] * xi[j]
+            c = np.multiply(u[j + 1:], v[j], out=col[j + 1:])
+            half[j % 2, j + 1:] += np.multiply(c, xi[j], out=c)
+        else:
+            half[j % 2] += L[:, j] * xi[j]
     return half[0] + half[1]
 
 
@@ -165,7 +178,7 @@ def _advance(proc, ys, t, cfg, rng):
             if idx.size == 0:
                 break
             xi_new = _normals(rng, idx.size, k)
-            prop[:, idx] = base[:, idx] + _noise(L[..., idx], xi_new) * np.sqrt(cfg.dt)
+            prop[:, idx] = base[:, idx] + _noise(_columns(L, idx), xi_new) * np.sqrt(cfg.dt)
             bad[idx] = _invalid_mask(prop[:, idx])
     clipped = bad
     if np.any(bad):

@@ -2,10 +2,10 @@
 
 Each constructor validates its parameters and returns a ProcessDefinition
 whose closures take component-major reduced states of shape (N-1, ...):
-drift and diffusion_diag return (N-1, ...), diffusion and diffusion_factor
-(N-1, N-1, ...).  The diagonal-diffusion processes supply diffusion_diag
-alone; ProcessDefinition builds their matrices.  Drift and diffusion
-entries carry units of 1/time.
+drift and diffusion_diag return (N-1, ...), diffusion (N-1, N-1, ...), and
+Wright-Fisher's diffusion_factor three (N-1, ...) arrays (d, u, v).  The
+diagonal-diffusion processes supply diffusion_diag alone; ProcessDefinition
+builds their matrices.  Drift and diffusion entries carry units of 1/time.
 """
 
 from __future__ import annotations
@@ -189,24 +189,21 @@ def beta_process(p: BetaParams) -> ProcessDefinition:
 
 
 def _wf_diffusion_factor(y):
-    """Closed-form lower-triangular factor of diag(Y) - Y Y^T.
+    """Closed-form lower-triangular factor of diag(Y) - Y Y^T, as (d, u, v).
 
-    Built from the nested remainders q_j = 1 - Y_1 - ... - Y_j; columns
-    whose remainder has hit zero carry no noise and are zeroed.
+    L[i, i] = d[i] and L[i, j] = u[i] * v[j] for j < i, with u = -Y, built
+    from the nested remainders q_j = 1 - Y_1 - ... - Y_j.  A column whose
+    remainder has hit zero carries no noise.  Each remainder is 0 or at
+    least 2^-53 in magnitude, so no quotient of finite states overflows.
     """
-    k = y.shape[0]
     q = 1.0 - _running(np.add, y)
     q_prev = np.concatenate([np.ones((1,) + y.shape[1:]), q[:-1]], axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diag = y * q / q_prev
-        col = y / (q * q_prev)
-    diag = np.sqrt(np.maximum(np.nan_to_num(diag, nan=0.0), 0.0))
-    col = np.sqrt(np.maximum(np.nan_to_num(col, nan=0.0, posinf=0.0), 0.0))
-    L = np.zeros((k, k) + y.shape[1:])
-    for i in range(k):
-        L[i, i] = diag[i]
-        L[i, :i] = -y[i] * col[:i]
-    return L
+    d = np.divide(y * q, q_prev, out=np.zeros_like(y), where=q_prev != 0.0)
+    qq = q * q_prev
+    v = np.divide(y, qq, out=np.zeros_like(y), where=qq != 0.0)
+    for a in (d, v):
+        np.sqrt(np.maximum(a, 0.0, out=a), out=a)
+    return d, -y, v
 
 
 def wright_fisher_process(p: WrightFisherParams) -> ProcessDefinition:

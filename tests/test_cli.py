@@ -1,7 +1,9 @@
+import ctypes
 import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -72,6 +74,81 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+# Records mallopt lookups through ctypes, runs {run}, then asks glibc
+# whether a 20 MiB array, below the CLI's 32 MiB mmap threshold, was mmapped.
+_HEAP_PROBE = """import ctypes
+seen = []
+
+class CDLL(ctypes.CDLL):
+    def __getattr__(self, name):
+        seen.append(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = CDLL
+import numpy as np
+{run}
+
+class Info(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Info
+before = mallinfo2().hblks
+probe = np.ones(20 << 20, dtype=np.uint8)
+print("mallopt" in seen, mallinfo2().hblks - before)
+"""
+
+_LIBRARY_RUN = """from simplexdiff import (Ensemble, IntegratorConfig, RandomSource,
+                         WrightFisherParams, simulate, wright_fisher_process)
+simulate(wright_fisher_process(WrightFisherParams([1.0, 1.0, 1.0])),
+         Ensemble.from_uniform(3, 20000, np.random.default_rng(1)),
+         IntegratorConfig(dt=1e-3), t_end=0.01, record_every=5,
+         rng=RandomSource(1))"""
+
+
+@pytest.mark.parametrize("run,expected", [
+    pytest.param(_LIBRARY_RUN, "False 1", id="library"),
+    pytest.param("import simplexdiff.cli\nsimplexdiff.cli.main([])", "True 0",
+                 id="cli")])
+def test_heap_policy_is_set_by_main_only(run, expected):
+    """import simplexdiff plus simulate leave glibc's allocator alone; main
+    raises the mmap threshold."""
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("needs glibc >= 2.33 for mallinfo2")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    # glibc's defaults, whatever the caller's MALLOC_* tunables
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _HEAP_PROBE.format(run=run)],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == expected
+
+
+def test_main_sets_heap_thresholds(tmp_path, monkeypatch):
+    """main sets the mmap, then the trim threshold; a libc without mallopt
+    is left alone and the run goes on."""
+    calls = []
+
+    class Mallopt:
+        def __call__(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=Mallopt()))
+    assert main([]) == 2
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path)
+    assert main(["check", "--config", str(cfg_path),
+                 "--outdir", str(tmp_path / "out")]) == 0
 
 
 def test_malformed_config_exits_2(tmp_path):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexdiff import (BoundaryFace, Ensemble, NegativeComponent,
-                         ProcessDefinition, ReducedState, SumViolation,
-                         boundary_distance, complete_reduced, enumerate_faces,
-                         make_state, sample_face)
+from simplexdiff import (BoundaryFace, DirichletParams, Ensemble,
+                         NegativeComponent, ProcessDefinition, ReducedState,
+                         SumViolation, boundary_distance, complete_reduced,
+                         dirichlet_process, enumerate_faces, make_state,
+                         sample_face)
 
 
 def test_make_state_exact_sum():
@@ -149,3 +150,27 @@ def test_process_definition_derives_diagonal_diffusion():
     assert dataclasses.replace(p, diffusion=matrix).diffusion is matrix
     # name precedes diffusion for positional callers
     assert ProcessDefinition(3, drift, "pos", matrix).diffusion is matrix
+
+
+def test_replaced_diagonal_rebuilds_derived_diffusion():
+    """A new diffusion_diag brings a new derived matrix; a diffusion passed
+    in is kept, and dropping the diagonal keeps the last derived matrix."""
+    p = dirichlet_process(DirichletParams(b=[2.0, 2.0], S=[0.5, 0.5],
+                                          kappa=[1.0, 1.0]))
+    y = np.array([0.2, 0.3])
+
+    def doubled(y, t):
+        return 2.0 * p.diffusion_diag(y, t)
+
+    q = dataclasses.replace(p, diffusion_diag=doubled)
+    npt.assert_array_equal(q.diffusion_diag(y, 0.0), [0.2, 0.3])
+    npt.assert_array_equal(q.diffusion(y, 0.0), np.diag([0.2, 0.3]))
+    npt.assert_array_equal(dataclasses.replace(q, diffusion_diag=None)
+                           .diffusion(y, 0.0), np.diag([0.2, 0.3]))
+
+    def matrix(y, t):
+        return np.zeros((2,) + y.shape)
+
+    r = dataclasses.replace(q, diffusion=matrix)
+    assert r.diffusion is matrix
+    assert dataclasses.replace(r, diffusion_diag=p.diffusion_diag).diffusion is matrix

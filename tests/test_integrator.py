@@ -11,8 +11,9 @@ from simplexdiff import (BetaParams, DegenerateState, DirichletParams, Ensemble,
                          broken_process, dirichlet_process,
                          gen_dirichlet_process, make_state, simulate, step,
                          wright_fisher_process)
-from simplexdiff.core import ReducedState
-from simplexdiff.integrator import _advance
+from simplexdiff.core import BoundaryFace, ReducedState, face_points
+from simplexdiff.integrator import _advance, _columns, _noise
+from simplexdiff.processes import _running
 
 
 def constant_process(a, n=3):
@@ -248,14 +249,79 @@ def _clip_rows(ys):
     return ys
 
 
+def _dense_wf_factor(y):
+    """The dense (K, K, M) Wright-Fisher factor, as it was built before the
+    structured (d, u, v) form: the reference the structured noise must
+    reproduce bit for bit."""
+    k = y.shape[0]
+    q = 1.0 - _running(np.add, y)
+    q_prev = np.concatenate([np.ones((1,) + y.shape[1:]), q[:-1]], axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = y * q / q_prev
+        col = y / (q * q_prev)
+    diag = np.sqrt(np.maximum(np.nan_to_num(diag, nan=0.0), 0.0))
+    col = np.sqrt(np.maximum(np.nan_to_num(col, nan=0.0, posinf=0.0), 0.0))
+    L = np.zeros((k, k) + y.shape[1:])
+    for i in range(k):
+        L[i, i] = diag[i]
+        L[i, :i] = -y[i] * col[:i]
+    return L
+
+
+def _dense_noise(L, xi):
+    """(K, K, M) factors times (K, M) normals, even and odd columns summed
+    apart as einsum("...ij,...j->...i") does."""
+    half = np.zeros((2,) + xi.shape)
+    for j in range(xi.shape[0]):
+        half[j % 2] += L[:, j] * xi[j]
+    return half[0] + half[1]
+
+
+def wf_edge_states(n, rng):
+    """Component-major reduced states: interior, every zero face, the
+    unit-sum face, every vertex, remainders one ulp above zero, and a zero
+    remainder under a positive component, where the dense factor's column
+    quotient y / (q q_prev) is inf."""
+    k = n - 1
+    faces = [face_points(BoundaryFace("zero", a), k, 20, rng) for a in range(k)]
+    faces.append(face_points(BoundaryFace("unitsum"), k, 20, rng))
+    ulp = np.zeros((2, k))
+    ulp[:, 0] = 1.0 - 2.0 ** -53
+    ulp[0, 1], ulp[1, -1] = 2.0 ** -60, 2.0 ** -54
+    inf_quotient = np.zeros((1, k))
+    inf_quotient[0, :2] = 0.5
+    parts = [rng.dirichlet(np.ones(n), size=200)[:, :k], *faces,
+             np.eye(k), np.zeros((1, k)), ulp, inf_quotient]
+    return np.ascontiguousarray(np.concatenate(parts).T)
+
+
+@pytest.mark.parametrize("n", [3, 8, 12])
+def test_structured_wf_noise_matches_dense_factor(n):
+    """The (d, u, v) Wright-Fisher factor maps normals to the bits of the
+    dense factor, on whole batches and on gathered resample columns."""
+    rng = np.random.default_rng(n)
+    y = wf_edge_states(n, rng)
+    proc = wright_fisher_process(WrightFisherParams(np.ones(n)))
+    factor = proc.diffusion_factor(y, 0.0)
+    assert [a.shape for a in factor] == [y.shape] * 3
+    dense = _dense_wf_factor(y)
+    xi = rng.standard_normal(y.shape)
+    assert _noise(factor, xi).tobytes() == _dense_noise(dense, xi).tobytes()
+    idx = np.flatnonzero(rng.random(y.shape[1]) < 0.3)
+    assert (_noise(_columns(factor, idx), xi[:, idx]).tobytes()
+            == _dense_noise(dense[..., idx], xi[:, idx]).tobytes())
+
+
 def _reference_advance(proc, ys, t, cfg, rng):
     """A particle-major step on (M, K) states that re-evaluates drift and
-    noise factor at rejected rows; closures are called through transposes."""
+    noise factor at rejected rows; closures are called through transposes.
+    Wright-Fisher, the one process with an explicit factor, steps with the
+    dense factor."""
     def propose(ys, xi):
         y = ys.T
         a = proc.drift(y, t).T
         if proc.diffusion_factor is not None:
-            L = np.ascontiguousarray(np.moveaxis(proc.diffusion_factor(y, t), -1, 0))
+            L = np.ascontiguousarray(np.moveaxis(_dense_wf_factor(y), -1, 0))
             noise = np.einsum("...ij,...j->...i", L, xi)
         elif proc.diffusion_diag is not None:
             noise = np.sqrt(np.maximum(proc.diffusion_diag(y, t).T, 0.0)) * xi

@@ -74,12 +74,22 @@ def test_wright_fisher_psd_interior():
 
 
 def test_wright_fisher_factor_roundtrip():
-    p = wright_fisher_process(WrightFisherParams(np.ones(3)))
+    """L rebuilt from (d, u, v) satisfies L L^T = diffusion, inside and on
+    every face of the simplex, at N = 3 and 8."""
     rng = np.random.default_rng(3)
-    y = rng.dirichlet(np.ones(3), size=200)[:, :2]
-    L = p.diffusion_factor(y.T, 0.0)
-    npt.assert_allclose(np.einsum("ikm,jkm->ijm", L, L),
-                        p.diffusion(y.T, 0.0), atol=1e-13)
+    for n in (3, 8):
+        k = n - 1
+        p = wright_fisher_process(WrightFisherParams(np.ones(n)))
+        y = np.concatenate(
+            [rng.dirichlet(np.ones(n), size=200)[:, :k]]
+            + [face_points(f, k, 50, rng) for f in enumerate_faces(n)]
+            + [np.eye(k), np.zeros((1, k))]).T
+        d, u, v = p.diffusion_factor(y, 0.0)
+        below = np.tril(np.ones((k, k)), -1)[..., np.newaxis]
+        L = below * u[:, np.newaxis] * v[np.newaxis]
+        L[np.arange(k), np.arange(k)] = d
+        npt.assert_allclose(np.einsum("ikm,jkm->ijm", L, L),
+                            p.diffusion(y, 0.0), atol=1e-13)
 
 
 def test_dirichlet_substitution():
