@@ -89,11 +89,25 @@ def build_process(cfg: dict):
     raise ConfigError(f"unknown process {name!r}")
 
 
+def setting(cfg: dict, section: str, key: str, default, kind=float, low=0):
+    """cfg[section][key], or default, as a finite kind above low; else ConfigError."""
+    spec = cfg.get(section) or {}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config section {section!r} is not a mapping")
+    raw = spec.get(key, default)
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or not (value > low and np.isfinite(value)):
+        bound = f"an integer >= {low + 1}" if kind is int else f"a number > {low}"
+        raise ConfigError(f"{section}.{key} must be {bound}, got {raw!r}")
+    return value
+
+
 def build_ensemble(cfg: dict, n: int, gen: np.random.Generator) -> Ensemble:
-    spec = cfg.get("ensemble", {})
-    m = int(spec.get("size", 1000))
-    if m < 2:
-        raise ConfigError(f"ensemble size must be >= 2, got {m}")
+    spec = cfg.get("ensemble") or {}
+    m = setting(cfg, "ensemble", "size", 1000, int, low=1)
     init = spec.get("initial", {"kind": "uniform"})
     kind = init.get("kind")
     try:
@@ -114,25 +128,21 @@ def build_ensemble(cfg: dict, n: int, gen: np.random.Generator) -> Ensemble:
 
 
 def build_integrator(cfg: dict) -> IntegratorConfig:
-    spec = cfg.get("integrator", {})
+    dt = setting(cfg, "integrator", "dt", 1e-3)
+    max_resample = setting(cfg, "integrator", "max_resample", 100, int)
+    policy = (cfg.get("integrator") or {}).get("boundary_policy",
+                                                "reject_resample")
     try:
-        return IntegratorConfig(
-            dt=float(spec.get("dt", 1e-3)),
-            boundary_policy=spec.get("boundary_policy", "reject_resample"),
-            max_resample=int(spec.get("max_resample", 100)))
-    except (ValueError, TypeError) as exc:
+        return IntegratorConfig(dt, policy, max_resample)
+    except ValueError as exc:
         raise ConfigError(f"invalid integrator settings: {exc}") from exc
 
 
 def build_tolerances(cfg: dict) -> ToleranceSet:
-    spec = cfg.get("audit", {})
-    try:
-        return ToleranceSet(
-            diffusion_zero_tol=float(spec.get("diffusion_zero_tol", 1e-10)),
-            drift_sign_tol=float(spec.get("drift_sign_tol", 1e-10)),
-            moment_stat_tol=float(spec.get("moment_stat_tol", 3.0)))
-    except ValueError as exc:
-        raise ConfigError(f"invalid audit tolerances: {exc}") from exc
+    return ToleranceSet(**{key: setting(cfg, "audit", key, default)
+                           for key, default in (("diffusion_zero_tol", 1e-10),
+                                                ("drift_sign_tol", 1e-10),
+                                                ("moment_stat_tol", 3.0))})
 
 
 def resolve_outdir(cfg: dict, args) -> str:
@@ -180,8 +190,7 @@ def write_run_meta(path: str, cfg: dict, seed: int, extra: dict):
 
 
 def _run_audit(proc, cfg, seed, outdir, quiet=False):
-    spec = cfg.get("audit", {})
-    samples = int(spec.get("samples_per_face", 1000))
+    samples = setting(cfg, "audit", "samples_per_face", 1000, int)
     tol = build_tolerances(cfg)
     report = audit_boundary(proc, samples, RandomSource(seed, 1), tol)
     with open(os.path.join(outdir, "audit.json"), "w") as f:
@@ -214,6 +223,8 @@ def _run_simulation(cfg: dict, args, outdir: str, dump_every=None):
     seed = int(args.seed if args.seed is not None else cfg["seed"])
     # validated before the audit writes; the ensemble has its own stream
     icfg = build_integrator(cfg)
+    t_end = setting(cfg, "integrator", "t_end", 1.0)
+    record_every = setting(cfg, "integrator", "record_every", 100, int)
     init = build_ensemble(cfg, proc.dimension, RandomSource(seed, 2).generator)
     if not args.skip_audit:
         report = _run_audit(proc, cfg, seed, outdir, quiet=True)
@@ -221,9 +232,6 @@ def _run_simulation(cfg: dict, args, outdir: str, dump_every=None):
             print("boundary audit failed; rerun with --skip-audit to force",
                   file=sys.stderr)
             return proc, None, seed
-    ispec = cfg.get("integrator", {})
-    t_end = float(ispec.get("t_end", 1.0))
-    record_every = int(ispec.get("record_every", 100))
     traj = simulate(proc, init, icfg, t_end, record_every, RandomSource(seed, 0),
                     dump_every=dump_every)
     return proc, traj, seed
@@ -231,9 +239,8 @@ def _run_simulation(cfg: dict, args, outdir: str, dump_every=None):
 
 def cmd_simulate(cfg: dict, args) -> int:
     outdir = resolve_outdir(cfg, args)
-    dump_every = cfg.get("output", {}).get("dump_every")
-    proc, traj, seed = _run_simulation(cfg, args, outdir,
-                                       int(dump_every) if dump_every else None)
+    dump_every = setting(cfg, "output", "dump_every", 0, int, low=-1)
+    proc, traj, seed = _run_simulation(cfg, args, outdir, dump_every or None)
     if traj is None:
         return 1
     write_moments_csv(os.path.join(outdir, "moments.csv"), traj, proc.dimension)
@@ -250,43 +257,21 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
-def _batch_full_moments(bm: dict):
-    """Per-batch reduced moments -> per-batch full mean vector and covariance.
-
-    The remainder's moments follow from the sample-wise identities: its mean
-    completes the unit sum and its covariances complete the zero row-sums.
-    """
-    rmean = bm["mean"]                       # (nb, K)
-    rcov = bm["cov"]                         # (nb, K, K)
-    nb, k = rmean.shape
-    mean = np.concatenate([rmean, 1.0 - rmean.sum(axis=1, keepdims=True)], axis=1)
-    cov = np.zeros((nb, k + 1, k + 1))
-    cov[:, :k, :k] = rcov
-    cov[:, :k, k] = -rcov.sum(axis=2)
-    cov[:, k, :k] = -rcov.sum(axis=1)
-    cov[:, k, k] = rcov.sum(axis=(1, 2))
-    return mean, cov
-
-
 def stationary_checks(traj, oracle, window, stat_tol: float):
     """Time-averaged means/covariances vs the analytic stationary values.
 
     Standard errors come from per-particle-batch time averages over the
     window, so slow decorrelation across snapshots is accounted for by the
-    spread across independent particle batches.
+    spread across independent particle batches.  Every component is
+    judged, the remainder as estimated from the states.
     """
     lo, hi = window
-    idx = [i for i, s in enumerate(traj.snapshots) if lo <= s.t <= hi]
-    if not idx:
+    snaps = [s for s in traj.snapshots if lo <= s.t <= hi]
+    if not snaps:
         raise InsufficientSnapshots(
             f"no snapshots inside the stationary window [{lo}, {hi}]")
-    means, covs = [], []
-    for i in idx:
-        m, c = _batch_full_moments(traj.snapshots[i].batch_moments)
-        means.append(m)
-        covs.append(c)
-    mean_b = np.mean(means, axis=0)          # (nb, N) per-batch time average
-    cov_b = np.mean(covs, axis=0)            # (nb, N, N)
+    mean_b = np.mean([s.batch_moments["mean"] for s in snaps], axis=0)  # (nb, N)
+    cov_b = np.mean([s.batch_moments["cov"] for s in snaps], axis=0)  # (nb, N, N)
     checks = []
 
     def judge(name, batch_vals, oracle_vals):
@@ -308,11 +293,17 @@ def stationary_checks(traj, oracle, window, stat_tol: float):
 
 def cmd_compare(cfg: dict, args) -> int:
     outdir = resolve_outdir(cfg, args)
+    tol_multiplier = setting(cfg, "compare", "tol_multiplier", 3.0)
+    stat_tol = setting(cfg, "compare", "stat_tol", 3.0)
+    window = (cfg.get("compare") or {}).get("stationary_window")
+    try:
+        lo, hi = (None, None) if window is None else map(float, window)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("compare.stationary_window must be two numbers, "
+                          f"got {window!r}") from exc
     proc, traj, seed = _run_simulation(cfg, args, outdir)
     if traj is None:
         return 1
-    cspec = cfg.get("compare", {})
-    tol_multiplier = float(cspec.get("tol_multiplier", 3.0))
     rate_report = cross_validate_rates(traj, proc, tol_multiplier)
     result = {"rate_check": rate_report.to_dict()}
     passed = rate_report.overall_pass
@@ -321,14 +312,11 @@ def cmd_compare(cfg: dict, args) -> int:
     except UnsupportedProcess as exc:
         result["stationary"] = {"available": False, "reason": str(exc)}
     else:
-        window = cspec.get("stationary_window")
-        if window is None:
-            t_end = traj.times[-1]
-            window = [t_end / 2.0, t_end]
-        checks = stationary_checks(traj, oracle, window,
-                                   float(cspec.get("stat_tol", 3.0)))
+        if lo is None:
+            lo, hi = traj.times[-1] / 2.0, traj.times[-1]
+        checks = stationary_checks(traj, oracle, (lo, hi), stat_tol)
         stat_pass = all(c["passed"] for c in checks)
-        result["stationary"] = {"available": True, "window": list(window),
+        result["stationary"] = {"available": True, "window": [lo, hi],
                                 "checks": checks, "overall_pass": stat_pass}
         passed = passed and stat_pass
     result["overall_pass"] = passed
@@ -376,15 +364,12 @@ def cmd_sweep(cfg: dict, args) -> int:
         runtime = time.perf_counter() - t0
         with open(os.path.join(point_dir, "compare.json")) as f:
             result = json.load(f)
-        stat = result.get("stationary", {})
-        stat_checks = stat.get("checks", [])
+        stat_checks = result.get("stationary", {}).get("checks", [])
         max_res = max((c["residual"] for c in stat_checks), default=float("nan"))
-        var_checks = [c for c in stat_checks
-                      if c["quantity"].startswith("cov[1,1]")]
-        var_res = var_checks[0]["residual"] if var_checks else float("nan")
-        var_thr = var_checks[0]["threshold"] if var_checks else float("nan")
+        var = next((c for c in stat_checks if c["quantity"] == "cov[1,1]"), {})
         rows.append((i, point_cfg.get("integrator", {}).get("dt", float("nan")),
-                     1 - code, max_res, var_res, var_thr, runtime))
+                     1 - code, max_res, var.get("residual", float("nan")),
+                     var.get("threshold", float("nan")), runtime))
         any_failed |= code != 0
     with open(os.path.join(outdir, "sweep.csv"), "w") as f:
         f.write("point,dt,passed,max_stationary_residual,"

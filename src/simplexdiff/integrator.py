@@ -204,10 +204,7 @@ def step(state: ReducedState, proc: ProcessDefinition, t: float,
 
 def _full_states(ys):
     """(K, M) reduced batch -> (M, N) full states, a transposed (N, M) array."""
-    full = np.empty((ys.shape[0] + 1, ys.shape[1]))
-    full[:-1] = ys
-    full[-1] = np.maximum(1.0 - np.sum(ys, axis=0), 0.0)
-    return full.T
+    return np.vstack([ys, np.maximum(1.0 - np.sum(ys, axis=0), 0.0)]).T
 
 
 def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
@@ -216,8 +213,9 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     """Advance an ensemble to t_end, recording moment snapshots.
 
     Snapshots are taken at t=0, every record_every steps, and at the final
-    step; each carries full-ensemble moments plus per-batch moments and
-    moment evolution rates for standard-error estimation.  Realizability of
+    step; each makes one statistics pass (per-batch moments of all N
+    components and reduced moment evolution rates, for standard errors) and
+    merges the full-ensemble moments from its batches.  Realizability of
     every post-step state is verified and violations counted (the boundary
     policy should make the count zero); a non-finite proposal raises
     DegenerateState naming the step and the particle.
@@ -246,10 +244,10 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
         t = k * cfg.dt
         full = _full_states(ys)
         if snap:
-            moments = stats_mod.estimate_moments(full)
             bm, br = stats_mod.batch_statistics(full, proc, t, n_batches)
-            traj.snapshots.append(Snapshot(t=t, moments=moments,
-                                           batch_moments=bm, batch_rates=br))
+            traj.snapshots.append(Snapshot(
+                t=t, moments=stats_mod.estimate_moments(full, bm),
+                batch_moments=bm, batch_rates=br))
             times.append(t)
         if dump:
             traj.dumps[t] = full

@@ -1,12 +1,11 @@
 """Ensemble moment estimation, moment evolution rates, and analytic oracles.
 
-Moments are always computed over the full N components (the remainder is
-reconstructed before estimation), so the zero-row-sum structure of the
-covariance matrix is checkable on the complete matrix.  Rates are defined
-over the N-1 independent components.  Snapshot statistics are
-component-major: every sum runs along the particle axis of a contiguous
-(components, particles) array, all batches in one segment sum, and a
-snapshot evaluates drift and one diffusion closure once.
+Moments cover all N components, the remainder estimated from the states like
+any other, so unit mean sums and zero covariance row sums are checked, not
+built in; rates cover the N-1 independent components.  A snapshot makes one
+component-major pass, batch_statistics: per-batch segment sums along the
+particle axis and one drift and one diffusion evaluation.  estimate_moments
+merges its per-batch moments exactly.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ class _Batches:
         c = self.centre(x, mean)
         c2 = c * c
         c3 = c2 * c
-        return ({"mean": mean, "cov": self.products(c, c),
+        return ({"count": self.counts, "mean": mean, "cov": self.products(c, c),
                  "third": self.mean(c3), "fourth": self.mean(c2 * c2)},
                 (c, c2, c3))
 
@@ -119,18 +118,34 @@ def _guarded_shape_stats(cov, third, fourth):
     return skew, kurt
 
 
-def estimate_moments(states: np.ndarray) -> MomentSet:
-    """Plain Monte-Carlo moments of an (M, N) array of full states.
+def estimate_moments(states: np.ndarray, batch_moments=None) -> MomentSet:
+    """Moments of (M, N) full states, merged exactly from their batch_moments.
 
-    The states are taken as one contiguous component-major (N, M) array,
-    so every sum runs along the particle axis, pairwise.  Central moments
-    are two-pass: the compensated mean first, then centred powers.
+    With w = count / M and d = batch mean - mean (Chan, Golub & LeVeque
+    1979): cov = sum w (C + d d^T), mu3 = sum w (M3 + 3 d M2 + d^3), mu4 =
+    sum w (M4 + 4 d M3 + 6 d^2 M2 + d^4).  By default one batch holds all
+    states: a two-pass estimate (compensated mean, then centred powers).
     """
     states = np.asarray(states, dtype=float)
-    mom, _ = _Batches(states.shape[0], 1).moments(component_major(states))
-    mean, cov, third, fourth = (v[0] for v in mom.values())
+    m = states.shape[0]
+    bm = batch_moments or _Batches(m, 1).moments(component_major(states))[0]
+    if np.sum(bm["count"]) != m:
+        raise ValueError(f"batches hold {np.sum(bm['count'])} of {m} particles")
+    w = bm["count"] / m
+
+    def merge(v):
+        return np.einsum("b,b...->...", w, v)
+    # compensated: an error e in the mean moves mu3 by 3 M2 e
+    mean = merge(bm["mean"])
+    mean = mean + merge(bm["mean"] - mean)
+    d = bm["mean"] - mean
+    m2 = np.diagonal(bm["cov"], axis1=1, axis2=2)
+    cov = merge(bm["cov"] + d[:, :, np.newaxis] * d[:, np.newaxis, :])
+    third = merge(bm["third"] + 3.0 * d * m2 + d ** 3)
+    fourth = merge(bm["fourth"] + 4.0 * d * bm["third"] + 6.0 * d ** 2 * m2
+                   + d ** 4)
     return MomentSet(mean, cov, third, fourth,
-                     *_guarded_shape_stats(cov, third, fourth), states.shape[0])
+                     *_guarded_shape_stats(cov, third, fourth), m)
 
 
 def estimate_rates(states: np.ndarray, proc: ProcessDefinition,
@@ -144,19 +159,21 @@ def estimate_rates(states: np.ndarray, proc: ProcessDefinition,
 
 def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
                      n_batches: int = 20):
-    """Per-batch reduced moments and rates for standard-error estimation.
+    """A snapshot's one pass: per-batch moments of all N components and rates.
 
-    Returns (batch_moments, batch_rates) dicts of stacked arrays whose
-    leading axis indexes the batch.  Drift and one diffusion closure are
-    evaluated once on the contiguous component-major (K, M) reduced states:
-    diffusion_diag for a diagonal process, which builds no (K, K, M)
-    matrix, and diffusion otherwise.  Every per-batch sum is one segment
-    sum over batch_slices, on batch-centred values.
+    Returns (batch_moments, batch_rates), dicts of arrays with a leading
+    batch axis: each batch's count, mean, cov, third and fourth central
+    moments of the (M, N) full states, the remainder estimated from its
+    column, and the rates of the K = N-1 reduced components, read from the
+    first K rows of the same centred powers.  Drift and one diffusion closure
+    (diffusion_diag for a diagonal process: no (K, K, M) matrix) are
+    evaluated once on the reduced rows; each per-batch sum is one segment sum.
     """
-    states = np.asarray(states, dtype=float)
-    y = component_major(states[:, :-1])
-    batches = _Batches(states.shape[0], n_batches)
-    moments, (c, c2, c3) = batches.moments(y)
+    x = component_major(np.asarray(states, dtype=float))
+    batches = _Batches(x.shape[1], n_batches)
+    moments, centred = batches.moments(x)
+    y = x[:-1]
+    c, c2, c3 = (v[:-1] for v in centred)
     a = proc.drift(y, t)
     a_mean = batches.mean(a)
     ac = batches.centre(a, a_mean)
@@ -238,8 +255,9 @@ def cross_validate_rates(traj, proc: ProcessDefinition,
     At every interior snapshot at once, the difference FD - rate is formed
     per particle batch and judged against tol_multiplier * (batch standard
     error + a finite-difference truncation allowance + an Euler step-bias
-    allowance).  Third/fourth moments are checked against both rate forms
-    and the report states which one matches.
+    allowance).  The batch moments cover all N components; the K reduced
+    ones, which have rates, are judged.  Third/fourth moments are checked
+    against both rate forms and the report states which one matches.
     """
     snaps = traj.snapshots
     if len(snaps) < 3:
@@ -249,6 +267,7 @@ def cross_validate_rates(traj, proc: ProcessDefinition,
     form_pass = {}
     for mkey, rkeys in _MOMENT_TO_RATE.items():
         bmom = np.stack([s.batch_moments[mkey] for s in snaps])  # (T, nb, ...)
+        bmom = bmom[(...,) + (slice(-1),) * (bmom.ndim - 2)]  # reduced only
         # per interior snapshot, shaped to broadcast against (T-2, ...)
         col = (-1,) + (1,) * (bmom.ndim - 2)
         h = (times[2:] - times[:-2]).reshape(col)
@@ -307,11 +326,8 @@ def dirichlet_moments(alpha: np.ndarray) -> MomentSet:
 
 def _degenerate_moments(point: np.ndarray) -> MomentSet:
     n = point.shape[0]
-    z = np.zeros(n)
-    nan = np.full(n, np.nan)
-    return MomentSet(mean=point, covariance=np.zeros((n, n)), third=z.copy(),
-                     fourth=z.copy(), skewness=nan.copy(), kurtosis=nan.copy(),
-                     ensemble_size=0)
+    return MomentSet(point, np.zeros((n, n)), np.zeros(n), np.zeros(n),
+                     np.full(n, np.nan), np.full(n, np.nan), ensemble_size=0)
 
 
 def analytic_stationary(proc: ProcessDefinition) -> MomentSet:

@@ -20,7 +20,7 @@ from simplexdiff import (BetaParams, DirichletParams, Ensemble,
                          dirichlet_process, estimate_moments,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
-from simplexdiff.cli import _batch_full_moments, main
+from simplexdiff.cli import main
 
 M = 10_000
 DT = 1e-3
@@ -98,13 +98,9 @@ def all_runs(beta_run, wf_run, dir_run, gendir_run):
 
 def stationary_batches(traj, window=WINDOW):
     """Per-particle-batch time averages of full mean and covariance."""
-    means, covs = [], []
-    for s in traj.snapshots:
-        if window[0] <= s.t <= window[1]:
-            m, c = _batch_full_moments(s.batch_moments)
-            means.append(m)
-            covs.append(c)
-    return np.mean(means, axis=0), np.mean(covs, axis=0)
+    snaps = [s for s in traj.snapshots if window[0] <= s.t <= window[1]]
+    return (np.mean([s.batch_moments["mean"] for s in snaps], axis=0),
+            np.mean([s.batch_moments["cov"] for s in snaps], axis=0))
 
 
 def batch_se(values):
@@ -162,14 +158,21 @@ def test_criterion_04_stationary_variance(beta_run):
 
 
 def test_criterion_05_covariance_structure(all_runs):
+    """The remainder is estimated from the states, in the full-ensemble and
+    in every per-batch moment, so none of these sums holds by construction."""
     worst = 0.0
     for traj in all_runs.values():
         for s in traj.snapshots:
+            bm = s.batch_moments
             worst = max(worst, np.max(np.abs(s.moments.covariance_row_sums())),
-                        abs(s.moments.weak_constraint_residual()))
+                        abs(s.moments.weak_constraint_residual()),
+                        np.max(np.abs(bm["mean"].sum(axis=1) - 1.0)),
+                        np.max(np.abs(bm["cov"].sum(axis=2))))
     ok = worst <= 1e-12
-    assert announce(5, "covariance row-sums and weak-constraint residual "
-                       f"<= 1e-12 on every snapshot (worst {worst:.2e})", ok)
+    assert announce(5, "covariance row-sums, weak-constraint residual, "
+                       "per-batch mean sums - 1 and per-batch covariance "
+                       f"row-sums <= 1e-12 on every snapshot (worst {worst:.2e})",
+                    ok)
 
 
 def test_criterion_06_moment_bounds(all_runs):

@@ -175,14 +175,34 @@ def test_single_particle_ensemble_exits_2(tmp_path):
     assert not (tmp_path / "out" / "audit.json").exists()
 
 
+_INTEGRATOR = {"dt": 1e-3, "t_end": 1.0, "record_every": 200}
+
+
 def test_invalid_integrator_exits_2_before_audit(tmp_path):
-    cfg_path = tmp_path / "run.yaml"
-    write_config(cfg_path, integrator={"dt": 0.0, "t_end": 1.0})
-    for command in ("simulate", "compare"):
-        out = tmp_path / command
-        assert main([command, "--config", str(cfg_path),
-                     "--outdir", str(out)]) == 2
-        assert not (out / "audit.json").exists()
+    """Every numeric setting is read and checked before the audit writes."""
+    cases = [("integrator", {"dt": 0.0, "t_end": 1.0}),
+             ("integrator", dict(_INTEGRATOR, record_every=0)),
+             ("integrator", dict(_INTEGRATOR, record_every="ten")),
+             ("integrator", dict(_INTEGRATOR, t_end=-1.0)),
+             ("integrator", dict(_INTEGRATOR, max_resample=[1])),
+             ("integrator", 5),
+             ("ensemble", {"size": "ten", "initial": {"kind": "uniform"}}),
+             ("audit", {"samples_per_face": 0}),
+             ("audit", {"samples_per_face": 100, "drift_sign_tol": "tight"}),
+             ("compare", {"tol_multiplier": "abc"}),
+             ("compare", {"stat_tol": float("nan")}),
+             ("compare", {"stationary_window": [0.5]}),
+             ("output", {"dump_every": "often"})]
+    for i, (section, values) in enumerate(cases):
+        cfg_path = tmp_path / f"run{i}.yaml"
+        write_config(cfg_path, **{section: values})
+        commands = {"compare": ["compare"], "output": ["simulate"]}.get(
+            section, ["simulate", "compare"])
+        for command in commands:
+            out = tmp_path / f"{command}{i}"
+            assert main([command, "--config", str(cfg_path),
+                         "--outdir", str(out)]) == 2, (section, values, command)
+            assert not (out / "audit.json").exists(), (section, values, command)
 
 
 def test_simulate_outputs(tmp_path):

@@ -37,10 +37,24 @@ def test_two_point_ensemble_moments():
     npt.assert_allclose(m.kurtosis, [1.0, 1.0])
 
 
+def _batch_moments(states, edges):
+    """Batch moments of states[edges[i]:edges[i+1]], each estimated alone."""
+    parts = [estimate_moments(states[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    return {"count": np.diff(edges), "mean": np.stack([p.mean for p in parts]),
+            "cov": np.stack([p.covariance for p in parts]),
+            "third": np.stack([p.third for p in parts]),
+            "fourth": np.stack([p.fourth for p in parts])}
+
+
 def test_moments_match_exact_two_pass_sums():
-    """Every particle-axis sum is pairwise: 1e6 draws agree with math.fsum."""
+    """Every particle-axis sum is pairwise: 1e6 draws agree with math.fsum,
+    estimated in one batch and merged from 20 uneven batches."""
     draws = np.random.default_rng(41).dirichlet([2.0, 3.0, 5.0], size=10 ** 6)
-    m = estimate_moments(draws)
+    edges = np.concatenate([[0], np.sort(np.random.default_rng(42).choice(
+        np.arange(1, draws.shape[0]), 19, replace=False)), [draws.shape[0]]])
+    assert len(set(np.diff(edges))) == 20
+    whole = estimate_moments(draws)
+    merged = estimate_moments(draws, _batch_moments(draws, edges))
     for i in range(3):
         x = draws[:, i]
         mean = math.fsum(x.tolist()) / x.size
@@ -49,10 +63,17 @@ def test_moments_match_exact_two_pass_sums():
         ref = {"mean": mean, "var": math.fsum(c2.tolist()) / x.size,
                "third": math.fsum((c2 * c).tolist()) / x.size,
                "fourth": math.fsum((c2 * c2).tolist()) / x.size}
-        got = {"mean": m.mean[i], "var": m.covariance[i, i],
-               "third": m.third[i], "fourth": m.fourth[i]}
-        for key, value in ref.items():
-            assert abs(got[key] - value) <= 1e-14 * abs(value), (i, key)
+        for m in (whole, merged):
+            got = {"mean": m.mean[i], "var": m.covariance[i, i],
+                   "third": m.third[i], "fourth": m.fourth[i]}
+            for key, value in ref.items():
+                assert abs(got[key] - value) <= 1e-14 * abs(value), (i, key)
+
+
+def test_merge_needs_every_particle():
+    states = np.random.default_rng(43).dirichlet(np.ones(3), size=100)
+    with pytest.raises(ValueError, match="batches hold 60"):
+        estimate_moments(states, _batch_moments(states[:60], [0, 30, 60]))
 
 
 def test_moments_too_small():
@@ -162,11 +183,15 @@ def _reference_cross_validate(traj, tol_multiplier):
     snaps = traj.snapshots
     times = np.array([s.t for s in snaps])
     dt = traj.config.dt
+    n_rates = snaps[0].batch_rates["mean"].shape[1]
     failures, form_pass = [], {}
     for mkey, rkeys in {"mean": ["mean"], "cov": ["cov"],
                         "third": ["third_ito", "third_printed"],
                         "fourth": ["fourth_ito", "fourth_printed"]}.items():
-        bmom = np.stack([s.batch_moments[mkey] for s in snaps])
+        # the batch moments cover all N components, the rates the K reduced
+        bmom = np.stack([s.batch_moments[mkey] for s in snaps])[..., :n_rates]
+        if mkey == "cov":
+            bmom = bmom[..., :n_rates, :]
         for rkey in rkeys:
             brate = np.stack([s.batch_rates[rkey] for s in snaps])
             rate_overall = brate.mean(axis=1)
@@ -284,7 +309,8 @@ def test_stationary_unsupported():
 
 
 def _reference_batch_statistics(states, proc, t, n_batches=20):
-    """The particle-major per-batch loop that batch_statistics replaced."""
+    """A particle-major per-batch loop: moments of all N components, the
+    remainder read from the states, and rates of the K reduced ones."""
     def central_moments(x):
         mean = x.mean(axis=0)
         mean = mean + (x - mean).mean(axis=0)
@@ -314,11 +340,11 @@ def _reference_batch_statistics(states, proc, t, n_batches=20):
     B = np.moveaxis(proc.diffusion(reduced.T.copy(), t), -1, 0)
     bm, br = {}, {}
     for sl in batch_slices(states.shape[0], n_batches):
-        mean, cov, third, fourth = central_moments(reduced[sl])
-        for key, value in zip(("mean", "cov", "third", "fourth"),
-                              (mean, cov, third, fourth)):
+        mean, cov, third, fourth = central_moments(states[sl])
+        for key, value in zip(("count", "mean", "cov", "third", "fourth"),
+                              (sl.stop - sl.start, mean, cov, third, fourth)):
             bm.setdefault(key, []).append(value)
-        for key, value in rates(reduced[sl] - mean, a[sl], B[sl]).items():
+        for key, value in rates(reduced[sl] - mean[:-1], a[sl], B[sl]).items():
             br.setdefault(key, []).append(value)
     return ({k: np.stack(v) for k, v in bm.items()},
             {k: np.stack(v) for k, v in br.items()})
@@ -399,22 +425,26 @@ def _counting(proc, calls):
 @pytest.mark.parametrize("name", ["beta", "dirichlet-3", "wright_fisher-3",
                                   "nested-3", "user-3"])
 def test_snapshot_evaluates_each_closure_once(name, monkeypatch):
-    """simulate computes the statistics once per snapshot, and
-    batch_statistics evaluates drift and one diffusion closure once."""
+    """simulate computes the statistics once per snapshot, in one pass over
+    the particles, and batch_statistics evaluates drift and one diffusion
+    closure once."""
     proc = _statistics_processes()[name]
-    counts = {"estimate_moments": 0, "batch_statistics": 0}
-    for fname in counts:
-        fn = getattr(statistics, fname)
+    counts = {"estimate_moments": 0, "batch_statistics": 0, "moments": 0}
+    for owner, fname in ((statistics, "estimate_moments"),
+                         (statistics, "batch_statistics"),
+                         (statistics._Batches, "moments")):
+        fn = getattr(owner, fname)
 
         def counted(*args, _fn=fn, _name=fname, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(statistics, fname, counted)
+        monkeypatch.setattr(owner, fname, counted)
     ens = Ensemble.from_uniform(proc.dimension, 200, np.random.default_rng(5))
     traj = simulate(proc, ens, IntegratorConfig(dt=1e-2), t_end=0.1,
                     record_every=3, rng=RandomSource(6, 0))
     assert len(traj.snapshots) == 5
-    assert counts == {"estimate_moments": 5, "batch_statistics": 5}
+    assert counts == {"estimate_moments": 5, "batch_statistics": 5,
+                      "moments": 5}
 
     calls = dict.fromkeys(("drift", "diffusion", "diffusion_diag",
                            "diffusion_factor"), 0)
@@ -425,3 +455,27 @@ def test_snapshot_evaluates_each_closure_once(name, monkeypatch):
                  else "diffusion")
     assert calls == {"drift": 1, "diffusion": 0, "diffusion_diag": 0,
                      "diffusion_factor": 0, diffusion: 1}
+
+
+@pytest.mark.parametrize("m", [10 ** 4, 1003])
+@pytest.mark.parametrize("name", ["beta", "dirichlet-3", "wright_fisher-3",
+                                  "nested-3"])
+def test_snapshot_moments_merge_to_one_batch_estimate(name, m):
+    """A snapshot's MomentSet, merged from its 20 batches, is the one-batch
+    estimate of its full states to roundoff.  A central moment of order p
+    is scaled by the largest variance to the power p/2, the size of its
+    roundoff: from the symmetric uniform start beta's third moment is near
+    1e-4 of that, so its own magnitude would measure cancellation."""
+    proc = _statistics_processes()[name]
+    ens = Ensemble.from_uniform(proc.dimension, m, np.random.default_rng(8))
+    traj = simulate(proc, ens, IntegratorConfig(dt=1e-2), t_end=0.06,
+                    record_every=3, rng=RandomSource(9, 0), dump_every=3)
+    assert len(traj.snapshots) == len(traj.dumps) == 3
+    for snap in traj.snapshots:
+        ref = estimate_moments(traj.dumps[snap.t])
+        assert snap.batch_moments["mean"].shape == (20, proc.dimension)
+        var = np.max(np.diagonal(ref.covariance))
+        for key, scale in (("mean", np.max(ref.mean)), ("covariance", var),
+                           ("third", var ** 1.5), ("fourth", var ** 2)):
+            got, want = getattr(snap.moments, key), getattr(ref, key)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, key
