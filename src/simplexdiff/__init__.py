@@ -8,17 +8,16 @@ policies, and statistical validation of the moment evolution.
 
 __version__ = "0.1.0"
 
-from .core import (BoundaryFace, Ensemble, ProcessDefinition, ReducedState,
-                   SimplexState, boundary_distance, complete_reduced,
-                   enumerate_faces, make_state, sample_face)
+from .core import (BoundaryFace, Ensemble, ProcessDefinition, SimplexState,
+                   enumerate_faces, make_state)
 from .errors import (ConfigError, DegenerateState,
                      DirichletConstraintViolated, EnsembleTooSmall,
                      EvaluationFailure, InsufficientSnapshots,
                      InvalidParameter, NegativeComponent,
                      NotPositiveSemiDefinite, SimplexDiffError,
                      SingularNesting, SumViolation, UnsupportedProcess)
-from .integrator import (IntegratorConfig, RandomSource, Snapshot, StepResult,
-                         Trajectory, simulate, step)
+from .integrator import (IntegratorConfig, RandomSource, Snapshot, Trajectory,
+                         simulate)
 from .processes import (BetaParams, DirichletParams, GenDirichletParams,
                         WrightFisherParams, beta_process, broken_process,
                         dirichlet_process, gen_dirichlet_process,
@@ -26,29 +25,26 @@ from .processes import (BetaParams, DirichletParams, GenDirichletParams,
 from .realizability import (AuditCheck, AuditReport, ToleranceSet,
                             audit_boundary, audit_covariance_structure,
                             audit_moment_bounds)
-from .statistics import (CrossValidationReport, MomentRates, MomentSet,
-                         analytic_stationary, batch_statistics,
-                         cross_validate_rates, dirichlet_moments,
-                         estimate_moments, estimate_rates)
+from .statistics import (CrossValidationReport, MomentSet, analytic_stationary,
+                         batch_statistics, cross_validate_rates,
+                         dirichlet_moments, estimate_moments, estimate_rates)
 
 __all__ = [
     "__version__",
-    "BoundaryFace", "Ensemble", "ProcessDefinition", "ReducedState",
-    "SimplexState", "boundary_distance", "complete_reduced",
-    "enumerate_faces", "make_state", "sample_face",
+    "BoundaryFace", "Ensemble", "ProcessDefinition", "SimplexState",
+    "enumerate_faces", "make_state",
     "ConfigError", "DegenerateState", "DirichletConstraintViolated",
     "EnsembleTooSmall", "EvaluationFailure", "InsufficientSnapshots",
     "InvalidParameter", "NegativeComponent", "NotPositiveSemiDefinite",
     "SimplexDiffError", "SingularNesting", "SumViolation",
     "UnsupportedProcess",
-    "IntegratorConfig", "RandomSource", "Snapshot", "StepResult",
-    "Trajectory", "simulate", "step",
+    "IntegratorConfig", "RandomSource", "Snapshot", "Trajectory", "simulate",
     "BetaParams", "DirichletParams", "GenDirichletParams",
     "WrightFisherParams", "beta_process", "broken_process",
     "dirichlet_process", "gen_dirichlet_process", "wright_fisher_process",
     "AuditCheck", "AuditReport", "ToleranceSet", "audit_boundary",
     "audit_covariance_structure", "audit_moment_bounds",
-    "CrossValidationReport", "MomentRates", "MomentSet",
+    "CrossValidationReport", "MomentSet",
     "analytic_stationary", "batch_statistics", "cross_validate_rates",
     "dirichlet_moments", "estimate_moments", "estimate_rates",
 ]

@@ -30,7 +30,8 @@ from .processes import (BetaParams, DirichletParams, GenDirichletParams,
                         WrightFisherParams, beta_process, broken_process,
                         dirichlet_process, gen_dirichlet_process,
                         wright_fisher_process)
-from .realizability import ToleranceSet, audit_boundary
+from .realizability import (ToleranceSet, audit_boundary,
+                            audit_covariance_structure, audit_moment_bounds)
 from .statistics import (UnsupportedProcess, analytic_stationary,
                          batch_mean_se, cross_validate_rates)
 
@@ -90,19 +91,23 @@ def build_process(cfg: dict):
 
 
 def setting(cfg: dict, section: str, key: str, default, kind=float, low=0):
-    """cfg[section][key], or default, as a finite kind above low; else ConfigError."""
+    """cfg[section][key], or default, as a finite kind above low; else ConfigError.
+
+    A bool is not a number, and an int setting takes only integral values.
+    """
     spec = cfg.get(section) or {}
     if not isinstance(spec, dict):
         raise ConfigError(f"config section {section!r} is not a mapping")
     raw = spec.get(key, default)
     try:
-        value = kind(raw)
+        value = None if isinstance(raw, bool) else float(raw)
     except (TypeError, ValueError, OverflowError):
         value = None
-    if value is None or not (value > low and np.isfinite(value)):
+    if (value is None or not (value > low and np.isfinite(value))
+            or (kind is int and not value.is_integer())):
         bound = f"an integer >= {low + 1}" if kind is int else f"a number > {low}"
         raise ConfigError(f"{section}.{key} must be {bound}, got {raw!r}")
-    return value
+    return kind(value)
 
 
 def build_ensemble(cfg: dict, n: int, gen: np.random.Generator) -> Ensemble:
@@ -291,16 +296,40 @@ def stationary_checks(traj, oracle, window, stat_tol: float):
     return checks
 
 
+def moment_audit(traj, tol: ToleranceSet) -> dict:
+    """The moment-bound and covariance-structure audits of every snapshot.
+
+    Per constraint: the worst violation over all snapshots, the time of its
+    first occurrence, and whether every snapshot passed.
+    """
+    worst = {}
+    for snap in traj.snapshots:
+        m = snap.moments
+        for audit in (audit_moment_bounds, audit_covariance_structure):
+            for c in audit(m, m.ensemble_size, tol).checks:
+                w = worst.setdefault(c.constraint, {
+                    "constraint": c.constraint, "violation": -1.0,
+                    "t": None, "passed": True})
+                if c.violation > w["violation"]:
+                    w["violation"], w["t"] = c.violation, snap.t
+                w["passed"] = w["passed"] and bool(c.passed)
+    checks = list(worst.values())
+    return {"overall_pass": all(c["passed"] for c in checks), "checks": checks}
+
+
 def cmd_compare(cfg: dict, args) -> int:
     outdir = resolve_outdir(cfg, args)
     tol_multiplier = setting(cfg, "compare", "tol_multiplier", 3.0)
     stat_tol = setting(cfg, "compare", "stat_tol", 3.0)
     window = (cfg.get("compare") or {}).get("stationary_window")
     try:
-        lo, hi = (None, None) if window is None else map(float, window)
+        # only a list is read: a string would unpack character by character
+        lo, hi = ((None, None) if window is None
+                  else map(float, window) if isinstance(window, list) else ())
     except (TypeError, ValueError) as exc:
-        raise ConfigError("compare.stationary_window must be two numbers, "
-                          f"got {window!r}") from exc
+        raise ConfigError("compare.stationary_window must be a list of two "
+                          f"numbers, got {window!r}") from exc
+    tol = build_tolerances(cfg)
     proc, traj, seed = _run_simulation(cfg, args, outdir)
     if traj is None:
         return 1
@@ -319,6 +348,8 @@ def cmd_compare(cfg: dict, args) -> int:
         result["stationary"] = {"available": True, "window": [lo, hi],
                                 "checks": checks, "overall_pass": stat_pass}
         passed = passed and stat_pass
+    audit = result["moment_audit"] = moment_audit(traj, tol)
+    passed = passed and audit["overall_pass"]
     result["overall_pass"] = passed
     with open(os.path.join(outdir, "compare.json"), "w") as f:
         json.dump(result, f, indent=2)
@@ -328,7 +359,8 @@ def cmd_compare(cfg: dict, args) -> int:
                    _trajectory_counters(traj))
     print(f"compare: rate check {'pass' if rate_report.overall_pass else 'FAIL'}"
           f" (third form: {rate_report.matching_third_form},"
-          f" fourth form: {rate_report.matching_fourth_form});"
+          f" fourth form: {rate_report.matching_fourth_form}); moment audit"
+          f" {'pass' if audit['overall_pass'] else 'FAIL'};"
           f" overall {'pass' if passed else 'FAIL'}")
     return 0 if passed else 1
 

@@ -35,21 +35,6 @@ class SimplexState:
     def n(self) -> int:
         return self.fractions.shape[0]
 
-    def reduced(self) -> "ReducedState":
-        """Drop the determined last component."""
-        return ReducedState(_readonly(self.fractions[:-1]))
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """The N-1 independent coordinates; each >= 0, sum <= 1."""
-
-    fractions: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.fractions.shape[0]
-
 
 @dataclass(frozen=True)
 class BoundaryFace:
@@ -167,31 +152,6 @@ def make_state(fractions) -> SimplexState:
     return SimplexState(_readonly(y))
 
 
-def complete_reduced(reduced: ReducedState) -> SimplexState:
-    """Append the determined remainder 1 - sum(Y) as the last component."""
-    y = reduced.fractions
-    if np.any(y < -TOL_SUM):
-        bad = int(np.argmin(y))
-        raise NegativeComponent(f"component {bad + 1} is {y[bad]:.3e}")
-    s = y.sum()
-    if s > 1.0 + TOL_SUM:
-        raise SumViolation(f"reduced components sum to {s!r} > 1")
-    last = max(1.0 - s, 0.0)
-    return SimplexState(_readonly(np.concatenate([np.maximum(y, 0.0), [last]])))
-
-
-def boundary_distance(state: ReducedState) -> float:
-    """Euclidean distance from a reduced state to the nearest boundary face.
-
-    The zero face Y_alpha = 0 is at distance Y_alpha; the unit-sum
-    hyperplane sum(Y) = 1 is at distance (1 - sum(Y)) / sqrt(N-1).
-    """
-    y = state.fractions
-    d_zero = float(np.min(y))
-    d_sum = float((1.0 - y.sum()) / np.sqrt(y.shape[0]))
-    return max(min(d_zero, d_sum), 0.0)
-
-
 def face_points(face: BoundaryFace, k: int, n_samples: int,
                 rng: np.random.Generator) -> np.ndarray:
     """n_samples uniform points on one boundary face of the reduced k-dim polytope.
@@ -210,11 +170,6 @@ def face_points(face: BoundaryFace, k: int, n_samples: int,
         pts = rng.dirichlet(np.ones(k), size=n_samples) if k > 1 else np.ones((n_samples, 1))
         return pts / pts.sum(axis=1, keepdims=True)  # tighten the face equation
     raise ValueError(f"unknown face kind {face.kind!r}")
-
-
-def sample_face(face: BoundaryFace, rng: np.random.Generator, k: int) -> ReducedState:
-    """One uniform sample on a boundary face: the single-row face_points."""
-    return ReducedState(_readonly(face_points(face, k, 1, rng)[0]))
 
 
 class Ensemble:

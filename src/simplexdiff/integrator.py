@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Ensemble, ProcessDefinition, ReducedState, _readonly,
-                   component_major)
+from .core import Ensemble, ProcessDefinition, component_major
 from .errors import DegenerateState, NotPositiveSemiDefinite
 from . import statistics as stats_mod
 
@@ -184,22 +183,6 @@ def _advance(proc, ys, t, cfg, rng):
     if np.any(bad):
         prop[:, bad] = _clip_renormalize(prop[:, bad])
     return prop, modified, clipped
-
-
-@dataclass
-class StepResult:
-    state: ReducedState
-    modified: bool
-    clipped: bool
-
-
-def step(state: ReducedState, proc: ProcessDefinition, t: float,
-         cfg: IntegratorConfig, rng: RandomSource) -> StepResult:
-    """Advance a single reduced state by one time step."""
-    ys = state.fractions[:, np.newaxis].copy()
-    out, modified, clipped = _advance(proc, ys, t, cfg, rng)
-    return StepResult(ReducedState(_readonly(out[:, 0])),
-                      bool(modified[0]), bool(clipped[0]))
 
 
 def _full_states(ys):

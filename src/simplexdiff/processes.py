@@ -85,10 +85,6 @@ class BetaParams:
         if not 0.0 <= self.S <= 1.0:
             raise InvalidParameter("S", f"must be in [0, 1], got {self.S}")
 
-    @property
-    def absorbing_allowed(self) -> bool:
-        return self.S in (0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class WrightFisherParams:
@@ -183,8 +179,7 @@ def beta_process(p: BetaParams) -> ProcessDefinition:
 
     return ProcessDefinition(
         dimension=2, drift=drift, name="beta",
-        parameters={"b": b, "S": S, "kappa": kappa,
-                    "absorbing_allowed": p.absorbing_allowed},
+        parameters={"b": b, "S": S, "kappa": kappa},
         diffusion_diag=diffusion_diag)
 
 

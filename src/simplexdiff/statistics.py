@@ -35,34 +35,12 @@ class MomentSet:
     kurtosis: np.ndarray      # (N,), NaN where variance is below guard
     ensemble_size: int
 
-    @property
-    def n(self) -> int:
-        return self.mean.shape[0]
-
     def covariance_row_sums(self) -> np.ndarray:
         return self.covariance.sum(axis=1)
 
     def weak_constraint_residual(self) -> float:
         """Sum of the reduced-block covariances minus the remainder variance."""
         return float(self.covariance[:-1, :-1].sum() - self.covariance[-1, -1])
-
-
-@dataclass
-class MomentRates:
-    """Evolution rates of the first four moments over the reduced components.
-
-    The third/fourth rates come in two algebraic forms: the "ito" form
-    obtained by direct expansion of the centered powers (centered drift,
-    own diagonal diffusion entry), and a "printed" variant with the raw
-    drift and a diffusion contribution summed over every diagonal entry.
-    """
-
-    mean_rate: np.ndarray        # (K,)
-    cov_rate: np.ndarray         # (K, K)
-    third_rate: np.ndarray       # (K,) ito form
-    fourth_rate: np.ndarray      # (K,) ito form
-    third_rate_variant: np.ndarray   # (K,) printed form
-    fourth_rate_variant: np.ndarray  # (K,) printed form
 
 
 def batch_slices(m: int, n_batches: int):
@@ -149,12 +127,9 @@ def estimate_moments(states: np.ndarray, batch_moments=None) -> MomentSet:
 
 
 def estimate_rates(states: np.ndarray, proc: ProcessDefinition,
-                   t: float) -> MomentRates:
-    """The moment evolution rates: batch_statistics with one batch."""
-    _, r = batch_statistics(states, proc, t, 1)
-    return MomentRates(*(r[k][0] for k in ("mean", "cov", "third_ito",
-                                           "fourth_ito", "third_printed",
-                                           "fourth_printed")))
+                   t: float) -> dict:
+    """The rates of batch_statistics with one batch, without the batch axis."""
+    return {key: r[0] for key, r in batch_statistics(states, proc, t, 1)[1].items()}
 
 
 def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
@@ -165,7 +140,10 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
     batch axis: each batch's count, mean, cov, third and fourth central
     moments of the (M, N) full states, the remainder estimated from its
     column, and the rates of the K = N-1 reduced components, read from the
-    first K rows of the same centred powers.  Drift and one diffusion closure
+    first K rows of the same centred powers: mean, cov, and the third and
+    fourth moment rates in two forms, "ito" (the expansion of the centred
+    powers: centred drift, own diagonal diffusion entry) and "printed" (raw
+    drift, diffusion trace).  Drift and one diffusion closure
     (diffusion_diag for a diagonal process: no (K, K, M) matrix) are
     evaluated once on the reduced rows; each per-batch sum is one segment sum.
     """

@@ -1,4 +1,6 @@
 import ctypes
+import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -185,14 +187,21 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
              ("integrator", dict(_INTEGRATOR, record_every="ten")),
              ("integrator", dict(_INTEGRATOR, t_end=-1.0)),
              ("integrator", dict(_INTEGRATOR, max_resample=[1])),
+             ("integrator", dict(_INTEGRATOR, record_every=2.5)),
+             ("integrator", dict(_INTEGRATOR, record_every=True)),
+             ("integrator", dict(_INTEGRATOR, max_resample=9.9)),
              ("integrator", 5),
              ("ensemble", {"size": "ten", "initial": {"kind": "uniform"}}),
+             ("ensemble", {"size": 10.5, "initial": {"kind": "uniform"}}),
              ("audit", {"samples_per_face": 0}),
              ("audit", {"samples_per_face": 100, "drift_sign_tol": "tight"}),
              ("compare", {"tol_multiplier": "abc"}),
              ("compare", {"stat_tol": float("nan")}),
              ("compare", {"stationary_window": [0.5]}),
-             ("output", {"dump_every": "often"})]
+             ("compare", {"stationary_window": "12"}),
+             ("output", {"dump_every": "often"}),
+             ("output", {"dump_every": 2.5}),
+             ("output", {"dump_every": True})]
     for i, (section, values) in enumerate(cases):
         cfg_path = tmp_path / f"run{i}.yaml"
         write_config(cfg_path, **{section: values})
@@ -203,6 +212,9 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
             assert main([command, "--config", str(cfg_path),
                          "--outdir", str(out)]) == 2, (section, values, command)
             assert not (out / "audit.json").exists(), (section, values, command)
+    # an integral float is a count
+    size = cli.setting({"ensemble": {"size": 10000.0}}, "ensemble", "size", 1, int)
+    assert size == 10000 and type(size) is int
 
 
 def test_simulate_outputs(tmp_path):
@@ -311,6 +323,41 @@ def test_compare_beta_stationary(tmp_path):
     var_check = [c for c in result["stationary"]["checks"]
                  if c["quantity"] == "cov[1,1]"][0]
     assert var_check["residual"] <= var_check["threshold"]
+    audit = result["moment_audit"]
+    assert audit["overall_pass"] is True
+    assert {c["constraint"] for c in audit["checks"]} >= {
+        "means-sum-to-one", "covariance-row-sums-zero", "covariance-symmetry"}
+
+
+def test_compare_fails_on_moment_audit(tmp_path, monkeypatch):
+    """compare.json keeps each moment constraint's worst violation over the
+    snapshots and its time, and a failing moment audit makes compare exit 1."""
+    audit = cli.audit_moment_bounds
+    calls = []
+
+    def shifted(m, size, tol):
+        calls.append(m)
+        if len(calls) == 3:  # the snapshot at t = 1.6: means sum to 1.5
+            m = dataclasses.replace(m, mean=m.mean + 0.25)
+        return audit(m, size, tol)
+
+    monkeypatch.setattr(cli, "audit_moment_bounds", shifted)
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path,
+                 integrator={"dt": 1e-3, "t_end": 8.0, "record_every": 800},
+                 ensemble={"size": 2000,
+                           "initial": {"kind": "delta", "point": [0.9, 0.1]}},
+                 compare={"stationary_window": [4.0, 8.0]})
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg_path),
+                 "--outdir", str(out)]) == 1
+    result = json.loads((out / "compare.json").read_text())
+    assert result["rate_check"]["overall_pass"] is True
+    assert result["stationary"]["overall_pass"] is True
+    assert result["moment_audit"]["overall_pass"] is result["overall_pass"] is False
+    failed = [c for c in result["moment_audit"]["checks"] if not c["passed"]]
+    assert [(c["constraint"], c["t"]) for c in failed] == [("means-sum-to-one", 1.6)]
+    assert failed[0]["violation"] == pytest.approx(0.5)
 
 
 def test_compare_writes_counters_and_builds_no_dumps(tmp_path, monkeypatch):
@@ -381,3 +428,28 @@ def test_load_config_requires_keys(tmp_path):
     from simplexdiff.errors import ConfigError
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
+    """The benchmark's tracer patches simplexdiff's entry points by name: a
+    traced compare still records drift calls, snapshots and normal draws."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    tracing = importlib.import_module("tracing")
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path,
+                 process={"name": "wright_fisher",
+                          "params": {"omega": [1.0, 1.0, 1.0]}},
+                 integrator={"dt": 1e-3, "t_end": 0.02, "record_every": 5},
+                 ensemble={"size": 200, "initial": {
+                     "kind": "delta", "point": [1 / 3, 1 / 3, 1 / 3]}})
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        code = cli.main(["compare", "--config", str(cfg_path),
+                         "--outdir", str(tmp_path / "out")])
+    assert code in (0, 1)
+    metrics = tracing.layer_metrics(tracer.spans, 0, 0)
+    for name in ("processes.drift_calls", "statistics.snapshots",
+                 "integrator.normals_drawn"):
+        assert metrics[name] > 0, name

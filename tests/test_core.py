@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexdiff import (BoundaryFace, DirichletParams, Ensemble,
-                         NegativeComponent, ProcessDefinition, ReducedState,
-                         SumViolation, boundary_distance, complete_reduced,
-                         dirichlet_process, enumerate_faces, make_state,
-                         sample_face)
+                         NegativeComponent, ProcessDefinition, SumViolation,
+                         dirichlet_process, enumerate_faces, make_state)
+from simplexdiff.core import face_points
+
+
+def boundary_distance(y):
+    """Euclidean distance from a reduced state to the nearest face: Y_alpha
+    to the zero face alpha, (1 - sum Y) / sqrt(K) to the unit-sum face."""
+    return max(min(np.min(y), (1.0 - np.sum(y)) / np.sqrt(len(y))), 0.0)
 
 
 def test_make_state_exact_sum():
@@ -41,41 +46,6 @@ def test_make_state_renormalizes_and_preserves_zeros():
     assert s.fractions[1] == 0.0
 
 
-def test_complete_reduced_examples():
-    npt.assert_array_equal(
-        complete_reduced(ReducedState(np.array([0.25, 0.25]))).fractions,
-        [0.25, 0.25, 0.5])
-    npt.assert_array_equal(
-        complete_reduced(ReducedState(np.array([0.0]))).fractions, [0.0, 1.0])
-    with pytest.raises(SumViolation):
-        complete_reduced(ReducedState(np.array([0.7, 0.5])))
-
-
-def test_complete_reduced_roundtrip():
-    s = make_state([0.1, 0.2, 0.7])
-    npt.assert_allclose(complete_reduced(s.reduced()).fractions, s.fractions,
-                        atol=1e-15)
-
-
-def test_boundary_distance_examples():
-    # interior centroid: nearest face is the unit-sum hyperplane
-    d = boundary_distance(ReducedState(np.array([1 / 3, 1 / 3])))
-    npt.assert_allclose(d, 1.0 / (3.0 * np.sqrt(2.0)), rtol=1e-14)
-    assert boundary_distance(ReducedState(np.array([0.0]))) == 0.0
-    assert boundary_distance(ReducedState(np.array([0.5, 0.5]))) == 0.0
-
-
-def test_boundary_distance_brute_force():
-    """Compare with direct minimization over dense samples of each face."""
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        y = rng.dirichlet([1.0, 1.0, 1.0])[:2]
-        d = boundary_distance(ReducedState(y))
-        # distances to the three faces of the reduced triangle
-        direct = min(y[0], y[1], (1.0 - y.sum()) / np.sqrt(2.0))
-        npt.assert_allclose(d, direct, atol=1e-14)
-
-
 def test_enumerate_faces():
     faces = enumerate_faces(3)
     assert [f.kind for f in faces] == ["zero", "zero", "unitsum"]
@@ -86,18 +56,17 @@ def test_enumerate_faces():
 def test_sample_face_on_face():
     rng = np.random.default_rng(0)
     for face in enumerate_faces(3):
-        for _ in range(50):
-            s = sample_face(face, rng, 2)
-            assert boundary_distance(s) <= 1e-14
+        for y in face_points(face, 2, 50, rng):
+            assert boundary_distance(y) <= 1e-14
             if face.kind == "zero":
-                assert s.fractions[face.alpha] == 0.0
-                assert boundary_distance(s) == 0.0
+                assert y[face.alpha] == 0.0
+                assert boundary_distance(y) == 0.0
 
 
 def test_sample_face_n2_zero_is_deterministic():
     rng = np.random.default_rng(0)
-    s = sample_face(BoundaryFace("zero", 0), rng, 1)
-    npt.assert_array_equal(s.fractions, [0.0])
+    npt.assert_array_equal(face_points(BoundaryFace("zero", 0), 1, 1, rng),
+                           [[0.0]])
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,11 +9,19 @@ from simplexdiff import (BetaParams, DegenerateState, DirichletParams, Ensemble,
                          NotPositiveSemiDefinite, ProcessDefinition,
                          RandomSource, WrightFisherParams, beta_process,
                          broken_process, dirichlet_process,
-                         gen_dirichlet_process, make_state, simulate, step,
+                         gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
-from simplexdiff.core import BoundaryFace, ReducedState, face_points
+from simplexdiff.core import BoundaryFace, face_points
 from simplexdiff.integrator import _advance, _columns, _noise
 from simplexdiff.processes import _running
+
+
+def step(y, proc, t, cfg, rng):
+    """One step of a single (K,) reduced state, as a (K, 1) batch:
+    (the new state, whether it was modified, whether it was clipped)."""
+    out, modified, clipped = _advance(proc, np.array(y, dtype=float)[:, np.newaxis],
+                                      t, cfg, rng)
+    return out[:, 0], bool(modified[0]), bool(clipped[0])
 
 
 def constant_process(a, n=3):
@@ -34,18 +42,16 @@ def constant_process(a, n=3):
 def test_step_zero_diffusion_is_euler():
     p = constant_process([0.05, -0.02])
     cfg = IntegratorConfig(dt=1e-2)
-    res = step(ReducedState(np.array([0.3, 0.4])), p, 0.0, cfg,
-               RandomSource(1, 0))
-    npt.assert_allclose(res.state.fractions, [0.3 + 0.05e-2, 0.4 - 0.02e-2],
-                        rtol=1e-15)
-    assert not res.modified and not res.clipped
+    y, modified, clipped = step([0.3, 0.4], p, 0.0, cfg, RandomSource(1, 0))
+    npt.assert_allclose(y, [0.3 + 0.05e-2, 0.4 - 0.02e-2], rtol=1e-15)
+    assert not modified and not clipped
 
 
 def test_step_reenters_from_boundary():
     p = beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
     cfg = IntegratorConfig(dt=1e-3)
-    res = step(ReducedState(np.array([0.0])), p, 0.0, cfg, RandomSource(2, 0))
-    npt.assert_allclose(res.state.fractions, [0.5e-3], rtol=1e-15)
+    y, _, _ = step([0.0], p, 0.0, cfg, RandomSource(2, 0))
+    npt.assert_allclose(y, [0.5e-3], rtol=1e-15)
 
 
 def test_clipped_fraction_regression_pin():
@@ -161,8 +167,7 @@ def test_indefinite_diffusion_raises(path):
         name="indefinite",
         diffusion_diag=diffusion_diag if path == "diffusion_diag" else None)
     with pytest.raises(NotPositiveSemiDefinite):
-        step(ReducedState(np.array([0.3, 0.4])), p, 0.0,
-             IntegratorConfig(dt=1e-3), RandomSource(6, 0))
+        step([0.3, 0.4], p, 0.0, IntegratorConfig(dt=1e-3), RandomSource(6, 0))
 
 
 def _factor_forms(n=3):
@@ -230,9 +235,10 @@ def test_step_evaluates_each_closure_once():
     """An always-rejected step: every round redraws, then the state is clipped."""
     calls = {"drift": 0, "diffusion_diag": 0, "normals": 0}
     proc = _counted(broken_process("outward_drift"), calls)
-    res = step(ReducedState(np.array([0.3, 0.4])), proc, 0.0,
-               IntegratorConfig(dt=1.0, max_resample=5), CountingSource(13, calls))
-    assert res.clipped
+    _, _, clipped = step([0.3, 0.4], proc, 0.0,
+                         IntegratorConfig(dt=1.0, max_resample=5),
+                         CountingSource(13, calls))
+    assert clipped
     assert calls == {"drift": 1, "diffusion_diag": 1, "normals": 6}
 
 
@@ -394,6 +400,5 @@ def test_step_matches_batched_column(form, n):
     out, modified, _ = _advance(proc, ys, 0.0, cfg, ReplaySource(xi))
     assert not np.any(modified)
     for j in range(50):
-        res = step(ReducedState(ys[:, j].copy()), proc, 0.0, cfg,
-                   ReplaySource(xi[j:j + 1]))
-        assert res.state.fractions.tobytes() == out[:, j].tobytes(), f"particle {j}"
+        y, _, _ = step(ys[:, j], proc, 0.0, cfg, ReplaySource(xi[j:j + 1]))
+        assert y.tobytes() == out[:, j].tobytes(), f"particle {j}"

@@ -36,8 +36,6 @@ def test_beta_param_validation():
         BetaParams(b=-1.0, S=0.5, kappa=1.0)
     with pytest.raises(InvalidParameter):
         BetaParams(b=1.0, S=1.5, kappa=1.0)
-    assert BetaParams(b=1.0, S=0.0, kappa=1.0).absorbing_allowed
-    assert not BetaParams(b=1.0, S=0.5, kappa=1.0).absorbing_allowed
 
 
 def test_wright_fisher_centroid():

@@ -104,7 +104,7 @@ def test_beta_mean_rate_affine_identity():
     states = rng.dirichlet([1.0, 1.0], size=1000)
     r = estimate_rates(states, p, 0.0)
     mean = states[:, 0].mean()
-    npt.assert_allclose(r.mean_rate[0], 1.0 * (0.5 - mean), rtol=1e-12)
+    npt.assert_allclose(r["mean"][0], 1.0 * (0.5 - mean), rtol=1e-12)
 
 
 def test_beta_cov_rate_identity():
@@ -116,7 +116,7 @@ def test_beta_cov_rate_identity():
     r = estimate_rates(states, p, 0.0)
     y1 = states[:, 0]
     expected = -b * y1.var() + kappa * (y1.mean() - np.mean(y1 ** 2))
-    npt.assert_allclose(r.cov_rate[0, 0], expected, rtol=1e-10)
+    npt.assert_allclose(r["cov"][0, 0], expected, rtol=1e-10)
 
 
 def test_degenerate_cov_rate_equals_diffusion():
@@ -125,7 +125,7 @@ def test_degenerate_cov_rate_equals_diffusion():
                                           kappa=np.array([1.0, 1.0])))
     states = np.tile([0.25, 0.25, 0.5], (10, 1))
     r = estimate_rates(states, p, 0.0)
-    npt.assert_allclose(r.cov_rate, np.diag([0.125, 0.125]), atol=1e-15)
+    npt.assert_allclose(r["cov"], np.diag([0.125, 0.125]), atol=1e-15)
 
 
 def test_cov_rate_symmetry():
@@ -133,7 +133,7 @@ def test_cov_rate_symmetry():
     rng = np.random.default_rng(15)
     states = rng.dirichlet([1.0, 1.0, 1.0], size=500)
     r = estimate_rates(states, p, 0.0)
-    npt.assert_array_equal(r.cov_rate, r.cov_rate.T)
+    npt.assert_array_equal(r["cov"], r["cov"].T)
 
 
 def test_rate_forms_differ_by_drift_centering_for_n2():
@@ -144,8 +144,8 @@ def test_rate_forms_differ_by_drift_centering_for_n2():
     # with a single reduced component the printed diffusion sum is the
     # own-diagonal term; the forms differ only by the drift centering
     var = np.var(states[:, 0])
-    npt.assert_allclose(r.third_rate_variant - r.third_rate,
-                        3.0 * var * r.mean_rate, atol=1e-14)
+    npt.assert_allclose(r["third_printed"] - r["third_ito"],
+                        3.0 * var * r["mean"], atol=1e-14)
 
 
 def _static_process(n=3):
@@ -389,11 +389,8 @@ def test_batch_statistics_match_per_batch_loop(name, m):
             _assert_scaled_close(g[key], r[key], key)
     rates = estimate_rates(states, proc, 0.3)
     _, whole = _reference_batch_statistics(states, proc, 0.3, n_batches=1)
-    for key, value in {"mean": rates.mean_rate, "cov": rates.cov_rate,
-                       "third_ito": rates.third_rate,
-                       "fourth_ito": rates.fourth_rate,
-                       "third_printed": rates.third_rate_variant,
-                       "fourth_printed": rates.fourth_rate_variant}.items():
+    assert rates.keys() == whole.keys()
+    for key, value in rates.items():
         _assert_scaled_close(value, whole[key][0], key)
 
 
