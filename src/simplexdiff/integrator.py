@@ -93,7 +93,8 @@ def _noise_factor(proc: ProcessDefinition, ys: np.ndarray, t: float):
         if np.min(d) < NEGATIVE_CLAMP:
             raise NotPositiveSemiDefinite(
                 f"diagonal diffusion entry {np.min(d):.3e} < 0")
-        return np.sqrt(np.maximum(d, 0.0))
+        root = np.maximum(d, 0.0)
+        return np.sqrt(root, out=root)
     B = proc.diffusion(ys, t)
     w, V = np.linalg.eigh(np.moveaxis(B, -1, 0))
     scale = max(float(np.max(np.abs(B))), 1.0)
@@ -104,8 +105,10 @@ def _noise_factor(proc: ProcessDefinition, ys: np.ndarray, t: float):
 
 
 def _columns(L, idx):
-    """The noise factor of the particles idx."""
-    return tuple(a[:, idx] for a in L) if isinstance(L, tuple) else L[..., idx]
+    """The noise factor of the particles idx, C-contiguous like the whole."""
+    if isinstance(L, tuple):
+        return tuple(np.take(a, idx, axis=-1) for a in L)
+    return np.take(L, idx, axis=-1)
 
 
 def _noise(L, xi):
@@ -121,8 +124,9 @@ def _noise(L, xi):
         if isinstance(L, tuple):
             d, u, v = L
             half[j % 2, j] += d[j] * xi[j]
-            c = np.multiply(u[j + 1:], v[j], out=col[j + 1:])
-            half[j % 2, j + 1:] += np.multiply(c, xi[j], out=c)
+            if j + 1 < xi.shape[0]:
+                c = np.multiply(u[j + 1:], v[j], out=col[j + 1:])
+                half[j % 2, j + 1:] += np.multiply(c, xi[j], out=c)
         else:
             half[j % 2] += L[:, j] * xi[j]
     return half[0] + half[1]
@@ -134,8 +138,18 @@ def _normals(rng, m, k):
 
 
 def _invalid_mask(ys, tol=0.0):
-    """Columns outside the reduced simplex; a non-finite column counts as outside."""
-    return ~(np.all(ys >= 0.0, axis=0) & (np.sum(ys, axis=0) <= 1.0 + tol))
+    """Columns outside the reduced simplex; a non-finite column counts as outside.
+
+    Row by row: each column's sum runs in the order of np.sum(axis=0) over
+    a C-ordered batch, whatever the number of columns.
+    """
+    total = low = ys[0]
+    for row in ys[1:]:
+        total = total + row
+        low = np.minimum(low, row)
+    ok = low >= 0.0
+    ok &= total <= 1.0 + tol
+    return ~ok
 
 
 def _clip_renormalize(ys):
@@ -149,7 +163,12 @@ def _clip_renormalize(ys):
 
 
 def _advance(proc, ys, t, cfg, rng):
-    """One Euler-Maruyama step for a (K, M) batch; returns (states, modified, clipped)."""
+    """One Euler-Maruyama step for a (K, M) batch; returns (states, modified, clipped).
+
+    Invalid columns are redrawn, in column order, as one shrinking subset
+    whose drift term and noise factor are gathered once; a column still
+    invalid after max_resample redraws is clipped from its last redraw.
+    """
     k, m = ys.shape
     xi = _normals(rng, m, k)
     try:
@@ -159,29 +178,38 @@ def _advance(proc, ys, t, cfg, rng):
         raise
     except Exception as exc:  # drift/diffusion raised at a simulated state
         raise DegenerateState(f"evaluation failed at t={t}: {exc}") from exc
-    base = ys + a * cfg.dt
-    prop = base + _noise(L, xi) * np.sqrt(cfg.dt)
-    bad = _invalid_mask(prop)
-    modified = bad.copy()
-    if not np.any(bad):
-        return prop, modified, bad
+    # in place only on arrays allocated here: a closure may return a view
+    sqrt_dt = np.sqrt(cfg.dt)
+    base = np.multiply(a, cfg.dt, out=np.empty(ys.shape))
+    base += ys
+    prop = _noise(L, xi)
+    prop *= sqrt_dt
+    prop += base
+    modified = _invalid_mask(prop)
+    clipped = np.zeros(m, dtype=bool)
+    idx = np.flatnonzero(modified)
+    if idx.size == 0:
+        return prop, modified, clipped
     # invalid columns include non-finite ones; redraws of finite ones stay finite
-    cols = np.flatnonzero(bad)
-    finite = np.all(np.isfinite(prop[:, cols]), axis=0)
+    cand = np.take(prop, idx, axis=1)
+    finite = np.all(np.isfinite(cand), axis=0)
     if not np.all(finite):
         raise DegenerateState(
-            f"non-finite proposal for particle {cols[np.argmin(finite)]}")
+            f"non-finite proposal for particle {idx[np.argmin(finite)]}")
     if cfg.boundary_policy == "reject_resample":
+        base, L = np.take(base, idx, axis=1), _columns(L, idx)
         for _ in range(cfg.max_resample):
-            idx = np.flatnonzero(bad)
+            cand = _noise(L, _normals(rng, idx.size, k))
+            cand *= sqrt_dt
+            cand += base
+            prop[:, idx] = cand
+            keep = np.flatnonzero(_invalid_mask(cand))
+            idx, cand = idx[keep], np.take(cand, keep, axis=1)
             if idx.size == 0:
-                break
-            xi_new = _normals(rng, idx.size, k)
-            prop[:, idx] = base[:, idx] + _noise(_columns(L, idx), xi_new) * np.sqrt(cfg.dt)
-            bad[idx] = _invalid_mask(prop[:, idx])
-    clipped = bad
-    if np.any(bad):
-        prop[:, bad] = _clip_renormalize(prop[:, bad])
+                return prop, modified, clipped
+            base, L = np.take(base, keep, axis=1), _columns(L, keep)
+    clipped[idx] = True
+    prop[:, idx] = _clip_renormalize(cand)
     return prop, modified, clipped
 
 
@@ -198,8 +226,9 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     Snapshots are taken at t=0, every record_every steps, and at the final
     step; each makes one statistics pass (per-batch moments of all N
     components and reduced moment evolution rates, for standard errors) and
-    merges the full-ensemble moments from its batches.  Realizability of
-    every post-step state is verified and violations counted (the boundary
+    merges the full-ensemble moments from its batches.  Every accepted
+    proposal passed the exact simplex check; the clipped columns are
+    checked again at VIOLATION_TOL and violations counted (the boundary
     policy should make the count zero); a non-finite proposal raises
     DegenerateState naming the step and the particle.
     """
@@ -244,8 +273,12 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
             raise DegenerateState(f"step {k} at t={t}: {exc}") from exc
         traj.particle_steps += ys.shape[1]
         traj.modified_steps += int(np.count_nonzero(modified))
-        traj.clipped_steps += int(np.count_nonzero(clipped))
-        traj.violation_count += int(np.count_nonzero(_invalid_mask(ys, VIOLATION_TOL)))
+        n_clipped = int(np.count_nonzero(clipped))
+        traj.clipped_steps += n_clipped
+        if n_clipped:  # every other column passed the stricter tol-0 check
+            fallback = np.compress(clipped, ys, axis=1)
+            traj.violation_count += int(np.count_nonzero(
+                _invalid_mask(fallback, VIOLATION_TOL)))
         observe(k, ys)
     traj.times = np.array(times)
     return traj

@@ -34,7 +34,7 @@ def _running(op, y):
     """
     out = y.copy()
     for i in range(1, out.shape[0]):
-        out[i] = op(out[i - 1], out[i])
+        op(out[i - 1], out[i], out=out[i:i + 1])  # a view even for 1-D y
     return out
 
 
@@ -187,15 +187,29 @@ def _wf_diffusion_factor(y):
     """Closed-form lower-triangular factor of diag(Y) - Y Y^T, as (d, u, v).
 
     L[i, i] = d[i] and L[i, j] = u[i] * v[j] for j < i, with u = -Y, built
-    from the nested remainders q_j = 1 - Y_1 - ... - Y_j.  A column whose
-    remainder has hit zero carries no noise.  Each remainder is 0 or at
-    least 2^-53 in magnitude, so no quotient of finite states overflows.
+    from the nested remainders q_j = 1 - Y_1 - ... - Y_j (q_0 = 1):
+    d = sqrt(Y_j q_j / q_{j-1}) and v = sqrt(Y_j / (q_j q_{j-1})).  An entry
+    that divides by a zero remainder is zero: that column carries no noise.
+    Each remainder of a finite state is 0 or at least 2^-53 in magnitude,
+    so no other quotient overflows.
     """
-    q = 1.0 - _running(np.add, y)
-    q_prev = np.concatenate([np.ones((1,) + y.shape[1:]), q[:-1]], axis=0)
-    d = np.divide(y * q, q_prev, out=np.zeros_like(y), where=q_prev != 0.0)
-    qq = q * q_prev
-    v = np.divide(y, qq, out=np.zeros_like(y), where=qq != 0.0)
+    q = _running(np.add, y)
+    np.subtract(1.0, q, out=q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = y * q
+        d[1:] /= q[:-1]
+        v = q.copy()
+        v[1:] *= q[:-1]
+        np.divide(y, v, out=v)
+    if not np.isfinite(np.sum(v)):  # only a zero remainder makes v infinite
+        hit = np.any(q == 0.0, axis=0)
+        zero = q[:, hit] == 0.0
+        zero_prev = np.zeros_like(zero)
+        zero_prev[1:] = zero[:-1]
+        for a, mask in ((d, zero_prev), (v, zero | zero_prev)):
+            sub = a[:, hit]
+            sub[mask] = 0.0
+            a[:, hit] = sub
     for a in (d, v):
         np.sqrt(np.maximum(a, 0.0, out=a), out=a)
     return d, -y, v
@@ -232,11 +246,14 @@ def dirichlet_process(p: DirichletParams) -> ProcessDefinition:
 
     def drift(y, t):
         y_last = 1.0 - np.sum(y, axis=0)
-        return _col(c_in, y) * y_last - _col(c_out, y) * y
+        out = _col(c_in, y) * y_last
+        out -= _col(c_out, y) * y
+        return out
 
     def diffusion_diag(y, t):
-        y_last = 1.0 - np.sum(y, axis=0)
-        return _col(kappa, y) * y * y_last
+        d = _col(kappa, y) * y
+        d *= 1.0 - np.sum(y, axis=0)
+        return d
 
     return ProcessDefinition(
         dimension=k + 1, drift=drift, name="dirichlet",
@@ -250,33 +267,46 @@ def _gen_dirichlet_terms(y):
 
     A zero remainder leaves an infinite prefactor, which the callers guard.
     """
-    k = y.shape[0]
-    cy = 1.0 - _running(np.add, y)            # cy[a] = 1 - Y_1 - ... - Y_{a+1}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # u[a] = 1 / (cy[a] * ... * cy[k-2]); u[k-1] = 1
-        u = np.ones(y.shape)
-        if k > 1:
-            prod = _running(np.multiply, cy[k - 2::-1])[::-1]
-            u[: k - 1] = 1.0 / prod
+    cy = _running(np.add, y)                  # cy[a] = 1 - Y_1 - ... - Y_{a+1}
+    np.subtract(1.0, cy, out=cy)
+    u = np.empty(y.shape)                     # u[a] = 1 / (cy[a] * ... * cy[k-2])
+    u[-1] = 1.0
+    if y.shape[0] > 1:
+        prod = _running(np.multiply, cy[-2::-1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(1.0, prod[::-1], out=u[:-1])
     return cy, cy[-1], u
 
 
 def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
     """Nested generalization of the Dirichlet process with triangular coupling."""
     b, S, kappa = p.b, p.S, p.kappa
+    S_out = 1.0 - S
     c_t = np.ascontiguousarray(p.c.T)    # c_t[beta, a] = c[a, beta]
 
     def drift(y, t):
         cy, cy_last, u = _gen_dirichlet_terms(y)
         # rows a < K-1 gain c[a, beta] Y_a Y_N / cy[beta], summed over the
-        # leading beta axis in order (c_t is C-ordered, so num is); a zero
-        # numerator is not divided: a zero bracket gives 0 whatever its sign
+        # leading beta axis in order (c_t is C-ordered, so num is)
         num = _col(c_t, y) * (y[:-1] * cy_last)
-        with np.errstate(divide="ignore"):
-            np.divide(num, cy[:-1, np.newaxis], out=num, where=num != 0.0)
-        bracket = _col(b, y) * (_col(S, y) * cy_last - _col(1.0 - S, y) * y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num /= cy[:-1, np.newaxis]
+        # a zero remainder makes u[0] infinite; there a zero numerator gave
+        # 0/0, and a zero numerator contributes 0 whatever the remainder
+        if not np.isfinite(np.sum(u[0])):
+            hit = ~np.isfinite(u[0])
+            sub = num[..., hit]
+            sub[np.isnan(sub)] = 0.0
+            num[..., hit] = sub
+        bracket = _col(S, y) * cy_last
+        bracket -= _col(S_out, y) * y
+        bracket *= _col(b, y)
         bracket[:-1] += num.sum(axis=0)
-        out = np.where(bracket == 0.0, 0.0, 0.5 * u * bracket)
+        # a zero bracket gives 0 whatever its sign and the prefactor
+        zero = bracket == 0.0
+        out = np.multiply(0.5, u, out=u)
+        out *= bracket
+        out[zero] = 0.0
         if not np.all(np.isfinite(out)):
             raise SingularNesting("drift is undefined: zero nested remainder "
                                   "against a non-zero numerator")
@@ -284,8 +314,11 @@ def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
 
     def diffusion_diag(y, t):
         cy, cy_last, u = _gen_dirichlet_terms(y)
-        num = _col(kappa, y) * y * cy_last
-        d = np.where(num == 0.0, 0.0, num * u)
+        d = _col(kappa, y) * y
+        d *= cy_last
+        zero = d == 0.0
+        d *= u
+        d[zero] = 0.0
         if not np.all(np.isfinite(d)):
             raise SingularNesting("diffusion is undefined: zero nested remainder "
                                   "against a non-zero numerator")

@@ -37,6 +37,8 @@ class ToleranceSet:
 
 @dataclass
 class AuditCheck:
+    """One check; on stacked moments, violation and passed are per snapshot."""
+
     constraint: str        # e.g. "zero-face-1:drift-inward"
     subject: str           # face label or moment name
     violation: float       # worst violation magnitude, >= 0
@@ -50,13 +52,16 @@ class AuditReport:
 
     @property
     def overall_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(np.all(c.passed) for c in self.checks)
 
     def add(self, constraint, subject, violation, location, tol):
-        violation = float(max(violation, 0.0))
+        violation = np.maximum(violation, 0.0)
+        passed = violation <= tol
+        if violation.ndim == 0:
+            violation, passed = float(violation), bool(passed)
         self.checks.append(AuditCheck(constraint=constraint, subject=subject,
                                       violation=violation, location=location,
-                                      passed=violation <= tol))
+                                      passed=passed))
 
     def worst(self) -> float:
         return max((c.violation for c in self.checks), default=0.0)
@@ -143,22 +148,32 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
     return report
 
 
-def audit_moment_bounds(m: MomentSet, ensemble_size: int,
-                        tol: ToleranceSet = ToleranceSet()) -> AuditReport:
-    """Closed bounds on means and central moments of bounded fractions."""
+def _last(values, i):
+    """values at the indices i along the last axis, which i drops."""
+    return np.take_along_axis(values, i[..., np.newaxis], -1)[..., 0]
+
+
+def audit_moment_bounds(m: MomentSet) -> AuditReport:
+    """Closed bounds on means and central moments of bounded fractions.
+
+    On moments stacked over snapshots, every snapshot is judged at once.
+    """
     report = AuditReport()
-    t = EXACT_TOL
+    lead = m.mean.ndim - 1
 
     def bound(name, values, lo, hi):
-        values = np.asarray(values)
         over = np.maximum(lo - values, values - hi)
-        i = int(np.argmax(over))
-        report.add(name, "moments", float(over.flat[i]),
-                   list(np.unravel_index(i, values.shape)), t)
+        shape = over.shape[lead:]
+        over = over.reshape(over.shape[:lead] + (-1,))
+        i = np.argmax(over, axis=-1)
+        report.add(name, "moments", _last(over, i),
+                   np.stack(np.unravel_index(i, shape), axis=-1), EXACT_TOL)
 
     bound("means-in-[0,1]", m.mean, 0.0, 1.0)
-    report.add("means-sum-to-one", "moments", abs(m.mean.sum() - 1.0), None, t)
-    bound("variances-in-[0,1]", np.diagonal(m.covariance), 0.0, 1.0)
+    report.add("means-sum-to-one", "moments", np.abs(m.mean.sum(axis=-1) - 1.0),
+               None, EXACT_TOL)
+    bound("variances-in-[0,1]", np.diagonal(m.covariance, axis1=-2, axis2=-1),
+          0.0, 1.0)
     bound("covariances-in-[-1,1]", m.covariance, -1.0, 1.0)
     bound("third-moments-in-[-1,1]", m.third, -1.0, 1.0)
     bound("fourth-moments-in-[0,1]", m.fourth, 0.0, 1.0)
@@ -172,8 +187,8 @@ def _rowsum_se(m: MomentSet, ensemble_size: int) -> np.ndarray:
     with spread bounded by the componentwise standard deviations; exact for
     degenerate ensembles (zero), conservative otherwise.
     """
-    sd = np.sqrt(np.maximum(np.diagonal(m.covariance), 0.0))
-    return sd * sd.sum() / np.sqrt(max(ensemble_size, 1))
+    sd = np.sqrt(np.maximum(np.diagonal(m.covariance, axis1=-2, axis2=-1), 0.0))
+    return sd * sd.sum(axis=-1, keepdims=True) / np.sqrt(max(ensemble_size, 1))
 
 
 def audit_covariance_structure(m: MomentSet, ensemble_size: int,
@@ -182,17 +197,19 @@ def audit_covariance_structure(m: MomentSet, ensemble_size: int,
 
     The identities hold sample-wise for realizable states, so the
     statistical tolerance is floored at the fixed accumulation tolerance.
+    On moments stacked over snapshots, every snapshot is judged at once.
     """
     report = AuditReport()
     se = _rowsum_se(m, ensemble_size)
     rows = m.covariance_row_sums()
     thresholds = np.maximum(tol.moment_stat_tol * se, EXACT_TOL)
-    i = int(np.argmax(np.abs(rows) - thresholds))
-    report.add("covariance-row-sums-zero", "covariance", abs(rows[i]), [i + 1],
-               thresholds[i])
-    weak = m.weak_constraint_residual()
-    weak_tol = max(tol.moment_stat_tol * float(se.sum()), EXACT_TOL)
-    report.add("weak-zero-sum-residual", "covariance", abs(weak), None, weak_tol)
-    asym = np.max(np.abs(m.covariance - m.covariance.T))
+    i = np.argmax(np.abs(rows) - thresholds, axis=-1)
+    report.add("covariance-row-sums-zero", "covariance", np.abs(_last(rows, i)),
+               i[..., np.newaxis] + 1, _last(thresholds, i))
+    weak_tol = np.maximum(tol.moment_stat_tol * se.sum(axis=-1), EXACT_TOL)
+    report.add("weak-zero-sum-residual", "covariance",
+               np.abs(m.weak_constraint_residual()), None, weak_tol)
+    asym = np.max(np.abs(m.covariance - np.swapaxes(m.covariance, -2, -1)),
+                  axis=(-2, -1))
     report.add("covariance-symmetry", "covariance", asym, None, 0.0)
     return report

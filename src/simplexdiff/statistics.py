@@ -25,7 +25,10 @@ VAR_GUARD = 1e-14
 
 @dataclass
 class MomentSet:
-    """Mean and central moments up to order four of an N-component ensemble."""
+    """Mean and central moments up to order four of an N-component ensemble.
+
+    Stacked over snapshots (see stack), every array gains a leading axis.
+    """
 
     mean: np.ndarray          # (N,)
     covariance: np.ndarray    # (N, N) central second moments
@@ -35,12 +38,21 @@ class MomentSet:
     kurtosis: np.ndarray      # (N,), NaN where variance is below guard
     ensemble_size: int
 
-    def covariance_row_sums(self) -> np.ndarray:
-        return self.covariance.sum(axis=1)
+    @classmethod
+    def stack(cls, sets) -> "MomentSet":
+        """Moment sets of one ensemble size, stacked along a leading axis."""
+        return cls(*(np.stack([getattr(m, name) for m in sets])
+                     for name in ("mean", "covariance", "third", "fourth",
+                                  "skewness", "kurtosis")),
+                   sets[0].ensemble_size)
 
-    def weak_constraint_residual(self) -> float:
+    def covariance_row_sums(self) -> np.ndarray:
+        return self.covariance.sum(axis=-1)
+
+    def weak_constraint_residual(self):
         """Sum of the reduced-block covariances minus the remainder variance."""
-        return float(self.covariance[:-1, :-1].sum() - self.covariance[-1, -1])
+        cov = self.covariance
+        return cov[..., :-1, :-1].sum(axis=(-2, -1)) - cov[..., -1, -1]
 
 
 def batch_slices(m: int, n_batches: int):

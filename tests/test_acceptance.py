@@ -179,10 +179,10 @@ def test_criterion_06_moment_bounds(all_runs):
     ok = True
     for traj in all_runs.values():
         for s in traj.snapshots:
-            ok &= audit_moment_bounds(s.moments, s.moments.ensemble_size).overall_pass
+            ok &= audit_moment_bounds(s.moments).overall_pass
     bad = estimate_moments(np.tile([0.2, 0.3, 0.5], (10, 1)))
     bad.mean = np.array([1.2, 0.3, -0.5])
-    ok &= not audit_moment_bounds(bad, 10).overall_pass
+    ok &= not audit_moment_bounds(bad).overall_pass
     assert announce(6, "all recorded moment sets pass the bound audit; "
                        "a synthetic out-of-range set fails", ok)
 

@@ -333,13 +333,11 @@ def test_compare_fails_on_moment_audit(tmp_path, monkeypatch):
     """compare.json keeps each moment constraint's worst violation over the
     snapshots and its time, and a failing moment audit makes compare exit 1."""
     audit = cli.audit_moment_bounds
-    calls = []
 
-    def shifted(m, size, tol):
-        calls.append(m)
-        if len(calls) == 3:  # the snapshot at t = 1.6: means sum to 1.5
-            m = dataclasses.replace(m, mean=m.mean + 0.25)
-        return audit(m, size, tol)
+    def shifted(m):
+        mean = m.mean.copy()
+        mean[2] += 0.25  # the snapshot at t = 1.6: means sum to 1.5
+        return audit(dataclasses.replace(m, mean=mean))
 
     monkeypatch.setattr(cli, "audit_moment_bounds", shifted)
     cfg_path = tmp_path / "run.yaml"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
@@ -11,8 +12,9 @@ from simplexdiff import (BetaParams, DegenerateState, DirichletParams, Ensemble,
                          broken_process, dirichlet_process,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
-from simplexdiff.core import BoundaryFace, face_points
-from simplexdiff.integrator import _advance, _columns, _noise
+from simplexdiff.core import BoundaryFace, component_major, face_points
+from simplexdiff.integrator import (VIOLATION_TOL, _advance, _columns,
+                                    _invalid_mask, _noise)
 from simplexdiff.processes import _running
 
 
@@ -351,16 +353,9 @@ def _reference_advance(proc, ys, t, cfg, rng):
     return prop, modified, bad
 
 
-@pytest.mark.parametrize("form,n", [
-    pytest.param(form, n, id=form if n == 3 else f"{form}-{n}")
-    for n, forms in ((3, ("diagonal", "factor", "eigh", "nested")),
-                     (8, ("diagonal", "factor", "eigh")))
-    for form in forms])
-def test_advance_matches_re_evaluating_reference(form, n):
-    """The component-major step with reused drift and factor changes no bit
-    of the particle-major, re-evaluating step."""
+def _check_against_reference(form, n, max_resample):
     proc = _factor_forms(n)[form]
-    cfg = IntegratorConfig(dt=0.02, max_resample=1)
+    cfg = IntegratorConfig(dt=0.02 * max_resample ** 2, max_resample=max_resample)
     ys = _uniform_states(n, 200, 21)
     rng, ref_rng = RandomSource(22, 0), RandomSource(22, 0)
     modified = clipped = 0
@@ -375,6 +370,29 @@ def test_advance_matches_re_evaluating_reference(form, n):
         clipped += np.count_nonzero(clip)
         ys = out
     assert modified > 100 and clipped > 0  # rejections were forced
+
+
+_REFERENCE_FORMS = [
+    pytest.param(form, n, id=form if n == 3 else f"{form}-{n}")
+    for n, forms in ((3, ("diagonal", "factor", "eigh", "nested")),
+                     (8, ("diagonal", "factor", "eigh")))
+    for form in forms]
+
+
+@pytest.mark.parametrize("form,n", _REFERENCE_FORMS)
+def test_advance_matches_re_evaluating_reference(form, n):
+    """The component-major step with reused drift and factor changes no bit
+    of the particle-major, re-evaluating step."""
+    _check_against_reference(form, n, 1)
+
+
+@pytest.mark.parametrize("max_resample", [2, 3])
+@pytest.mark.parametrize("form,n", _REFERENCE_FORMS)
+def test_resample_rounds_match_reference(form, n, max_resample):
+    """Over several resample rounds, as in the reference: rejected columns
+    are redrawn in column order, every redraw is kept, and a column still
+    invalid after the last round is clipped from its last redraw."""
+    _check_against_reference(form, n, max_resample)
 
 
 class ReplaySource:
@@ -402,3 +420,125 @@ def test_step_matches_batched_column(form, n):
     for j in range(50):
         y, _, _ = step(ys[:, j], proc, 0.0, cfg, ReplaySource(xi[j:j + 1]))
         assert y.tobytes() == out[:, j].tobytes(), f"particle {j}"
+
+
+def test_exhausted_column_clipped_from_last_redraw():
+    """Redraw rows go to the invalid columns in column order, and a column
+    still invalid after max_resample rounds is clipped from its last redraw."""
+    proc = broken_process("constant_diffusion")   # zero drift, diffusion 0.1 I
+    dt = 1e-2
+    ys = np.array([[0.3, 0.01, 0.5],
+                   [0.3, 0.5, 0.01]])
+    first = np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+    round1 = np.array([[-2.0, 0.0], [1.0, -3.0]])   # both still invalid
+    round2 = np.array([[0.5, 0.0], [2.0, -4.0]])    # column 1 accepted
+    src = ReplaySource(first, round1, round2)
+    out, modified, clipped = _advance(proc, ys, 0.0,
+                                      IntegratorConfig(dt=dt, max_resample=2), src)
+    assert src.draws == []
+
+    def proposal(y, xi):
+        return y + np.sqrt(0.1) * xi * np.sqrt(dt)
+
+    expected = np.stack([proposal(ys[:, 0], first[0]),
+                         proposal(ys[:, 1], round2[0]),
+                         _clip_rows(proposal(ys[:, 2], round2[1]))], axis=1)
+    assert out.tobytes() == expected.tobytes()
+    npt.assert_array_equal(modified, [False, True, True])
+    npt.assert_array_equal(clipped, [False, False, True])
+
+
+@pytest.mark.parametrize("max_resample,dt,clips", [(1, 0.05, True),
+                                                   (100, 1e-4, False)])
+def test_simulate_counters_match_full_recount(max_resample, dt, clips):
+    """violation_count, modified_steps and clipped_steps equal a recount over
+    every post-step state, replayed step by step; violations are counted at
+    VIOLATION_TOL over all columns, and every column that was not clipped
+    passes the exact check."""
+    proc = wright_fisher_process(WrightFisherParams(np.ones(3)))
+    ens = Ensemble.from_uniform(3, 400, np.random.default_rng(41))
+    cfg = IntegratorConfig(dt=dt, max_resample=max_resample)
+    traj = simulate(proc, ens, cfg, t_end=40 * dt, record_every=40,
+                    rng=RandomSource(42, 0), dump_every=1)
+    ys, rng = component_major(ens.reduced), RandomSource(42, 0)
+    modified = clipped = violations = 0
+    for k, states in enumerate(list(traj.dumps.values())[1:], start=1):
+        ys, mod, clip = _advance(proc, ys, (k - 1) * dt, cfg, rng)
+        npt.assert_array_equal(states[:, :-1], ys.T)
+        assert not np.any(_invalid_mask(ys[:, ~clip]))
+        modified += np.count_nonzero(mod)
+        clipped += np.count_nonzero(clip)
+        violations += np.count_nonzero(_invalid_mask(ys, VIOLATION_TOL))
+    assert k == 40
+    assert (traj.violation_count, traj.modified_steps, traj.clipped_steps) == (
+        violations, modified, clipped)
+    assert (clipped > 0) == clips and modified > 0
+
+
+def _read_only_outputs(proc):
+    """A copy of proc whose drift and noise-factor closures return read-only
+    arrays."""
+    def freeze(fn):
+        def call(y, t):
+            out = fn(y, t)
+            for a in out if isinstance(out, tuple) else (out,):
+                a.setflags(write=False)
+            return out
+        return call
+    names = ("drift", _noise_factor_name(proc))
+    return dataclasses.replace(proc, **{n: freeze(getattr(proc, n)) for n in names})
+
+
+@pytest.mark.parametrize("form", ["diagonal", "factor", "eigh", "nested"])
+def test_read_only_closure_outputs(form):
+    """Closures may return read-only or cached arrays: the step writes only
+    to arrays it allocated, and its states keep every bit."""
+    proc = _factor_forms()[form]
+    ens = Ensemble.from_uniform(3, 300, np.random.default_rng(51))
+    cfg = IntegratorConfig(dt=0.05, max_resample=1)
+    runs = [simulate(p, ens, cfg, t_end=1.0, record_every=20,
+                     rng=RandomSource(52, 0), dump_every=20)
+            for p in (proc, _read_only_outputs(proc))]
+    assert runs[1].modified_steps > 0 and runs[1].clipped_steps > 0
+    for t, states in runs[0].dumps.items():
+        assert runs[1].dumps[t].tobytes() == states.tobytes()
+
+
+def _stepping_families():
+    """The four acceptance families and their start points."""
+    base = dict(b=np.array([4.0, 4.0]), S=np.array([0.5, 0.5]),
+                kappa=np.array([1.0, 1.0]))
+    return {
+        "beta": (beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0)), [0.9, 0.1]),
+        "wright_fisher": (wright_fisher_process(WrightFisherParams(np.ones(3))),
+                          [1 / 3, 1 / 3, 1 / 3]),
+        "dirichlet": (dirichlet_process(DirichletParams(dirichlet_invariant=True,
+                                                        **base)),
+                      [0.3, 0.3, 0.4]),
+        "gen_dirichlet": (gen_dirichlet_process(GenDirichletParams.reduction_of(
+            DirichletParams(**base))), [0.3, 0.3, 0.4]),
+    }
+
+
+#: sha256 of the final full states, (M, N) in C order, of each family at
+#: M = 2,000, dt = 1e-3, 200 steps, Philox seed 1.  A change to the random
+#: draws, their mapping to particles or the step's arithmetic moves these;
+#: such a change must update them and say so.
+FINAL_STATE_SHA256 = {
+    "beta": "bbb616302eec170c9cd086452613a3e326cde831a4fc3e6687b28497bb606deb",
+    "wright_fisher": "899c8c9277fb93591de100030871d8e293261c1f22839ac4ce97ee00aff6512f",
+    "dirichlet": "f19834a4fcc7b7bd3a0b9e48e4e39b545ca25204e858fda2ea1bcaf87e6f85df",
+    "gen_dirichlet": "87dca128aefb9bb270d835bc277da5262e0a39a170a95fcc193afb5b902dbd05",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FINAL_STATE_SHA256))
+def test_final_states_pinned(family):
+    """A guard against silent re-rolls of every statistical test."""
+    proc, point = _stepping_families()[family]
+    traj = simulate(proc, Ensemble.from_delta(make_state(point), 2000),
+                    IntegratorConfig(dt=1e-3), t_end=0.2, record_every=200,
+                    rng=RandomSource(1, 0), dump_every=200)
+    final = traj.dumps[max(traj.dumps)]
+    assert final.shape == (2000, proc.dimension)
+    assert hashlib.sha256(final.tobytes()).hexdigest() == FINAL_STATE_SHA256[family]

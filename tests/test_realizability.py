@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from simplexdiff import (BetaParams, DirichletParams, EvaluationFailure,
-                         RandomSource, ToleranceSet, WrightFisherParams,
+                         MomentSet, RandomSource, ToleranceSet, WrightFisherParams,
                          audit_boundary, audit_covariance_structure,
                          audit_moment_bounds, beta_process, broken_process,
                          dirichlet_process,
@@ -91,19 +91,19 @@ def test_report_serialization():
 
 def test_moment_bounds_degenerate_pass():
     m = estimate_moments(np.tile([0.2, 0.3, 0.5], (10, 1)))
-    assert audit_moment_bounds(m, 10).overall_pass
+    assert audit_moment_bounds(m).overall_pass
 
 
 def test_moment_bounds_two_point_pass():
     m = estimate_moments(np.array([[1.0, 0.0], [0.0, 1.0]]))
     npt.assert_allclose(np.diagonal(m.covariance), 0.25)
-    assert audit_moment_bounds(m, 2).overall_pass
+    assert audit_moment_bounds(m).overall_pass
 
 
 def test_moment_bounds_out_of_range_mean_fails():
     m = estimate_moments(np.tile([0.2, 0.3, 0.5], (10, 1)))
     m.mean = np.array([1.2, 0.3, -0.5])
-    report = audit_moment_bounds(m, 10)
+    report = audit_moment_bounds(m)
     assert not report.overall_pass
     failed = {c.constraint for c in report.checks if not c.passed}
     assert "means-in-[0,1]" in failed
@@ -125,6 +125,31 @@ def test_covariance_structure_non_simplex_fails():
     m = estimate_moments(states)
     report = audit_covariance_structure(m, m.ensemble_size)
     assert not report.overall_pass
+
+
+def test_stacked_moment_audits_match_each_snapshot():
+    """Judged stacked, every snapshot gets the violation, location and pass
+    that auditing it alone gives, bit for bit."""
+    rng = np.random.default_rng(23)
+    sets = [estimate_moments(rng.dirichlet([1.0, 2.0, 3.0], size=500))
+            for _ in range(5)]
+    sets += [estimate_moments(rng.uniform(0.0, 1.0, size=(500, 3)))]
+    sets[2].mean = np.array([1.2, 0.3, -0.5])
+    stacked = MomentSet.stack(sets)
+    tol = ToleranceSet(moment_stat_tol=2.0)
+    for audit, args in ((audit_moment_bounds, ()),
+                        (audit_covariance_structure, (500, tol))):
+        whole = audit(stacked, *args).checks
+        for i, m in enumerate(sets):
+            alone = audit(m, *args).checks
+            assert [c.constraint for c in whole] == [c.constraint for c in alone]
+            for w, a in zip(whole, alone):
+                assert w.violation[i] == a.violation, (w.constraint, i)
+                assert w.passed[i] == a.passed, (w.constraint, i)
+                if a.location is not None:
+                    npt.assert_array_equal(w.location[i], a.location)
+    assert not audit_moment_bounds(stacked).overall_pass
+    assert not audit_covariance_structure(stacked, 500, tol).overall_pass
 
 
 def test_tolerance_validation():
