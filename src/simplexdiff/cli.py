@@ -306,7 +306,7 @@ def moment_audit(traj, tol: ToleranceSet) -> dict:
     m = MomentSet.stack([s.moments for s in traj.snapshots])
     checks = []
     for report in (audit_moment_bounds(m),
-                   audit_covariance_structure(m, m.ensemble_size, tol)):
+                   audit_covariance_structure(m, tol)):
         for c in report.checks:
             i = int(np.argmax(c.violation))
             checks.append({"constraint": c.constraint,
@@ -341,7 +341,7 @@ def cmd_compare(cfg: dict, args) -> int:
         result["stationary"] = {"available": False, "reason": str(exc)}
     else:
         if lo is None:
-            lo, hi = traj.times[-1] / 2.0, traj.times[-1]
+            lo, hi = traj.snapshots[-1].t / 2.0, traj.snapshots[-1].t
         checks = stationary_checks(traj, oracle, (lo, hi), stat_tol)
         stat_pass = all(c["passed"] for c in checks)
         result["stationary"] = {"available": True, "window": [lo, hi],

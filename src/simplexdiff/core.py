@@ -7,7 +7,7 @@ All types here are immutable values after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -83,13 +83,16 @@ class ProcessDefinition:
     also declares the diffusion diagonal to the boundary audit, and
     diffusion may then be omitted: it is built from the diagonal, again
     whenever dataclasses.replace gives a new one.
+
+    invariant_dirichlet, the (N,) concentrations of the process's Dirichlet
+    invariant law or None, is the stationary oracle's only input.
     """
 
     dimension: int
     drift: Callable[[np.ndarray, float], np.ndarray]
     name: str
     diffusion: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    parameters: dict = field(default_factory=dict)
+    invariant_dirichlet: Optional[np.ndarray] = None
     diffusion_diag: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     diffusion_factor: Optional[Callable[[np.ndarray, float], tuple]] = None
 

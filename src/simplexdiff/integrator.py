@@ -73,10 +73,8 @@ class Snapshot:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
     snapshots: list
     config: IntegratorConfig
-    process_name: str
     particle_steps: int = 0
     violation_count: int = 0
     modified_steps: int = 0
@@ -137,16 +135,20 @@ def _normals(rng, m, k):
     return np.ascontiguousarray(rng.normals((m, k)).T)
 
 
-def _invalid_mask(ys, tol=0.0):
-    """Columns outside the reduced simplex; a non-finite column counts as outside.
-
-    Row by row: each column's sum runs in the order of np.sum(axis=0) over
-    a C-ordered batch, whatever the number of columns.
-    """
+def _column_sum_min(ys):
+    """Each column's sum and minimum in one pass, row by row: np.sum(axis=0)'s
+    order over many C-ordered columns, not its pairwise sum of a lone column,
+    so a column gets the same bits alone as in any batch."""
     total = low = ys[0]
     for row in ys[1:]:
         total = total + row
         low = np.minimum(low, row)
+    return total, low
+
+
+def _invalid_mask(ys, tol=0.0):
+    """Columns outside the reduced simplex; a non-finite column counts as outside."""
+    total, low = _column_sum_min(ys)
     ok = low >= 0.0
     ok &= total <= 1.0 + tol
     return ~ok
@@ -155,7 +157,7 @@ def _invalid_mask(ys, tol=0.0):
 def _clip_renormalize(ys):
     """Clamp negatives to zero; scale columns whose reduced sum exceeds one."""
     ys = np.maximum(ys, 0.0)
-    s = np.sum(ys, axis=0)
+    s, _ = _column_sum_min(ys)
     over = s > 1.0
     if np.any(over):
         ys[:, over] /= s[over]
@@ -220,15 +222,15 @@ def _full_states(ys):
 
 def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
              t_end: float, record_every: int, rng: RandomSource,
-             n_batches: int = 20, dump_every: Optional[int] = None) -> Trajectory:
+             dump_every: Optional[int] = None) -> Trajectory:
     """Advance an ensemble to t_end, recording moment snapshots.
 
     Snapshots are taken at t=0, every record_every steps, and at the final
-    step; each makes one statistics pass (per-batch moments of all N
-    components and reduced moment evolution rates, for standard errors) and
-    merges the full-ensemble moments from its batches.  Every accepted
-    proposal passed the exact simplex check; the clipped columns are
-    checked again at VIOLATION_TOL and violations counted (the boundary
+    step; each makes one statistics pass (moments of all N components and
+    reduced moment evolution rates in 20 particle batches, for standard
+    errors) and merges the full-ensemble moments from its batches.  Every
+    accepted proposal passed the exact simplex check; the clipped columns
+    are checked again at VIOLATION_TOL and violations counted (the boundary
     policy should make the count zero); a non-finite proposal raises
     DegenerateState naming the step and the particle.
     """
@@ -243,9 +245,7 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
                          f"process expects {proc.dimension}")
     n_steps = max(int(round(t_end / cfg.dt)), 1)
     ys = component_major(init.reduced)
-    traj = Trajectory(times=None, snapshots=[], config=cfg,
-                      process_name=proc.name)
-    times = []
+    traj = Trajectory(snapshots=[], config=cfg)
 
     def observe(k, ys):
         """The snapshot and dump due after step k, from one full-state array."""
@@ -256,11 +256,10 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
         t = k * cfg.dt
         full = _full_states(ys)
         if snap:
-            bm, br = stats_mod.batch_statistics(full, proc, t, n_batches)
+            bm, br = stats_mod.batch_statistics(full, proc, t)
             traj.snapshots.append(Snapshot(
                 t=t, moments=stats_mod.estimate_moments(full, bm),
                 batch_moments=bm, batch_rates=br))
-            times.append(t)
         if dump:
             traj.dumps[t] = full
 
@@ -280,5 +279,4 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
             traj.violation_count += int(np.count_nonzero(
                 _invalid_mask(fallback, VIOLATION_TOL)))
         observe(k, ys)
-    traj.times = np.array(times)
     return traj

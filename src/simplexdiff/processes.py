@@ -6,6 +6,8 @@ drift and diffusion_diag return (N-1, ...), diffusion (N-1, N-1, ...), and
 Wright-Fisher's diffusion_factor three (N-1, ...) arrays (d, u, v).  The
 diagonal-diffusion processes supply diffusion_diag alone; ProcessDefinition
 builds their matrices.  Drift and diffusion entries carry units of 1/time.
+The beta, Wright-Fisher and constant-ratio Dirichlet processes state their
+Dirichlet invariant law as invariant_dirichlet.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def beta_process(p: BetaParams) -> ProcessDefinition:
 
     return ProcessDefinition(
         dimension=2, drift=drift, name="beta",
-        parameters={"b": b, "S": S, "kappa": kappa},
+        invariant_dirichlet=np.array([b * S / kappa, b * (1.0 - S) / kappa]),
         diffusion_diag=diffusion_diag)
 
 
@@ -233,7 +235,7 @@ def wright_fisher_process(p: WrightFisherParams) -> ProcessDefinition:
 
     return ProcessDefinition(
         dimension=k + 1, drift=drift, diffusion=diffusion, name="wright_fisher",
-        parameters={"omega": omega.tolist()},
+        invariant_dirichlet=omega,
         diffusion_factor=lambda y, t: _wf_diffusion_factor(y))
 
 
@@ -255,10 +257,11 @@ def dirichlet_process(p: DirichletParams) -> ProcessDefinition:
         d *= 1.0 - np.sum(y, axis=0)
         return d
 
+    ratio, constant = invariant_ratio(b, S, kappa)
     return ProcessDefinition(
         dimension=k + 1, drift=drift, name="dirichlet",
-        parameters={"b": b.tolist(), "S": S.tolist(), "kappa": kappa.tolist(),
-                    "dirichlet_invariant": p.dirichlet_invariant},
+        invariant_dirichlet=(np.concatenate([b * S / kappa, [ratio[0]]])
+                             if constant else None),
         diffusion_diag=diffusion_diag)
 
 
@@ -326,8 +329,6 @@ def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
 
     return ProcessDefinition(
         dimension=b.shape[0] + 1, drift=drift, name="gen_dirichlet",
-        parameters={"b": b.tolist(), "S": S.tolist(), "kappa": kappa.tolist(),
-                    "c": p.c.tolist()},
         diffusion_diag=diffusion_diag)
 
 
@@ -356,6 +357,5 @@ def broken_process(style: str, n: int = 3) -> ProcessDefinition:
         name = "broken_outward_drift"
     else:
         raise InvalidParameter("style", f"unknown style {style!r}")
-    return ProcessDefinition(
-        dimension=n, drift=drift, name=name,
-        parameters={"style": style, "n": n}, diffusion_diag=diffusion_diag)
+    return ProcessDefinition(dimension=n, drift=drift, name=name,
+                             diffusion_diag=diffusion_diag)

@@ -83,10 +83,6 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _generator(rng):
-    return rng.generator if hasattr(rng, "generator") else rng
-
-
 def _worst(values: np.ndarray, pts: np.ndarray):
     """Largest value over (..., sample) and the sample where it occurs."""
     per_sample = values.reshape(-1, values.shape[-1]).max(axis=0)
@@ -104,11 +100,12 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
     components) must be <= 0 and the diffusion must annihilate the normal
     (zero row-sums and total sum); diagonal-structured processes must
     additionally satisfy the stricter entrywise conditions there, every
-    drift component <= 0 and every matrix entry zero.
+    drift component <= 0 and every matrix entry zero.  The face points are
+    drawn from the RandomSource rng.
     """
     if samples_per_face < 1:
         raise ValueError("samples_per_face must be >= 1")
-    gen = _generator(rng)
+    gen = rng.generator
     k = proc.k
     report = AuditReport()
     for face in enumerate_faces(proc.dimension):
@@ -180,7 +177,7 @@ def audit_moment_bounds(m: MomentSet) -> AuditReport:
     return report
 
 
-def _rowsum_se(m: MomentSet, ensemble_size: int) -> np.ndarray:
+def _rowsum_se(m: MomentSet) -> np.ndarray:
     """Conservative standard-error scale for covariance row-sums.
 
     Treats the row-sum estimator as an average of y_a * sum(y) products
@@ -188,10 +185,10 @@ def _rowsum_se(m: MomentSet, ensemble_size: int) -> np.ndarray:
     degenerate ensembles (zero), conservative otherwise.
     """
     sd = np.sqrt(np.maximum(np.diagonal(m.covariance, axis1=-2, axis2=-1), 0.0))
-    return sd * sd.sum(axis=-1, keepdims=True) / np.sqrt(max(ensemble_size, 1))
+    return sd * sd.sum(axis=-1, keepdims=True) / np.sqrt(max(m.ensemble_size, 1))
 
 
-def audit_covariance_structure(m: MomentSet, ensemble_size: int,
+def audit_covariance_structure(m: MomentSet,
                                tol: ToleranceSet = ToleranceSet()) -> AuditReport:
     """Zero row-sums, the weak constraint, and exact symmetry of the covariance.
 
@@ -200,7 +197,7 @@ def audit_covariance_structure(m: MomentSet, ensemble_size: int,
     On moments stacked over snapshots, every snapshot is judged at once.
     """
     report = AuditReport()
-    se = _rowsum_se(m, ensemble_size)
+    se = _rowsum_se(m)
     rows = m.covariance_row_sums()
     thresholds = np.maximum(tol.moment_stat_tol * se, EXACT_TOL)
     i = np.argmax(np.abs(rows) - thresholds, axis=-1)

@@ -17,7 +17,6 @@ import numpy as np
 from .core import ProcessDefinition, component_major
 from .errors import (EnsembleTooSmall, InsufficientSnapshots,
                      UnsupportedProcess)
-from .processes import invariant_ratio
 
 #: variances below this leave skewness/kurtosis undefined (NaN)
 VAR_GUARD = 1e-14
@@ -28,23 +27,35 @@ class MomentSet:
     """Mean and central moments up to order four of an N-component ensemble.
 
     Stacked over snapshots (see stack), every array gains a leading axis.
+    Skewness and kurtosis are derived from the central moments on access.
     """
 
     mean: np.ndarray          # (N,)
     covariance: np.ndarray    # (N, N) central second moments
     third: np.ndarray         # (N,) central third moments
     fourth: np.ndarray        # (N,) central fourth moments
-    skewness: np.ndarray      # (N,), NaN where variance is below guard
-    kurtosis: np.ndarray      # (N,), NaN where variance is below guard
     ensemble_size: int
 
     @classmethod
     def stack(cls, sets) -> "MomentSet":
         """Moment sets of one ensemble size, stacked along a leading axis."""
         return cls(*(np.stack([getattr(m, name) for m in sets])
-                     for name in ("mean", "covariance", "third", "fourth",
-                                  "skewness", "kurtosis")),
+                     for name in ("mean", "covariance", "third", "fourth")),
                    sets[0].ensemble_size)
+
+    def _standardized(self, moment, power):
+        """moment / variance^power; NaN where the variance is below VAR_GUARD."""
+        var = np.diagonal(self.covariance, axis1=-2, axis2=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(var >= VAR_GUARD, moment / var ** power, np.nan)
+
+    @property
+    def skewness(self) -> np.ndarray:
+        return self._standardized(self.third, 1.5)
+
+    @property
+    def kurtosis(self) -> np.ndarray:
+        return self._standardized(self.fourth, 2)
 
     def covariance_row_sums(self) -> np.ndarray:
         return self.covariance.sum(axis=-1)
@@ -100,14 +111,6 @@ class _Batches:
                 (c, c2, c3))
 
 
-def _guarded_shape_stats(cov, third, fourth):
-    var = np.diagonal(cov)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        skew = np.where(var >= VAR_GUARD, third / var ** 1.5, np.nan)
-        kurt = np.where(var >= VAR_GUARD, fourth / var ** 2, np.nan)
-    return skew, kurt
-
-
 def estimate_moments(states: np.ndarray, batch_moments=None) -> MomentSet:
     """Moments of (M, N) full states, merged exactly from their batch_moments.
 
@@ -134,8 +137,7 @@ def estimate_moments(states: np.ndarray, batch_moments=None) -> MomentSet:
     third = merge(bm["third"] + 3.0 * d * m2 + d ** 3)
     fourth = merge(bm["fourth"] + 4.0 * d * bm["third"] + 6.0 * d ** 2 * m2
                    + d ** 4)
-    return MomentSet(mean, cov, third, fourth,
-                     *_guarded_shape_stats(cov, third, fourth), m)
+    return MomentSet(mean, cov, third, fourth, m)
 
 
 def estimate_rates(states: np.ndarray, proc: ProcessDefinition,
@@ -186,21 +188,11 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
 
 
 @dataclass
-class RateCheck:
-    quantity: str        # e.g. "mean[1]", "cov[1,2]"
-    form: str            # "mean", "cov", "third_ito", ...
-    t: float
-    fd: float
-    rate: float
-    threshold: float
-    passed: bool
-
-
-@dataclass
 class CrossValidationReport:
     """Finite-difference moment derivatives versus recorded evolution rates."""
 
-    checks: list             # every RateCheck made, passed or not
+    n_checks: int            # (snapshot, entry, form) checks made
+    failures: list           # the failed checks, as dicts, in check order
     form_pass: dict          # form name -> bool (all its checks passed)
     matching_third_form: str     # "ito" | "printed" | "both" | "neither"
     matching_fourth_form: str
@@ -218,8 +210,8 @@ class CrossValidationReport:
             "form_pass": self.form_pass,
             "matching_third_form": self.matching_third_form,
             "matching_fourth_form": self.matching_fourth_form,
-            "n_checks": len(self.checks),
-            "failures": [vars(c) for c in self.checks if not c.passed],
+            "n_checks": self.n_checks,
+            "failures": self.failures,
         }
 
 
@@ -253,8 +245,7 @@ def cross_validate_rates(traj, proc: ProcessDefinition,
     if len(snaps) < 3:
         raise InsufficientSnapshots(f"need >= 3 snapshots, got {len(snaps)}")
     times = np.array([s.t for s in snaps])
-    checks = []
-    form_pass = {}
+    n_checks, failures, form_pass = 0, [], {}
     for mkey, rkeys in _MOMENT_TO_RATE.items():
         bmom = np.stack([s.batch_moments[mkey] for s in snaps])  # (T, nb, ...)
         bmom = bmom[(...,) + (slice(-1),) * (bmom.ndim - 2)]  # reduced only
@@ -278,14 +269,15 @@ def cross_validate_rates(traj, proc: ProcessDefinition,
             threshold = tol_multiplier * (se + trunc + em)
             bad = np.abs(mean_diff) > threshold
             form_pass[rkey] = not np.any(bad)
-            for idx in np.ndindex(bad.shape):
-                checks.append(RateCheck(
-                    quantity=f"{mkey}{[i + 1 for i in idx[1:]]}", form=rkey,
-                    t=float(times[idx[0] + 1]), fd=float(fd[idx]),
-                    rate=float(rate[1:-1][idx]),
-                    threshold=float(threshold[idx]), passed=not bad[idx]))
+            n_checks += bad.size
+            for idx in map(tuple, np.argwhere(bad).tolist()):
+                failures.append({
+                    "quantity": f"{mkey}{[i + 1 for i in idx[1:]]}",
+                    "form": rkey, "t": float(times[idx[0] + 1]),
+                    "fd": float(fd[idx]), "rate": float(rate[1:-1][idx]),
+                    "threshold": float(threshold[idx]), "passed": False})
     return CrossValidationReport(
-        checks=checks, form_pass=form_pass,
+        n_checks=n_checks, failures=failures, form_pass=form_pass,
         matching_third_form=_MATCHING_FORM[form_pass["third_ito"],
                                            form_pass["third_printed"]],
         matching_fourth_form=_MATCHING_FORM[form_pass["fourth_ito"],
@@ -309,44 +301,16 @@ def dirichlet_moments(alpha: np.ndarray) -> MomentSet:
     third = 2.0 * a * b * (b - a) / (s ** 3 * (s + 1.0) * (s + 2.0))
     fourth = (3.0 * a * b * (a * b * (s + 2.0) + 2.0 * (a - b) ** 2)
               / (s ** 4 * (s + 1.0) * (s + 2.0) * (s + 3.0)))
-    skew, kurt = _guarded_shape_stats(cov, third, fourth)
     return MomentSet(mean=mean, covariance=cov, third=third, fourth=fourth,
-                     skewness=skew, kurtosis=kurt, ensemble_size=0)
-
-
-def _degenerate_moments(point: np.ndarray) -> MomentSet:
-    n = point.shape[0]
-    return MomentSet(point, np.zeros((n, n)), np.zeros(n), np.zeros(n),
-                     np.full(n, np.nan), np.full(n, np.nan), ensemble_size=0)
+                     ensemble_size=0)
 
 
 def analytic_stationary(proc: ProcessDefinition) -> MomentSet:
-    """Stationary moments of the invariant law of a named process.
+    """Stationary moments of the Dirichlet invariant law a process states.
 
-    Supported: the scalar process (invariant Beta), the full-coupling
-    multivariate process (invariant Dirichlet in its selection parameters),
-    and the diagonal-diffusion process when its parameters keep the
-    invariant Dirichlet.  The parameter maps were obtained by solving the
-    zero-flux stationary condition and are independently verified against
-    direct sampling in the test suite.
+    The process constructors derive invariant_dirichlet from the zero-flux
+    stationary condition; the test suite checks it against direct sampling.
     """
-    p = proc.parameters
-    if proc.name == "beta":
-        b, S, kappa = p["b"], p["S"], p["kappa"]
-        if S in (0.0, 1.0):
-            return _degenerate_moments(np.array([S, 1.0 - S]))
-        return dirichlet_moments(np.array([b * S / kappa,
-                                           b * (1.0 - S) / kappa]))
-    if proc.name == "wright_fisher":
-        return dirichlet_moments(np.asarray(p["omega"], dtype=float))
-    if proc.name == "dirichlet":
-        b = np.asarray(p["b"], dtype=float)
-        S = np.asarray(p["S"], dtype=float)
-        kappa = np.asarray(p["kappa"], dtype=float)
-        ratio, constant = invariant_ratio(b, S, kappa)
-        if not constant:
-            raise UnsupportedProcess(
-                "stationary law is not Dirichlet: (1-S) b / kappa varies "
-                f"across components: {ratio}")
-        return dirichlet_moments(np.concatenate([b * S / kappa, [ratio[0]]]))
-    raise UnsupportedProcess(f"no analytic stationary moments for {proc.name!r}")
+    if proc.invariant_dirichlet is None:
+        raise UnsupportedProcess(f"no analytic stationary moments for {proc.name!r}")
+    return dirichlet_moments(proc.invariant_dirichlet)

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import simplexdiff.cli as cli
+import simplexdiff.integrator as integrator
 from simplexdiff.cli import FMT, load_config, main
 
 
@@ -263,6 +264,35 @@ def test_simulate_refuses_failed_audit_unless_skipped(tmp_path):
     assert (out / "moments.csv").exists()
 
 
+def test_clip_left_past_a_face_fails_simulate(tmp_path, monkeypatch, capsys):
+    """A clipped column left 1e-9 past a face is a realizability violation:
+    simulate records the count in run_meta.json and exits 1."""
+    clip = integrator._clip_renormalize
+
+    def leaky(ys):
+        out = clip(ys)
+        out[0, 0] = -1e-9
+        return out
+
+    monkeypatch.setattr(integrator, "_clip_renormalize", leaky)
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path,
+                 process={"name": "beta",
+                          "params": {"b": 0.1, "S": 0.5, "kappa": 1.0}},
+                 integrator={"dt": 1e-2, "t_end": 1e-2, "record_every": 1,
+                             "boundary_policy": "clip_renormalize"},
+                 ensemble={"size": 200, "initial": {
+                     "kind": "delta", "point": [0.001, 0.999]}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--outdir", str(out)]) == 1
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["clipped_steps"] > 0
+    assert meta["violation_count"] > 0
+    assert (f"{meta['violation_count']} realizability violations recorded"
+            in capsys.readouterr().err)
+
+
 def test_csv_roundtrip_bytes(tmp_path):
     cfg_path = tmp_path / "run.yaml"
     write_config(cfg_path)
@@ -447,6 +477,9 @@ def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
         code = cli.main(["compare", "--config", str(cfg_path),
                          "--outdir", str(tmp_path / "out")])
     assert code in (0, 1)
+    # the traced process is a dataclasses.replace copy: it keeps its oracle
+    result = json.loads((tmp_path / "out" / "compare.json").read_text())
+    assert result["stationary"]["available"] is True
     metrics = tracing.layer_metrics(tracer.spans, 0, 0)
     for name in ("processes.drift_calls", "statistics.snapshots",
                  "integrator.normals_drawn"):

@@ -13,7 +13,8 @@ from simplexdiff import (BetaParams, DegenerateState, DirichletParams, Ensemble,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
 from simplexdiff.core import BoundaryFace, component_major, face_points
-from simplexdiff.integrator import (VIOLATION_TOL, _advance, _columns,
+from simplexdiff.integrator import (VIOLATION_TOL, _advance,
+                                    _clip_renormalize, _columns,
                                     _invalid_mask, _noise)
 from simplexdiff.processes import _running
 
@@ -117,6 +118,21 @@ def test_clip_renormalize_policy():
     traj = simulate(p, ens, cfg, t_end=0.5, record_every=100,
                     rng=RandomSource(3, 0))
     assert traj.violation_count == 0
+
+
+def test_clip_gives_a_column_the_same_bytes_alone_as_in_a_batch():
+    """Each column sums row by row, so an over-full column clips to the same
+    bytes alone as beside others; numpy sums a lone column pairwise, which
+    differs from K = 8 on."""
+    rng = np.random.default_rng(51)
+    for k in range(2, 14):
+        ys = rng.uniform(0.0, 1.0, size=(k, 2000))
+        ys *= rng.uniform(1.0, 1.5, 2000) / ys.sum(axis=0)
+        ys[rng.random(ys.shape) < 0.1] *= -0.1   # some entries to clamp
+        batch = _clip_renormalize(ys)
+        for j in range(ys.shape[1]):
+            alone = _clip_renormalize(ys[:, j:j + 1])
+            assert alone.tobytes() == batch[:, j:j + 1].tobytes(), (k, j)
 
 
 def test_simulate_rejects_single_particle():

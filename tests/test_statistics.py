@@ -8,8 +8,9 @@ import pytest
 from simplexdiff import (BetaParams, DirichletParams, Ensemble,
                          EnsembleTooSmall, IntegratorConfig, RandomSource,
                          UnsupportedProcess, WrightFisherParams,
-                         analytic_stationary, beta_process, dirichlet_moments,
-                         dirichlet_process, estimate_moments, estimate_rates,
+                         analytic_stationary, beta_process, broken_process,
+                         dirichlet_moments, dirichlet_process,
+                         estimate_moments, estimate_rates,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
 from simplexdiff import statistics
@@ -35,6 +36,12 @@ def test_two_point_ensemble_moments():
     npt.assert_allclose(np.diagonal(m.covariance), [0.25, 0.25])
     npt.assert_allclose(m.skewness, [0.0, 0.0], atol=1e-15)
     npt.assert_allclose(m.kurtosis, [1.0, 1.0])
+    # skewness and kurtosis follow a replaced covariance
+    skewed = dataclasses.replace(m, third=np.array([0.1, -0.1]))
+    npt.assert_allclose(skewed.skewness, [0.8, -0.8])
+    wide = dataclasses.replace(skewed, covariance=4.0 * m.covariance)
+    npt.assert_allclose(wide.skewness, [0.1, -0.1])
+    npt.assert_allclose(wide.kurtosis, [1.0 / 16.0, 1.0 / 16.0])
 
 
 def _batch_moments(states, edges):
@@ -279,11 +286,13 @@ def test_stationary_beta_oracle_vs_sampling():
 
 
 def test_stationary_wf_oracle():
+    """The oracle comes with the process, so a renamed copy keeps it."""
     p = wright_fisher_process(WrightFisherParams(np.ones(3)))
-    m = analytic_stationary(p)
-    npt.assert_allclose(m.mean, 1.0 / 3.0)
-    npt.assert_allclose(np.diagonal(m.covariance), 1.0 / 18.0)
-    npt.assert_allclose(m.covariance[0, 1], -1.0 / 36.0)
+    for proc in (p, dataclasses.replace(p, name="custom")):
+        m = analytic_stationary(proc)
+        npt.assert_allclose(m.mean, 1.0 / 3.0)
+        npt.assert_allclose(np.diagonal(m.covariance), 1.0 / 18.0)
+        npt.assert_allclose(m.covariance[0, 1], -1.0 / 36.0)
 
 
 def test_stationary_dirichlet_oracle():
@@ -299,13 +308,24 @@ def test_stationary_unsupported():
     p = gen_dirichlet_process(GenDirichletParams(
         b=np.array([2.0, 2.0]), S=np.array([0.5, 0.5]),
         kappa=np.array([1.0, 1.0]), c=np.array([[1.0]])))
-    with pytest.raises(UnsupportedProcess):
-        analytic_stationary(p)
     p2 = dirichlet_process(DirichletParams(b=np.array([2.0, 2.0]),
                                            S=np.array([0.5, 0.4]),
                                            kappa=np.array([1.0, 1.0])))
-    with pytest.raises(UnsupportedProcess):
-        analytic_stationary(p2)
+    for proc in (p, p2, broken_process("constant_diffusion"),
+                 broken_process("outward_drift")):
+        assert proc.invariant_dirichlet is None
+        with pytest.raises(UnsupportedProcess,
+                           match=f"no analytic stationary moments for '{proc.name}'"):
+            analytic_stationary(proc)
+
+
+@pytest.mark.parametrize("S", [0.0, 1.0])
+def test_stationary_beta_oracle_at_absorbing_target(S):
+    """With S at a face the invariant law is the point mass there: the
+    Dirichlet moments give its mean and zero covariance bit for bit."""
+    m = analytic_stationary(beta_process(BetaParams(b=2.0, S=S, kappa=1.0)))
+    assert m.mean.tobytes() == np.array([S, 1.0 - S]).tobytes()
+    assert m.covariance.tobytes() == np.zeros((2, 2)).tobytes()
 
 
 def _reference_batch_statistics(states, proc, t, n_batches=20):
