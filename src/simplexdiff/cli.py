@@ -423,7 +423,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--skip-audit", action="store_true",
                         help="run simulate/compare even if the boundary audit fails")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results are identical for any value")
+                        help="has no effect; results are identical for any value")
     return parser
 
 

@@ -15,6 +15,8 @@ particle by particle, as (M, K), and transposed.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,22 +30,88 @@ from . import statistics as stats_mod
 VIOLATION_TOL = 1e-12
 #: squared-noise arguments below this are treated as roundoff, not errors
 NEGATIVE_CLAMP = -1e-14
+#: fewest normals per step (M x K) worth drawing ahead on a helper thread
+DRAW_AHEAD_MIN = 8192
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 class RandomSource:
     """Deterministic noise stream keyed by (seed, stream_id).
 
     Backed by the Philox counter-based generator, so identical keys yield
-    identical increment sequences on any platform or thread layout.
+    identical increment sequences on any platform or thread layout, also
+    while simulate has a helper thread draw them a block ahead.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
         key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF,
                         int(stream_id) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
+        self._ahead = None  # simulate's _DrawAhead while it runs
 
     def normals(self, shape) -> np.ndarray:
-        return self.generator.standard_normal(shape)
+        """The stream's next values; drawn ahead, (m, K) ones are column-major."""
+        if self._ahead is None:
+            return self.generator.standard_normal(shape)
+        return self._ahead.take(shape)
+
+
+class _DrawAhead:
+    """A helper thread that fills a ring of two blocks of `size` normals in
+    stream order, noting the generator state at each block's start; close
+    joins it and rewinds the generator to just after the last value taken."""
+
+    def __init__(self, rng: RandomSource, size: int):
+        self.rng, self.size, self.ring = rng, size, np.empty((2, size))
+        self.free, self.full = threading.Semaphore(2), threading.Semaphore(0)
+        self.states = [rng.generator.bit_generator.state, None, None]
+        self.taken, self.error, self.closed = 0, None, False
+        self.thread = threading.Thread(target=self._fill, daemon=True)
+        self.thread.start()
+        rng._ahead = self  # after start: a failed start leaves draws direct
+
+    def _fill(self):
+        gen, block = self.rng.generator, 0
+        while (self.error is None and self.free.acquire()  # a slot came free
+               and not self.closed):
+            try:
+                gen.standard_normal(out=self.ring[block % 2])
+                self.states[(block + 1) % 3] = gen.bit_generator.state
+            except BaseException as exc:  # raised by the take that waits for it
+                self.error = block, exc
+            self.full.release()
+            block += 1
+
+    def take(self, shape):
+        shape = tuple(shape) if np.iterable(shape) else (shape,)
+        rowwise = (len(shape) == 2  # rows that do not cross a block edge
+                   and self.taken % shape[1] == self.size % shape[1] == 0)
+        out = np.empty(shape[::-1]).T if rowwise else np.empty(shape)
+        rows, done = (out if rowwise else out.reshape(-1, 1)), 0
+        while done < out.size:
+            block, at = divmod(self.taken, self.size)
+            if at == 0:  # wait until the block is filled
+                self.full.acquire()
+                if self.error and self.error[0] == block:
+                    raise self.error[1]
+            piece = self.ring[block % 2, at:at + out.size - done]
+            end, cols = done + piece.size, rows.shape[1]
+            rows[done // cols:end // cols] = piece.reshape(-1, cols)
+            done, self.taken = end, self.taken + piece.size
+            if at + piece.size == self.size:  # the helper may refill the slot
+                self.free.release()
+        return out
+
+    def close(self):
+        self.closed, self.rng._ahead = True, None
+        self.free.release()
+        self.thread.join()
+        gen = self.rng.generator  # to the taken block's start, then redraw
+        gen.bit_generator.state = self.states[self.taken // self.size % 3]
+        gen.standard_normal(self.taken % self.size)
 
 
 @dataclass(frozen=True)
@@ -232,7 +300,8 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     accepted proposal passed the exact simplex check; the clipped columns
     are checked again at VIOLATION_TOL and violations counted (the boundary
     policy should make the count zero); a non-finite proposal raises
-    DegenerateState naming the step and the particle.
+    DegenerateState naming the step and the particle.  On two or more CPUs a
+    helper thread draws large steps' normals ahead; no output byte changes.
     """
     if init.size < 2:
         raise ValueError(f"need an ensemble of >= 2 particles, got {init.size}")
@@ -263,20 +332,25 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
         if dump:
             traj.dumps[t] = full
 
-    observe(0, ys)
-    for k in range(1, n_steps + 1):
-        t = (k - 1) * cfg.dt
-        try:
-            ys, modified, clipped = _advance(proc, ys, t, cfg, rng)
-        except (DegenerateState, NotPositiveSemiDefinite) as exc:
-            raise DegenerateState(f"step {k} at t={t}: {exc}") from exc
-        traj.particle_steps += ys.shape[1]
-        traj.modified_steps += int(np.count_nonzero(modified))
-        n_clipped = int(np.count_nonzero(clipped))
-        traj.clipped_steps += n_clipped
-        if n_clipped:  # every other column passed the stricter tol-0 check
-            fallback = np.compress(clipped, ys, axis=1)
-            traj.violation_count += int(np.count_nonzero(
-                _invalid_mask(fallback, VIOLATION_TOL)))
-        observe(k, ys)
+    ahead = ys.size >= DRAW_AHEAD_MIN and _cpus() > 1 and _DrawAhead(rng, ys.size)
+    try:
+        observe(0, ys)
+        for k in range(1, n_steps + 1):
+            t = (k - 1) * cfg.dt
+            try:
+                ys, modified, clipped = _advance(proc, ys, t, cfg, rng)
+            except (DegenerateState, NotPositiveSemiDefinite) as exc:
+                raise DegenerateState(f"step {k} at t={t}: {exc}") from exc
+            traj.particle_steps += ys.shape[1]
+            traj.modified_steps += int(np.count_nonzero(modified))
+            n_clipped = int(np.count_nonzero(clipped))
+            traj.clipped_steps += n_clipped
+            if n_clipped:  # every other column passed the stricter tol-0 check
+                fallback = np.compress(clipped, ys, axis=1)
+                traj.violation_count += int(np.count_nonzero(
+                    _invalid_mask(fallback, VIOLATION_TOL)))
+            observe(k, ys)
+    finally:
+        if ahead:
+            ahead.close()
     return traj

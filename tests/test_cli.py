@@ -460,7 +460,9 @@ def test_load_config_requires_keys(tmp_path):
 
 def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
     """The benchmark's tracer patches simplexdiff's entry points by name: a
-    traced compare still records drift calls, snapshots and normal draws."""
+    traced compare still records drift calls, snapshots and normal draws,
+    and counts the same draws and resample rounds whether the integrator's
+    helper thread draws the normals ahead or not."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
@@ -472,15 +474,23 @@ def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
                  integrator={"dt": 1e-3, "t_end": 0.02, "record_every": 5},
                  ensemble={"size": 200, "initial": {
                      "kind": "delta", "point": [1 / 3, 1 / 3, 1 / 3]}})
-    tracer = tracing.Tracer()
-    with tracer.patched():
-        code = cli.main(["compare", "--config", str(cfg_path),
-                         "--outdir", str(tmp_path / "out")])
-    assert code in (0, 1)
-    # the traced process is a dataclasses.replace copy: it keeps its oracle
-    result = json.loads((tmp_path / "out" / "compare.json").read_text())
-    assert result["stationary"]["available"] is True
-    metrics = tracing.layer_metrics(tracer.spans, 0, 0)
-    for name in ("processes.drift_calls", "statistics.snapshots",
-                 "integrator.normals_drawn"):
-        assert metrics[name] > 0, name
+    monkeypatch.setattr(integrator, "DRAW_AHEAD_MIN", 0)
+    counts = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(integrator, "_cpus", lambda: cpus)
+        tracer = tracing.Tracer()
+        outdir = tmp_path / f"out{cpus}"
+        with tracer.patched():
+            code = cli.main(["compare", "--config", str(cfg_path),
+                             "--outdir", str(outdir)])
+        assert code in (0, 1)
+        # the traced process is a dataclasses.replace copy: it keeps its oracle
+        result = json.loads((outdir / "compare.json").read_text())
+        assert result["stationary"]["available"] is True
+        metrics = tracing.layer_metrics(tracer.spans, 0, 0)
+        for name in ("processes.drift_calls", "statistics.snapshots",
+                     "integrator.normals_drawn"):
+            assert metrics[name] > 0, name
+        counts.append((metrics["integrator.normals_drawn"],
+                       metrics["integrator.resample_rounds"]))
+    assert counts[0] == counts[1]

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import json
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -12,9 +15,10 @@ from simplexdiff import (BetaParams, DegenerateState, DirichletParams, Ensemble,
                          broken_process, dirichlet_process,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
+from simplexdiff import integrator
 from simplexdiff.core import BoundaryFace, component_major, face_points
 from simplexdiff.integrator import (VIOLATION_TOL, _advance,
-                                    _clip_renormalize, _columns,
+                                    _clip_renormalize, _columns, _DrawAhead,
                                     _invalid_mask, _noise)
 from simplexdiff.processes import _running
 
@@ -558,3 +562,199 @@ def test_final_states_pinned(family):
     final = traj.dumps[max(traj.dumps)]
     assert final.shape == (2000, proc.dimension)
     assert hashlib.sha256(final.tobytes()).hexdigest() == FINAL_STATE_SHA256[family]
+
+
+def _draw_ahead(monkeypatch, on, least=0):
+    """simulate's helper thread on (two CPUs) or off (one CPU), for steps
+    of at least `least` normals."""
+    monkeypatch.setattr(integrator, "_cpus", lambda: 2 if on else 1)
+    monkeypatch.setattr(integrator, "DRAW_AHEAD_MIN", least)
+
+
+def _state(rng):
+    """The generator's state, comparable with ==."""
+    return json.dumps(rng.generator.bit_generator.state, sort_keys=True,
+                      default=lambda a: a.tolist())
+
+
+#: (shape, column-major) of draws from 100-value blocks: (m, 1), (m, K) and
+#: 1-D draws, draws that straddle a block edge between rows and inside one,
+#: draws larger than a block and one larger than the ring
+_AHEAD_DRAWS = [((30, 1), True), ((20, 2), True), ((40, 2), True),
+                ((70, 2), True), (17, False), ((60, 2), False), ((130,), False),
+                ((50, 3), False), ((250,), False), ((4, 2), False)]
+
+
+def test_drawn_ahead_normals_are_the_direct_stream():
+    """The helper's ring hands out the direct draws, however they are split
+    across its blocks, each in a new array; an (m, K) draw whose rows do not
+    cross a block edge is column-major, so its (K, m) transpose needs no
+    copy.  Closing rewinds the generator to where the direct draws leave it."""
+    direct, rng = RandomSource(7, 0), RandomSource(7, 0)
+    ahead = _DrawAhead(rng, 100)
+    try:
+        for shape, column_major in _AHEAD_DRAWS:
+            xi = rng.normals(shape)
+            npt.assert_array_equal(xi, direct.normals(shape))
+            assert not np.shares_memory(xi, ahead.ring)
+            assert (xi.ndim == 2 and xi.T.flags.c_contiguous) == column_major
+    finally:
+        ahead.close()
+    assert rng._ahead is None
+    assert _state(rng) == _state(direct)
+    npt.assert_array_equal(rng.normals(5), direct.normals(5))
+
+
+def test_draw_ahead_under_thread_switching():
+    """Four sources drawn ahead at once, eight threads on however many CPUs,
+    switching every microsecond: each hands out its direct stream, split at
+    random, and rewinds to where the direct draws leave it."""
+    def run(seed, results):
+        sizes = np.random.default_rng(seed).integers(1, 120, 300)
+        rng, direct = RandomSource(seed, 0), RandomSource(seed, 0)
+        ahead = _DrawAhead(rng, 64)
+        try:
+            got = [rng.normals((n, 2) if n % 3 else n) for n in sizes]
+        finally:
+            ahead.close()
+        want = [direct.normals((n, 2) if n % 3 else n) for n in sizes]
+        results[seed] = (all(map(np.array_equal, got, want))
+                         and _state(rng) == _state(direct))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = {}
+        workers = [threading.Thread(target=run, args=(seed, results))
+                   for seed in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == dict.fromkeys(range(4), True)
+
+
+def _resampled_run(proc, rng, t_end=0.2):
+    """A 300-particle run with resample rounds, dumping its states."""
+    ens = Ensemble.from_uniform(3, 300, np.random.default_rng(60))
+    return simulate(proc, ens, IntegratorConfig(dt=0.02), t_end=t_end,
+                    record_every=5, rng=rng, dump_every=5)
+
+
+def _poisoned(proc, after):
+    """proc with a non-finite drift for particle 3 after time `after`."""
+    def drift(y, t):
+        a = np.array(proc.drift(y, t))
+        if t > after:
+            a[0, 3] = np.nan
+        return a
+    return dataclasses.replace(proc, drift=drift)
+
+
+@pytest.mark.parametrize("case", ["returns", "raises", "twice"])
+def test_draw_ahead_rewinds_to_the_direct_stream(monkeypatch, case):
+    """After simulate returns, raises DegenerateState, or runs twice on one
+    RandomSource, the generator state, the next draws and the trajectories
+    equal those of the direct path."""
+    proc = _factor_forms()["factor"]
+    results = []
+    for on in (False, True):
+        _draw_ahead(monkeypatch, on)
+        rng = RandomSource(61, 0)
+        if case == "raises":
+            with pytest.raises(DegenerateState, match="particle 3"):
+                _resampled_run(_poisoned(proc, 0.1), rng)
+            dumps = []
+        else:
+            runs = [_resampled_run(proc, rng)
+                    for _ in range(2 if case == "twice" else 1)]
+            assert all(r.modified_steps > 0 for r in runs)
+            dumps = [{t: s.tobytes() for t, s in r.dumps.items()} for r in runs]
+        results.append((dumps, _state(rng), rng.normals(5).tobytes()))
+    assert results[0] == results[1]
+
+
+def test_no_helper_thread_outlives_simulate(monkeypatch):
+    """Twenty runs, one of which raises, leave the thread count as it was."""
+    _draw_ahead(monkeypatch, True)
+    proc = _factor_forms()["factor"]
+    before = threading.active_count()
+    for i in range(20):
+        if i == 7:
+            with pytest.raises(DegenerateState):
+                _resampled_run(_poisoned(proc, 0.02), RandomSource(i, 0))
+        else:
+            _resampled_run(proc, RandomSource(i, 0), t_end=0.04)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus,least,helpers", [
+    (2, 0, 1), (2, integrator.DRAW_AHEAD_MIN, 0), (1, 0, 0)])
+def test_helper_runs_only_on_two_cpus_above_the_threshold(monkeypatch, cpus,
+                                                          least, helpers):
+    """A drift closure sees the helper thread only when the process may use
+    two CPUs and a step draws at least DRAW_AHEAD_MIN normals (600 here)."""
+    monkeypatch.setattr(integrator, "_cpus", lambda: cpus)
+    monkeypatch.setattr(integrator, "DRAW_AHEAD_MIN", least)
+    proc = _factor_forms()["factor"]
+    seen = set()
+
+    def drift(y, t):
+        seen.add(threading.active_count())
+        return proc.drift(y, t)
+    before = threading.active_count()
+    _resampled_run(dataclasses.replace(proc, drift=drift), RandomSource(5, 0))
+    assert seen == {before + helpers}
+
+
+def test_helper_that_cannot_start_leaves_the_direct_stream(monkeypatch):
+    """A helper thread that fails to start fails simulate, and the source
+    still draws its direct stream afterwards."""
+    _draw_ahead(monkeypatch, True)
+
+    def start(self):
+        raise RuntimeError("can't start new thread")
+    monkeypatch.setattr(threading.Thread, "start", start)
+    rng = RandomSource(8, 0)
+    with pytest.raises(RuntimeError, match="start new thread"):
+        _resampled_run(_factor_forms()["factor"], rng)
+    assert rng._ahead is None
+    npt.assert_array_equal(rng.normals(5), RandomSource(8, 0).normals(5))
+
+
+class _FailingGenerator:
+    """Fills `good` blocks from a real generator, then raises."""
+
+    def __init__(self, generator, good):
+        self.generator, self.good = generator, good
+        self.bit_generator = generator.bit_generator
+
+    def standard_normal(self, size=None, out=None):
+        if out is not None:
+            if not self.good:
+                raise RuntimeError("fill failed")
+            self.good -= 1
+        return self.generator.standard_normal(size, out=out)
+
+
+@pytest.mark.parametrize("good", [0, 3])
+def test_failed_fill_raises_in_simulate(monkeypatch, good):
+    """A block fill that raises ends simulate with that error, not a hang."""
+    _draw_ahead(monkeypatch, True)
+    rng = RandomSource(3, 0)
+    rng.generator = _FailingGenerator(rng.generator, good)
+    errors = []
+
+    def run():
+        try:
+            _resampled_run(_factor_forms()["factor"], rng)
+        except RuntimeError as exc:
+            errors.append(str(exc))
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert errors == ["fill failed"]
