@@ -8,7 +8,7 @@ policies, and statistical validation of the moment evolution.
 
 __version__ = "0.1.0"
 
-from .core import (BoundaryFace, Ensemble, ProcessDefinition, SimplexState,
+from .core import (BoundaryFace, Ensemble, ProcessDefinition,
                    enumerate_faces, make_state)
 from .errors import (ConfigError, DegenerateState,
                      DirichletConstraintViolated, EnsembleTooSmall,
@@ -31,7 +31,7 @@ from .statistics import (CrossValidationReport, MomentSet, analytic_stationary,
 
 __all__ = [
     "__version__",
-    "BoundaryFace", "Ensemble", "ProcessDefinition", "SimplexState",
+    "BoundaryFace", "Ensemble", "ProcessDefinition",
     "enumerate_faces", "make_state",
     "ConfigError", "DegenerateState", "DirichletConstraintViolated",
     "EnsembleTooSmall", "EvaluationFailure", "InsufficientSnapshots",

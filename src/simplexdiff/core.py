@@ -19,23 +19,6 @@ from .errors import NegativeComponent, SumViolation
 TOL_SUM = 1e-12
 
 
-def _readonly(a):
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class SimplexState:
-    """A full N-component realizable point: fractions >= 0, sum == 1."""
-
-    fractions: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.fractions.shape[0]
-
-
 @dataclass(frozen=True)
 class BoundaryFace:
     """One face of the reduced-space polytope boundary.
@@ -125,8 +108,8 @@ def component_major(states: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(states.T)
 
 
-def make_state(fractions) -> SimplexState:
-    """Validate and build a SimplexState, renormalizing tiny sum drift.
+def make_state(fractions) -> np.ndarray:
+    """A validated read-only (N,) realizable point, renormalizing tiny sum drift.
 
     Components within -TOL_SUM of zero are clamped to exactly zero; the
     vector is then divided by its sum (which must lie within TOL_SUM of
@@ -152,7 +135,8 @@ def make_state(fractions) -> SimplexState:
             if r == 1.0:
                 break
             y[int(np.argmax(y))] += 1.0 - r
-    return SimplexState(_readonly(y))
+    y.setflags(write=False)
+    return y
 
 
 def face_points(face: BoundaryFace, k: int, n_samples: int,
@@ -197,8 +181,8 @@ class Ensemble:
         return self.states[:, :-1]
 
     @classmethod
-    def from_delta(cls, state: SimplexState, m: int) -> "Ensemble":
-        return cls(np.tile(state.fractions, (m, 1)))
+    def from_delta(cls, state: np.ndarray, m: int) -> "Ensemble":
+        return cls(np.tile(state, (m, 1)))
 
     @classmethod
     def from_uniform(cls, n: int, m: int, rng: np.random.Generator) -> "Ensemble":
@@ -206,4 +190,4 @@ class Ensemble:
 
     @classmethod
     def from_states(cls, states) -> "Ensemble":
-        return cls(np.stack([s.fractions for s in states]))
+        return cls(np.stack(states))

@@ -63,9 +63,6 @@ class AuditReport:
                                       violation=violation, location=location,
                                       passed=passed))
 
-    def worst(self) -> float:
-        return max((c.violation for c in self.checks), default=0.0)
-
     def to_dict(self) -> dict:
         return {"overall_pass": self.overall_pass,
                 "checks": [{"constraint": c.constraint, "subject": c.subject,

@@ -154,12 +154,13 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
     batch axis: each batch's count, mean, cov, third and fourth central
     moments of the (M, N) full states, the remainder estimated from its
     column, and the rates of the K = N-1 reduced components, read from the
-    first K rows of the same centred powers: mean, cov, and the third and
-    fourth moment rates in two forms, "ito" (the expansion of the centred
-    powers: centred drift, own diagonal diffusion entry) and "printed" (raw
-    drift, diffusion trace).  Drift and one diffusion closure
-    (diffusion_diag for a diagonal process: no (K, K, M) matrix) are
-    evaluated once on the reduced rows; each per-batch sum is one segment sum.
+    first K rows of the same centred powers and keyed like the moments:
+    mean, cov, third and fourth.  The third and fourth rates are the Ito
+    expansion of the centred powers, 3E[c^2 (a - mean a)] + 3E[c B_ii] and
+    4E[c^3 (a - mean a)] + 6E[c^2 B_ii] with c = Y_i - mean Y_i.  Drift and
+    one diffusion closure (diffusion_diag for a diagonal process: no
+    (K, K, M) matrix) are evaluated once on the reduced rows; each per-batch
+    sum is one segment sum.
     """
     x = component_major(np.asarray(states, dtype=float))
     batches = _Batches(x.shape[1], n_batches)
@@ -177,51 +178,38 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
         B = proc.diffusion(y, t)
         d = np.einsum("iim->im", B)
         b_mean = batches.mean(B)
-    trace = d.sum(axis=0)
     mean = batches.mean
     return moments, {
         "mean": a_mean, "cov": ya + ya.transpose(0, 2, 1) + b_mean,
-        "third_ito": 3.0 * mean(c2 * ac) + 3.0 * mean(c * d),
-        "third_printed": 3.0 * mean(c2 * a) + 3.0 * mean(c * trace),
-        "fourth_ito": 4.0 * mean(c3 * ac) + 6.0 * mean(c2 * d),
-        "fourth_printed": 4.0 * mean(c3 * a) + 6.0 * mean(c2 * trace)}
+        "third": 3.0 * mean(c2 * ac) + 3.0 * mean(c * d),
+        "fourth": 4.0 * mean(c3 * ac) + 6.0 * mean(c2 * d)}
 
 
 @dataclass
 class CrossValidationReport:
     """Finite-difference moment derivatives versus recorded evolution rates."""
 
-    n_checks: int            # (snapshot, entry, form) checks made
+    n_checks: int            # (snapshot, entry) checks made
     failures: list           # the failed checks, as dicts, in check order
-    form_pass: dict          # form name -> bool (all its checks passed)
-    matching_third_form: str     # "ito" | "printed" | "both" | "neither"
-    matching_fourth_form: str
+    form_pass: dict          # moment name -> bool (all its checks passed)
 
     @property
     def overall_pass(self) -> bool:
-        """Means and covariances validated, and some third/fourth form matched."""
-        return (self.form_pass["mean"] and self.form_pass["cov"]
-                and self.matching_third_form != "neither"
-                and self.matching_fourth_form != "neither")
+        """Every rate check of every moment passed."""
+        return all(self.form_pass.values())
 
     def to_dict(self) -> dict:
         return {
             "overall_pass": self.overall_pass,
             "form_pass": self.form_pass,
-            "matching_third_form": self.matching_third_form,
-            "matching_fourth_form": self.matching_fourth_form,
             "n_checks": self.n_checks,
             "failures": self.failures,
         }
 
 
-_MOMENT_TO_RATE = {"mean": ["mean"], "cov": ["cov"],
-                   "third": ["third_ito", "third_printed"],
-                   "fourth": ["fourth_ito", "fourth_printed"]}
-
-#: (ito form passed, printed form passed) -> the matching form
-_MATCHING_FORM = {(True, True): "both", (True, False): "ito",
-                  (False, True): "printed", (False, False): "neither"}
+def quantity_label(name: str, index) -> str:
+    """A moment entry's label in compare.json: name[i,j], 1-based."""
+    return name + "[" + ",".join(str(i + 1) for i in index) + "]"
 
 
 def batch_mean_se(values: np.ndarray, axis: int = 0):
@@ -238,50 +226,44 @@ def cross_validate_rates(traj, proc: ProcessDefinition,
     per particle batch and judged against tol_multiplier * (batch standard
     error + a finite-difference truncation allowance + an Euler step-bias
     allowance).  The batch moments cover all N components; the K reduced
-    ones, which have rates, are judged.  Third/fourth moments are checked
-    against both rate forms and the report states which one matches.
+    ones, which have rates, are judged.
     """
     snaps = traj.snapshots
     if len(snaps) < 3:
         raise InsufficientSnapshots(f"need >= 3 snapshots, got {len(snaps)}")
     times = np.array([s.t for s in snaps])
     n_checks, failures, form_pass = 0, [], {}
-    for mkey, rkeys in _MOMENT_TO_RATE.items():
-        bmom = np.stack([s.batch_moments[mkey] for s in snaps])  # (T, nb, ...)
+    for key in ("mean", "cov", "third", "fourth"):
+        bmom = np.stack([s.batch_moments[key] for s in snaps])  # (T, nb, ...)
         bmom = bmom[(...,) + (slice(-1),) * (bmom.ndim - 2)]  # reduced only
         # per interior snapshot, shaped to broadcast against (T-2, ...)
         col = (-1,) + (1,) * (bmom.ndim - 2)
         h = (times[2:] - times[:-2]).reshape(col)
         fd_b = (bmom[2:] - bmom[:-2]) / h[:, np.newaxis]
         fd = fd_b.mean(axis=1)
-        for rkey in rkeys:
-            brate = np.stack([s.batch_rates[rkey] for s in snaps])
-            rate = brate.mean(axis=1)
-            mean_diff, se = batch_mean_se(fd_b - brate[1:-1], axis=1)
-            # truncation allowance from the curvature of the rate series
-            if len(snaps) >= 4:
-                rdd = ((rate[2:] - 2.0 * rate[1:-1] + rate[:-2])
-                       / ((times[2:] - times[1:-1]) ** 2).reshape(col))
-            else:
-                rdd = np.zeros_like(mean_diff)
-            trunc = (h / 2.0) ** 2 / 6.0 * np.abs(rdd)
-            em = traj.config.dt * np.abs(rate[1:-1])
-            threshold = tol_multiplier * (se + trunc + em)
-            bad = np.abs(mean_diff) > threshold
-            form_pass[rkey] = not np.any(bad)
-            n_checks += bad.size
-            for idx in map(tuple, np.argwhere(bad).tolist()):
-                failures.append({
-                    "quantity": f"{mkey}{[i + 1 for i in idx[1:]]}",
-                    "form": rkey, "t": float(times[idx[0] + 1]),
-                    "fd": float(fd[idx]), "rate": float(rate[1:-1][idx]),
-                    "threshold": float(threshold[idx]), "passed": False})
-    return CrossValidationReport(
-        n_checks=n_checks, failures=failures, form_pass=form_pass,
-        matching_third_form=_MATCHING_FORM[form_pass["third_ito"],
-                                           form_pass["third_printed"]],
-        matching_fourth_form=_MATCHING_FORM[form_pass["fourth_ito"],
-                                            form_pass["fourth_printed"]])
+        brate = np.stack([s.batch_rates[key] for s in snaps])
+        rate = brate.mean(axis=1)
+        mean_diff, se = batch_mean_se(fd_b - brate[1:-1], axis=1)
+        # truncation allowance from the curvature of the rate series
+        if len(snaps) >= 4:
+            rdd = ((rate[2:] - 2.0 * rate[1:-1] + rate[:-2])
+                   / ((times[2:] - times[1:-1]) ** 2).reshape(col))
+        else:
+            rdd = np.zeros_like(mean_diff)
+        trunc = (h / 2.0) ** 2 / 6.0 * np.abs(rdd)
+        em = traj.config.dt * np.abs(rate[1:-1])
+        threshold = tol_multiplier * (se + trunc + em)
+        bad = np.abs(mean_diff) > threshold
+        form_pass[key] = not np.any(bad)
+        n_checks += bad.size
+        for idx in map(tuple, np.argwhere(bad).tolist()):
+            failures.append({
+                "quantity": quantity_label(key, idx[1:]),
+                "t": float(times[idx[0] + 1]),
+                "fd": float(fd[idx]), "rate": float(rate[1:-1][idx]),
+                "threshold": float(threshold[idx]), "passed": False})
+    return CrossValidationReport(n_checks=n_checks, failures=failures,
+                                 form_pass=form_pass)
 
 
 def dirichlet_moments(alpha: np.ndarray) -> MomentSet:

@@ -125,7 +125,7 @@ def test_criterion_02_boundary_audit(beta_proc, wf_proc, dir_proc, gendir_proc):
         report = audit_boundary(broken_process(style), 1000, RandomSource(0, 1))
         ok &= not report.overall_pass
         if style == "constant_diffusion":
-            ok &= report.worst() >= 0.09
+            ok &= max(c.violation for c in report.checks) >= 0.09
     assert announce(2, "boundary audit passes all four processes (5 seeds) "
                        "and flags both broken controls", ok)
 
@@ -308,14 +308,10 @@ def test_criterion_09_rate_cross_validation(all_runs, beta_proc, wf_proc,
         reports[name] = rep
         ok &= rep.form_pass["mean"] and rep.form_pass["cov"]
     wf_rep = reports["wright_fisher"]
-    # the suite pins the directly-expanded form; the printed variant is
-    # reported for documentation only
-    ok &= wf_rep.form_pass["third_ito"] and wf_rep.form_pass["fourth_ito"]
-    ok &= wf_rep.matching_third_form in ("ito", "both")
-    ok &= wf_rep.matching_fourth_form in ("ito", "both")
+    ok &= wf_rep.form_pass["third"] and wf_rep.form_pass["fourth"]
     assert announce(9, "finite differences match mean/covariance rates on all "
-                       "four processes; third/fourth adjudication selects the "
-                       f"'{wf_rep.matching_third_form}' form", ok)
+                       "four processes and the third/fourth rates on "
+                       "Wright-Fisher", ok)
 
 
 def test_criterion_10_threads_determinism(tmp_path):

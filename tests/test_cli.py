@@ -200,6 +200,10 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
              ("compare", {"stat_tol": float("nan")}),
              ("compare", {"stationary_window": [0.5]}),
              ("compare", {"stationary_window": "12"}),
+             ("compare", {"stationary_window": [float("nan"), 1.0]}),
+             ("compare", {"stationary_window": [0.04, 0.01]}),
+             ("compare", {"stationary_window": [True, 2.0]}),
+             ("compare", {"stationary_window": [0.5, 1.0, 2.0]}),
              ("output", {"dump_every": "often"}),
              ("output", {"dump_every": 2.5}),
              ("output", {"dump_every": True})]
@@ -349,7 +353,7 @@ def test_compare_beta_stationary(tmp_path):
                  "--outdir", str(out)]) == 0
     result = json.loads((out / "compare.json").read_text())
     assert result["overall_pass"] is True
-    assert result["rate_check"]["matching_third_form"] in ("ito", "both")
+    assert result["rate_check"]["form_pass"]["third"] is True
     var_check = [c for c in result["stationary"]["checks"]
                  if c["quantity"] == "cov[1,1]"][0]
     assert var_check["residual"] <= var_check["threshold"]
@@ -357,6 +361,34 @@ def test_compare_beta_stationary(tmp_path):
     assert audit["overall_pass"] is True
     assert {c["constraint"] for c in audit["checks"]} >= {
         "means-sum-to-one", "covariance-row-sums-zero", "covariance-symmetry"}
+
+
+def test_compare_json_carries_the_benchmark_verdict_keys(tmp_path,
+                                                        monkeypatch):
+    """The benchmark judges each compare call from compare.json: every
+    verdict key it reads is written, and its check_outputs accepts a run."""
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, compare={"stationary_window": [0.5, 1.0]})
+    out = tmp_path / "out"
+    code = main(["compare", "--config", str(cfg_path), "--outdir", str(out)])
+    result = json.loads((out / "compare.json").read_text())
+    assert type(result["rate_check"]["overall_pass"]) is bool
+    assert result["stationary"]["available"] is True
+    assert type(result["stationary"]["overall_pass"]) is bool
+    assert type(result["moment_audit"]["overall_pass"]) is bool
+    assert result["overall_pass"] is (code == 0)
+    assert set(result["rate_check"]) == {"overall_pass", "form_pass",
+                                         "n_checks", "failures"}
+    assert list(result["rate_check"]["form_pass"]) == ["mean", "cov", "third",
+                                                       "fourth"]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    measure = pytest.importorskip("measure")  # the benchmark also needs scipy
+    failure, invalid, verdicts, _ = measure.check_outputs(str(out), code, "", 6)
+    assert failure is None and not invalid
+    assert verdicts == (not result["rate_check"]["overall_pass"]) + (
+        not result["stationary"]["overall_pass"])
 
 
 def test_compare_fails_on_moment_audit(tmp_path, monkeypatch):

@@ -20,13 +20,13 @@ def boundary_distance(y):
 
 def test_make_state_exact_sum():
     s = make_state([0.2, 0.3, 0.5])
-    npt.assert_array_equal(s.fractions, [0.2, 0.3, 0.5])
-    assert s.n == 3
+    npt.assert_array_equal(s, [0.2, 0.3, 0.5])
+    assert s.shape == (3,) and not s.flags.writeable
 
 
 def test_make_state_vertex():
     s = make_state([1.0, 0.0, 0.0])
-    npt.assert_array_equal(s.fractions, [1.0, 0.0, 0.0])
+    npt.assert_array_equal(s, [1.0, 0.0, 0.0])
 
 
 def test_make_state_negative_component():
@@ -42,8 +42,8 @@ def test_make_state_sum_violation():
 def test_make_state_renormalizes_and_preserves_zeros():
     eps = 3e-13
     s = make_state([0.4 + eps, 0.0, 0.6])
-    assert s.fractions.sum() == 1.0
-    assert s.fractions[1] == 0.0
+    assert s.sum() == 1.0
+    assert s[1] == 0.0
 
 
 def test_enumerate_faces():
@@ -78,10 +78,10 @@ def test_make_state_fuzz(raw):
         return
     v = v / total
     s = make_state(v)
-    assert np.all(s.fractions >= 0.0)
-    assert np.all(s.fractions <= 1.0)
+    assert np.all(s >= 0.0)
+    assert np.all(s <= 1.0)
     # exact up to one ulp of the final pairwise summation
-    assert abs(s.fractions.sum() - 1.0) <= np.finfo(float).eps
+    assert abs(s.sum() - 1.0) <= np.finfo(float).eps
 
 
 def test_ensemble_constructors():
@@ -91,6 +91,8 @@ def test_ensemble_constructors():
     ens2 = Ensemble.from_uniform(3, 100, np.random.default_rng(1))
     assert ens2.states.shape == (100, 3)
     npt.assert_allclose(ens2.states.sum(axis=1), 1.0, atol=1e-12)
+    ens3 = Ensemble.from_states([make_state([0.2, 0.8]), make_state([1.0, 0.0])])
+    npt.assert_array_equal(ens3.states, [[0.2, 0.8], [1.0, 0.0]])
 
 
 def test_process_definition_derives_diagonal_diffusion():

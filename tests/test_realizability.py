@@ -116,7 +116,7 @@ def test_covariance_structure_valid_ensemble():
     report = audit_covariance_structure(m)
     assert report.overall_pass
     # the identity is sample-wise, so the residual is roundoff, not noise
-    assert report.worst() <= 1e-12
+    assert max(c.violation for c in report.checks) <= 1e-12
 
 
 def test_covariance_structure_non_simplex_fails():
