@@ -25,7 +25,7 @@ import yaml
 from . import __version__
 from .core import Ensemble, make_state
 from .errors import (ConfigError, InsufficientSnapshots, SimplexDiffError)
-from .integrator import IntegratorConfig, RandomSource, simulate
+from .integrator import IntegratorConfig, RandomSource, simulate, snapshot_steps
 from .processes import (BetaParams, DirichletParams, GenDirichletParams,
                         WrightFisherParams, beta_process, broken_process,
                         dirichlet_process, gen_dirichlet_process,
@@ -85,9 +85,17 @@ def build_process(cfg: dict):
             return gen_dirichlet_process(GenDirichletParams(c=c, **params))
         if name == "broken":
             return broken_process(**params)
-    except (SimplexDiffError, TypeError, KeyError) as exc:
+    except (SimplexDiffError, TypeError, KeyError, ValueError) as exc:
         raise ConfigError(f"invalid parameters for process {name!r}: {exc}") from exc
     raise ConfigError(f"unknown process {name!r}")
+
+
+def _number(raw):
+    """raw as a float, or None where it is not a number; a bool is not one."""
+    try:
+        return None if isinstance(raw, bool) else float(raw)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def setting(cfg: dict, section: str, key: str, default, kind=float, low=0):
@@ -99,10 +107,7 @@ def setting(cfg: dict, section: str, key: str, default, kind=float, low=0):
     if not isinstance(spec, dict):
         raise ConfigError(f"config section {section!r} is not a mapping")
     raw = spec.get(key, default)
-    try:
-        value = None if isinstance(raw, bool) else float(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = None
+    value = _number(raw)
     if (value is None or not (value > low and np.isfinite(value))
             or (kind is int and not value.is_integer())):
         bound = f"an integer >= {low + 1}" if kind is int else f"a number > {low}"
@@ -110,26 +115,40 @@ def setting(cfg: dict, section: str, key: str, default, kind=float, low=0):
     return kind(value)
 
 
+def run_seed(cfg: dict, args) -> int:
+    """--seed, else the config seed: integral and not a bool, like a count."""
+    raw = cfg["seed"] if args.seed is None else args.seed
+    value = _number(raw)
+    if value is None or not (np.isfinite(value) and value.is_integer()):
+        raise ConfigError(f"seed must be an integer, got {raw!r}")
+    return raw if isinstance(raw, int) else int(value)  # an int stays exact
+
+
 def build_ensemble(cfg: dict, n: int, gen: np.random.Generator) -> Ensemble:
-    spec = cfg.get("ensemble") or {}
+    """The initial ensemble, checked against the process's n components."""
     m = setting(cfg, "ensemble", "size", 1000, int, low=1)
-    init = spec.get("initial", {"kind": "uniform"})
+    init = (cfg.get("ensemble") or {}).get("initial", {"kind": "uniform"})
+    if not isinstance(init, dict):
+        raise ConfigError(f"ensemble.initial is not a mapping, got {init!r}")
     kind = init.get("kind")
+    if kind == "uniform":
+        return Ensemble.from_uniform(n, m, gen)
+    if kind not in ("delta", "list"):
+        raise ConfigError(f"unknown initial condition kind {kind!r}")
     try:
         if kind == "delta":
-            return Ensemble.from_delta(make_state(init["point"]), m)
-        if kind == "uniform":
-            return Ensemble.from_uniform(n, m, gen)
-        if kind == "list":
-            states = [make_state(p) for p in init["states"]]
-            ens = Ensemble.from_states(states)
-            if ens.size != m:
-                raise ConfigError(f"ensemble size {m} does not match "
-                                  f"{ens.size} listed states")
-            return ens
-    except (SimplexDiffError, KeyError) as exc:
+            ens = Ensemble.from_delta(make_state(init["point"]), m)
+        else:
+            ens = Ensemble.from_states([make_state(p) for p in init["states"]])
+    except (SimplexDiffError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid ensemble spec: {exc}") from exc
-    raise ConfigError(f"unknown initial condition kind {kind!r}")
+    if ens.n != n:
+        raise ConfigError(f"initial states have {ens.n} components, "
+                          f"the process has {n}")
+    if ens.size != m:
+        raise ConfigError(f"ensemble size {m} does not match "
+                          f"{ens.size} listed states")
+    return ens
 
 
 def build_integrator(cfg: dict) -> IntegratorConfig:
@@ -209,7 +228,7 @@ def _run_audit(proc, cfg, seed, outdir, quiet=False):
 def cmd_check(cfg: dict, args) -> int:
     outdir = resolve_outdir(cfg, args)
     proc = build_process(cfg)
-    seed = int(args.seed if args.seed is not None else cfg["seed"])
+    seed = run_seed(cfg, args)
     report = _run_audit(proc, cfg, seed, outdir)
     return 0 if report.overall_pass else 1
 
@@ -222,15 +241,22 @@ def _trajectory_counters(traj) -> dict:
             "clipped_steps": traj.clipped_steps}
 
 
-def _run_simulation(cfg: dict, args, outdir: str, dump_every=None):
-    """Shared setup + integration for simulate/compare; returns (proc, traj)."""
+def _run_simulation(cfg: dict, args, outdir: str, dump_every=None,
+                    check_times=None):
+    """Shared setup + integration for simulate/compare; returns (proc, traj, seed).
+
+    check_times, if given, sees the snapshot times before the audit runs.
+    """
     proc = build_process(cfg)
-    seed = int(args.seed if args.seed is not None else cfg["seed"])
+    seed = run_seed(cfg, args)
     # validated before the audit writes; the ensemble has its own stream
     icfg = build_integrator(cfg)
     t_end = setting(cfg, "integrator", "t_end", 1.0)
     record_every = setting(cfg, "integrator", "record_every", 100, int)
     init = build_ensemble(cfg, proc.dimension, RandomSource(seed, 2).generator)
+    if check_times:
+        check_times([k * icfg.dt
+                     for k in snapshot_steps(t_end, icfg.dt, record_every)])
     if not args.skip_audit:
         report = _run_audit(proc, cfg, seed, outdir, quiet=True)
         if not report.overall_pass:
@@ -272,9 +298,6 @@ def stationary_checks(traj, oracle, window, stat_tol: float):
     """
     lo, hi = window
     snaps = [s for s in traj.snapshots if lo <= s.t <= hi]
-    if not snaps:
-        raise InsufficientSnapshots(
-            f"no snapshots inside the stationary window [{lo}, {hi}]")
     mean_b = np.mean([s.batch_moments["mean"] for s in snaps], axis=0)  # (nb, N)
     cov_b = np.mean([s.batch_moments["cov"] for s in snaps], axis=0)  # (nb, N, N)
     checks = []
@@ -316,27 +339,36 @@ def moment_audit(traj, tol: ToleranceSet) -> dict:
     return {"overall_pass": all(c["passed"] for c in checks), "checks": checks}
 
 
-def cmd_compare(cfg: dict, args) -> int:
+def _check_compare_times(times, window):
+    """compare needs three snapshots, and one inside a given window."""
+    if len(times) < 3:
+        raise InsufficientSnapshots(f"need >= 3 snapshots, got {len(times)}")
+    if window and not any(window[0] <= t <= window[1] for t in times):
+        raise InsufficientSnapshots("no snapshots inside the stationary window "
+                                    f"[{window[0]}, {window[1]}]")
+
+
+def run_compare(cfg: dict, args):
+    """compare: (exit code, compare.json's contents or None if the audit failed)."""
     outdir = resolve_outdir(cfg, args)
     tol_multiplier = setting(cfg, "compare", "tol_multiplier", 3.0)
     stat_tol = setting(cfg, "compare", "stat_tol", 3.0)
     window = (cfg.get("compare") or {}).get("stationary_window")
     if window is not None:
         # only a list is read: a string would unpack character by character
-        values = window if isinstance(window, list) else []
-        try:
-            lo, hi = (np.nan if isinstance(v, bool) else float(v)
-                      for v in values)
-        except (TypeError, ValueError, OverflowError):
-            lo = hi = np.nan
-        if not -np.inf < lo <= hi < np.inf:  # also false for a NaN bound
+        bounds = [_number(v) for v in window] if isinstance(window, list) else []
+        if (len(bounds) != 2 or None in bounds  # a NaN bound fails below
+                or not -np.inf < bounds[0] <= bounds[1] < np.inf):
             raise ConfigError("compare.stationary_window must be a list of two "
                               f"finite numbers lo <= hi, got {window!r}")
+        window = tuple(bounds)
     tol = build_tolerances(cfg)
-    proc, traj, seed = _run_simulation(cfg, args, outdir)
+    proc, traj, seed = _run_simulation(
+        cfg, args, outdir,
+        check_times=lambda times: _check_compare_times(times, window))
     if traj is None:
-        return 1
-    rate_report = cross_validate_rates(traj, proc, tol_multiplier)
+        return 1, None
+    rate_report = cross_validate_rates(traj, tol_multiplier)
     result = {"rate_check": rate_report.to_dict()}
     passed = rate_report.overall_pass
     try:
@@ -344,8 +376,7 @@ def cmd_compare(cfg: dict, args) -> int:
     except UnsupportedProcess as exc:
         result["stationary"] = {"available": False, "reason": str(exc)}
     else:
-        if window is None:
-            lo, hi = traj.snapshots[-1].t / 2.0, traj.snapshots[-1].t
+        lo, hi = window or (traj.snapshots[-1].t / 2.0, traj.snapshots[-1].t)
         checks = stationary_checks(traj, oracle, (lo, hi), stat_tol)
         stat_pass = all(c["passed"] for c in checks)
         result["stationary"] = {"available": True, "window": [lo, hi],
@@ -363,7 +394,11 @@ def cmd_compare(cfg: dict, args) -> int:
     print(f"compare: rate check {'pass' if rate_report.overall_pass else 'FAIL'};"
           f" moment audit {'pass' if audit['overall_pass'] else 'FAIL'};"
           f" overall {'pass' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    return (0 if passed else 1), result
+
+
+def cmd_compare(cfg: dict, args) -> int:
+    return run_compare(cfg, args)[0]
 
 
 def _merge(base, override):
@@ -378,14 +413,16 @@ def _merge(base, override):
 
 def cmd_sweep(cfg: dict, args) -> int:
     outdir = resolve_outdir(cfg, args)
-    grid = cfg.get("sweep", {}).get("grid")
-    if not grid:
+    spec = cfg.get("sweep") or {}
+    grid = spec.get("grid") if isinstance(spec, dict) else None
+    if not grid or not isinstance(grid, list):
         raise ConfigError("sweep requires a non-empty sweep.grid list")
-    rows = []
-    any_failed = False
     for i, override in enumerate(grid):
         if not isinstance(override, dict):
             raise ConfigError(f"sweep grid entry {i} is not a mapping")
+    rows = []
+    any_failed = False
+    for i, override in enumerate(grid):
         point_cfg = _merge(cfg, override)
         point_cfg.pop("sweep", None)
         point_dir = os.path.join(outdir, f"point_{i:03d}")
@@ -393,14 +430,13 @@ def cmd_sweep(cfg: dict, args) -> int:
         point_args = argparse.Namespace(outdir=point_dir, seed=args.seed,
                                         skip_audit=args.skip_audit)
         t0 = time.perf_counter()
-        code = cmd_compare(point_cfg, point_args)
+        code, result = run_compare(point_cfg, point_args)
         runtime = time.perf_counter() - t0
-        with open(os.path.join(point_dir, "compare.json")) as f:
-            result = json.load(f)
-        stat_checks = result.get("stationary", {}).get("checks", [])
+        # a point whose boundary audit failed has no result: NaN residuals
+        stat_checks = (result or {}).get("stationary", {}).get("checks", [])
         max_res = max((c["residual"] for c in stat_checks), default=float("nan"))
         var = next((c for c in stat_checks if c["quantity"] == "cov[1,1]"), {})
-        rows.append((i, point_cfg.get("integrator", {}).get("dt", float("nan")),
+        rows.append((i, build_integrator(point_cfg).dt,
                      1 - code, max_res, var.get("residual", float("nan")),
                      var.get("threshold", float("nan")), runtime))
         any_failed |= code != 0

@@ -124,7 +124,7 @@ def make_state(fractions) -> np.ndarray:
         raise NegativeComponent(f"component {bad + 1} is {y[bad]:.3e}")
     y = np.where(y < 0.0, 0.0, y)
     s = y.sum()
-    if abs(s - 1.0) > TOL_SUM:
+    if not abs(s - 1.0) <= TOL_SUM:  # a non-finite component fails too
         raise SumViolation(f"components sum to {s!r}")
     if s != 1.0:
         y = y / s

@@ -53,7 +53,7 @@ class RandomSource:
         self._ahead = None  # simulate's _DrawAhead while it runs
 
     def normals(self, shape) -> np.ndarray:
-        """The stream's next values; drawn ahead, (m, K) ones are column-major."""
+        """The stream's next values; drawn ahead, only (m, K) ones, column-major."""
         if self._ahead is None:
             return self.generator.standard_normal(shape)
         return self._ahead.take(shape)
@@ -86,11 +86,9 @@ class _DrawAhead:
             block += 1
 
     def take(self, shape):
-        shape = tuple(shape) if np.iterable(shape) else (shape,)
-        rowwise = (len(shape) == 2  # rows that do not cross a block edge
-                   and self.taken % shape[1] == self.size % shape[1] == 0)
-        out = np.empty(shape[::-1]).T if rowwise else np.empty(shape)
-        rows, done = (out if rowwise else out.reshape(-1, 1)), 0
+        """The next (m, K) values, column-major; K divides the block size."""
+        out = np.empty(shape[::-1]).T
+        done, k = 0, shape[1]
         while done < out.size:
             block, at = divmod(self.taken, self.size)
             if at == 0:  # wait until the block is filled
@@ -98,8 +96,8 @@ class _DrawAhead:
                 if self.error and self.error[0] == block:
                     raise self.error[1]
             piece = self.ring[block % 2, at:at + out.size - done]
-            end, cols = done + piece.size, rows.shape[1]
-            rows[done // cols:end // cols] = piece.reshape(-1, cols)
+            end = done + piece.size
+            out[done // k:end // k] = piece.reshape(-1, k)
             done, self.taken = end, self.taken + piece.size
             if at + piece.size == self.size:  # the helper may refill the slot
                 self.free.release()
@@ -288,6 +286,13 @@ def _full_states(ys):
     return np.vstack([ys, np.maximum(1.0 - np.sum(ys, axis=0), 0.0)]).T
 
 
+def snapshot_steps(t_end: float, dt: float, record_every: int) -> list:
+    """The steps after which simulate records a snapshot, step k at t = k * dt:
+    0, every record_every-th and the last."""
+    n_steps = max(int(round(t_end / dt)), 1)
+    return [*range(0, n_steps, record_every), n_steps]
+
+
 def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
              t_end: float, record_every: int, rng: RandomSource,
              dump_every: Optional[int] = None) -> Trajectory:
@@ -312,13 +317,14 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     if init.n != proc.dimension:
         raise ValueError(f"ensemble has {init.n} components, "
                          f"process expects {proc.dimension}")
-    n_steps = max(int(round(t_end / cfg.dt)), 1)
+    steps = snapshot_steps(t_end, cfg.dt, record_every)
+    n_steps, recorded = steps[-1], set(steps)
     ys = component_major(init.reduced)
     traj = Trajectory(snapshots=[], config=cfg)
 
     def observe(k, ys):
         """The snapshot and dump due after step k, from one full-state array."""
-        snap = k % record_every == 0 or k == n_steps
+        snap = k in recorded
         dump = dump_every and (k % dump_every == 0 or k == n_steps)
         if not (snap or dump):
             return

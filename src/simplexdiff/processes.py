@@ -204,14 +204,10 @@ def _wf_diffusion_factor(y):
         v[1:] *= q[:-1]
         np.divide(y, v, out=v)
     if not np.isfinite(np.sum(v)):  # only a zero remainder makes v infinite
-        hit = np.any(q == 0.0, axis=0)
-        zero = q[:, hit] == 0.0
-        zero_prev = np.zeros_like(zero)
-        zero_prev[1:] = zero[:-1]
-        for a, mask in ((d, zero_prev), (v, zero | zero_prev)):
-            sub = a[:, hit]
-            sub[mask] = 0.0
-            a[:, hit] = sub
+        zero = q == 0.0  # d[j] divides by q[j-1], v[j] by q[j] q[j-1]
+        d[1:][zero[:-1]] = 0.0
+        v[zero] = 0.0
+        v[1:][zero[:-1]] = 0.0
     for a in (d, v):
         np.sqrt(np.maximum(a, 0.0, out=a), out=a)
     return d, -y, v
@@ -292,15 +288,10 @@ def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
         # rows a < K-1 gain c[a, beta] Y_a Y_N / cy[beta], summed over the
         # leading beta axis in order (c_t is C-ordered, so num is)
         num = _col(c_t, y) * (y[:-1] * cy_last)
+        # a zero remainder cy[f] makes this 0/0, and u[f] infinite against
+        # bracket[f] = -b_f (1 - S_f) Y_f != 0 at the first f: both raise below
         with np.errstate(divide="ignore", invalid="ignore"):
             num /= cy[:-1, np.newaxis]
-        # a zero remainder makes u[0] infinite; there a zero numerator gave
-        # 0/0, and a zero numerator contributes 0 whatever the remainder
-        if not np.isfinite(np.sum(u[0])):
-            hit = ~np.isfinite(u[0])
-            sub = num[..., hit]
-            sub[np.isnan(sub)] = 0.0
-            num[..., hit] = sub
         bracket = _col(S, y) * cy_last
         bracket -= _col(S_out, y) * y
         bracket *= _col(b, y)

@@ -218,8 +218,7 @@ def batch_mean_se(values: np.ndarray, axis: int = 0):
             values.std(axis=axis, ddof=1) / np.sqrt(values.shape[axis]))
 
 
-def cross_validate_rates(traj, proc: ProcessDefinition,
-                         tol_multiplier: float = 3.0) -> CrossValidationReport:
+def cross_validate_rates(traj, tol_multiplier: float = 3.0) -> CrossValidationReport:
     """Compare central finite differences of recorded moments with rates.
 
     At every interior snapshot at once, the difference FD - rate is formed

@@ -297,14 +297,11 @@ def test_criterion_08_reduction_pointwise(dir_proc, gendir_proc):
                 f"{control:.3e} (must exceed 1e-6)")
 
 
-def test_criterion_09_rate_cross_validation(all_runs, beta_proc, wf_proc,
-                                            dir_proc, gendir_proc):
-    procs = {"beta": beta_proc, "wright_fisher": wf_proc,
-             "dirichlet": dir_proc, "gen_dirichlet": gendir_proc}
+def test_criterion_09_rate_cross_validation(all_runs):
     ok = True
     reports = {}
     for name, traj in all_runs.items():
-        rep = cross_validate_rates(traj, procs[name], tol_multiplier=3.0)
+        rep = cross_validate_rates(traj, tol_multiplier=3.0)
         reports[name] = rep
         ok &= rep.form_pass["mean"] and rep.form_pass["cov"]
     wf_rep = reports["wright_fisher"]

@@ -206,7 +206,21 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
              ("compare", {"stationary_window": [0.5, 1.0, 2.0]}),
              ("output", {"dump_every": "often"}),
              ("output", {"dump_every": 2.5}),
-             ("output", {"dump_every": True})]
+             ("output", {"dump_every": True}),
+             ("ensemble", {"size": 500, "initial": "delta"}),
+             ("ensemble", {"size": 500,
+                           "initial": {"kind": "delta", "point": "abc"}}),
+             ("ensemble", {"size": 500, "initial": {
+                 "kind": "delta", "point": [float("nan"), 1.0]}}),
+             ("ensemble", {"size": 2, "initial": {
+                 "kind": "list", "states": [[0.5, 0.5], [0.2, 0.3, 0.5]]}}),
+             ("process", {"name": "wright_fisher",
+                          "params": {"omega": "abc"}}),
+             ("process", {"name": "beta",
+                          "params": {"b": 2.0, "S": 0.5, "kappa": "abc"}}),
+             ("seed", "abc"),
+             ("seed", 1.5),
+             ("seed", True)]
     for i, (section, values) in enumerate(cases):
         cfg_path = tmp_path / f"run{i}.yaml"
         write_config(cfg_path, **{section: values})
@@ -446,24 +460,64 @@ def test_compare_writes_counters_and_builds_no_dumps(tmp_path, monkeypatch):
 
 
 def test_compare_too_few_snapshots_exits_2(tmp_path):
-    cfg_path = tmp_path / "run.yaml"
-    write_config(cfg_path,
-                 integrator={"dt": 1e-2, "t_end": 0.02, "record_every": 100})
+    """compare's needs of the run's shape are checked before the audit: at
+    least three snapshots, one inside a given stationary window, and a start
+    point with the process's N components."""
+    cases = [
+        {"integrator": {"dt": 1e-2, "t_end": 0.02, "record_every": 100}},
+        {"integrator": {"dt": 1e-2, "t_end": 0.05, "record_every": 2},
+         "compare": {"stationary_window": [0.025, 0.035]}},
+        {"compare": {"stationary_window": [2.0, 3.0]}},
+        {"ensemble": {"size": 500, "initial": {"kind": "delta",
+                                               "point": [0.3, 0.3, 0.4]}}}]
+    for i, overrides in enumerate(cases):
+        cfg_path = tmp_path / f"run{i}.yaml"
+        write_config(cfg_path, **overrides)
+        out = tmp_path / f"out{i}"
+        assert main(["compare", "--config", str(cfg_path),
+                     "--outdir", str(out)]) == 2, overrides
+        assert not (out / "audit.json").exists(), overrides
+    # the point's length is the simulate command's to check too
+    assert main(["simulate", "--config", str(tmp_path / "run3.yaml"),
+                 "--outdir", str(tmp_path / "sim")]) == 2
+    assert not (tmp_path / "sim" / "audit.json").exists()
+    # a window holding the single snapshot at t = 0.04 passes the check
+    cfg_path = tmp_path / "edge.yaml"
+    write_config(cfg_path, integrator={"dt": 1e-2, "t_end": 0.05,
+                                       "record_every": 2},
+                 compare={"stationary_window": [0.04, 0.04]})
     assert main(["compare", "--config", str(cfg_path),
-                 "--outdir", str(tmp_path / "out")]) == 2
+                 "--outdir", str(tmp_path / "edge")]) in (0, 1)
+    result = json.loads((tmp_path / "edge" / "compare.json").read_text())
+    assert result["stationary"]["window"] == [0.04, 0.04]
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):
-    cfg_path = tmp_path / "run.yaml"
-    write_config(cfg_path, sweep={"grid": []})
-    assert main(["sweep", "--config", str(cfg_path),
-                 "--outdir", str(tmp_path / "out")]) == 2
+    """So does a sweep section or grid entry that is not a mapping, before
+    the first point writes anything."""
+    for i, sweep in enumerate(({"grid": []}, [1, 2], {"grid": [{}, 5]},
+                               {"grid": 5})):
+        cfg_path = tmp_path / f"run{i}.yaml"
+        write_config(cfg_path, sweep=sweep)
+        out = tmp_path / f"out{i}"
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--outdir", str(out)]) == 2, sweep
+        assert not (out / "point_000").exists(), sweep
+        assert not (out / "sweep.csv").exists(), sweep
+
+
+def _sweep_rows(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == ("point,dt,passed,max_stationary_residual,"
+                        "var1_residual,var1_threshold,runtime_s")
+    return [[float(v) for v in line.split(",")] for line in lines[1:]]
 
 
 def test_sweep_s_grid_means_track_target(tmp_path):
+    """dt is left at its default 1e-3, which sweep.csv writes."""
     cfg_path = tmp_path / "run.yaml"
     write_config(cfg_path,
-                 integrator={"dt": 1e-3, "t_end": 6.0, "record_every": 600},
+                 integrator={"t_end": 6.0, "record_every": 600},
                  ensemble={"size": 1000,
                            "initial": {"kind": "delta", "point": [0.9, 0.1]}},
                  compare={"stationary_window": [3.0, 6.0]},
@@ -473,13 +527,34 @@ def test_sweep_s_grid_means_track_target(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg_path),
                  "--outdir", str(out)]) == 0
-    assert (out / "sweep.csv").exists()
+    rows = _sweep_rows(out / "sweep.csv")
+    assert [r[:3] for r in rows] == [[i, 1e-3, 1] for i in range(3)]
     for i, s in enumerate((0.3, 0.5, 0.7)):
         result = json.loads((out / f"point_{i:03d}" / "compare.json").read_text())
         mean_check = [c for c in result["stationary"]["checks"]
                       if c["quantity"] == "mean[1]"][0]
         assert mean_check["oracle"] == pytest.approx(s)
         assert mean_check["passed"]
+
+
+def test_sweep_failed_audit_point_gets_nan_row(tmp_path):
+    """A point whose boundary audit fails writes no compare.json: its row
+    has passed 0 and NaN residuals, the sweep goes on and exits 1."""
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path,
+                 process={"name": "broken",
+                          "params": {"style": "constant_diffusion", "n": 2}},
+                 sweep={"grid": [{"integrator": {"dt": 2e-3}},
+                                 {"integrator": {"dt": 4e-3}}]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--outdir", str(out)]) == 1
+    rows = _sweep_rows(out / "sweep.csv")
+    assert [r[:3] for r in rows] == [[0, 2e-3, 0], [1, 4e-3, 0]]
+    assert all(np.isnan(r[3:6]).all() for r in rows)
+    for i in range(2):
+        assert (out / f"point_{i:03d}" / "audit.json").exists()
+        assert not (out / f"point_{i:03d}" / "compare.json").exists()
 
 
 def test_load_config_requires_keys(tmp_path):

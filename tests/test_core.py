@@ -35,8 +35,11 @@ def test_make_state_negative_component():
 
 
 def test_make_state_sum_violation():
-    with pytest.raises(SumViolation):
-        make_state([0.5, 0.6])
+    # a NaN component fails both bound comparisons; it is refused, like an
+    # infinite one
+    for raw in ([0.5, 0.6], [np.nan, 1.0], [1.0, 0.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(SumViolation):
+            make_state(raw)
 
 
 def test_make_state_renormalizes_and_preserves_zeros():

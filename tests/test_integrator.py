@@ -577,27 +577,27 @@ def _state(rng):
                       default=lambda a: a.tolist())
 
 
-#: (shape, column-major) of draws from 100-value blocks: (m, 1), (m, K) and
-#: 1-D draws, draws that straddle a block edge between rows and inside one,
-#: draws larger than a block and one larger than the ring
-_AHEAD_DRAWS = [((30, 1), True), ((20, 2), True), ((40, 2), True),
-                ((70, 2), True), (17, False), ((60, 2), False), ((130,), False),
-                ((50, 3), False), ((250,), False), ((4, 2), False)]
+#: (m, K) draws from 100-value blocks, K dividing the block size and each
+#: draw starting at a multiple of its K, as simulate's draws of one K do:
+#: draws inside a block, draws that straddle a block edge, one that ends
+#: on one, draws larger than a block and one larger than the ring
+_AHEAD_DRAWS = [(30, 1), (20, 2), (40, 2), (70, 2), (60, 2), (3, 2), (16, 4),
+                (4, 5), (125, 2), (17, 1)]
 
 
 def test_drawn_ahead_normals_are_the_direct_stream():
     """The helper's ring hands out the direct draws, however they are split
-    across its blocks, each in a new array; an (m, K) draw whose rows do not
-    cross a block edge is column-major, so its (K, m) transpose needs no
-    copy.  Closing rewinds the generator to where the direct draws leave it."""
+    across its blocks, each in a new column-major array, so its (K, m)
+    transpose needs no copy.  Closing rewinds the generator to where the
+    direct draws leave it."""
     direct, rng = RandomSource(7, 0), RandomSource(7, 0)
     ahead = _DrawAhead(rng, 100)
     try:
-        for shape, column_major in _AHEAD_DRAWS:
+        for shape in _AHEAD_DRAWS:
             xi = rng.normals(shape)
             npt.assert_array_equal(xi, direct.normals(shape))
             assert not np.shares_memory(xi, ahead.ring)
-            assert (xi.ndim == 2 and xi.T.flags.c_contiguous) == column_major
+            assert xi.T.flags.c_contiguous
     finally:
         ahead.close()
     assert rng._ahead is None
@@ -614,10 +614,10 @@ def test_draw_ahead_under_thread_switching():
         rng, direct = RandomSource(seed, 0), RandomSource(seed, 0)
         ahead = _DrawAhead(rng, 64)
         try:
-            got = [rng.normals((n, 2) if n % 3 else n) for n in sizes]
+            got = [rng.normals((n, 2)) for n in sizes]
         finally:
             ahead.close()
-        want = [direct.normals((n, 2) if n % 3 else n) for n in sizes]
+        want = [direct.normals((n, 2)) for n in sizes]
         results[seed] = (all(map(np.array_equal, got, want))
                          and _state(rng) == _state(direct))
 

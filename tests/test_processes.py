@@ -4,7 +4,8 @@ import pytest
 
 from simplexdiff import (BetaParams, DirichletParams,
                          DirichletConstraintViolated, GenDirichletParams,
-                         InvalidParameter, WrightFisherParams, beta_process,
+                         InvalidParameter, SingularNesting,
+                         WrightFisherParams, beta_process,
                          broken_process, dirichlet_process,
                          gen_dirichlet_process, wright_fisher_process)
 from simplexdiff.core import enumerate_faces, face_points
@@ -178,6 +179,28 @@ def test_gen_dirichlet_drift_matches_double_loop(n):
             got = gen_dirichlet_process(params).drift(states, 0.0)
             ref = _reference_nested_drift(params, states)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), name
+
+
+def test_gen_dirichlet_zero_intermediate_remainder():
+    """At N = 4 states whose first nesting remainder is positive and whose
+    second is exactly zero, the nested drift raises SingularNesting, alone
+    and in a batch, and the diffusion degenerates to exact zeros, for the
+    reduction and a random coupling."""
+    rng = np.random.default_rng(41)
+    base = DirichletParams(b=np.full(3, 4.0), S=np.full(3, 0.5),
+                           kappa=np.array([1.0, 1.5, 2.0]))
+    couplings = [GenDirichletParams.reduction_of(base),
+                 GenDirichletParams(b=base.b, S=base.S, kappa=base.kappa,
+                                    c=np.triu(rng.normal(size=(2, 2))))]
+    y = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 0.0]])  # (K, M): two states
+    for params in couplings:
+        proc = gen_dirichlet_process(params)
+        for states in (y, y[:, 0].copy(), y[:, 1].copy()):
+            with pytest.raises(SingularNesting, match="drift is undefined"):
+                proc.drift(states, 0.0)
+            d = proc.diffusion_diag(states, 0.0)
+            assert d.shape == states.shape
+            assert np.all(d == 0.0) and not np.any(np.signbit(d))
 
 
 def test_gen_dirichlet_triangularity_enforced():

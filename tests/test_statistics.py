@@ -162,7 +162,7 @@ def test_cross_validation_static_process():
     ens = Ensemble.from_uniform(3, 400, np.random.default_rng(17))
     traj = simulate(p, ens, IntegratorConfig(dt=1e-2), t_end=0.3,
                     record_every=5, rng=RandomSource(18, 0))
-    rep = cross_validate_rates(traj, p)
+    rep = cross_validate_rates(traj)
     assert rep.overall_pass
     assert rep.form_pass == dict.fromkeys(("mean", "cov", "third", "fourth"),
                                           True)
@@ -232,7 +232,7 @@ def test_cross_validation_matches_per_snapshot_loop(record_every):
     assert interior == {10: 1, 4: 4}[record_every]
     # at 2.0 only a third or fourth rate check fails, which fails the run
     for tol in (3.0, 2.0, 1.0):
-        got = cross_validate_rates(traj, p, tol).to_dict()
+        got = cross_validate_rates(traj, tol).to_dict()
         assert got.pop("n_checks") == interior * 10
         ref = _reference_cross_validate(traj, tol)
         # a passing and a failing verdict: the failure records are compared
