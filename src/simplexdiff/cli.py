@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+import types
 
 import numpy as np
 import yaml
@@ -169,6 +170,72 @@ def build_tolerances(cfg: dict) -> ToleranceSet:
                                                 ("moment_stat_tol", 3.0))})
 
 
+def _merge(base, override):
+    out = dict(base)
+    for k, v in override.items():
+        if isinstance(v, dict) and isinstance(out.get(k), dict):
+            out[k] = _merge(out[k], v)
+        else:
+            out[k] = v
+    return out
+
+
+def read_run(cfg: dict, args, command: str) -> types.SimpleNamespace:
+    """Every input that command uses, read and checked before anything is
+    written.  sweep keeps each grid point's merged config, read as compare
+    reads it, and reads it again when the point runs, so that no two points'
+    ensembles are held at once."""
+    if command == "sweep":
+        spec = cfg.get("sweep") or {}
+        grid = spec.get("grid") if isinstance(spec, dict) else None
+        if not grid or not isinstance(grid, list):
+            raise ConfigError("sweep requires a non-empty sweep.grid list")
+        base = {k: v for k, v in cfg.items() if k != "sweep"}
+        points = []
+        for i, override in enumerate(grid):
+            if not isinstance(override, dict):
+                raise ConfigError(f"sweep grid entry {i} is not a mapping")
+            points.append(_merge(base, override))
+            read_run(points[-1], args, "compare")
+        return types.SimpleNamespace(points=points, args=args)
+    run = types.SimpleNamespace(
+        cfg=cfg, proc=build_process(cfg), seed=run_seed(cfg, args),
+        samples=setting(cfg, "audit", "samples_per_face", 1000, int),
+        tol=build_tolerances(cfg), skip_audit=args.skip_audit)
+    if command == "check":
+        return run
+    run.icfg = build_integrator(cfg)
+    run.t_end = setting(cfg, "integrator", "t_end", 1.0)
+    run.record_every = setting(cfg, "integrator", "record_every", 100, int)
+    # the ensemble has its own stream, apart from the audit's and the run's
+    run.init = build_ensemble(cfg, run.proc.dimension,
+                              RandomSource(run.seed, 2).generator)
+    if command == "simulate":
+        run.dump_every = setting(cfg, "output", "dump_every", 0, int, low=-1) or None
+        return run
+    run.dump_every = None  # compare writes no particle dumps
+    run.tol_multiplier = setting(cfg, "compare", "tol_multiplier", 3.0)
+    run.stat_tol = setting(cfg, "compare", "stat_tol", 3.0)
+    window = (cfg.get("compare") or {}).get("stationary_window")
+    if window is not None:
+        # only a list is read: a string would unpack character by character
+        bounds = [_number(v) for v in window] if isinstance(window, list) else []
+        if (len(bounds) != 2 or None in bounds  # a NaN bound fails below
+                or not -np.inf < bounds[0] <= bounds[1] < np.inf):
+            raise ConfigError("compare.stationary_window must be a list of two "
+                              f"finite numbers lo <= hi, got {window!r}")
+        window = tuple(bounds)
+    run.window = window
+    times = [k * run.icfg.dt
+             for k in snapshot_steps(run.t_end, run.icfg.dt, run.record_every)]
+    if len(times) < 3:
+        raise InsufficientSnapshots(f"need >= 3 snapshots, got {len(times)}")
+    if window and not any(window[0] <= t <= window[1] for t in times):
+        raise InsufficientSnapshots("no snapshots inside the stationary window "
+                                    f"[{window[0]}, {window[1]}]")
+    return run
+
+
 def resolve_outdir(cfg: dict, args) -> str:
     outdir = (args.outdir or cfg.get("outdir")
               or os.environ.get(OUTDIR_ENV) or ".")
@@ -213,10 +280,9 @@ def write_run_meta(path: str, cfg: dict, seed: int, extra: dict):
         f.write("\n")
 
 
-def _run_audit(proc, cfg, seed, outdir, quiet=False):
-    samples = setting(cfg, "audit", "samples_per_face", 1000, int)
-    tol = build_tolerances(cfg)
-    report = audit_boundary(proc, samples, RandomSource(seed, 1), tol)
+def _run_audit(run, outdir: str, quiet=False):
+    report = audit_boundary(run.proc, run.samples, RandomSource(run.seed, 1),
+                            run.tol)
     with open(os.path.join(outdir, "audit.json"), "w") as f:
         json.dump(report.to_dict(), f, indent=2)
         f.write("\n")
@@ -225,63 +291,35 @@ def _run_audit(proc, cfg, seed, outdir, quiet=False):
     return report
 
 
-def cmd_check(cfg: dict, args) -> int:
-    outdir = resolve_outdir(cfg, args)
-    proc = build_process(cfg)
-    seed = run_seed(cfg, args)
-    report = _run_audit(proc, cfg, seed, outdir)
-    return 0 if report.overall_pass else 1
+def cmd_check(run, outdir: str) -> int:
+    return 0 if _run_audit(run, outdir).overall_pass else 1
 
 
-def _trajectory_counters(traj) -> dict:
-    """The trajectory's counters, as written to run_meta.json."""
-    return {"violation_count": traj.violation_count,
-            "particle_steps": traj.particle_steps,
-            "modified_steps": traj.modified_steps,
-            "clipped_steps": traj.clipped_steps}
-
-
-def _run_simulation(cfg: dict, args, outdir: str, dump_every=None,
-                    check_times=None):
-    """Shared setup + integration for simulate/compare; returns (proc, traj, seed).
-
-    check_times, if given, sees the snapshot times before the audit runs.
-    """
-    proc = build_process(cfg)
-    seed = run_seed(cfg, args)
-    # validated before the audit writes; the ensemble has its own stream
-    icfg = build_integrator(cfg)
-    t_end = setting(cfg, "integrator", "t_end", 1.0)
-    record_every = setting(cfg, "integrator", "record_every", 100, int)
-    init = build_ensemble(cfg, proc.dimension, RandomSource(seed, 2).generator)
-    if check_times:
-        check_times([k * icfg.dt
-                     for k in snapshot_steps(t_end, icfg.dt, record_every)])
-    if not args.skip_audit:
-        report = _run_audit(proc, cfg, seed, outdir, quiet=True)
-        if not report.overall_pass:
-            print("boundary audit failed; rerun with --skip-audit to force",
-                  file=sys.stderr)
-            return proc, None, seed
-    traj = simulate(proc, init, icfg, t_end, record_every, RandomSource(seed, 0),
-                    dump_every=dump_every)
-    return proc, traj, seed
-
-
-def cmd_simulate(cfg: dict, args) -> int:
-    outdir = resolve_outdir(cfg, args)
-    dump_every = setting(cfg, "output", "dump_every", 0, int, low=-1)
-    proc, traj, seed = _run_simulation(cfg, args, outdir, dump_every or None)
-    if traj is None:
-        return 1
-    write_moments_csv(os.path.join(outdir, "moments.csv"), traj, proc.dimension)
+def _simulate(run, outdir: str):
+    """simulate and compare's audit, run and records; None if the audit failed."""
+    if not run.skip_audit and not _run_audit(run, outdir, quiet=True).overall_pass:
+        print("boundary audit failed; rerun with --skip-audit to force",
+              file=sys.stderr)
+        return None
+    traj = simulate(run.proc, run.init, run.icfg, run.t_end, run.record_every,
+                    RandomSource(run.seed, 0), dump_every=run.dump_every)
+    write_moments_csv(os.path.join(outdir, "moments.csv"), traj, run.proc.dimension)
     for t, states in traj.dumps.items():
         write_ensemble_csv(os.path.join(outdir, f"ensemble_{t:g}.csv"), t, states)
-    write_run_meta(os.path.join(outdir, "run_meta.json"), cfg, seed,
-                   _trajectory_counters(traj))
+    write_run_meta(os.path.join(outdir, "run_meta.json"), run.cfg, run.seed,
+                   {"violation_count": traj.violation_count,
+                    "particle_steps": traj.particle_steps,
+                    "modified_steps": traj.modified_steps,
+                    "clipped_steps": traj.clipped_steps})
     if traj.violation_count:
         print(f"{traj.violation_count} realizability violations recorded",
               file=sys.stderr)
+    return traj
+
+
+def cmd_simulate(run, outdir: str) -> int:
+    traj = _simulate(run, outdir)
+    if traj is None or traj.violation_count:
         return 1
     print(f"simulate: {len(traj.snapshots)} snapshots, "
           f"{traj.particle_steps} particle-steps, 0 violations")
@@ -339,105 +377,57 @@ def moment_audit(traj, tol: ToleranceSet) -> dict:
     return {"overall_pass": all(c["passed"] for c in checks), "checks": checks}
 
 
-def _check_compare_times(times, window):
-    """compare needs three snapshots, and one inside a given window."""
-    if len(times) < 3:
-        raise InsufficientSnapshots(f"need >= 3 snapshots, got {len(times)}")
-    if window and not any(window[0] <= t <= window[1] for t in times):
-        raise InsufficientSnapshots("no snapshots inside the stationary window "
-                                    f"[{window[0]}, {window[1]}]")
-
-
-def run_compare(cfg: dict, args):
+def run_compare(run, outdir: str):
     """compare: (exit code, compare.json's contents or None if the audit failed)."""
-    outdir = resolve_outdir(cfg, args)
-    tol_multiplier = setting(cfg, "compare", "tol_multiplier", 3.0)
-    stat_tol = setting(cfg, "compare", "stat_tol", 3.0)
-    window = (cfg.get("compare") or {}).get("stationary_window")
-    if window is not None:
-        # only a list is read: a string would unpack character by character
-        bounds = [_number(v) for v in window] if isinstance(window, list) else []
-        if (len(bounds) != 2 or None in bounds  # a NaN bound fails below
-                or not -np.inf < bounds[0] <= bounds[1] < np.inf):
-            raise ConfigError("compare.stationary_window must be a list of two "
-                              f"finite numbers lo <= hi, got {window!r}")
-        window = tuple(bounds)
-    tol = build_tolerances(cfg)
-    proc, traj, seed = _run_simulation(
-        cfg, args, outdir,
-        check_times=lambda times: _check_compare_times(times, window))
+    traj = _simulate(run, outdir)
     if traj is None:
         return 1, None
-    rate_report = cross_validate_rates(traj, tol_multiplier)
+    rate_report = cross_validate_rates(traj, run.tol_multiplier)
     result = {"rate_check": rate_report.to_dict()}
     passed = rate_report.overall_pass
     try:
-        oracle = analytic_stationary(proc)
+        oracle = analytic_stationary(run.proc)
     except UnsupportedProcess as exc:
         result["stationary"] = {"available": False, "reason": str(exc)}
     else:
-        lo, hi = window or (traj.snapshots[-1].t / 2.0, traj.snapshots[-1].t)
-        checks = stationary_checks(traj, oracle, (lo, hi), stat_tol)
+        lo, hi = run.window or (traj.snapshots[-1].t / 2.0, traj.snapshots[-1].t)
+        checks = stationary_checks(traj, oracle, (lo, hi), run.stat_tol)
         stat_pass = all(c["passed"] for c in checks)
         result["stationary"] = {"available": True, "window": [lo, hi],
                                 "checks": checks, "overall_pass": stat_pass}
         passed = passed and stat_pass
-    audit = result["moment_audit"] = moment_audit(traj, tol)
-    passed = passed and audit["overall_pass"]
+    audit = result["moment_audit"] = moment_audit(traj, run.tol)
+    passed = passed and audit["overall_pass"] and not traj.violation_count
     result["overall_pass"] = passed
     with open(os.path.join(outdir, "compare.json"), "w") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
-    write_moments_csv(os.path.join(outdir, "moments.csv"), traj, proc.dimension)
-    write_run_meta(os.path.join(outdir, "run_meta.json"), cfg, seed,
-                   _trajectory_counters(traj))
     print(f"compare: rate check {'pass' if rate_report.overall_pass else 'FAIL'};"
           f" moment audit {'pass' if audit['overall_pass'] else 'FAIL'};"
           f" overall {'pass' if passed else 'FAIL'}")
     return (0 if passed else 1), result
 
 
-def cmd_compare(cfg: dict, args) -> int:
-    return run_compare(cfg, args)[0]
+def cmd_compare(run, outdir: str) -> int:
+    return run_compare(run, outdir)[0]
 
 
-def _merge(base, override):
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
-
-
-def cmd_sweep(cfg: dict, args) -> int:
-    outdir = resolve_outdir(cfg, args)
-    spec = cfg.get("sweep") or {}
-    grid = spec.get("grid") if isinstance(spec, dict) else None
-    if not grid or not isinstance(grid, list):
-        raise ConfigError("sweep requires a non-empty sweep.grid list")
-    for i, override in enumerate(grid):
-        if not isinstance(override, dict):
-            raise ConfigError(f"sweep grid entry {i} is not a mapping")
+def cmd_sweep(run, outdir: str) -> int:
     rows = []
     any_failed = False
-    for i, override in enumerate(grid):
-        point_cfg = _merge(cfg, override)
-        point_cfg.pop("sweep", None)
+    for i, point in enumerate(run.points):
         point_dir = os.path.join(outdir, f"point_{i:03d}")
         os.makedirs(point_dir, exist_ok=True)
-        point_args = argparse.Namespace(outdir=point_dir, seed=args.seed,
-                                        skip_audit=args.skip_audit)
         t0 = time.perf_counter()
-        code, result = run_compare(point_cfg, point_args)
+        point_run = read_run(point, run.args, "compare")
+        code, result = run_compare(point_run, point_dir)
         runtime = time.perf_counter() - t0
         # a point whose boundary audit failed has no result: NaN residuals
         stat_checks = (result or {}).get("stationary", {}).get("checks", [])
         max_res = max((c["residual"] for c in stat_checks), default=float("nan"))
         var = next((c for c in stat_checks if c["quantity"] == "cov[1,1]"), {})
-        rows.append((i, build_integrator(point_cfg).dt,
-                     1 - code, max_res, var.get("residual", float("nan")),
+        rows.append((i, point_run.icfg.dt, 1 - code, max_res,
+                     var.get("residual", float("nan")),
                      var.get("threshold", float("nan")), runtime))
         any_failed |= code != 0
     with open(os.path.join(outdir, "sweep.csv"), "w") as f:
@@ -491,7 +481,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        run = read_run(cfg, args, args.command)
+        return _COMMANDS[args.command](run, resolve_outdir(cfg, args))
     except (ConfigError, InsufficientSnapshots) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -311,7 +311,8 @@ def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
         d = _col(kappa, y) * y
         d *= cy_last
         zero = d == 0.0
-        d *= u
+        with np.errstate(invalid="ignore"):  # 0 * inf, zeroed on the next line
+            d *= u
         d[zero] = 0.0
         if not np.all(np.isfinite(d)):
             raise SingularNesting("diffusion is undefined: zero nested remainder "

@@ -182,7 +182,8 @@ _INTEGRATOR = {"dt": 1e-3, "t_end": 1.0, "record_every": 200}
 
 
 def test_invalid_integrator_exits_2_before_audit(tmp_path):
-    """Every numeric setting is read and checked before the audit writes."""
+    """Every numeric setting is read and checked before anything is written,
+    the output directory included."""
     cases = [("integrator", {"dt": 0.0, "t_end": 1.0}),
              ("integrator", dict(_INTEGRATOR, record_every=0)),
              ("integrator", dict(_INTEGRATOR, record_every="ten")),
@@ -230,7 +231,7 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
             out = tmp_path / f"{command}{i}"
             assert main([command, "--config", str(cfg_path),
                          "--outdir", str(out)]) == 2, (section, values, command)
-            assert not (out / "audit.json").exists(), (section, values, command)
+            assert not out.exists(), (section, values, command)
     # an integral float is a count
     size = cli.setting({"ensemble": {"size": 10000.0}}, "ensemble", "size", 1, int)
     assert size == 10000 and type(size) is int
@@ -355,13 +356,16 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     assert (envdir / "audit.json").exists()
 
 
+# a beta run that relaxes by t = 4 and passes every compare check
+_STATIONARY_BETA = {
+    "integrator": {"dt": 1e-3, "t_end": 8.0, "record_every": 800},
+    "ensemble": {"size": 2000, "initial": {"kind": "delta", "point": [0.9, 0.1]}},
+    "compare": {"stationary_window": [4.0, 8.0]}}
+
+
 def test_compare_beta_stationary(tmp_path):
     cfg_path = tmp_path / "run.yaml"
-    write_config(cfg_path,
-                 integrator={"dt": 1e-3, "t_end": 8.0, "record_every": 800},
-                 ensemble={"size": 2000,
-                           "initial": {"kind": "delta", "point": [0.9, 0.1]}},
-                 compare={"stationary_window": [4.0, 8.0]})
+    write_config(cfg_path, **_STATIONARY_BETA)
     out = tmp_path / "out"
     assert main(["compare", "--config", str(cfg_path),
                  "--outdir", str(out)]) == 0
@@ -375,6 +379,28 @@ def test_compare_beta_stationary(tmp_path):
     assert audit["overall_pass"] is True
     assert {c["constraint"] for c in audit["checks"]} >= {
         "means-sum-to-one", "covariance-row-sums-zero", "covariance-symmetry"}
+
+
+def test_compare_fails_on_recorded_violations(tmp_path, monkeypatch, capsys):
+    """A run that records realizability violations fails compare, as it fails
+    simulate: exit 1, the count on stderr and overall_pass false."""
+    simulate = cli.simulate
+
+    def violating(*args, **kwargs):
+        traj = simulate(*args, **kwargs)
+        traj.violation_count = 3
+        return traj
+
+    monkeypatch.setattr(cli, "simulate", violating)
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, **_STATIONARY_BETA)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg_path),
+                 "--outdir", str(out)]) == 1
+    assert "3 realizability violations recorded" in capsys.readouterr().err
+    result = json.loads((out / "compare.json").read_text())
+    assert result["overall_pass"] is False
+    assert json.loads((out / "run_meta.json").read_text())["violation_count"] == 3
 
 
 def test_compare_json_carries_the_benchmark_verdict_keys(tmp_path,
@@ -417,11 +443,7 @@ def test_compare_fails_on_moment_audit(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "audit_moment_bounds", shifted)
     cfg_path = tmp_path / "run.yaml"
-    write_config(cfg_path,
-                 integrator={"dt": 1e-3, "t_end": 8.0, "record_every": 800},
-                 ensemble={"size": 2000,
-                           "initial": {"kind": "delta", "point": [0.9, 0.1]}},
-                 compare={"stationary_window": [4.0, 8.0]})
+    write_config(cfg_path, **_STATIONARY_BETA)
     out = tmp_path / "out"
     assert main(["compare", "--config", str(cfg_path),
                  "--outdir", str(out)]) == 1
@@ -493,10 +515,12 @@ def test_compare_too_few_snapshots_exits_2(tmp_path):
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):
-    """So does a sweep section or grid entry that is not a mapping, before
-    the first point writes anything."""
-    for i, sweep in enumerate(({"grid": []}, [1, 2], {"grid": [{}, 5]},
-                               {"grid": 5})):
+    """So does a sweep section or grid entry that is not a mapping, or a
+    later point that is invalid, before the first point writes anything."""
+    for i, sweep in enumerate((
+            {"grid": []}, [1, 2], {"grid": [{}, 5]}, {"grid": 5},
+            {"grid": [{}, {"integrator": {"dt": -1}}]},
+            {"grid": [{}, {"compare": {"stationary_window": [2.0, 3.0]}}]})):
         cfg_path = tmp_path / f"run{i}.yaml"
         write_config(cfg_path, sweep=sweep)
         out = tmp_path / f"out{i}"

@@ -181,11 +181,12 @@ def test_gen_dirichlet_drift_matches_double_loop(n):
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), name
 
 
+@pytest.mark.filterwarnings("error")
 def test_gen_dirichlet_zero_intermediate_remainder():
     """At N = 4 states whose first nesting remainder is positive and whose
     second is exactly zero, the nested drift raises SingularNesting, alone
     and in a batch, and the diffusion degenerates to exact zeros, for the
-    reduction and a random coupling."""
+    reduction and a random coupling, with no warning."""
     rng = np.random.default_rng(41)
     base = DirichletParams(b=np.full(3, 4.0), S=np.full(3, 0.5),
                            kappa=np.array([1.0, 1.5, 2.0]))

@@ -1,19 +1,22 @@
-"""Digests of ``simplexdiff compare``'s outputs on every benchmark family.
+"""Digests of ``simplexdiff``'s outputs on every benchmark family.
 
     python3 tools/output_digests.py 1 301
 
-For each seed, runs ``compare`` in a fresh interpreter on every family of
-every workload in perfbench/workloads.py, using the sources under src/ of
-the checkout this file is in.  Prints one line per operation: the exit
-code, the first line of stderr, and the sha256 of audit.json, compare.json,
-moments.csv and run_meta.json (the last without its timestamp; "-" for a
-file that was not written).  Two checkouts give the same outputs when the
-outputs of this script, run in each, have no diff.
+For each seed, runs ``check``, ``simulate`` and ``compare`` in a fresh
+interpreter on every family of every workload in perfbench/workloads.py,
+using the sources under src/ of the checkout this file is in.  ``simulate``
+dumps particles at the workload's dump_every, as its config says.  Prints
+one block per command and operation: the exit code, the first line of
+stderr, and the sha256 of stdout and of each output file the command
+writes (run_meta.json without its timestamp; "-" for a file that was not
+written).  Two checkouts give the same outputs when the outputs of this
+script, run in each, have no diff.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -26,29 +29,44 @@ sys.dont_write_bytecode = True  # leave perfbench/ as checked out
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
-OUTPUTS = ("audit.json", "compare.json", "moments.csv", "run_meta.json")
+# the files each command writes; a pattern stands for every file it matches
+OUTPUTS = {
+    "check": ("audit.json",),
+    "simulate": ("audit.json", "moments.csv", "run_meta.json", "ensemble_*.csv"),
+    "compare": ("audit.json", "compare.json", "moments.csv", "run_meta.json"),
+}
 
 
-def digest(path: str) -> str:
-    if not os.path.exists(path):
-        return "-"
-    with open(path, "rb") as f:
-        data = f.read()
-    if os.path.basename(path) == "run_meta.json":
+def digest(data: bytes, name: str = "") -> str:
+    if name == "run_meta.json":
         meta = json.loads(data)
         meta.pop("timestamp", None)
         data = json.dumps(meta, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
 
 
-def compare_once(config: str, outdir: str):
-    """compare in a fresh interpreter; returns (exit code, stderr's first line)."""
+def file_digests(outdir: str, pattern: str):
+    """(name, digest) of every file matching pattern; "-" if there is none."""
+    paths = sorted(glob.glob(os.path.join(glob.escape(outdir), pattern)))
+    if not paths:
+        return [(pattern, "-")]
+    out = []
+    for path in paths:
+        with open(path, "rb") as f:
+            out.append((os.path.basename(path),
+                        digest(f.read(), os.path.basename(path))))
+    return out
+
+
+def run_once(command: str, config: str, outdir: str):
+    """command in a fresh interpreter: (exit code, stderr's first line, stdout)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "simplexdiff.cli", "compare",
+        [sys.executable, "-m", "simplexdiff.cli", command,
          "--config", config, "--outdir", outdir],
-        capture_output=True, text=True, env=env)
-    return proc.returncode, (proc.stderr.splitlines() or [""])[0]
+        capture_output=True, env=env)
+    err = proc.stderr.decode(errors="replace").splitlines() or [""]
+    return proc.returncode, err[0], proc.stdout
 
 
 def main(argv=None) -> int:
@@ -61,12 +79,16 @@ def main(argv=None) -> int:
                 configs = workloads.write_configs(
                     workload, seed, os.path.join(tmp, f"{workload}-{seed}"))
                 for family, config in configs.items():
-                    outdir = os.path.join(tmp, f"{workload}-{seed}-{family}")
-                    code, err = compare_once(config, outdir)
-                    print(f"{workload} {family} seed={seed} exit={code} "
-                          f"stderr={err!r}")
-                    for name in OUTPUTS:
-                        print(f"  {name} {digest(os.path.join(outdir, name))}")
+                    for command, outputs in OUTPUTS.items():
+                        outdir = os.path.join(
+                            tmp, f"{command}-{workload}-{seed}-{family}")
+                        code, err, stdout = run_once(command, config, outdir)
+                        print(f"{command} {workload} {family} seed={seed} "
+                              f"exit={code} stderr={err!r}")
+                        print(f"  stdout {digest(stdout)}")
+                        for pattern in outputs:
+                            for name, value in file_digests(outdir, pattern):
+                                print(f"  {name} {value}")
     return 0
 
 
