@@ -16,8 +16,7 @@ from .errors import (ConfigError, DegenerateState,
                      InvalidParameter, NegativeComponent,
                      NotPositiveSemiDefinite, SimplexDiffError,
                      SingularNesting, SumViolation, UnsupportedProcess)
-from .integrator import (IntegratorConfig, RandomSource, Snapshot, Trajectory,
-                         simulate)
+from .integrator import IntegratorConfig, RandomSource, Trajectory, simulate
 from .processes import (BetaParams, DirichletParams, GenDirichletParams,
                         WrightFisherParams, beta_process, broken_process,
                         dirichlet_process, gen_dirichlet_process,
@@ -25,9 +24,9 @@ from .processes import (BetaParams, DirichletParams, GenDirichletParams,
 from .realizability import (AuditCheck, AuditReport, ToleranceSet,
                             audit_boundary, audit_covariance_structure,
                             audit_moment_bounds)
-from .statistics import (CrossValidationReport, MomentSet, analytic_stationary,
-                         batch_statistics, cross_validate_rates,
-                         dirichlet_moments, estimate_moments, estimate_rates)
+from .statistics import (MomentSet, analytic_stationary, batch_statistics,
+                         cross_validate_rates, dirichlet_moments,
+                         estimate_moments, estimate_rates)
 
 __all__ = [
     "__version__",
@@ -38,13 +37,13 @@ __all__ = [
     "InvalidParameter", "NegativeComponent", "NotPositiveSemiDefinite",
     "SimplexDiffError", "SingularNesting", "SumViolation",
     "UnsupportedProcess",
-    "IntegratorConfig", "RandomSource", "Snapshot", "Trajectory", "simulate",
+    "IntegratorConfig", "RandomSource", "Trajectory", "simulate",
     "BetaParams", "DirichletParams", "GenDirichletParams",
     "WrightFisherParams", "beta_process", "broken_process",
     "dirichlet_process", "gen_dirichlet_process", "wright_fisher_process",
     "AuditCheck", "AuditReport", "ToleranceSet", "audit_boundary",
     "audit_covariance_structure", "audit_moment_bounds",
-    "CrossValidationReport", "MomentSet",
-    "analytic_stationary", "batch_statistics", "cross_validate_rates",
-    "dirichlet_moments", "estimate_moments", "estimate_rates",
+    "MomentSet", "analytic_stationary", "batch_statistics",
+    "cross_validate_rates", "dirichlet_moments", "estimate_moments",
+    "estimate_rates",
 ]

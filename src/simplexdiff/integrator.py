@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -119,33 +119,35 @@ class IntegratorConfig:
     max_resample: int = 100
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (self.dt > 0 and np.isfinite(self.dt)):
+            raise ValueError(f"dt must be a finite number > 0, got {self.dt}")
         if self.boundary_policy not in ("reject_resample", "clip_renormalize"):
             raise ValueError(f"unknown boundary policy {self.boundary_policy!r}")
-        if self.max_resample < 1:
-            raise ValueError("max_resample must be >= 1")
+        _check_count("max_resample", self.max_resample)
 
 
-@dataclass
-class Snapshot:
-    """Ensemble statistics recorded at one instant."""
-
-    t: float
-    moments: "stats_mod.MomentSet"
-    batch_moments: dict
-    batch_rates: dict
+def _check_count(name, value):
+    """Refuse a count that is not an integer >= 1; a bool is not a count."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
 class Trajectory:
-    snapshots: list
+    """A run's snapshots stacked over time, and its counters: the (T,) times
+    t, moments a MomentSet of T snapshots, and batch_moments and batch_rates
+    dicts of (T, n_batches, ...) arrays, keyed as batch_statistics keys them."""
+
+    t: np.ndarray
+    moments: "stats_mod.MomentSet"
+    batch_moments: dict
+    batch_rates: dict
     config: IntegratorConfig
-    particle_steps: int = 0
-    violation_count: int = 0
-    modified_steps: int = 0
-    clipped_steps: int = 0
-    dumps: dict = field(default_factory=dict)
+    particle_steps: int
+    violation_count: int
+    modified_steps: int
+    clipped_steps: int
+    dumps: dict
 
 
 def _noise_factor(proc: ProcessDefinition, ys: np.ndarray, t: float):
@@ -301,26 +303,29 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     Snapshots are taken at t=0, every record_every steps, and at the final
     step; each makes one statistics pass (moments of all N components and
     reduced moment evolution rates in 20 particle batches, for standard
-    errors) and merges the full-ensemble moments from its batches.  Every
-    accepted proposal passed the exact simplex check; the clipped columns
-    are checked again at VIOLATION_TOL and violations counted (the boundary
+    errors) and merges the full-ensemble moments from its batches; the
+    Trajectory stacks them once, after the last step.  Every accepted
+    proposal passed the exact simplex check; the clipped columns are
+    checked again at VIOLATION_TOL and violations counted (the boundary
     policy should make the count zero); a non-finite proposal raises
     DegenerateState naming the step and the particle.  On two or more CPUs a
     helper thread draws large steps' normals ahead; no output byte changes.
     """
     if init.size < 2:
         raise ValueError(f"need an ensemble of >= 2 particles, got {init.size}")
-    if not t_end > 0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    if not (t_end > 0 and np.isfinite(t_end)):
+        raise ValueError(f"t_end must be a finite number > 0, got {t_end}")
+    _check_count("record_every", record_every)
+    if dump_every is not None:
+        _check_count("dump_every", dump_every)
     if init.n != proc.dimension:
         raise ValueError(f"ensemble has {init.n} components, "
                          f"process expects {proc.dimension}")
     steps = snapshot_steps(t_end, cfg.dt, record_every)
     n_steps, recorded = steps[-1], set(steps)
     ys = component_major(init.reduced)
-    traj = Trajectory(snapshots=[], config=cfg)
+    snaps, dumps = [], {}
+    particle_steps = violation_count = modified_steps = clipped_steps = 0
 
     def observe(k, ys):
         """The snapshot and dump due after step k, from one full-state array."""
@@ -332,11 +337,9 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
         full = _full_states(ys)
         if snap:
             bm, br = stats_mod.batch_statistics(full, proc, t)
-            traj.snapshots.append(Snapshot(
-                t=t, moments=stats_mod.estimate_moments(full, bm),
-                batch_moments=bm, batch_rates=br))
+            snaps.append((t, stats_mod.estimate_moments(full, bm), bm, br))
         if dump:
-            traj.dumps[t] = full
+            dumps[t] = full
 
     ahead = ys.size >= DRAW_AHEAD_MIN and _cpus() > 1 and _DrawAhead(rng, ys.size)
     try:
@@ -347,16 +350,21 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
                 ys, modified, clipped = _advance(proc, ys, t, cfg, rng)
             except (DegenerateState, NotPositiveSemiDefinite) as exc:
                 raise DegenerateState(f"step {k} at t={t}: {exc}") from exc
-            traj.particle_steps += ys.shape[1]
-            traj.modified_steps += int(np.count_nonzero(modified))
+            particle_steps += ys.shape[1]
+            modified_steps += int(np.count_nonzero(modified))
             n_clipped = int(np.count_nonzero(clipped))
-            traj.clipped_steps += n_clipped
+            clipped_steps += n_clipped
             if n_clipped:  # every other column passed the stricter tol-0 check
                 fallback = np.compress(clipped, ys, axis=1)
-                traj.violation_count += int(np.count_nonzero(
+                violation_count += int(np.count_nonzero(
                     _invalid_mask(fallback, VIOLATION_TOL)))
             observe(k, ys)
     finally:
         if ahead:
             ahead.close()
-    return traj
+    times, moments, *batches = zip(*snaps)  # batch moments, batch rates
+    return Trajectory(np.array(times), stats_mod.MomentSet.stack(moments),
+                      *({key: np.stack([d[key] for d in dicts]) for key in dicts[0]}
+                        for dicts in batches),
+                      cfg, particle_steps, violation_count, modified_steps,
+                      clipped_steps, dumps)

@@ -185,28 +185,6 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
         "fourth": 4.0 * mean(c3 * ac) + 6.0 * mean(c2 * d)}
 
 
-@dataclass
-class CrossValidationReport:
-    """Finite-difference moment derivatives versus recorded evolution rates."""
-
-    n_checks: int            # (snapshot, entry) checks made
-    failures: list           # the failed checks, as dicts, in check order
-    form_pass: dict          # moment name -> bool (all its checks passed)
-
-    @property
-    def overall_pass(self) -> bool:
-        """Every rate check of every moment passed."""
-        return all(self.form_pass.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "overall_pass": self.overall_pass,
-            "form_pass": self.form_pass,
-            "n_checks": self.n_checks,
-            "failures": self.failures,
-        }
-
-
 def quantity_label(name: str, index) -> str:
     """A moment entry's label in compare.json: name[i,j], 1-based."""
     return name + "[" + ",".join(str(i + 1) for i in index) + "]"
@@ -218,33 +196,35 @@ def batch_mean_se(values: np.ndarray, axis: int = 0):
             values.std(axis=axis, ddof=1) / np.sqrt(values.shape[axis]))
 
 
-def cross_validate_rates(traj, tol_multiplier: float = 3.0) -> CrossValidationReport:
+def cross_validate_rates(traj, tol_multiplier: float = 3.0) -> dict:
     """Compare central finite differences of recorded moments with rates.
 
     At every interior snapshot at once, the difference FD - rate is formed
     per particle batch and judged against tol_multiplier * (batch standard
     error + a finite-difference truncation allowance + an Euler step-bias
     allowance).  The batch moments cover all N components; the K reduced
-    ones, which have rates, are judged.
+    ones, which have rates, are judged.  Returns compare.json's rate_check:
+    overall_pass, form_pass (moment name -> all its checks passed), n_checks
+    ((snapshot, entry) checks made) and failures (the failed checks, as
+    dicts, in check order).
     """
-    snaps = traj.snapshots
-    if len(snaps) < 3:
-        raise InsufficientSnapshots(f"need >= 3 snapshots, got {len(snaps)}")
-    times = np.array([s.t for s in snaps])
+    times = traj.t
+    if times.size < 3:
+        raise InsufficientSnapshots(f"need >= 3 snapshots, got {times.size}")
     n_checks, failures, form_pass = 0, [], {}
     for key in ("mean", "cov", "third", "fourth"):
-        bmom = np.stack([s.batch_moments[key] for s in snaps])  # (T, nb, ...)
+        bmom = traj.batch_moments[key]  # (T, nb, ...)
         bmom = bmom[(...,) + (slice(-1),) * (bmom.ndim - 2)]  # reduced only
         # per interior snapshot, shaped to broadcast against (T-2, ...)
         col = (-1,) + (1,) * (bmom.ndim - 2)
         h = (times[2:] - times[:-2]).reshape(col)
         fd_b = (bmom[2:] - bmom[:-2]) / h[:, np.newaxis]
         fd = fd_b.mean(axis=1)
-        brate = np.stack([s.batch_rates[key] for s in snaps])
+        brate = traj.batch_rates[key]
         rate = brate.mean(axis=1)
         mean_diff, se = batch_mean_se(fd_b - brate[1:-1], axis=1)
         # truncation allowance from the curvature of the rate series
-        if len(snaps) >= 4:
+        if times.size >= 4:
             rdd = ((rate[2:] - 2.0 * rate[1:-1] + rate[:-2])
                    / ((times[2:] - times[1:-1]) ** 2).reshape(col))
         else:
@@ -261,8 +241,8 @@ def cross_validate_rates(traj, tol_multiplier: float = 3.0) -> CrossValidationRe
                 "t": float(times[idx[0] + 1]),
                 "fd": float(fd[idx]), "rate": float(rate[1:-1][idx]),
                 "threshold": float(threshold[idx]), "passed": False})
-    return CrossValidationReport(n_checks=n_checks, failures=failures,
-                                 form_pass=form_pass)
+    return {"overall_pass": all(form_pass.values()), "form_pass": form_pass,
+            "n_checks": n_checks, "failures": failures}
 
 
 def dirichlet_moments(alpha: np.ndarray) -> MomentSet:

@@ -98,9 +98,9 @@ def all_runs(beta_run, wf_run, dir_run, gendir_run):
 
 def stationary_batches(traj, window=WINDOW):
     """Per-particle-batch time averages of full mean and covariance."""
-    snaps = [s for s in traj.snapshots if window[0] <= s.t <= window[1]]
-    return (np.mean([s.batch_moments["mean"] for s in snaps], axis=0),
-            np.mean([s.batch_moments["cov"] for s in snaps], axis=0))
+    inside = (window[0] <= traj.t) & (traj.t <= window[1])
+    return (traj.batch_moments["mean"][inside].mean(axis=0),
+            traj.batch_moments["cov"][inside].mean(axis=0))
 
 
 def batch_se(values):
@@ -133,12 +133,12 @@ def test_criterion_02_boundary_audit(beta_proc, wf_proc, dir_proc, gendir_proc):
 def test_criterion_03_mean_relaxation(beta_run):
     ok = True
     worst = 0.0
-    for s in beta_run.snapshots:
-        analytic = 0.5 + 0.4 * np.exp(-s.t)
-        est = s.moments.mean[0]
-        se = batch_se(s.batch_moments["mean"][:, 0])
+    for i, t in enumerate(beta_run.t):
+        analytic = 0.5 + 0.4 * np.exp(-t)
+        est = beta_run.moments.mean[i, 0]
+        se = batch_se(beta_run.batch_moments["mean"][i, :, 0])
         err = abs(est - analytic)
-        if s.t > 0.0:
+        if t > 0.0:
             worst = max(worst, err / (3.0 * se))
             ok &= err <= 3.0 * se
         else:
@@ -162,12 +162,11 @@ def test_criterion_05_covariance_structure(all_runs):
     in every per-batch moment, so none of these sums holds by construction."""
     worst = 0.0
     for traj in all_runs.values():
-        for s in traj.snapshots:
-            bm = s.batch_moments
-            worst = max(worst, np.max(np.abs(s.moments.covariance_row_sums())),
-                        abs(s.moments.weak_constraint_residual()),
-                        np.max(np.abs(bm["mean"].sum(axis=1) - 1.0)),
-                        np.max(np.abs(bm["cov"].sum(axis=2))))
+        bm = traj.batch_moments
+        worst = max(worst, np.max(np.abs(traj.moments.covariance_row_sums())),
+                    np.max(np.abs(traj.moments.weak_constraint_residual())),
+                    np.max(np.abs(bm["mean"].sum(axis=2) - 1.0)),
+                    np.max(np.abs(bm["cov"].sum(axis=3))))
     ok = worst <= 1e-12
     assert announce(5, "covariance row-sums, weak-constraint residual, "
                        "per-batch mean sums - 1 and per-batch covariance "
@@ -178,8 +177,8 @@ def test_criterion_05_covariance_structure(all_runs):
 def test_criterion_06_moment_bounds(all_runs):
     ok = True
     for traj in all_runs.values():
-        for s in traj.snapshots:
-            ok &= audit_moment_bounds(s.moments).overall_pass
+        # stacked: passes when every snapshot does (see test_realizability)
+        ok &= audit_moment_bounds(traj.moments).overall_pass
     bad = estimate_moments(np.tile([0.2, 0.3, 0.5], (10, 1)))
     bad.mean = np.array([1.2, 0.3, -0.5])
     ok &= not audit_moment_bounds(bad).overall_pass
@@ -303,9 +302,9 @@ def test_criterion_09_rate_cross_validation(all_runs):
     for name, traj in all_runs.items():
         rep = cross_validate_rates(traj, tol_multiplier=3.0)
         reports[name] = rep
-        ok &= rep.form_pass["mean"] and rep.form_pass["cov"]
+        ok &= rep["form_pass"]["mean"] and rep["form_pass"]["cov"]
     wf_rep = reports["wright_fisher"]
-    ok &= wf_rep.form_pass["third"] and wf_rep.form_pass["fourth"]
+    ok &= wf_rep["form_pass"]["third"] and wf_rep["form_pass"]["fourth"]
     assert announce(9, "finite differences match mean/covariance rates on all "
                        "four processes and the third/fourth rates on "
                        "Wright-Fisher", ok)

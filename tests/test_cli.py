@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import hashlib
 import importlib
 import json
 import os
@@ -313,16 +314,27 @@ def test_clip_left_past_a_face_fails_simulate(tmp_path, monkeypatch, capsys):
 
 
 def test_csv_roundtrip_bytes(tmp_path):
+    """Every CSV value is written at FMT: moments.csv, a particle dump, and
+    sweep.csv with a passing point and with a failed audit's NaN row."""
     cfg_path = tmp_path / "run.yaml"
-    write_config(cfg_path)
+    grid = {"grid": [{"integrator": {"dt": 2e-3}}]}
+    write_config(cfg_path, output={"dump_every": 500}, sweep=grid)
     out = tmp_path / "out"
     main(["simulate", "--config", str(cfg_path), "--outdir", str(out)])
-    text = (out / "moments.csv").read_text()
-    lines = text.splitlines()
-    rebuilt = [lines[0]]
-    for line in lines[1:]:
-        rebuilt.append(",".join(FMT % float(x) for x in line.split(",")))
-    assert "\n".join(rebuilt) + "\n" == text
+    main(["sweep", "--config", str(cfg_path), "--outdir", str(out)])
+    write_config(cfg_path, sweep=grid, process={
+        "name": "broken", "params": {"style": "constant_diffusion", "n": 2}})
+    main(["sweep", "--config", str(cfg_path), "--outdir", str(out / "nan")])
+    assert "nan" in (out / "nan" / "sweep.csv").read_text()
+    for name in ("moments.csv", "ensemble_0.5.csv", "sweep.csv",
+                 "nan/sweep.csv"):
+        text = (out / name).read_text()
+        lines = text.splitlines()
+        assert len(lines) > 1, name
+        rebuilt = [lines[0]]
+        for line in lines[1:]:
+            rebuilt.append(",".join(FMT % float(x) for x in line.split(",")))
+        assert "\n".join(rebuilt) + "\n" == text, name
 
 
 def test_threads_flag_does_not_change_results(tmp_path):
@@ -379,6 +391,40 @@ def test_compare_beta_stationary(tmp_path):
     assert audit["overall_pass"] is True
     assert {c["constraint"] for c in audit["checks"]} >= {
         "means-sum-to-one", "covariance-row-sums-zero", "covariance-symmetry"}
+
+
+#: sha256 of compare's compare.json and moments.csv for _STATIONARY_BETA
+#: and a Wright-Fisher run from its invariant law, both passing.  A change
+#: to the draws, the step, the statistics or their summation order moves
+#: them, by one ulp of a window average too; such a change must update them
+#: and say so.
+COMPARE_SHA256 = {
+    "beta": ("f54d40fea795682bce4815adf4e50ae337d16e9daea55e778625eab9e544b0f8",
+             "b70fe287749eb6da5a78dea381ad0811c1183945ebb3b5e8a08c3a7e5c37028a"),
+    "wright_fisher": (
+        "ac4c1e5524ed1bb0c1694e01b68b58735baa86f2a01b19064c891af2cced1efc",
+        "ab6c48bbf3197f4bb24003ebefc9a57f68bf6891c8ba4eaf9f758f3715ff86ed"),
+}
+_COMPARE_PINNED = {
+    "beta": _STATIONARY_BETA,
+    "wright_fisher": {
+        "process": {"name": "wright_fisher",
+                    "params": {"omega": [1.0, 1.0, 1.0]}},
+        "integrator": {"dt": 1e-3, "t_end": 1.0, "record_every": 100},
+        "ensemble": {"size": 1000, "initial": {"kind": "uniform"}}},
+}
+
+
+@pytest.mark.parametrize("family", sorted(COMPARE_SHA256))
+def test_compare_outputs_pinned(tmp_path, family):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, **_COMPARE_PINNED[family])
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg_path),
+                 "--outdir", str(out)]) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("compare.json", "moments.csv"))
+    assert got == COMPARE_SHA256[family]
 
 
 def test_compare_fails_on_recorded_violations(tmp_path, monkeypatch, capsys):
@@ -622,6 +668,9 @@ def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
         for name in ("processes.drift_calls", "statistics.snapshots",
                      "integrator.normals_drawn"):
             assert metrics[name] > 0, name
+        # 20 steps, a snapshot every 5th and at step 0; one drift call a step
+        assert metrics["statistics.snapshots"] == 5
+        assert metrics["processes.evals_per_step"] == 1.0
         counts.append((metrics["integrator.normals_drawn"],
                        metrics["integrator.resample_rounds"]))
     assert counts[0] == counts[1]

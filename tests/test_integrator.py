@@ -77,10 +77,10 @@ def test_simulate_constant_ensemble_fixed_point():
     ens = Ensemble.from_delta(make_state([0.2, 0.3, 0.5]), 50)
     traj = simulate(p, ens, IntegratorConfig(dt=1e-2), t_end=0.5,
                     record_every=10, rng=RandomSource(0, 0))
-    first = traj.snapshots[0].moments
-    for snap in traj.snapshots[1:]:
-        npt.assert_array_equal(snap.moments.mean, first.mean)
-        npt.assert_array_equal(snap.moments.covariance, first.covariance)
+    m = traj.moments
+    for i in range(1, traj.t.size):
+        npt.assert_array_equal(m.mean[i], m.mean[0])
+        npt.assert_array_equal(m.covariance[i], m.covariance[0])
 
 
 def test_simulate_mean_decays_toward_target():
@@ -88,7 +88,7 @@ def test_simulate_mean_decays_toward_target():
     ens = Ensemble.from_delta(make_state([0.9, 0.1]), 2000)
     traj = simulate(p, ens, IntegratorConfig(dt=1e-3), t_end=3.0,
                     record_every=500, rng=RandomSource(7, 0))
-    means = np.array([s.moments.mean[0] for s in traj.snapshots])
+    means = traj.moments.mean[:, 0]
     assert means[0] == pytest.approx(0.9, abs=1e-12)
     # relaxation toward S = 0.5: strictly decreasing at this resolution
     assert np.all(np.diff(means) < 0.0)
@@ -103,7 +103,7 @@ def test_simulate_determinism():
     for _ in range(2):
         traj = simulate(p, ens, IntegratorConfig(dt=1e-3), t_end=0.2,
                         record_every=50, rng=RandomSource(9, 0))
-        runs.append(np.array([s.moments.mean for s in traj.snapshots]))
+        runs.append(traj.moments.mean)
     npt.assert_array_equal(runs[0], runs[1])
 
 
@@ -140,11 +140,22 @@ def test_clip_gives_a_column_the_same_bytes_alone_as_in_a_batch():
 
 
 def test_simulate_rejects_single_particle():
-    """One particle has no moments, so simulate refuses it before stepping."""
+    """One particle has no moments, so simulate refuses it before stepping;
+    so it does an end time that is not a finite number > 0 and counts
+    (record_every, dump_every) that are not integers >= 1, a bool included."""
     ens = Ensemble.from_delta(make_state([0.2, 0.3, 0.5]), 1)
     with pytest.raises(ValueError, match=">= 2 particles"):
         simulate(constant_process([0.0, 0.0]), ens, IntegratorConfig(dt=1e-2),
                  t_end=0.1, record_every=1, rng=RandomSource(0, 0))
+    ens = Ensemble.from_delta(make_state([0.2, 0.3, 0.5]), 2)
+    for bad in ({"t_end": np.inf}, {"t_end": np.nan}, {"record_every": 2.5},
+                {"record_every": True}, {"record_every": 0},
+                {"dump_every": -3}, {"dump_every": 2.5}, {"dump_every": True}):
+        kwargs = dict({"t_end": 0.1, "record_every": 1}, **bad)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            simulate(constant_process([0.0, 0.0]), ens,
+                     IntegratorConfig(dt=1e-2), rng=RandomSource(0, 0),
+                     **kwargs)
 
 
 def test_integrator_config_validation():
@@ -152,6 +163,10 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, boundary_policy="bounce")
+    for bad in ({"dt": np.inf}, {"dt": np.nan}, {"max_resample": 2.5},
+                {"max_resample": True}, {"max_resample": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            IntegratorConfig(**dict({"dt": 1e-3}, **bad))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

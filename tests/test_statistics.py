@@ -163,39 +163,38 @@ def test_cross_validation_static_process():
     traj = simulate(p, ens, IntegratorConfig(dt=1e-2), t_end=0.3,
                     record_every=5, rng=RandomSource(18, 0))
     rep = cross_validate_rates(traj)
-    assert rep.overall_pass
-    assert rep.form_pass == dict.fromkeys(("mean", "cov", "third", "fourth"),
-                                          True)
+    assert rep["overall_pass"]
+    assert rep["form_pass"] == dict.fromkeys(("mean", "cov", "third", "fourth"),
+                                             True)
     # every check made is counted: 5 interior snapshots x 10 entries at
     # K = 2 (mean 2, cov 4, third 2, fourth 2)
-    assert rep.to_dict()["n_checks"] == 5 * 10
-    assert rep.to_dict()["failures"] == []
+    assert rep["n_checks"] == 5 * 10
+    assert rep["failures"] == []
 
 
 def _reference_cross_validate(traj, tol_multiplier):
-    """The per-snapshot loop that cross_validate_rates replaced, as to_dict()
+    """The per-snapshot loop that cross_validate_rates replaced, as its dict
     without n_checks; it recorded failed checks only."""
-    snaps = traj.snapshots
-    times = np.array([s.t for s in snaps])
+    times = traj.t
     dt = traj.config.dt
-    n_rates = snaps[0].batch_rates["mean"].shape[1]
+    n_rates = traj.batch_rates["mean"].shape[2]
     failures, form_pass = [], {}
     for key in ("mean", "cov", "third", "fourth"):
         # the batch moments cover all N components, the rates the K reduced
-        bmom = np.stack([s.batch_moments[key] for s in snaps])[..., :n_rates]
+        bmom = traj.batch_moments[key][..., :n_rates]
         if key == "cov":
             bmom = bmom[..., :n_rates, :]
-        brate = np.stack([s.batch_rates[key] for s in snaps])
+        brate = traj.batch_rates[key]
         rate_overall = brate.mean(axis=1)
         ok = True
-        for k in range(1, len(snaps) - 1):
+        for k in range(1, times.size - 1):
             h = times[k + 1] - times[k - 1]
             fd_b = (bmom[k + 1] - bmom[k - 1]) / h
             diff_b = fd_b - brate[k]
             nb = diff_b.shape[0]
             mean_diff = diff_b.mean(axis=0)
             se = diff_b.std(axis=0, ddof=1) / np.sqrt(nb)
-            if len(snaps) >= 4:
+            if times.size >= 4:
                 rdd = (rate_overall[k + 1] - 2.0 * rate_overall[k]
                        + rate_overall[k - 1]) / ((times[k + 1] - times[k]) ** 2)
             else:
@@ -228,11 +227,11 @@ def test_cross_validation_matches_per_snapshot_loop(record_every):
     ens = Ensemble.from_delta(make_state([0.3, 0.3, 0.4]), 2000)
     traj = simulate(p, ens, IntegratorConfig(dt=1e-2), t_end=0.2,
                     record_every=record_every, rng=RandomSource(31, 0))
-    interior = len(traj.snapshots) - 2
+    interior = traj.t.size - 2
     assert interior == {10: 1, 4: 4}[record_every]
     # at 2.0 only a third or fourth rate check fails, which fails the run
     for tol in (3.0, 2.0, 1.0):
-        got = cross_validate_rates(traj, tol).to_dict()
+        got = cross_validate_rates(traj, tol)
         assert got.pop("n_checks") == interior * 10
         ref = _reference_cross_validate(traj, tol)
         # a passing and a failing verdict: the failure records are compared
@@ -508,7 +507,7 @@ def test_snapshot_evaluates_each_closure_once(name, monkeypatch):
     ens = Ensemble.from_uniform(proc.dimension, 200, np.random.default_rng(5))
     traj = simulate(proc, ens, IntegratorConfig(dt=1e-2), t_end=0.1,
                     record_every=3, rng=RandomSource(6, 0))
-    assert len(traj.snapshots) == 5
+    assert traj.t.size == 5
     assert counts == {"estimate_moments": 5, "batch_statistics": 5,
                       "moments": 5}
 
@@ -536,12 +535,12 @@ def test_snapshot_moments_merge_to_one_batch_estimate(name, m):
     ens = Ensemble.from_uniform(proc.dimension, m, np.random.default_rng(8))
     traj = simulate(proc, ens, IntegratorConfig(dt=1e-2), t_end=0.06,
                     record_every=3, rng=RandomSource(9, 0), dump_every=3)
-    assert len(traj.snapshots) == len(traj.dumps) == 3
-    for snap in traj.snapshots:
-        ref = estimate_moments(traj.dumps[snap.t])
-        assert snap.batch_moments["mean"].shape == (20, proc.dimension)
+    assert traj.t.size == len(traj.dumps) == 3
+    for i, t in enumerate(traj.t):
+        ref = estimate_moments(traj.dumps[float(t)])
+        assert traj.batch_moments["mean"][i].shape == (20, proc.dimension)
         var = np.max(np.diagonal(ref.covariance))
         for key, scale in (("mean", np.max(ref.mean)), ("covariance", var),
                            ("third", var ** 1.5), ("fourth", var ** 2)):
-            got, want = getattr(snap.moments, key), getattr(ref, key)
+            got, want = getattr(traj.moments, key)[i], getattr(ref, key)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, key
