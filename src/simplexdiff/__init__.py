@@ -17,9 +17,8 @@ from .errors import (ConfigError, DegenerateState,
                      NotPositiveSemiDefinite, SimplexDiffError,
                      SingularNesting, SumViolation, UnsupportedProcess)
 from .integrator import IntegratorConfig, RandomSource, Trajectory, simulate
-from .processes import (BetaParams, DirichletParams, GenDirichletParams,
-                        WrightFisherParams, beta_process, broken_process,
-                        dirichlet_process, gen_dirichlet_process,
+from .processes import (beta_process, broken_process, dirichlet_process,
+                        gen_dirichlet_process, reduction_coupling,
                         wright_fisher_process)
 from .realizability import (AuditCheck, AuditReport, ToleranceSet,
                             audit_boundary, audit_covariance_structure,
@@ -38,9 +37,8 @@ __all__ = [
     "SimplexDiffError", "SingularNesting", "SumViolation",
     "UnsupportedProcess",
     "IntegratorConfig", "RandomSource", "Trajectory", "simulate",
-    "BetaParams", "DirichletParams", "GenDirichletParams",
-    "WrightFisherParams", "beta_process", "broken_process",
-    "dirichlet_process", "gen_dirichlet_process", "wright_fisher_process",
+    "beta_process", "broken_process", "dirichlet_process",
+    "gen_dirichlet_process", "reduction_coupling", "wright_fisher_process",
     "AuditCheck", "AuditReport", "ToleranceSet", "audit_boundary",
     "audit_covariance_structure", "audit_moment_bounds",
     "MomentSet", "analytic_stationary", "batch_statistics",

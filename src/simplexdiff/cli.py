@@ -27,10 +27,8 @@ from . import __version__
 from .core import Ensemble, make_state
 from .errors import (ConfigError, InsufficientSnapshots, SimplexDiffError)
 from .integrator import IntegratorConfig, RandomSource, simulate, snapshot_steps
-from .processes import (BetaParams, DirichletParams, GenDirichletParams,
-                        WrightFisherParams, beta_process, broken_process,
-                        dirichlet_process, gen_dirichlet_process,
-                        wright_fisher_process)
+from .processes import (beta_process, broken_process, dirichlet_process,
+                        gen_dirichlet_process, wright_fisher_process)
 from .realizability import (ToleranceSet, audit_boundary,
                             audit_covariance_structure, audit_moment_bounds)
 from .statistics import (UnsupportedProcess, analytic_stationary,
@@ -62,33 +60,22 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+PROCESSES = {"beta": beta_process, "wright_fisher": wright_fisher_process,
+             "dirichlet": dirichlet_process, "gen_dirichlet": gen_dirichlet_process,
+             "broken": broken_process}
+
+
 def build_process(cfg: dict):
     spec = cfg["process"]
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError("process section needs a name")
     name = spec["name"]
-    params = spec.get("params", {})
+    if not isinstance(name, str) or name not in PROCESSES:
+        raise ConfigError(f"unknown process {name!r}")
     try:
-        if name == "beta":
-            return beta_process(BetaParams(**params))
-        if name == "wright_fisher":
-            return wright_fisher_process(WrightFisherParams(**params))
-        if name == "dirichlet":
-            return dirichlet_process(DirichletParams(**params))
-        if name == "gen_dirichlet":
-            params = dict(params)
-            c = params.pop("c", None)
-            if c == "reduction":
-                base = DirichletParams(b=params["b"], S=params["S"],
-                                       kappa=params["kappa"],
-                                       dirichlet_invariant=True)
-                return gen_dirichlet_process(GenDirichletParams.reduction_of(base))
-            return gen_dirichlet_process(GenDirichletParams(c=c, **params))
-        if name == "broken":
-            return broken_process(**params)
-    except (SimplexDiffError, TypeError, KeyError, ValueError) as exc:
+        return PROCESSES[name](**spec.get("params", {}))
+    except (SimplexDiffError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid parameters for process {name!r}: {exc}") from exc
-    raise ConfigError(f"unknown process {name!r}")
 
 
 def _number(raw):

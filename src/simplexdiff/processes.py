@@ -12,8 +12,6 @@ Dirichlet invariant law as invariant_dirichlet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import ProcessDefinition
@@ -40,10 +38,15 @@ def _running(op, y):
     return out
 
 
-def invariant_ratio(b, S, kappa):
-    """(1-S) b / kappa, and whether it is constant (a Dirichlet invariant law)."""
+def invariant_ratio(b, S, kappa, required=False):
+    """(1-S) b / kappa, and whether it is constant (a Dirichlet invariant law).
+
+    required refuses a ratio that varies.
+    """
     ratio = (1.0 - S) * b / kappa
     varies = np.max(np.abs(ratio - ratio[0])) > DIRCONST_RTOL * max(1.0, abs(ratio[0]))
+    if required and varies:
+        raise DirichletConstraintViolated(f"(1-S) b / kappa must be constant, got {ratio}")
     return ratio, not varies
 
 
@@ -53,125 +56,46 @@ def _as_vector(x, name, length=None):
         raise InvalidParameter(name, f"expected a vector, got shape {v.shape}")
     if length is not None and v.shape[0] != length:
         raise InvalidParameter(name, f"expected length {length}, got {v.shape[0]}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidParameter(name, "all components must be finite")
     return v
 
 
-def _validate_rate_vectors(p):
-    """Check p.b, p.S and p.kappa as vectors of one length; store them as arrays."""
-    b = _as_vector(p.b, "b")
-    S = _as_vector(p.S, "S", b.shape[0])
-    kappa = _as_vector(p.kappa, "kappa", b.shape[0])
+def _rate_vectors(b, S, kappa):
+    """b, S and kappa as float vectors of one length, each checked."""
+    b = _as_vector(b, "b")
+    S = _as_vector(S, "S", b.shape[0])
+    kappa = _as_vector(kappa, "kappa", b.shape[0])
     if np.any(b <= 0):
         raise InvalidParameter("b", "all components must be > 0")
     if np.any(kappa <= 0):
         raise InvalidParameter("kappa", "all components must be > 0")
     if np.any((S <= 0) | (S >= 1)):
         raise InvalidParameter("S", "all components must be in (0, 1)")
-    for name, v in (("b", b), ("S", S), ("kappa", kappa)):
-        object.__setattr__(p, name, v)
+    return b, S, kappa
 
 
-@dataclass(frozen=True)
-class BetaParams:
-    """Parameters of the scalar mean-reverting process with quadratic diffusion."""
+def reduction_coupling(kappa) -> np.ndarray:
+    """Coupling c[a, beta] = kappa[a] (a <= beta) that keeps a Dirichlet law.
 
-    b: float
-    S: float
-    kappa: float
-
-    def __post_init__(self):
-        if not self.b > 0:
-            raise InvalidParameter("b", f"must be > 0, got {self.b}")
-        if not self.kappa > 0:
-            raise InvalidParameter("kappa", f"must be > 0, got {self.kappa}")
-        if not 0.0 <= self.S <= 1.0:
-            raise InvalidParameter("S", f"must be in [0, 1], got {self.S}")
-
-
-@dataclass(frozen=True)
-class WrightFisherParams:
-    omega: np.ndarray
-
-    def __post_init__(self):
-        omega = _as_vector(self.omega, "omega")
-        if omega.shape[0] < 2:
-            raise InvalidParameter("omega", "need at least 2 components")
-        if np.any(omega <= 0):
-            raise InvalidParameter("omega", "all components must be > 0")
-        object.__setattr__(self, "omega", omega)
-
-    @property
-    def omega_total(self) -> float:
-        return float(self.omega.sum())
-
-
-@dataclass(frozen=True)
-class DirichletParams:
-    """Per-component relaxation/mean/diffusion vectors over the N-1 reduced axes.
-
-    dirichlet_invariant requests the guarantee that the invariant law is
-    Dirichlet, which additionally requires (1-S_a) b_a / kappa_a to be the
-    same for every component.
+    With the Dirichlet invariant density of (b, S, kappa) (which needs
+    (1-S) b / kappa constant), the nested process's a-th zero-flux condition
+    reduces to sum over beta >= a of (c[a, beta] / kappa[a] - 1) / Y'_beta = 0,
+    where Y'_beta = 1 - Y_1 - ... - Y_beta; it holds at every state only for
+    this coupling.
     """
-
-    b: np.ndarray
-    S: np.ndarray
-    kappa: np.ndarray
-    dirichlet_invariant: bool = False
-
-    def __post_init__(self):
-        _validate_rate_vectors(self)
-        if self.dirichlet_invariant:
-            ratio, constant = invariant_ratio(self.b, self.S, self.kappa)
-            if not constant:
-                raise DirichletConstraintViolated(
-                    f"(1-S) b / kappa must be constant, got {ratio}")
+    kappa = np.asarray(kappa, dtype=float)
+    return np.triu(np.tile(kappa[:-1, np.newaxis], (1, kappa.shape[0] - 1)))
 
 
-@dataclass(frozen=True)
-class GenDirichletParams:
-    """Nested-remainder generalization; c couples component a to later axes.
-
-    c is a (K-1) x (K-1) matrix, zero below the diagonal, where K is the
-    number of reduced components.
-    """
-
-    b: np.ndarray
-    S: np.ndarray
-    kappa: np.ndarray
-    c: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        _validate_rate_vectors(self)
-        k = self.b.shape[0]
-        c = self.c
-        if c is None:
-            c = np.zeros((k - 1, k - 1))
-        c = np.asarray(c, dtype=float)
-        if c.shape != (k - 1, k - 1):
-            raise InvalidParameter("c", f"expected shape {(k - 1, k - 1)}, got {c.shape}")
-        if k > 1 and np.any(np.tril(c, -1) != 0.0):
-            raise InvalidParameter("c", "entries below the diagonal must be zero")
-        object.__setattr__(self, "c", c)
-
-    @classmethod
-    def reduction_of(cls, p: DirichletParams) -> "GenDirichletParams":
-        """Coupling c[a, beta] = kappa[a] (a <= beta) that keeps p's invariant law.
-
-        With p's Dirichlet invariant density (which needs (1-S) b / kappa
-        constant), the nested process's a-th zero-flux condition reduces to
-        sum over beta >= a of (c[a, beta] / kappa[a] - 1) / Y'_beta = 0, where
-        Y'_beta = 1 - Y_1 - ... - Y_beta; it holds at every state only for
-        this coupling.
-        """
-        k = p.b.shape[0]
-        c = np.triu(np.tile(p.kappa[:-1, np.newaxis], (1, k - 1)))
-        return cls(b=p.b, S=p.S, kappa=p.kappa, c=c)
-
-
-def beta_process(p: BetaParams) -> ProcessDefinition:
+def beta_process(b, S, kappa) -> ProcessDefinition:
     """Scalar process on [0, 1]: linear drift toward S, quadratic diffusion."""
-    b, S, kappa = p.b, p.S, p.kappa
+    if not 0 < b < np.inf:
+        raise InvalidParameter("b", f"must be > 0 and finite, got {b}")
+    if not 0 < kappa < np.inf:
+        raise InvalidParameter("kappa", f"must be > 0 and finite, got {kappa}")
+    if not 0.0 <= S <= 1.0:
+        raise InvalidParameter("S", f"must be in [0, 1], got {S}")
 
     def drift(y, t):
         return 0.5 * b * (S - y)
@@ -213,10 +137,14 @@ def _wf_diffusion_factor(y):
     return d, -y, v
 
 
-def wright_fisher_process(p: WrightFisherParams) -> ProcessDefinition:
+def wright_fisher_process(omega) -> ProcessDefinition:
     """Multivariate neutral-mutation diffusion with full coupling matrix."""
-    omega = p.omega
-    w = p.omega_total
+    omega = _as_vector(omega, "omega")
+    if omega.shape[0] < 2:
+        raise InvalidParameter("omega", "need at least 2 components")
+    if np.any(omega <= 0):
+        raise InvalidParameter("omega", "all components must be > 0")
+    w = float(omega.sum())
     k = omega.shape[0] - 1
     om = omega[:k]
     eye = np.eye(k)
@@ -235,9 +163,15 @@ def wright_fisher_process(p: WrightFisherParams) -> ProcessDefinition:
         diffusion_factor=lambda y, t: _wf_diffusion_factor(y))
 
 
-def dirichlet_process(p: DirichletParams) -> ProcessDefinition:
-    """Componentwise mean-reverting process with diagonal diffusion b_aa ~ Y_a Y_N."""
-    b, S, kappa = p.b, p.S, p.kappa
+def dirichlet_process(b, S, kappa, dirichlet_invariant=False) -> ProcessDefinition:
+    """Componentwise mean-reverting process with diagonal diffusion b_aa ~ Y_a Y_N.
+
+    b, S and kappa are per-component vectors over the N-1 reduced axes.
+    dirichlet_invariant requires the invariant law to be Dirichlet, that is
+    (1-S_a) b_a / kappa_a the same for every component.
+    """
+    b, S, kappa = _rate_vectors(b, S, kappa)
+    ratio, constant = invariant_ratio(b, S, kappa, required=dirichlet_invariant)
     k = b.shape[0]
     c_in = 0.5 * b * S
     c_out = 0.5 * b * (1.0 - S)
@@ -253,7 +187,6 @@ def dirichlet_process(p: DirichletParams) -> ProcessDefinition:
         d *= 1.0 - np.sum(y, axis=0)
         return d
 
-    ratio, constant = invariant_ratio(b, S, kappa)
     return ProcessDefinition(
         dimension=k + 1, drift=drift, name="dirichlet",
         invariant_dirichlet=(np.concatenate([b * S / kappa, [ratio[0]]])
@@ -277,11 +210,30 @@ def _gen_dirichlet_terms(y):
     return cy, cy[-1], u
 
 
-def gen_dirichlet_process(p: GenDirichletParams) -> ProcessDefinition:
-    """Nested generalization of the Dirichlet process with triangular coupling."""
-    b, S, kappa = p.b, p.S, p.kappa
+def gen_dirichlet_process(b, S, kappa, c=None) -> ProcessDefinition:
+    """Nested generalization of the Dirichlet process with triangular coupling.
+
+    c couples component a to later axes: a (K-1) x (K-1) matrix, zero below
+    the diagonal, where K is the number of reduced components; None for no
+    coupling; or "reduction" for reduction_coupling(kappa), which needs
+    (1-S) b / kappa constant.
+    """
+    b, S, kappa = _rate_vectors(b, S, kappa)
+    k = b.shape[0]
+    if c is None:
+        c = np.zeros((k - 1, k - 1))
+    elif isinstance(c, str) and c == "reduction":
+        invariant_ratio(b, S, kappa, required=True)
+        c = reduction_coupling(kappa)
+    c = np.asarray(c, dtype=float)
+    if c.shape != (k - 1, k - 1):
+        raise InvalidParameter("c", f"expected shape {(k - 1, k - 1)}, got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise InvalidParameter("c", "all entries must be finite")
+    if k > 1 and np.any(np.tril(c, -1) != 0.0):
+        raise InvalidParameter("c", "entries below the diagonal must be zero")
     S_out = 1.0 - S
-    c_t = np.ascontiguousarray(p.c.T)    # c_t[beta, a] = c[a, beta]
+    c_t = np.ascontiguousarray(c.T)    # c_t[beta, a] = c[a, beta]
 
     def drift(y, t):
         cy, cy_last, u = _gen_dirichlet_terms(y)

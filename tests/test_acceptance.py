@@ -11,9 +11,8 @@ their shared Dirichlet invariant law at random interior states.
 import numpy as np
 import pytest
 
-from simplexdiff import (BetaParams, DirichletParams, Ensemble,
-                         GenDirichletParams, IntegratorConfig, RandomSource,
-                         WrightFisherParams, analytic_stationary,
+from simplexdiff import (Ensemble, IntegratorConfig, RandomSource,
+                         analytic_stationary,
                          audit_boundary,
                          audit_moment_bounds, beta_process, broken_process,
                          cross_validate_rates, dirichlet_moments,
@@ -42,12 +41,12 @@ def run(proc, point, seed):
 
 @pytest.fixture(scope="module")
 def beta_proc():
-    return beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
+    return beta_process(b=2.0, S=0.5, kappa=1.0)
 
 
 @pytest.fixture(scope="module")
 def wf_proc():
-    return wright_fisher_process(WrightFisherParams(np.ones(3)))
+    return wright_fisher_process(np.ones(3))
 
 
 # The invariant law of these parameters is Dirichlet(2, 2, 2), whose density
@@ -60,14 +59,12 @@ _DIR_BASE = dict(b=np.array([4.0, 4.0]), S=np.array([0.5, 0.5]),
 
 @pytest.fixture(scope="module")
 def dir_proc():
-    return dirichlet_process(DirichletParams(dirichlet_invariant=True,
-                                             **_DIR_BASE))
+    return dirichlet_process(dirichlet_invariant=True, **_DIR_BASE)
 
 
 @pytest.fixture(scope="module")
 def gendir_proc():
-    base = DirichletParams(**_DIR_BASE)
-    return gen_dirichlet_process(GenDirichletParams.reduction_of(base))
+    return gen_dirichlet_process(c="reduction", **_DIR_BASE)
 
 
 @pytest.fixture(scope="module")
@@ -271,20 +268,18 @@ def test_criterion_08_reduction_pointwise(dir_proc, gendir_proc):
     coupling must be c[a, beta] = kappa[a].  The uncoupled nested process
     (c = 0) must violate it.
     """
-    uneven = DirichletParams(b=np.array([2.0, 4.0, 6.0]), S=np.full(3, 0.5),
-                             kappa=np.array([1.0, 2.0, 3.0]),
-                             dirichlet_invariant=True)
+    uneven = dict(b=np.array([2.0, 4.0, 6.0]), S=np.full(3, 0.5),
+                  kappa=np.array([1.0, 2.0, 3.0]))
     cases = [(dir_proc, gendir_proc),
-             (dirichlet_process(uneven),
-              gen_dirichlet_process(GenDirichletParams.reduction_of(uneven)))]
+             (dirichlet_process(dirichlet_invariant=True, **uneven),
+              gen_dirichlet_process(c="reduction", **uneven))]
     worst = 0.0
     for plain, nested in cases:
         y = interior_states(plain.k)
         omega = dirichlet_concentrations(plain)
         worst = max(worst, zero_flux_residual(plain, omega, y),
                     zero_flux_residual(nested, omega, y))
-    uncoupled = gen_dirichlet_process(GenDirichletParams(c=np.zeros((1, 1)),
-                                                         **_DIR_BASE))
+    uncoupled = gen_dirichlet_process(c=np.zeros((1, 1)), **_DIR_BASE)
     control = zero_flux_residual(uncoupled, dirichlet_concentrations(dir_proc),
                                  interior_states(2))
     ok = worst <= 1e-6 and control > 1e-6

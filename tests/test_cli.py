@@ -59,15 +59,17 @@ def test_check_broken_fails_listing_every_face(tmp_path):
 
 
 def test_reduction_needs_dirichlet_invariant_base(tmp_path):
-    """c: "reduction" refuses a base whose (1 - S) b / kappa varies."""
-    cfg_path = tmp_path / "run.yaml"
-    write_config(cfg_path, process={
-        "name": "gen_dirichlet",
-        "params": {"b": [2.0, 2.0], "S": [0.5, 0.4], "kappa": [1.0, 1.0],
-                   "c": "reduction"}})
-    assert main(["check", "--config", str(cfg_path),
-                 "--outdir", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out" / "audit.json").exists()
+    """c: "reduction" refuses a base whose (1 - S) b / kappa varies, and a
+    key the process does not take."""
+    varying = {"b": [2.0, 2.0], "S": [0.5, 0.4], "kappa": [1.0, 1.0]}
+    typo = {"b": [2.0, 2.0], "S": [0.5, 0.5], "kappa": [1.0, 1.0], "kapa": [9, 9]}
+    for i, params in enumerate((varying, typo)):
+        cfg_path = tmp_path / f"run{i}.yaml"
+        write_config(cfg_path, process={
+            "name": "gen_dirichlet", "params": dict(params, c="reduction")})
+        assert main(["check", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / "out")]) == 2, params
+        assert not (tmp_path / "out" / "audit.json").exists()
 
 
 def test_cli_import_leaves_scipy_out():
@@ -107,8 +109,8 @@ print("mallopt" in seen, mallinfo2().hblks - before)
 """
 
 _LIBRARY_RUN = """from simplexdiff import (Ensemble, IntegratorConfig, RandomSource,
-                         WrightFisherParams, simulate, wright_fisher_process)
-simulate(wright_fisher_process(WrightFisherParams([1.0, 1.0, 1.0])),
+                         simulate, wright_fisher_process)
+simulate(wright_fisher_process([1.0, 1.0, 1.0]),
          Ensemble.from_uniform(3, 20000, np.random.default_rng(1)),
          IntegratorConfig(dt=1e-3), t_end=0.01, record_every=5,
          rng=RandomSource(1))"""
@@ -220,6 +222,18 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
                           "params": {"omega": "abc"}}),
              ("process", {"name": "beta",
                           "params": {"b": 2.0, "S": 0.5, "kappa": "abc"}}),
+             ("process", {"name": "beta",
+                          "params": {"b": float("inf"), "S": 0.5, "kappa": 1.0}}),
+             ("process", {"name": "beta",
+                          "params": {"b": 2.0, "S": 0.5, "kappa": float("inf")}}),
+             ("process", {"name": "wright_fisher",
+                          "params": {"omega": [1.0, float("nan")]}}),
+             ("process", {"name": "dirichlet", "params": {
+                 "b": [float("inf")], "S": [0.5], "kappa": [1.0]}}),
+             ("process", {"name": "dirichlet", "params": {
+                 "b": [10 ** 400], "S": [0.5], "kappa": [1.0]}}),
+             ("process", {"name": "gen_dirichlet", "params": {
+                 "b": [2.0], "S": [float("nan")], "kappa": [1.0]}}),
              ("seed", "abc"),
              ("seed", 1.5),
              ("seed", True)]
@@ -674,3 +688,21 @@ def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
         counts.append((metrics["integrator.normals_drawn"],
                        metrics["integrator.resample_rounds"]))
     assert counts[0] == counts[1]
+
+
+def test_benchmark_configs_build():
+    """Every config the benchmark writes reads as a compare run of its family."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+        sys.dont_write_bytecode = dont_write
+    args = cli.make_parser().parse_args(["compare", "--config", "-"])
+    for name, spec in workloads.WORKLOADS.items():
+        for family, (_, point) in spec["families"].items():
+            run = cli.read_run(workloads.family_config(name, family, 1), args,
+                               "compare")
+            assert (run.proc.name, run.proc.dimension) == (family, len(point)), name

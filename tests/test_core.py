@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexdiff import (BoundaryFace, DirichletParams, Ensemble,
+from simplexdiff import (BoundaryFace, Ensemble,
                          NegativeComponent, ProcessDefinition, SumViolation,
                          dirichlet_process, enumerate_faces, make_state)
 from simplexdiff.core import face_points
@@ -129,8 +129,7 @@ def test_process_definition_derives_diagonal_diffusion():
 def test_replaced_diagonal_rebuilds_derived_diffusion():
     """A new diffusion_diag brings a new derived matrix; a diffusion passed
     in is kept, and dropping the diagonal keeps the last derived matrix."""
-    p = dirichlet_process(DirichletParams(b=[2.0, 2.0], S=[0.5, 0.5],
-                                          kappa=[1.0, 1.0]))
+    p = dirichlet_process(b=[2.0, 2.0], S=[0.5, 0.5], kappa=[1.0, 1.0])
     y = np.array([0.2, 0.3])
 
     def doubled(y, t):

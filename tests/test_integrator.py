@@ -8,10 +8,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (BetaParams, DegenerateState, DirichletParams, Ensemble,
-                         GenDirichletParams, IntegratorConfig,
+from simplexdiff import (DegenerateState, Ensemble, IntegratorConfig,
                          NotPositiveSemiDefinite, ProcessDefinition,
-                         RandomSource, WrightFisherParams, beta_process,
+                         RandomSource, beta_process,
                          broken_process, dirichlet_process,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
@@ -55,7 +54,7 @@ def test_step_zero_diffusion_is_euler():
 
 
 def test_step_reenters_from_boundary():
-    p = beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
+    p = beta_process(b=2.0, S=0.5, kappa=1.0)
     cfg = IntegratorConfig(dt=1e-3)
     y, _, _ = step([0.0], p, 0.0, cfg, RandomSource(2, 0))
     npt.assert_allclose(y, [0.5e-3], rtol=1e-15)
@@ -63,7 +62,7 @@ def test_step_reenters_from_boundary():
 
 def test_clipped_fraction_regression_pin():
     """Under 1% of particle-steps need the clipping fallback for this setup."""
-    p = beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
+    p = beta_process(b=2.0, S=0.5, kappa=1.0)
     ens = Ensemble.from_delta(make_state([0.9, 0.1]), 1000)
     traj = simulate(p, ens, IntegratorConfig(dt=1e-3), t_end=1.0,
                     record_every=1000, rng=RandomSource(42, 0))
@@ -84,7 +83,7 @@ def test_simulate_constant_ensemble_fixed_point():
 
 
 def test_simulate_mean_decays_toward_target():
-    p = beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
+    p = beta_process(b=2.0, S=0.5, kappa=1.0)
     ens = Ensemble.from_delta(make_state([0.9, 0.1]), 2000)
     traj = simulate(p, ens, IntegratorConfig(dt=1e-3), t_end=3.0,
                     record_every=500, rng=RandomSource(7, 0))
@@ -97,7 +96,7 @@ def test_simulate_mean_decays_toward_target():
 
 
 def test_simulate_determinism():
-    p = wright_fisher_process(WrightFisherParams(np.ones(3)))
+    p = wright_fisher_process(np.ones(3))
     ens = Ensemble.from_delta(make_state([1 / 3, 1 / 3, 1 / 3]), 200)
     runs = []
     for _ in range(2):
@@ -116,7 +115,7 @@ def test_random_source_streams():
 
 
 def test_clip_renormalize_policy():
-    p = beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
+    p = beta_process(b=2.0, S=0.5, kappa=1.0)
     ens = Ensemble.from_delta(make_state([0.99, 0.01]), 500)
     cfg = IntegratorConfig(dt=1e-3, boundary_policy="clip_renormalize")
     traj = simulate(p, ens, cfg, t_end=0.5, record_every=100,
@@ -211,13 +210,12 @@ def _factor_forms(n=3):
     """One process per noise-factor form: diagonal, explicit factor, eigh,
     and the nested process, each with n components."""
     k = n - 1
-    wf = wright_fisher_process(WrightFisherParams(np.ones(n)))
-    base = DirichletParams(b=np.full(k, 4.0), S=np.full(k, 0.5),
-                           kappa=np.ones(k), dirichlet_invariant=True)
-    return {"diagonal": dirichlet_process(base),
+    wf = wright_fisher_process(np.ones(n))
+    base = dict(b=np.full(k, 4.0), S=np.full(k, 0.5), kappa=np.ones(k))
+    return {"diagonal": dirichlet_process(dirichlet_invariant=True, **base),
             "factor": wf,
             "eigh": dataclasses.replace(wf, diffusion_factor=None),
-            "nested": gen_dirichlet_process(GenDirichletParams.reduction_of(base))}
+            "nested": gen_dirichlet_process(c="reduction", **base)}
 
 
 def _uniform_states(n, m, seed):
@@ -344,7 +342,7 @@ def test_structured_wf_noise_matches_dense_factor(n):
     dense factor, on whole batches and on gathered resample columns."""
     rng = np.random.default_rng(n)
     y = wf_edge_states(n, rng)
-    proc = wright_fisher_process(WrightFisherParams(np.ones(n)))
+    proc = wright_fisher_process(np.ones(n))
     factor = proc.diffusion_factor(y, 0.0)
     assert [a.shape for a in factor] == [y.shape] * 3
     dense = _dense_wf_factor(y)
@@ -490,7 +488,7 @@ def test_simulate_counters_match_full_recount(max_resample, dt, clips):
     every post-step state, replayed step by step; violations are counted at
     VIOLATION_TOL over all columns, and every column that was not clipped
     passes the exact check."""
-    proc = wright_fisher_process(WrightFisherParams(np.ones(3)))
+    proc = wright_fisher_process(np.ones(3))
     ens = Ensemble.from_uniform(3, 400, np.random.default_rng(41))
     cfg = IntegratorConfig(dt=dt, max_resample=max_resample)
     traj = simulate(proc, ens, cfg, t_end=40 * dt, record_every=40,
@@ -544,14 +542,13 @@ def _stepping_families():
     base = dict(b=np.array([4.0, 4.0]), S=np.array([0.5, 0.5]),
                 kappa=np.array([1.0, 1.0]))
     return {
-        "beta": (beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0)), [0.9, 0.1]),
-        "wright_fisher": (wright_fisher_process(WrightFisherParams(np.ones(3))),
+        "beta": (beta_process(b=2.0, S=0.5, kappa=1.0), [0.9, 0.1]),
+        "wright_fisher": (wright_fisher_process(np.ones(3)),
                           [1 / 3, 1 / 3, 1 / 3]),
-        "dirichlet": (dirichlet_process(DirichletParams(dirichlet_invariant=True,
-                                                        **base)),
+        "dirichlet": (dirichlet_process(dirichlet_invariant=True, **base),
                       [0.3, 0.3, 0.4]),
-        "gen_dirichlet": (gen_dirichlet_process(GenDirichletParams.reduction_of(
-            DirichletParams(**base))), [0.3, 0.3, 0.4]),
+        "gen_dirichlet": (gen_dirichlet_process(c="reduction", **base),
+                          [0.3, 0.3, 0.4]),
     }
 
 

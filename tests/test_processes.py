@@ -2,18 +2,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (BetaParams, DirichletParams,
-                         DirichletConstraintViolated, GenDirichletParams,
-                         InvalidParameter, SingularNesting,
-                         WrightFisherParams, beta_process,
-                         broken_process, dirichlet_process,
-                         gen_dirichlet_process, wright_fisher_process)
+from simplexdiff import (DirichletConstraintViolated, InvalidParameter,
+                         SingularNesting, beta_process, broken_process,
+                         dirichlet_process, gen_dirichlet_process,
+                         reduction_coupling, wright_fisher_process)
 from simplexdiff.core import enumerate_faces, face_points
 from simplexdiff.processes import _gen_dirichlet_terms
 
 
 def test_beta_substitution():
-    p = beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
+    p = beta_process(b=2.0, S=0.5, kappa=1.0)
     y = np.array([[0.0, 1.0, 0.5]])
     npt.assert_allclose(p.drift(y, 0.0), [[0.5, -0.5, 0.0]])
     B = p.diffusion(y, 0.0)
@@ -21,7 +19,7 @@ def test_beta_substitution():
 
 
 def test_beta_drift_affine_diffusion_quadratic():
-    p = beta_process(BetaParams(b=3.0, S=0.3, kappa=2.0))
+    p = beta_process(b=3.0, S=0.3, kappa=2.0)
     y = np.linspace(0.0, 1.0, 11)[None, :]
     a = p.drift(y, 0.0)[0]
     # affine: second differences vanish
@@ -34,13 +32,27 @@ def test_beta_drift_affine_diffusion_quadratic():
 
 def test_beta_param_validation():
     with pytest.raises(InvalidParameter):
-        BetaParams(b=-1.0, S=0.5, kappa=1.0)
+        beta_process(b=-1.0, S=0.5, kappa=1.0)
     with pytest.raises(InvalidParameter):
-        BetaParams(b=1.0, S=1.5, kappa=1.0)
+        beta_process(b=1.0, S=1.5, kappa=1.0)
+    for bad in ({"b": np.inf}, {"kappa": np.inf}, {"S": np.nan}):
+        with pytest.raises(InvalidParameter):
+            beta_process(**dict({"b": 1.0, "S": 0.5, "kappa": 1.0}, **bad))
+
+
+def test_vector_params_must_be_finite():
+    rates = {"b": [2.0, 2.0], "S": [0.5, 0.5], "kappa": [1.0, 1.0]}
+    with pytest.raises(InvalidParameter):
+        wright_fisher_process([1.0, np.nan, 1.0])
+    for key, bad in (("b", [np.inf, 2.0]), ("S", [0.5, np.nan]),
+                     ("kappa", [1.0, np.inf])):
+        for build in (dirichlet_process, gen_dirichlet_process):
+            with pytest.raises(InvalidParameter):
+                build(**dict(rates, **{key: bad}))
 
 
 def test_wright_fisher_centroid():
-    p = wright_fisher_process(WrightFisherParams(np.ones(3)))
+    p = wright_fisher_process(np.ones(3))
     y = np.array([1 / 3, 1 / 3])
     npt.assert_allclose(p.drift(y, 0.0), [0.0, 0.0], atol=1e-15)
     npt.assert_allclose(p.diffusion(y, 0.0),
@@ -48,7 +60,7 @@ def test_wright_fisher_centroid():
 
 
 def test_wright_fisher_zero_face_row():
-    p = wright_fisher_process(WrightFisherParams(np.ones(3)))
+    p = wright_fisher_process(np.ones(3))
     y = np.array([0.0, 0.5])
     assert p.drift(y, 0.0)[0] == 0.5
     B = p.diffusion(y, 0.0)
@@ -56,7 +68,7 @@ def test_wright_fisher_zero_face_row():
 
 
 def test_wright_fisher_unitsum_face_matrix():
-    p = wright_fisher_process(WrightFisherParams(np.ones(3)))
+    p = wright_fisher_process(np.ones(3))
     B = p.diffusion(np.array([0.5, 0.5]), 0.0)
     npt.assert_allclose(B, [[0.25, -0.25], [-0.25, 0.25]])
     # singular along the face normal
@@ -64,7 +76,7 @@ def test_wright_fisher_unitsum_face_matrix():
 
 
 def test_wright_fisher_psd_interior():
-    p = wright_fisher_process(WrightFisherParams(np.array([0.5, 1.5, 2.0, 1.0])))
+    p = wright_fisher_process(np.array([0.5, 1.5, 2.0, 1.0]))
     rng = np.random.default_rng(2)
     y = rng.dirichlet(np.ones(4), size=500)[:, :3]
     B = p.diffusion(y.T, 0.0)
@@ -78,7 +90,7 @@ def test_wright_fisher_factor_roundtrip():
     rng = np.random.default_rng(3)
     for n in (3, 8):
         k = n - 1
-        p = wright_fisher_process(WrightFisherParams(np.ones(n)))
+        p = wright_fisher_process(np.ones(n))
         y = np.concatenate(
             [rng.dirichlet(np.ones(n), size=200)[:, :k]]
             + [face_points(f, k, 50, rng) for f in enumerate_faces(n)]
@@ -92,18 +104,18 @@ def test_wright_fisher_factor_roundtrip():
 
 
 def test_dirichlet_substitution():
-    p = dirichlet_process(DirichletParams(b=np.array([2.0, 2.0]),
-                                          S=np.array([0.5, 0.5]),
-                                          kappa=np.array([1.0, 1.0])))
+    p = dirichlet_process(b=np.array([2.0, 2.0]),
+                          S=np.array([0.5, 0.5]),
+                          kappa=np.array([1.0, 1.0]))
     y = np.array([0.25, 0.25])
     npt.assert_allclose(p.drift(y, 0.0), [0.125, 0.125])
     npt.assert_allclose(p.diffusion(y, 0.0), np.diag([0.125, 0.125]))
 
 
 def test_dirichlet_boundary_values():
-    p = dirichlet_process(DirichletParams(b=np.array([2.0, 2.0]),
-                                          S=np.array([0.5, 0.5]),
-                                          kappa=np.array([1.0, 1.0])))
+    p = dirichlet_process(b=np.array([2.0, 2.0]),
+                          S=np.array([0.5, 0.5]),
+                          kappa=np.array([1.0, 1.0]))
     a = p.drift(np.array([0.0, 0.5]), 0.0)
     assert a[0] >= 0.0
     assert p.diffusion(np.array([0.0, 0.5]), 0.0)[0, 0] == 0.0
@@ -114,19 +126,25 @@ def test_dirichlet_boundary_values():
 
 
 def test_dirichlet_invariant_flag():
+    """dirichlet_invariant and c="reduction" both refuse a varying ratio;
+    the reduction coupling given as a matrix is taken as it is."""
     # (1-S) b / kappa = (1.0, 1.2): not constant
+    varying = {"b": np.array([2.0, 2.0]), "S": np.array([0.5, 0.4]),
+               "kappa": np.array([1.0, 1.0])}
     with pytest.raises(DirichletConstraintViolated):
-        DirichletParams(b=np.array([2.0, 2.0]), S=np.array([0.5, 0.4]),
-                        kappa=np.array([1.0, 1.0]), dirichlet_invariant=True)
-    DirichletParams(b=np.array([2.0, 2.0]), S=np.array([0.5, 0.5]),
-                    kappa=np.array([1.0, 1.0]), dirichlet_invariant=True)
+        dirichlet_process(**varying, dirichlet_invariant=True)
+    with pytest.raises(DirichletConstraintViolated):
+        gen_dirichlet_process(**varying, c="reduction")
+    gen_dirichlet_process(**varying, c=reduction_coupling(varying["kappa"]))
+    dirichlet_process(b=np.array([2.0, 2.0]), S=np.array([0.5, 0.5]),
+                      kappa=np.array([1.0, 1.0]), dirichlet_invariant=True)
 
 
 def test_gen_dirichlet_oracle_point():
     """Values frozen from an independent symbolic substitution."""
-    p = gen_dirichlet_process(GenDirichletParams(
+    p = gen_dirichlet_process(
         b=np.array([2.0, 2.0]), S=np.array([0.5, 0.5]),
-        kappa=np.array([1.0, 1.0]), c=np.array([[1.0]])))
+        kappa=np.array([1.0, 1.0]), c=np.array([[1.0]]))
     y = np.array([0.25, 0.25])
     npt.assert_allclose(p.drift(y, 0.0), [5.0 / 18.0, 1.0 / 8.0], rtol=1e-13)
     npt.assert_allclose(p.diffusion(y, 0.0),
@@ -134,9 +152,9 @@ def test_gen_dirichlet_oracle_point():
 
 
 def test_gen_dirichlet_k1_equals_beta():
-    gp = gen_dirichlet_process(GenDirichletParams(
-        b=np.array([2.0]), S=np.array([0.4]), kappa=np.array([1.5])))
-    bp = beta_process(BetaParams(b=2.0, S=0.4, kappa=1.5))
+    gp = gen_dirichlet_process(
+        b=np.array([2.0]), S=np.array([0.4]), kappa=np.array([1.5]))
+    bp = beta_process(b=2.0, S=0.4, kappa=1.5)
     y = np.linspace(0.01, 0.99, 23)[None, :]
     npt.assert_allclose(gp.drift(y, 0.0), bp.drift(y, 0.0), rtol=1e-14)
     npt.assert_allclose(gp.diffusion(y, 0.0)[0, 0, :],
@@ -145,14 +163,14 @@ def test_gen_dirichlet_k1_equals_beta():
 
 def _reference_nested_drift(p, y):
     """The nested drift with the per-(a, beta) double loop it replaced."""
-    b, S = p.b[:, None], p.S[:, None]
+    b, S = p["b"][:, None], p["S"][:, None]
     k = y.shape[0]
     cy, cy_last, u = _gen_dirichlet_terms(y)
     csum = np.zeros(y.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(k - 1):
             for beta in range(a, k - 1):
-                num = y[a] * cy_last * p.c[a, beta]
+                num = y[a] * cy_last * p["c"][a, beta]
                 csum[a] += np.where(num == 0.0, 0.0, num / cy[beta])
     bracket = b * (S * cy_last - (1.0 - S) * y) + csum
     return np.where(bracket == 0.0, 0.0, 0.5 * u * bracket)
@@ -165,18 +183,16 @@ def test_gen_dirichlet_drift_matches_double_loop(n):
     for a single state (K, 1), whose sum must stay in order of beta too."""
     rng = np.random.default_rng(37)
     k = n - 1
-    base = DirichletParams(b=np.full(k, 4.0), S=np.full(k, 0.5),
-                           kappa=np.linspace(1.0, 2.0, k))
+    base = {"b": np.full(k, 4.0), "S": np.full(k, 0.5),
+            "kappa": np.linspace(1.0, 2.0, k)}
     pts = [rng.dirichlet(np.ones(n), size=2000)[:, :-1]]
     pts += [face_points(f, k, 200, rng) for f in enumerate_faces(n)]
     y = np.ascontiguousarray(np.concatenate(pts).T)
-    couplings = {"reduction": GenDirichletParams.reduction_of(base),
-                 "random": GenDirichletParams(
-                     b=base.b, S=base.S, kappa=base.kappa,
-                     c=np.triu(rng.normal(size=(k - 1, k - 1))))}
+    couplings = {"reduction": dict(base, c=reduction_coupling(base["kappa"])),
+                 "random": dict(base, c=np.triu(rng.normal(size=(k - 1, k - 1))))}
     for name, params in couplings.items():
         for states in (y, y[:, :1].copy()):
-            got = gen_dirichlet_process(params).drift(states, 0.0)
+            got = gen_dirichlet_process(**params).drift(states, 0.0)
             ref = _reference_nested_drift(params, states)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), name
 
@@ -188,14 +204,12 @@ def test_gen_dirichlet_zero_intermediate_remainder():
     and in a batch, and the diffusion degenerates to exact zeros, for the
     reduction and a random coupling, with no warning."""
     rng = np.random.default_rng(41)
-    base = DirichletParams(b=np.full(3, 4.0), S=np.full(3, 0.5),
-                           kappa=np.array([1.0, 1.5, 2.0]))
-    couplings = [GenDirichletParams.reduction_of(base),
-                 GenDirichletParams(b=base.b, S=base.S, kappa=base.kappa,
-                                    c=np.triu(rng.normal(size=(2, 2))))]
+    base = {"b": np.full(3, 4.0), "S": np.full(3, 0.5),
+            "kappa": np.array([1.0, 1.5, 2.0])}
+    couplings = [reduction_coupling(base["kappa"]), np.triu(rng.normal(size=(2, 2)))]
     y = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 0.0]])  # (K, M): two states
-    for params in couplings:
-        proc = gen_dirichlet_process(params)
+    for c in couplings:
+        proc = gen_dirichlet_process(**base, c=c)
         for states in (y, y[:, 0].copy(), y[:, 1].copy()):
             with pytest.raises(SingularNesting, match="drift is undefined"):
                 proc.drift(states, 0.0)
@@ -206,16 +220,16 @@ def test_gen_dirichlet_zero_intermediate_remainder():
 
 def test_gen_dirichlet_triangularity_enforced():
     with pytest.raises(InvalidParameter):
-        GenDirichletParams(b=np.ones(3), S=np.full(3, 0.5), kappa=np.ones(3),
-                           c=np.array([[1.0, 1.0], [1.0, 1.0]]))
+        gen_dirichlet_process(b=np.ones(3), S=np.full(3, 0.5), kappa=np.ones(3),
+                              c=np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(InvalidParameter):
+        gen_dirichlet_process(b=np.ones(3), S=np.full(3, 0.5), kappa=np.ones(3),
+                              c=np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_gen_dirichlet_reduction_params():
-    base = DirichletParams(b=np.array([2.0, 3.0, 4.0]),
-                           S=np.array([0.2, 0.3, 0.4]),
-                           kappa=np.array([1.0, 2.0, 3.0]))
-    p = GenDirichletParams.reduction_of(base)
-    npt.assert_array_equal(p.c, [[1.0, 1.0], [0.0, 2.0]])
+    npt.assert_array_equal(reduction_coupling(np.array([1.0, 2.0, 3.0])),
+                           [[1.0, 1.0], [0.0, 2.0]])
 
 
 def test_broken_processes():

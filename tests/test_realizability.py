@@ -2,27 +2,25 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (BetaParams, DirichletParams, EvaluationFailure,
-                         MomentSet, RandomSource, ToleranceSet, WrightFisherParams,
+from simplexdiff import (EvaluationFailure, MomentSet, RandomSource, ToleranceSet,
                          audit_boundary, audit_covariance_structure,
                          audit_moment_bounds, beta_process, broken_process,
                          dirichlet_process,
                          estimate_moments, gen_dirichlet_process,
                          wright_fisher_process)
 from simplexdiff.core import ProcessDefinition
-from simplexdiff.processes import GenDirichletParams
 
 
 def named_processes():
     return [
-        beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0)),
-        wright_fisher_process(WrightFisherParams(np.array([1.0, 1.0, 1.0]))),
-        dirichlet_process(DirichletParams(b=np.array([2.0, 2.0]),
-                                          S=np.array([0.5, 0.5]),
-                                          kappa=np.array([1.0, 1.0]))),
-        gen_dirichlet_process(GenDirichletParams(
+        beta_process(b=2.0, S=0.5, kappa=1.0),
+        wright_fisher_process(np.array([1.0, 1.0, 1.0])),
+        dirichlet_process(b=np.array([2.0, 2.0]),
+                          S=np.array([0.5, 0.5]),
+                          kappa=np.array([1.0, 1.0])),
+        gen_dirichlet_process(
             b=np.array([2.0, 2.0]), S=np.array([0.5, 0.5]),
-            kappa=np.array([1.0, 1.0]), c=np.array([[1.0]]))),
+            kappa=np.array([1.0, 1.0]), c=np.array([[1.0]])),
     ]
 
 
@@ -65,7 +63,7 @@ def test_worst_location_is_on_boundary():
 
 
 def test_audit_determinism():
-    proc = wright_fisher_process(WrightFisherParams(np.array([1.0, 2.0, 3.0])))
+    proc = wright_fisher_process(np.array([1.0, 2.0, 3.0]))
     r1 = audit_boundary(proc, 200, RandomSource(6, 1))
     r2 = audit_boundary(proc, 200, RandomSource(6, 1))
     assert [c.violation for c in r1.checks] == [c.violation for c in r2.checks]
@@ -81,7 +79,7 @@ def test_evaluation_failure_wrapped():
 
 
 def test_report_serialization():
-    proc = beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
+    proc = beta_process(b=2.0, S=0.5, kappa=1.0)
     report = audit_boundary(proc, 50, RandomSource(0, 1))
     d = report.to_dict()
     assert d["overall_pass"] is True

@@ -5,16 +5,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (BetaParams, DirichletParams, Ensemble,
-                         EnsembleTooSmall, IntegratorConfig, RandomSource,
-                         UnsupportedProcess, WrightFisherParams,
+from simplexdiff import (Ensemble, EnsembleTooSmall, IntegratorConfig,
+                         RandomSource, UnsupportedProcess,
                          analytic_stationary, beta_process, broken_process,
                          dirichlet_moments, dirichlet_process,
                          estimate_moments, estimate_rates,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
 from simplexdiff import statistics
-from simplexdiff.processes import GenDirichletParams
 from simplexdiff.statistics import (batch_slices, batch_statistics,
                                     cross_validate_rates)
 
@@ -106,7 +104,7 @@ def test_n2_variance_identity():
 
 
 def test_beta_mean_rate_affine_identity():
-    p = beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
+    p = beta_process(b=2.0, S=0.5, kappa=1.0)
     rng = np.random.default_rng(13)
     states = rng.dirichlet([1.0, 1.0], size=1000)
     r = estimate_rates(states, p, 0.0)
@@ -117,7 +115,7 @@ def test_beta_mean_rate_affine_identity():
 def test_beta_cov_rate_identity():
     """C = -b<y^2> + kappa(<Y> - <Y^2>) for the scalar process."""
     b, S, kappa = 2.0, 0.5, 1.0
-    p = beta_process(BetaParams(b=b, S=S, kappa=kappa))
+    p = beta_process(b=b, S=S, kappa=kappa)
     rng = np.random.default_rng(14)
     states = rng.dirichlet([1.0, 1.0], size=1000)
     r = estimate_rates(states, p, 0.0)
@@ -127,16 +125,16 @@ def test_beta_cov_rate_identity():
 
 
 def test_degenerate_cov_rate_equals_diffusion():
-    p = dirichlet_process(DirichletParams(b=np.array([2.0, 2.0]),
-                                          S=np.array([0.5, 0.5]),
-                                          kappa=np.array([1.0, 1.0])))
+    p = dirichlet_process(b=np.array([2.0, 2.0]),
+                          S=np.array([0.5, 0.5]),
+                          kappa=np.array([1.0, 1.0]))
     states = np.tile([0.25, 0.25, 0.5], (10, 1))
     r = estimate_rates(states, p, 0.0)
     npt.assert_allclose(r["cov"], np.diag([0.125, 0.125]), atol=1e-15)
 
 
 def test_cov_rate_symmetry():
-    p = wright_fisher_process(WrightFisherParams(np.array([1.0, 2.0, 3.0])))
+    p = wright_fisher_process(np.array([1.0, 2.0, 3.0]))
     rng = np.random.default_rng(15)
     states = rng.dirichlet([1.0, 1.0, 1.0], size=500)
     r = estimate_rates(states, p, 0.0)
@@ -221,9 +219,9 @@ def _reference_cross_validate(traj, tol_multiplier):
 def test_cross_validation_matches_per_snapshot_loop(record_every):
     """All interior snapshots judged at once give the per-snapshot loop's
     verdicts, failures and numbers exactly, with 3 and with 6 snapshots."""
-    p = dirichlet_process(DirichletParams(b=np.array([4.0, 4.0]),
-                                          S=np.array([0.5, 0.5]),
-                                          kappa=np.array([1.0, 1.0])))
+    p = dirichlet_process(b=np.array([4.0, 4.0]),
+                          S=np.array([0.5, 0.5]),
+                          kappa=np.array([1.0, 1.0]))
     ens = Ensemble.from_delta(make_state([0.3, 0.3, 0.4]), 2000)
     traj = simulate(p, ens, IntegratorConfig(dt=1e-2), t_end=0.2,
                     record_every=record_every, rng=RandomSource(31, 0))
@@ -257,7 +255,7 @@ def test_dirichlet_moments_against_sampling():
 
 
 def test_stationary_beta_oracle_vs_sampling():
-    p = beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0))
+    p = beta_process(b=2.0, S=0.5, kappa=1.0)
     m = analytic_stationary(p)
     npt.assert_allclose(m.mean, [0.5, 0.5])
     npt.assert_allclose(m.covariance[0, 0], 1.0 / 12.0)
@@ -268,7 +266,7 @@ def test_stationary_beta_oracle_vs_sampling():
 
 def test_stationary_wf_oracle():
     """The oracle comes with the process, so a renamed copy keeps it."""
-    p = wright_fisher_process(WrightFisherParams(np.ones(3)))
+    p = wright_fisher_process(np.ones(3))
     for proc in (p, dataclasses.replace(p, name="custom")):
         m = analytic_stationary(proc)
         npt.assert_allclose(m.mean, 1.0 / 3.0)
@@ -277,21 +275,21 @@ def test_stationary_wf_oracle():
 
 
 def test_stationary_dirichlet_oracle():
-    p = dirichlet_process(DirichletParams(b=np.array([2.0, 2.0]),
-                                          S=np.array([0.5, 0.5]),
-                                          kappa=np.array([1.0, 1.0]),
-                                          dirichlet_invariant=True))
+    p = dirichlet_process(b=np.array([2.0, 2.0]),
+                          S=np.array([0.5, 0.5]),
+                          kappa=np.array([1.0, 1.0]),
+                          dirichlet_invariant=True)
     m = analytic_stationary(p)
     npt.assert_allclose(m.mean, dirichlet_moments(np.ones(3)).mean)
 
 
 def test_stationary_unsupported():
-    p = gen_dirichlet_process(GenDirichletParams(
+    p = gen_dirichlet_process(
         b=np.array([2.0, 2.0]), S=np.array([0.5, 0.5]),
-        kappa=np.array([1.0, 1.0]), c=np.array([[1.0]])))
-    p2 = dirichlet_process(DirichletParams(b=np.array([2.0, 2.0]),
-                                           S=np.array([0.5, 0.4]),
-                                           kappa=np.array([1.0, 1.0])))
+        kappa=np.array([1.0, 1.0]), c=np.array([[1.0]]))
+    p2 = dirichlet_process(b=np.array([2.0, 2.0]),
+                           S=np.array([0.5, 0.4]),
+                           kappa=np.array([1.0, 1.0]))
     for proc in (p, p2, broken_process("constant_diffusion"),
                  broken_process("outward_drift")):
         assert proc.invariant_dirichlet is None
@@ -304,7 +302,7 @@ def test_stationary_unsupported():
 def test_stationary_beta_oracle_at_absorbing_target(S):
     """With S at a face the invariant law is the point mass there: the
     Dirichlet moments give its mean and zero covariance bit for bit."""
-    m = analytic_stationary(beta_process(BetaParams(b=2.0, S=S, kappa=1.0)))
+    m = analytic_stationary(beta_process(b=2.0, S=S, kappa=1.0))
     assert m.mean.tobytes() == np.array([S, 1.0 - S]).tobytes()
     assert m.covariance.tobytes() == np.zeros((2, 2)).tobytes()
 
@@ -356,12 +354,11 @@ def test_ito_rates_vanish_at_the_invariant_law(name, printed):
     """Every Ito moment rate is 0 at the invariant law, integrated exactly
     with the process closures; the printed third and fourth rates are not
     (with K = 1, beta's printed forms are the Ito forms)."""
-    proc = {"beta": beta_process(BetaParams(b=2.0, S=0.5, kappa=1.0)),
-            "wright_fisher": wright_fisher_process(
-                WrightFisherParams(np.ones(3))),
-            "dirichlet": dirichlet_process(DirichletParams(
+    proc = {"beta": beta_process(b=2.0, S=0.5, kappa=1.0),
+            "wright_fisher": wright_fisher_process(np.ones(3)),
+            "dirichlet": dirichlet_process(
                 b=np.array([4.0, 4.0]), S=np.array([0.5, 0.5]),
-                kappa=np.array([1.0, 1.0]), dirichlet_invariant=True))}[name]
+                kappa=np.array([1.0, 1.0]), dirichlet_invariant=True)}[name]
     y, w, rates = _invariant_rates(proc)
     # the rule reproduces the exact moments of the invariant law
     exact = analytic_stationary(proc)
@@ -420,17 +417,15 @@ def _reference_batch_statistics(states, proc, t, n_batches=20):
 
 def _statistics_processes():
     """Each family at N = 2, 3 and 8, and a user process with only diffusion."""
-    procs = {"beta": beta_process(BetaParams(b=2.0, S=0.4, kappa=1.5))}
+    procs = {"beta": beta_process(b=2.0, S=0.4, kappa=1.5)}
     for n in (3, 8):
         k = n - 1
-        base = DirichletParams(b=np.linspace(2.0, 4.0, k), S=np.full(k, 0.4),
-                               kappa=np.linspace(1.0, 2.0, k))
-        procs[f"dirichlet-{n}"] = dirichlet_process(base)
-        procs[f"wright_fisher-{n}"] = wright_fisher_process(
-            WrightFisherParams(np.linspace(0.5, 3.0, n)))
-        procs[f"nested-{n}"] = gen_dirichlet_process(GenDirichletParams(
-            b=base.b, S=base.S, kappa=base.kappa,
-            c=np.triu(np.ones((k - 1, k - 1)))))
+        base = dict(b=np.linspace(2.0, 4.0, k), S=np.full(k, 0.4),
+                    kappa=np.linspace(1.0, 2.0, k))
+        procs[f"dirichlet-{n}"] = dirichlet_process(**base)
+        procs[f"wright_fisher-{n}"] = wright_fisher_process(np.linspace(0.5, 3.0, n))
+        procs[f"nested-{n}"] = gen_dirichlet_process(
+            c=np.triu(np.ones((k - 1, k - 1))), **base)
     procs["user-3"] = dataclasses.replace(procs["dirichlet-3"],
                                           diffusion_diag=None, name="user")
     return procs
