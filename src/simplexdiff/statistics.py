@@ -3,9 +3,11 @@
 Moments cover all N components, the remainder estimated from the states like
 any other, so unit mean sums and zero covariance row sums are checked, not
 built in; rates cover the N-1 independent components.  A snapshot makes one
-component-major pass, batch_statistics: per-batch segment sums along the
-particle axis and one drift and one diffusion evaluation.  estimate_moments
-merges its per-batch moments exactly.
+component-major pass, batch_statistics: it walks whole particle batches in
+chunks of at most about 1 MiB (CHUNK_BYTES) of diffusion block, takes
+per-batch segment sums along the particle axis, and evaluates drift and one
+diffusion closure exactly once per particle.  estimate_moments merges its
+per-batch moments exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from .errors import (EnsembleTooSmall, InsufficientSnapshots,
 
 #: variances below this leave skewness/kurtosis undefined (NaN)
 VAR_GUARD = 1e-14
+
+#: batch_statistics walks whole batches in chunks whose (K, K, m) diffusion
+#: block stays within this many bytes, so a snapshot's peak memory does not
+#: grow with M
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -73,15 +80,21 @@ def batch_slices(m: int, n_batches: int):
     return [slice(edges[i], edges[i + 1]) for i in range(n_batches)]
 
 
-class _Batches:
-    """Per-batch sums along the trailing particle axis over batch_slices."""
+def _ensemble_batches(m: int, n_batches: int):
+    """batch_slices of an ensemble of m >= 2 particles."""
+    if m < 2:
+        raise EnsembleTooSmall(f"need M >= 2 particles, got {m}")
+    return batch_slices(m, n_batches)
 
-    def __init__(self, m: int, n_batches: int):
-        if m < 2:
-            raise EnsembleTooSmall(f"need M >= 2 particles, got {m}")
-        self.slices = batch_slices(m, n_batches)
-        self.starts = [s.start for s in self.slices]
-        self.counts = np.diff(self.starts + [m])
+
+class _Batches:
+    """Per-batch sums along the trailing particle axis over contiguous slices
+    that tile it from 0."""
+
+    def __init__(self, slices):
+        self.slices = slices
+        self.starts = [s.start for s in slices]
+        self.counts = np.array([s.stop - s.start for s in slices])
 
     def mean(self, v):
         """Per-batch means of a (..., M) array, batch axis first."""
@@ -121,7 +134,10 @@ def estimate_moments(states: np.ndarray, batch_moments=None) -> MomentSet:
     """
     states = np.asarray(states, dtype=float)
     m = states.shape[0]
-    bm = batch_moments or _Batches(m, 1).moments(component_major(states))[0]
+    bm = batch_moments
+    if bm is None:
+        whole = _Batches(_ensemble_batches(m, 1))
+        bm = whole.moments(component_major(states))[0]
     if np.sum(bm["count"]) != m:
         raise ValueError(f"batches hold {np.sum(bm['count'])} of {m} particles")
     w = bm["count"] / m
@@ -157,13 +173,36 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
     first K rows of the same centred powers and keyed like the moments:
     mean, cov, third and fourth.  The third and fourth rates are the Ito
     expansion of the centred powers, 3E[c^2 (a - mean a)] + 3E[c B_ii] and
-    4E[c^3 (a - mean a)] + 6E[c^2 B_ii] with c = Y_i - mean Y_i.  Drift and
-    one diffusion closure (diffusion_diag for a diagonal process: no
-    (K, K, M) matrix) are evaluated once on the reduced rows; each per-batch
-    sum is one segment sum.
+    4E[c^3 (a - mean a)] + 6E[c^2 B_ii] with c = Y_i - mean Y_i.
+
+    The pass walks whole batches in chunks of at most CHUNK_BYTES of
+    (K, K, m) diffusion block (one batch at least), and concatenates the
+    chunks' per-batch arrays.  Each particle meets drift and one diffusion
+    closure (diffusion_diag for a diagonal process: no (K, K, m) matrix)
+    exactly once; each per-batch sum is one segment sum over its own batch,
+    so the chunking changes no value.
     """
-    x = component_major(np.asarray(states, dtype=float))
-    batches = _Batches(x.shape[1], n_batches)
+    states = np.asarray(states, dtype=float)
+    m, n = states.shape
+    slices = _ensemble_batches(m, n_batches)
+    longest = max(s.stop - s.start for s in slices)
+    block = (n - 1) ** 2 * states.itemsize * longest  # one batch's (K, K, m)
+    per_chunk = max(1, CHUNK_BYTES // block)
+    parts = []
+    for i in range(0, len(slices), per_chunk):
+        chunk = slices[i:i + per_chunk]
+        lo = chunk[0].start
+        # a contiguous copy, like the one chunk of N <= 3: closures on a
+        # strided view of the whole run slower
+        parts.append(_chunk_statistics(
+            component_major(states[lo:chunk[-1].stop]), proc, t,
+            _Batches([slice(s.start - lo, s.stop - lo) for s in chunk])))
+    return tuple({key: np.concatenate([part[j][key] for part in parts])
+                  for key in parts[0][j]} for j in (0, 1))
+
+
+def _chunk_statistics(x, proc, t, batches):
+    """batch_statistics' two dicts for the (N, m) states x of whole batches."""
     moments, centred = batches.moments(x)
     y = x[:-1]
     c, c2, c3 = (v[:-1] for v in centred)

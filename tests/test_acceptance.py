@@ -1,6 +1,7 @@
 """End-to-end acceptance checks at full desk scale.
 
-Each criterion prints a single pass/fail line.  The long simulations
+Each criterion prints a single pass/fail line with the smallest margin of
+its checks and the check it came from.  The long simulations
 (10^4 particles, dt = 1e-3, t_end = 10) are shared across criteria through
 module-scoped fixtures.  The nested process under its reduction coupling
 is checked against the plain process twice: statistically, by stationary
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from simplexdiff import (Ensemble, IntegratorConfig, RandomSource,
-                         analytic_stationary,
+                         ToleranceSet, analytic_stationary,
                          audit_boundary,
                          audit_moment_bounds, beta_process, broken_process,
                          cross_validate_rates, dirichlet_moments,
@@ -20,6 +21,7 @@ from simplexdiff import (Ensemble, IntegratorConfig, RandomSource,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
 from simplexdiff.cli import main
+from simplexdiff.statistics import quantity_label
 
 M = 10_000
 DT = 1e-3
@@ -28,7 +30,30 @@ RECORD_EVERY = 250
 WINDOW = (5.0, 10.0)
 
 
-def announce(num, desc, ok):
+def margin(residual, threshold, at_least=False):
+    """(threshold - residual) / threshold: the share of a check's threshold
+    left unused, negative when it fails.  A two-sided check passes |residual|.
+    A check that the residual must exceed (a control that must be flagged)
+    gives (residual - threshold) / threshold."""
+    gap = residual - threshold if at_least else threshold - residual
+    return gap / threshold
+
+
+def entry_margins(name, residual, threshold):
+    """{quantity label: margin} for each entry of a (...,) array check."""
+    return {quantity_label(name, i): float(margin(residual[i], threshold[i]))
+            for i in np.ndindex(residual.shape)}
+
+
+def announce(num, desc, ok, margins=None):
+    """Print the criterion's line: PASS/FAIL, the smallest of its checks'
+    margins (check name -> margin) and the check it came from.  A criterion
+    of exact checks (counts, bytes) has no margin."""
+    if margins:
+        worst = min(margins, key=margins.get)
+        desc += f" [smallest margin {margins[worst]:.3f}: {worst}]"
+    else:
+        desc += " [exact checks, no margin]"
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} - {desc}")
     return ok
 
@@ -113,23 +138,41 @@ def test_criterion_01_realizability(all_runs):
                        "particle-steps per process", ok)
 
 
+def audit_tol(check, tol=ToleranceSet()):
+    if "drift" in check.constraint:
+        return tol.drift_sign_tol
+    return tol.diffusion_zero_tol
+
+
 def test_criterion_02_boundary_audit(beta_proc, wf_proc, dir_proc, gendir_proc):
     ok = True
+    margins = {}
     for proc in (beta_proc, wf_proc, dir_proc, gendir_proc):
         for seed in range(5):
-            ok &= audit_boundary(proc, 1000, RandomSource(seed, 1)).overall_pass
+            report = audit_boundary(proc, 1000, RandomSource(seed, 1))
+            ok &= report.overall_pass
+            for c in report.checks:
+                margins[f"{proc.name} seed {seed} {c.constraint}"] = margin(
+                    c.violation, audit_tol(c))
     for style in ("constant_diffusion", "outward_drift"):
         report = audit_boundary(broken_process(style), 1000, RandomSource(0, 1))
         ok &= not report.overall_pass
+        margins[f"{style} control flagged"] = max(
+            margin(c.violation, audit_tol(c), at_least=True)
+            for c in report.checks)
         if style == "constant_diffusion":
-            ok &= max(c.violation for c in report.checks) >= 0.09
+            worst = max(c.violation for c in report.checks)
+            ok &= worst >= 0.09
+            margins[f"{style} control violation >= 0.09"] = margin(
+                worst, 0.09, at_least=True)
     assert announce(2, "boundary audit passes all four processes (5 seeds) "
-                       "and flags both broken controls", ok)
+                       "and flags both broken controls", ok, margins)
 
 
 def test_criterion_03_mean_relaxation(beta_run):
     ok = True
     worst = 0.0
+    margins = {}
     for i, t in enumerate(beta_run.t):
         analytic = 0.5 + 0.4 * np.exp(-t)
         est = beta_run.moments.mean[i, 0]
@@ -138,10 +181,13 @@ def test_criterion_03_mean_relaxation(beta_run):
         if t > 0.0:
             worst = max(worst, err / (3.0 * se))
             ok &= err <= 3.0 * se
+            margins[f"mean[1] t={t:g}"] = margin(err, 3.0 * se)
         else:
             ok &= err <= 1e-12
+            margins[f"mean[1] t={t:g}"] = margin(err, 1e-12)
     assert announce(3, "mean relaxation matches S + (Y0-S)exp(-bt/2) within "
-                       f"3 SE at every snapshot (worst ratio {worst:.2f})", ok)
+                       f"3 SE at every snapshot (worst ratio {worst:.2f})", ok,
+                    margins)
 
 
 def test_criterion_04_stationary_variance(beta_run):
@@ -151,36 +197,51 @@ def test_criterion_04_stationary_variance(beta_run):
     se = batch_se(var_b)
     ok = err <= 3.0 * se
     assert announce(4, "stationary variance within 3 SE of 1/12 "
-                       f"(err {err:.2e}, SE {se:.2e})", ok)
+                       f"(err {err:.2e}, SE {se:.2e})", ok,
+                    {"cov[1,1]": margin(err, 3.0 * se)})
 
 
 def test_criterion_05_covariance_structure(all_runs):
     """The remainder is estimated from the states, in the full-ensemble and
     in every per-batch moment, so none of these sums holds by construction."""
     worst = 0.0
-    for traj in all_runs.values():
+    margins = {}
+    for name, traj in all_runs.items():
         bm = traj.batch_moments
-        worst = max(worst, np.max(np.abs(traj.moments.covariance_row_sums())),
-                    np.max(np.abs(traj.moments.weak_constraint_residual())),
-                    np.max(np.abs(bm["mean"].sum(axis=2) - 1.0)),
-                    np.max(np.abs(bm["cov"].sum(axis=3))))
+        sums = {"covariance row sums": traj.moments.covariance_row_sums(),
+                "weak-constraint residual":
+                    traj.moments.weak_constraint_residual(),
+                "batch mean sums - 1": bm["mean"].sum(axis=2) - 1.0,
+                "batch covariance row sums": bm["cov"].sum(axis=3)}
+        for what, values in sums.items():
+            residual = np.max(np.abs(values))
+            worst = max(worst, residual)
+            margins[f"{name} {what}"] = margin(residual, 1e-12)
     ok = worst <= 1e-12
     assert announce(5, "covariance row-sums, weak-constraint residual, "
                        "per-batch mean sums - 1 and per-batch covariance "
                        f"row-sums <= 1e-12 on every snapshot (worst {worst:.2e})",
-                    ok)
+                    ok, margins)
 
 
 def test_criterion_06_moment_bounds(all_runs):
     ok = True
-    for traj in all_runs.values():
+    margins = {}
+    for name, traj in all_runs.items():
         # stacked: passes when every snapshot does (see test_realizability)
-        ok &= audit_moment_bounds(traj.moments).overall_pass
+        report = audit_moment_bounds(traj.moments)
+        ok &= report.overall_pass
+        for c in report.checks:
+            margins[f"{name} {c.constraint}"] = margin(np.max(c.violation),
+                                                       1e-12)
     bad = estimate_moments(np.tile([0.2, 0.3, 0.5], (10, 1)))
     bad.mean = np.array([1.2, 0.3, -0.5])
-    ok &= not audit_moment_bounds(bad).overall_pass
+    report = audit_moment_bounds(bad)
+    ok &= not report.overall_pass
+    margins["out-of-range control flagged"] = max(
+        margin(c.violation, 1e-12, at_least=True) for c in report.checks)
     assert announce(6, "all recorded moment sets pass the bound audit; "
-                       "a synthetic out-of-range set fails", ok)
+                       "a synthetic out-of-range set fails", ok, margins)
 
 
 def test_criterion_07_wf_stationary(wf_run):
@@ -199,8 +260,13 @@ def test_criterion_07_wf_stationary(wf_run):
                 <= 3.0 * batch_se(mean_b) + 1e-12)
     ok &= np.all(np.abs(cov_b.mean(axis=0) - oracle.covariance)
                  <= 3.0 * batch_se(cov_b) + 1e-12)
+    margins = {
+        **entry_margins("mean", np.abs(mean_b.mean(axis=0) - oracle.mean),
+                        3.0 * batch_se(mean_b) + 1e-12),
+        **entry_margins("cov", np.abs(cov_b.mean(axis=0) - oracle.covariance),
+                        3.0 * batch_se(cov_b) + 1e-12)}
     assert announce(7, "symmetric three-component stationary moments match "
-                       "the Dirichlet oracle within 3 SE", bool(ok))
+                       "the Dirichlet oracle within 3 SE", bool(ok), margins)
 
 
 def test_criterion_08_reduction_stationary(dir_run, gendir_run):
@@ -210,9 +276,14 @@ def test_criterion_08_reduction_stationary(dir_run, gendir_run):
     se_c = np.sqrt(batch_se(c1) ** 2 + batch_se(c2) ** 2)
     ok = np.all(np.abs(m1.mean(axis=0) - m2.mean(axis=0)) <= 3.0 * se_m)
     ok &= np.all(np.abs(c1.mean(axis=0) - c2.mean(axis=0)) <= 3.0 * se_c)
+    margins = {
+        **entry_margins("mean", np.abs(m1.mean(axis=0) - m2.mean(axis=0)),
+                        3.0 * se_m),
+        **entry_margins("cov", np.abs(c1.mean(axis=0) - c2.mean(axis=0)),
+                        3.0 * se_c)}
     assert announce(8, "nested process under the reduction condition matches "
                        "the plain process in stationary moments (3 SE)",
-                    bool(ok))
+                    bool(ok), margins)
 
 
 def interior_states(k):
@@ -285,24 +356,44 @@ def test_criterion_08_reduction_pointwise(dir_proc, gendir_proc):
     ok = worst <= 1e-6 and control > 1e-6
     announce(8, "zero stationary flux of the shared Dirichlet law for the "
                 f"plain and the reduced nested process (worst residual "
-                f"{worst:.2e}; uncoupled control {control:.2e})", ok)
+                f"{worst:.2e}; uncoupled control {control:.2e})", ok,
+             {"zero-flux residual": margin(worst, 1e-6),
+              "uncoupled control": margin(control, 1e-6, at_least=True)})
     assert ok, ("zero-flux condition of the shared invariant law: worst "
                 f"residual {worst:.3e} (tolerance 1e-6), uncoupled control "
                 f"{control:.3e} (must exceed 1e-6)")
 
 
+def rate_margins(name, traj, forms, tol_multiplier=3.0, probe=1e-9):
+    """Margins of the rate checks of the given forms at tol_multiplier.
+
+    cross_validate_rates reports a check's fd, rate and threshold only when
+    it fails; at tol_multiplier probe every check fails whose |fd - rate|
+    exceeds probe times its allowance, so those are all that could come
+    near failing at tol_multiplier."""
+    scale = tol_multiplier / probe
+    return {f"{name} {f['quantity']} t={f['t']:g}":
+            margin(abs(f["fd"] - f["rate"]), scale * f["threshold"])
+            for f in cross_validate_rates(traj, probe)["failures"]
+            if f["quantity"].split("[")[0] in forms}
+
+
 def test_criterion_09_rate_cross_validation(all_runs):
     ok = True
     reports = {}
+    margins = {}
     for name, traj in all_runs.items():
         rep = cross_validate_rates(traj, tol_multiplier=3.0)
         reports[name] = rep
         ok &= rep["form_pass"]["mean"] and rep["form_pass"]["cov"]
+        forms = (("mean", "cov", "third", "fourth") if name == "wright_fisher"
+                 else ("mean", "cov"))
+        margins.update(rate_margins(name, traj, forms))
     wf_rep = reports["wright_fisher"]
     ok &= wf_rep["form_pass"]["third"] and wf_rep["form_pass"]["fourth"]
     assert announce(9, "finite differences match mean/covariance rates on all "
                        "four processes and the third/fourth rates on "
-                       "Wright-Fisher", ok)
+                       "Wright-Fisher", ok, margins)
 
 
 def test_criterion_10_threads_determinism(tmp_path):
@@ -342,9 +433,15 @@ def test_criterion_11_dt_refinement(beta_proc, beta_run):
         errors.append(abs(var_b.mean() - 1.0 / 12.0))
         ses.append(batch_se(var_b))
     ok = True
+    margins = {}
+    dts = (4e-3, 2e-3, 1e-3)
     for i in range(len(errors) - 1):
         slack = 2.0 * np.sqrt(ses[i] ** 2 + ses[i + 1] ** 2)
         ok &= errors[i + 1] <= errors[i] + slack
+        # one-sided: the error may fall by any amount
+        margins[f"dt {dts[i]:g} -> {dts[i + 1]:g}"] = margin(
+            errors[i + 1] - errors[i], slack)
     assert announce(11, "stationary-variance error non-increasing over "
                         f"dt 4e-3 -> 1e-3 within 2 SE (errors "
-                        f"{', '.join('%.2e' % e for e in errors)})", ok)
+                        f"{', '.join('%.2e' % e for e in errors)})", ok,
+                    margins)

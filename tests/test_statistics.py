@@ -457,6 +457,48 @@ def test_batch_statistics_match_per_batch_loop(name, m):
         _assert_scaled_close(value, whole[key][0], key)
 
 
+@pytest.mark.parametrize("m", [10 ** 4, 1003])
+@pytest.mark.parametrize("name", ["wright_fisher-8", "dirichlet-8", "nested-8"])
+def test_batch_statistics_chunks_are_local(name, m):
+    """At N = 8 the pass walks the batches in several chunks; every batch's
+    row is still the one-batch pass over that batch's particles alone, to
+    the byte."""
+    proc = _statistics_processes()[name]
+    states = np.random.default_rng(31).dirichlet(np.full(proc.dimension, 1.5),
+                                                 size=m)
+    got = batch_statistics(states, proc, 0.3)
+    for b, sl in enumerate(batch_slices(m, 20)):
+        alone = batch_statistics(states[sl], proc, 0.3, 1)
+        for g, a in zip(got, alone):
+            assert g.keys() == a.keys()
+            for key in a:
+                assert np.array_equal(g[key][b], a[key][0]), (b, key)
+
+
+@pytest.mark.parametrize("name", ["wright_fisher-8", "dirichlet-8", "nested-8"])
+def test_batch_statistics_peak_memory(name):
+    """One snapshot pass at N = 8, M = 10^4 allocates at most 4 MB at peak.
+
+    The bound comes from the (K, K, M) diffusion block: 3.9 MB at K = 7,
+    which a whole-ensemble pass holds beside the centred powers (4.9 MB
+    Dirichlet to 8.2 MB Wright-Fisher at peak).  A pass in chunks of at
+    most CHUNK_BYTES (1 MiB) of block peaks at 1.3-2.2 MB, the 0.64 MB of
+    component-major states included; 4 MB lies below the whole block alone.
+    """
+    import tracemalloc
+    proc = _statistics_processes()[name]
+    states = np.random.default_rng(37).dirichlet(np.full(proc.dimension, 1.5),
+                                                 size=10 ** 4)
+    batch_statistics(states, proc, 0.3)
+    tracemalloc.start()
+    try:
+        batch_statistics(states, proc, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, f"{peak / 1e6:.2f} MB"
+
+
 def test_batch_slices_cover_in_non_empty_batches():
     """Segment sums need every batch non-empty: reduceat gives the next
     element, not 0, for an empty segment."""
