@@ -2,14 +2,13 @@
 
 Simulation of conservative scalar ensembles whose states are vectors of
 non-negative fractions summing to one, with boundary realizability
-auditing, Euler-Maruyama integration under simplex-preserving boundary
-policies, and statistical validation of the moment evolution.
+auditing, Euler-Maruyama integration that redraws and then clips proposals
+leaving the simplex, and statistical validation of the moment evolution.
 """
 
 __version__ = "0.1.0"
 
-from .core import (BoundaryFace, Ensemble, ProcessDefinition,
-                   enumerate_faces, make_state)
+from .core import Ensemble, ProcessDefinition, make_state
 from .errors import (ConfigError, DegenerateState,
                      DirichletConstraintViolated, EnsembleTooSmall,
                      EvaluationFailure, InsufficientSnapshots,
@@ -29,8 +28,7 @@ from .statistics import (MomentSet, analytic_stationary, batch_statistics,
 
 __all__ = [
     "__version__",
-    "BoundaryFace", "Ensemble", "ProcessDefinition",
-    "enumerate_faces", "make_state",
+    "Ensemble", "ProcessDefinition", "make_state",
     "ConfigError", "DegenerateState", "DirichletConstraintViolated",
     "EnsembleTooSmall", "EvaluationFailure", "InsufficientSnapshots",
     "InvalidParameter", "NegativeComponent", "NotPositiveSemiDefinite",

@@ -141,13 +141,13 @@ def build_ensemble(cfg: dict, n: int, gen: np.random.Generator) -> Ensemble:
 
 def build_integrator(cfg: dict) -> IntegratorConfig:
     dt = setting(cfg, "integrator", "dt", 1e-3)
-    max_resample = setting(cfg, "integrator", "max_resample", 100, int)
+    max_resample = setting(cfg, "integrator", "max_resample", 100, int, low=-1)
     policy = (cfg.get("integrator") or {}).get("boundary_policy",
                                                 "reject_resample")
-    try:
-        return IntegratorConfig(dt, policy, max_resample)
-    except ValueError as exc:
-        raise ConfigError(f"invalid integrator settings: {exc}") from exc
+    # schema 1 spells a redraw budget of 0 as boundary_policy: clip_renormalize
+    if policy not in ("reject_resample", "clip_renormalize"):
+        raise ConfigError(f"unknown integrator.boundary_policy {policy!r}")
+    return IntegratorConfig(dt, 0 if policy == "clip_renormalize" else max_resample)
 
 
 def build_tolerances(cfg: dict) -> ToleranceSet:
@@ -167,11 +167,31 @@ def _merge(base, override):
     return out
 
 
+#: schema 1's keys per config section ("" is the top level); read_run
+#: refuses any other, so a misspelt key cannot fall back to its default
+SCHEMA = {"": ("schema_version", "process", "seed", "outdir", "integrator",
+               "ensemble", "audit", "output", "compare", "sweep"),
+          "process": ("name", "params"),
+          "integrator": ("dt", "t_end", "record_every", "max_resample",
+                         "boundary_policy"),
+          "ensemble": ("size", "initial"),
+          "audit": ("samples_per_face", "diffusion_zero_tol", "drift_sign_tol",
+                    "moment_stat_tol"),
+          "compare": ("stationary_window", "tol_multiplier", "stat_tol"),
+          "output": ("dump_every",), "sweep": ("grid",)}
+
+
 def read_run(cfg: dict, args, command: str) -> types.SimpleNamespace:
     """Every input that command uses, read and checked before anything is
     written.  sweep keeps each grid point's merged config, read as compare
     reads it, and reads it again when the point runs, so that no two points'
     ensembles are held at once."""
+    for section, keys in SCHEMA.items():
+        spec = cfg.get(section) if section else cfg
+        for key in spec if isinstance(spec, dict) else ():
+            if key not in keys:
+                name = f"{section}.{key}" if section else key
+                raise ConfigError(f"unknown config key {name!r}")
     if command == "sweep":
         spec = cfg.get("sweep") or {}
         grid = spec.get("grid") if isinstance(spec, dict) else None

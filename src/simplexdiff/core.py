@@ -19,28 +19,10 @@ from .errors import NegativeComponent, SumViolation
 TOL_SUM = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundaryFace:
-    """One face of the reduced-space polytope boundary.
-
-    kind is "zero" (Y_alpha = 0, alpha in 1..N-1, stored 0-based) or
-    "unitsum" (sum of the reduced coordinates equals one).
-    """
-
-    kind: str
-    alpha: Optional[int] = None
-
-    def label(self) -> str:
-        if self.kind == "zero":
-            return f"zero-face-{self.alpha + 1}"
-        return "unit-sum-face"
-
-
-def enumerate_faces(n: int) -> list[BoundaryFace]:
-    """The N-1 zero faces plus the unit-sum face of the reduced system."""
-    faces = [BoundaryFace("zero", a) for a in range(n - 1)]
-    faces.append(BoundaryFace("unitsum"))
-    return faces
+def face_label(face: int, k: int) -> str:
+    """The label of boundary face 0..k of the reduced k-dim polytope: faces
+    0..k-1 are the zero faces Y_{face+1} = 0, face k is the unit-sum face."""
+    return f"zero-face-{face + 1}" if face < k else "unit-sum-face"
 
 
 @dataclass(frozen=True)
@@ -139,24 +121,23 @@ def make_state(fractions) -> np.ndarray:
     return y
 
 
-def face_points(face: BoundaryFace, k: int, n_samples: int,
+def face_points(face: int, k: int, n_samples: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """n_samples uniform points on one boundary face of the reduced k-dim polytope.
+    """n_samples uniform points on boundary face 0..k of the reduced k-dim polytope.
 
-    Points on a zero face have that coordinate exactly zero with the rest
-    uniform on their sub-simplex; unit-sum face points sum exactly to one.
+    Points on a zero face (face < k) have that coordinate exactly zero with
+    the rest uniform on their sub-simplex; unit-sum face (face == k) points
+    sum exactly to one.
     """
-    if face.kind == "zero":
+    if face < k:
         pts = np.zeros((n_samples, k))
         if k > 1:
             # uniform on {x >= 0, sum x <= 1} in k-1 free coordinates
             sub = rng.dirichlet(np.ones(k), size=n_samples)[:, :-1]
-            pts[:, [i for i in range(k) if i != face.alpha]] = sub
+            pts[:, [i for i in range(k) if i != face]] = sub
         return pts
-    if face.kind == "unitsum":
-        pts = rng.dirichlet(np.ones(k), size=n_samples) if k > 1 else np.ones((n_samples, 1))
-        return pts / pts.sum(axis=1, keepdims=True)  # tighten the face equation
-    raise ValueError(f"unknown face kind {face.kind!r}")
+    pts = rng.dirichlet(np.ones(k), size=n_samples) if k > 1 else np.ones((n_samples, 1))
+    return pts / pts.sum(axis=1, keepdims=True)  # tighten the face equation
 
 
 class Ensemble:

@@ -114,22 +114,21 @@ class _DrawAhead:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """The step dt and max_resample redraws before a clip; 0 clips at once."""
+
     dt: float
-    boundary_policy: str = "reject_resample"
     max_resample: int = 100
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError(f"dt must be a finite number > 0, got {self.dt}")
-        if self.boundary_policy not in ("reject_resample", "clip_renormalize"):
-            raise ValueError(f"unknown boundary policy {self.boundary_policy!r}")
-        _check_count("max_resample", self.max_resample)
+        _check_count("max_resample", self.max_resample, least=0)
 
 
-def _check_count(name, value):
-    """Refuse a count that is not an integer >= 1; a bool is not a count."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name, value, least=1):
+    """Refuse a count that is not an integer >= least; a bool is not a count."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -195,7 +194,7 @@ def _noise(L, xi):
                 half[j % 2, j + 1:] += np.multiply(c, xi[j], out=c)
         else:
             half[j % 2] += L[:, j] * xi[j]
-    return half[0] + half[1]
+    return np.add(half[0], half[1], out=half[0])
 
 
 def _normals(rng, m, k):
@@ -237,7 +236,7 @@ def _advance(proc, ys, t, cfg, rng):
 
     Invalid columns are redrawn, in column order, as one shrinking subset
     whose drift term and noise factor are gathered once; a column still
-    invalid after max_resample redraws is clipped from its last redraw.
+    invalid after max_resample redraws is clipped from its last proposal.
     """
     k, m = ys.shape
     xi = _normals(rng, m, k)
@@ -266,18 +265,17 @@ def _advance(proc, ys, t, cfg, rng):
     if not np.all(finite):
         raise DegenerateState(
             f"non-finite proposal for particle {idx[np.argmin(finite)]}")
-    if cfg.boundary_policy == "reject_resample":
-        base, L = np.take(base, idx, axis=1), _columns(L, idx)
-        for _ in range(cfg.max_resample):
-            cand = _noise(L, _normals(rng, idx.size, k))
-            cand *= sqrt_dt
-            cand += base
-            prop[:, idx] = cand
-            keep = np.flatnonzero(_invalid_mask(cand))
-            idx, cand = idx[keep], np.take(cand, keep, axis=1)
-            if idx.size == 0:
-                return prop, modified, clipped
-            base, L = np.take(base, keep, axis=1), _columns(L, keep)
+    base, L = np.take(base, idx, axis=1), _columns(L, idx)
+    for _ in range(cfg.max_resample):
+        cand = _noise(L, _normals(rng, idx.size, k))
+        cand *= sqrt_dt
+        cand += base
+        prop[:, idx] = cand
+        keep = np.flatnonzero(_invalid_mask(cand))
+        idx, cand = idx[keep], np.take(cand, keep, axis=1)
+        if idx.size == 0:
+            return prop, modified, clipped
+        base, L = np.take(base, keep, axis=1), _columns(L, keep)
     clipped[idx] = True
     prop[:, idx] = _clip_renormalize(cand)
     return prop, modified, clipped
@@ -306,10 +304,10 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     errors) and merges the full-ensemble moments from its batches; the
     Trajectory stacks them once, after the last step.  Every accepted
     proposal passed the exact simplex check; the clipped columns are
-    checked again at VIOLATION_TOL and violations counted (the boundary
-    policy should make the count zero); a non-finite proposal raises
-    DegenerateState naming the step and the particle.  On two or more CPUs a
-    helper thread draws large steps' normals ahead; no output byte changes.
+    checked again at VIOLATION_TOL and violations counted (the clip should
+    make the count zero); a non-finite proposal raises DegenerateState
+    naming the step and the particle.  On two or more CPUs a helper thread
+    draws large steps' normals ahead; no output byte changes.
     """
     if init.size < 2:
         raise ValueError(f"need an ensemble of >= 2 particles, got {init.size}")

@@ -237,17 +237,20 @@ def gen_dirichlet_process(b, S, kappa, c=None) -> ProcessDefinition:
 
     def drift(y, t):
         cy, cy_last, u = _gen_dirichlet_terms(y)
-        # rows a < K-1 gain c[a, beta] Y_a Y_N / cy[beta], summed over the
-        # leading beta axis in order (c_t is C-ordered, so num is)
-        num = _col(c_t, y) * (y[:-1] * cy_last)
-        # a zero remainder cy[f] makes this 0/0, and u[f] infinite against
-        # bracket[f] = -b_f (1 - S_f) Y_f != 0 at the first f: both raise below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num /= cy[:-1, np.newaxis]
         bracket = _col(S, y) * cy_last
         bracket -= _col(S_out, y) * y
         bracket *= _col(b, y)
-        bracket[:-1] += num.sum(axis=0)
+        if k > 1:
+            # rows a < K-1 gain c[a, beta] Y_a Y_N / cy[beta], summed in beta
+            # order from the beta = 0 term.  A zero remainder cy[f] makes a
+            # term 0/0, and u[f] infinite against bracket[f] =
+            # -b_f (1 - S_f) Y_f != 0 at the first f: both raise below
+            yy = y[:-1] * cy_last
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coupled = _col(c_t[0], yy) * yy / cy[0]
+                for beta in range(1, k - 1):
+                    coupled += _col(c_t[beta], yy) * yy / cy[beta]
+            bracket[:-1] += coupled
         # a zero bracket gives 0 whatever its sign and the prefactor
         zero = bracket == 0.0
         out = np.multiply(0.5, u, out=u)

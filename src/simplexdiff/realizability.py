@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ProcessDefinition, component_major, enumerate_faces,
-                   face_points)
+from .core import ProcessDefinition, component_major, face_label, face_points
 from .errors import EvaluationFailure
 from .statistics import MomentSet
 
@@ -105,21 +104,21 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
     gen = rng.generator
     k = proc.k
     report = AuditReport()
-    for face in enumerate_faces(proc.dimension):
+    for face in range(k + 1):
         pts = face_points(face, k, samples_per_face, gen)
+        label = face_label(face, k)
         try:
             y = component_major(pts)
             a = proc.drift(y, 0.0)              # (K, M)
             B = proc.diffusion(y, 0.0)          # (K, K, M)
         except Exception as exc:
             raise EvaluationFailure(
-                f"drift/diffusion raised on {face.label()}: {exc}") from exc
-        label = face.label()
-        if face.kind == "zero":
-            viol, loc = _worst(-a[face.alpha], pts)
+                f"drift/diffusion raised on {label}: {exc}") from exc
+        if face < k:
+            viol, loc = _worst(-a[face], pts)
             report.add(f"{label}:drift-inward", label, viol, loc,
                        tol.drift_sign_tol)
-            viol, loc = _worst(np.abs(B[face.alpha]), pts)
+            viol, loc = _worst(np.abs(B[face]), pts)
             report.add(f"{label}:diffusion-zero", label, viol, loc,
                        tol.diffusion_zero_tol)
         else:

@@ -236,12 +236,19 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
                  "b": [2.0], "S": [float("nan")], "kappa": [1.0]}}),
              ("seed", "abc"),
              ("seed", 1.5),
-             ("seed", True)]
+             ("seed", True),
+             # an unknown key would otherwise be read as its default
+             ("integrator", dict(_INTEGRATOR, recrod_every=10)),
+             ("integrator", dict(_INTEGRATOR, boundary_policy="bounce")),
+             ("integrator", dict(_INTEGRATOR, max_resample=-1)),
+             ("sede", 7),
+             ("compare", {"stat_tolerance": 5}),
+             ("sweep", {"grid": [{"integrator": {"dt": 2e-3, "dt_": 1}}]})]
     for i, (section, values) in enumerate(cases):
         cfg_path = tmp_path / f"run{i}.yaml"
         write_config(cfg_path, **{section: values})
-        commands = {"compare": ["compare"], "output": ["simulate"]}.get(
-            section, ["simulate", "compare"])
+        commands = {"compare": ["compare"], "output": ["simulate"],
+                    "sweep": ["sweep"]}.get(section, ["simulate", "compare"])
         for command in commands:
             out = tmp_path / f"{command}{i}"
             assert main([command, "--config", str(cfg_path),
@@ -250,6 +257,11 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
     # an integral float is a count
     size = cli.setting({"ensemble": {"size": 10000.0}}, "ensemble", "size", 1, int)
     assert size == 10000 and type(size) is int
+    # the error names the section and the key, for check as well
+    cfg = write_config(tmp_path / "typo.yaml", integrator={"recrod_every": 10})
+    args = cli.make_parser().parse_args(["check", "--config", "-"])
+    with pytest.raises(cli.ConfigError, match=r"'integrator\.recrod_every'"):
+        cli.read_run(cfg, args, "check")
 
 
 def test_simulate_outputs(tmp_path):
@@ -706,3 +718,51 @@ def test_benchmark_configs_build():
             run = cli.read_run(workloads.family_config(name, family, 1), args,
                                "compare")
             assert (run.proc.name, run.proc.dimension) == (family, len(point)), name
+
+
+def test_clip_spellings_are_one_behaviour(tmp_path):
+    """boundary_policy: clip_renormalize is max_resample: 0, byte for byte,
+    whatever max_resample it is given beside it, on a run that clips."""
+    base = {"process": {"name": "dirichlet", "params": {
+                "b": [0.5, 1.0], "S": [0.5, 0.3], "kappa": [1.0, 1.0]}},
+            "ensemble": {"size": 500, "initial": {
+                "kind": "delta", "point": [0.1, 0.1, 0.8]}},
+            "seed": 5, "output": {"dump_every": 50}}
+    integ = {"dt": 4e-3, "t_end": 0.8, "record_every": 20}
+    spellings = {"policy": dict(integ, boundary_policy="clip_renormalize"),
+                 "policy-7": dict(integ, boundary_policy="clip_renormalize",
+                                  max_resample=7),
+                 "zero": dict(integ, max_resample=0)}
+    outputs = {}
+    for name, spelling in spellings.items():
+        cfg_path = tmp_path / f"{name}.yaml"
+        write_config(cfg_path, integrator=spelling, **base)
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--outdir", str(out)]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        files = sorted(p.name for p in out.iterdir()
+                       if p.name not in ("run_meta.json", "audit.json"))
+        outputs[name] = ({key: meta[key] for key in (
+            "violation_count", "particle_steps", "modified_steps",
+            "clipped_steps")}, {f: (out / f).read_bytes() for f in files})
+    counters, files = outputs["zero"]
+    assert counters["clipped_steps"] > 0
+    assert "moments.csv" in files and len(files) > 2  # dumps as well
+    assert outputs["policy"] == outputs["zero"]
+    assert outputs["policy-7"] == outputs["zero"]
+
+
+def test_readme_config_schema_reads():
+    """The README's schema block reads for every command and lists every
+    key of cli.SCHEMA, section by section, so the two cannot drift apart."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as f:
+        text = f.read()
+    section = text.split("### Config schema (schema_version 1)", 1)[1]
+    cfg = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+    for command in ("check", "simulate", "compare", "sweep"):
+        args = cli.make_parser().parse_args([command, "--config", "-"])
+        cli.read_run(cfg, args, command)
+    documented = {name: set(cfg[name] if name else cfg) for name in cli.SCHEMA}
+    assert documented == {name: set(keys) for name, keys in cli.SCHEMA.items()}

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexdiff import (BoundaryFace, Ensemble,
-                         NegativeComponent, ProcessDefinition, SumViolation,
-                         dirichlet_process, enumerate_faces, make_state)
-from simplexdiff.core import face_points
+from simplexdiff import (Ensemble, NegativeComponent, ProcessDefinition,
+                         SumViolation, dirichlet_process, make_state)
+from simplexdiff.core import face_label, face_points
 
 
 def boundary_distance(y):
@@ -49,27 +48,27 @@ def test_make_state_renormalizes_and_preserves_zeros():
     assert s[1] == 0.0
 
 
-def test_enumerate_faces():
-    faces = enumerate_faces(3)
-    assert [f.kind for f in faces] == ["zero", "zero", "unitsum"]
-    assert faces[0].label() == "zero-face-1"
-    assert faces[2].label() == "unit-sum-face"
+def test_face_labels():
+    """Faces 0..K-1 are the zero faces, face K the unit-sum face."""
+    assert [face_label(f, 2) for f in range(3)] == [
+        "zero-face-1", "zero-face-2", "unit-sum-face"]
+    assert face_label(0, 7) == "zero-face-1"
+    assert face_label(7, 7) == "unit-sum-face"
 
 
 def test_sample_face_on_face():
     rng = np.random.default_rng(0)
-    for face in enumerate_faces(3):
+    for face in range(3):
         for y in face_points(face, 2, 50, rng):
             assert boundary_distance(y) <= 1e-14
-            if face.kind == "zero":
-                assert y[face.alpha] == 0.0
+            if face < 2:
+                assert y[face] == 0.0
                 assert boundary_distance(y) == 0.0
 
 
 def test_sample_face_n2_zero_is_deterministic():
     rng = np.random.default_rng(0)
-    npt.assert_array_equal(face_points(BoundaryFace("zero", 0), 1, 1, rng),
-                           [[0.0]])
+    npt.assert_array_equal(face_points(0, 1, 1, rng), [[0.0]])
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,7 +15,7 @@ from simplexdiff import (DegenerateState, Ensemble, IntegratorConfig,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
 from simplexdiff import integrator
-from simplexdiff.core import BoundaryFace, component_major, face_points
+from simplexdiff.core import component_major, face_points
 from simplexdiff.integrator import (VIOLATION_TOL, _advance,
                                     _clip_renormalize, _columns, _DrawAhead,
                                     _invalid_mask, _noise)
@@ -117,7 +117,7 @@ def test_random_source_streams():
 def test_clip_renormalize_policy():
     p = beta_process(b=2.0, S=0.5, kappa=1.0)
     ens = Ensemble.from_delta(make_state([0.99, 0.01]), 500)
-    cfg = IntegratorConfig(dt=1e-3, boundary_policy="clip_renormalize")
+    cfg = IntegratorConfig(dt=1e-3, max_resample=0)
     traj = simulate(p, ens, cfg, t_end=0.5, record_every=100,
                     rng=RandomSource(3, 0))
     assert traj.violation_count == 0
@@ -160,10 +160,8 @@ def test_simulate_rejects_single_particle():
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=1e-3, boundary_policy="bounce")
     for bad in ({"dt": np.inf}, {"dt": np.nan}, {"max_resample": 2.5},
-                {"max_resample": True}, {"max_resample": 0}):
+                {"max_resample": True}, {"max_resample": -1}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             IntegratorConfig(**dict({"dt": 1e-3}, **bad))
 
@@ -181,9 +179,9 @@ def test_non_finite_drift_raises_with_step_and_particle(bad):
                           diffusion=lambda y, t: np.zeros((2,) + y.shape),
                           diffusion_diag=lambda y, t: np.zeros(y.shape))
     ens = Ensemble.from_delta(make_state([0.2, 0.3, 0.5]), 10)
-    for policy in ("reject_resample", "clip_renormalize"):
+    for max_resample in (100, 0):
         with pytest.raises(DegenerateState, match=r"step 2 .*particle 3\b"):
-            simulate(p, ens, IntegratorConfig(dt=1e-2, boundary_policy=policy),
+            simulate(p, ens, IntegratorConfig(dt=1e-2, max_resample=max_resample),
                      t_end=0.05, record_every=100, rng=RandomSource(4, 0))
 
 
@@ -324,8 +322,7 @@ def wf_edge_states(n, rng):
     remainder under a positive component, where the dense factor's column
     quotient y / (q q_prev) is inf."""
     k = n - 1
-    faces = [face_points(BoundaryFace("zero", a), k, 20, rng) for a in range(k)]
-    faces.append(face_points(BoundaryFace("unitsum"), k, 20, rng))
+    faces = [face_points(f, k, 20, rng) for f in range(k + 1)]
     ulp = np.zeros((2, k))
     ulp[:, 0] = 1.0 - 2.0 ** -53
     ulp[0, 1], ulp[1, -1] = 2.0 ** -60, 2.0 ** -54
@@ -334,6 +331,37 @@ def wf_edge_states(n, rng):
     parts = [rng.dirichlet(np.ones(n), size=200)[:, :k], *faces,
              np.eye(k), np.zeros((1, k)), ulp, inf_quotient]
     return np.ascontiguousarray(np.concatenate(parts).T)
+
+
+@pytest.mark.parametrize("call", ["nested-drift", "wright_fisher-noise"])
+def test_step_closure_peak_memory(call):
+    """The two largest allocations of an N = 8, M = 10^4 step stay small.
+
+    The nested drift sums its coupling term by term in beta order, 3.6 MB
+    at peak where the whole (K-1, K-1, M) coupling array took 5.1 MB; the
+    Wright-Fisher noise map adds its odd half into its even one, 1.8 MB
+    where a third (K, M) sum took 2.2 MB.
+    """
+    import tracemalloc
+    n, k = 8, 7
+    y = component_major(np.random.default_rng(37).dirichlet(
+        np.full(n, 1.5), size=10 ** 4)[:, :-1])
+    if call == "nested-drift":
+        proc = gen_dirichlet_process(b=[4.0] * k, S=[0.5] * k, kappa=[1.0] * k,
+                                     c="reduction")
+        run, bound = lambda: proc.drift(y, 0.0), 4e6
+    else:
+        factor = wright_fisher_process(np.ones(n)).diffusion_factor(y, 0.0)
+        xi = np.random.default_rng(1).standard_normal(y.shape)
+        run, bound = lambda: _noise(factor, xi), 2e6
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"{peak / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("n", [3, 8, 12])

@@ -6,7 +6,7 @@ from simplexdiff import (DirichletConstraintViolated, InvalidParameter,
                          SingularNesting, beta_process, broken_process,
                          dirichlet_process, gen_dirichlet_process,
                          reduction_coupling, wright_fisher_process)
-from simplexdiff.core import enumerate_faces, face_points
+from simplexdiff.core import face_points
 from simplexdiff.processes import _gen_dirichlet_terms
 
 
@@ -93,7 +93,7 @@ def test_wright_fisher_factor_roundtrip():
         p = wright_fisher_process(np.ones(n))
         y = np.concatenate(
             [rng.dirichlet(np.ones(n), size=200)[:, :k]]
-            + [face_points(f, k, 50, rng) for f in enumerate_faces(n)]
+            + [face_points(f, k, 50, rng) for f in range(n)]
             + [np.eye(k), np.zeros((1, k))]).T
         d, u, v = p.diffusion_factor(y, 0.0)
         below = np.tril(np.ones((k, k)), -1)[..., np.newaxis]
@@ -186,7 +186,7 @@ def test_gen_dirichlet_drift_matches_double_loop(n):
     base = {"b": np.full(k, 4.0), "S": np.full(k, 0.5),
             "kappa": np.linspace(1.0, 2.0, k)}
     pts = [rng.dirichlet(np.ones(n), size=2000)[:, :-1]]
-    pts += [face_points(f, k, 200, rng) for f in enumerate_faces(n)]
+    pts += [face_points(f, k, 200, rng) for f in range(n)]
     y = np.ascontiguousarray(np.concatenate(pts).T)
     couplings = {"reduction": dict(base, c=reduction_coupling(base["kappa"])),
                  "random": dict(base, c=np.triu(rng.normal(size=(k - 1, k - 1))))}
