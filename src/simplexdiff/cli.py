@@ -112,6 +112,11 @@ def run_seed(cfg: dict, args) -> int:
     return raw if isinstance(raw, int) else int(value)  # an int stays exact
 
 
+#: the keys each kind of ensemble.initial takes
+INITIAL_KEYS = {"uniform": ("kind",), "delta": ("kind", "point"),
+                "list": ("kind", "states")}
+
+
 def build_ensemble(cfg: dict, n: int, gen: np.random.Generator) -> Ensemble:
     """The initial ensemble, checked against the process's n components."""
     m = setting(cfg, "ensemble", "size", 1000, int, low=1)
@@ -119,10 +124,13 @@ def build_ensemble(cfg: dict, n: int, gen: np.random.Generator) -> Ensemble:
     if not isinstance(init, dict):
         raise ConfigError(f"ensemble.initial is not a mapping, got {init!r}")
     kind = init.get("kind")
+    if not isinstance(kind, str) or kind not in INITIAL_KEYS:
+        raise ConfigError(f"unknown initial condition kind {kind!r}")
+    for key in init:
+        if key not in INITIAL_KEYS[kind]:
+            raise ConfigError(f"unknown config key 'ensemble.initial.{key}'")
     if kind == "uniform":
         return Ensemble.from_uniform(n, m, gen)
-    if kind not in ("delta", "list"):
-        raise ConfigError(f"unknown initial condition kind {kind!r}")
     try:
         if kind == "delta":
             ens = Ensemble.from_delta(make_state(init["point"]), m)

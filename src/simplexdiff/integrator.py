@@ -10,7 +10,11 @@ the run.  Drift and noise factor are evaluated once per step: a rejected
 proposal redraws only its normals.  The ensemble is held component-major,
 as a (K, M) array with one row per reduced component, so that sums over
 components run along the leading axis; the normals are still drawn
-particle by particle, as (M, K), and transposed.
+particle by particle, as (M, K), and transposed.  A step holds few
+state-sized arrays at once: the drift goes once its term is formed, the
+normals are drawn after the drift and the noise factor (neither draws, so
+the stream is the same), and the state it returns owns its memory, so the
+next step holds no larger block behind it.
 """
 
 from __future__ import annotations
@@ -177,24 +181,29 @@ def _columns(L, idx):
 
 
 def _noise(L, xi):
-    """Map (K, M) unit normals through per-particle noise factors."""
+    """Map (K, M) unit normals through per-particle noise factors, into a
+    new (K, M) array."""
     if not isinstance(L, tuple) and L.ndim == xi.ndim:
         return L * xi
     # even and odd columns summed apart, each from zero and left to right:
     # the order of einsum("...ij,...j->...i"), bit for bit.  A structured
-    # factor skips the zeros above its diagonal, which change no sum.
+    # factor skips the zeros above its diagonal, which change no sum, and
+    # forms each product u[i] v[j] xi[j] in one row.
     half = np.zeros((2,) + xi.shape)
-    col = np.empty(xi.shape)
-    for j in range(xi.shape[0]):
-        if isinstance(L, tuple):
-            d, u, v = L
+    if isinstance(L, tuple):
+        d, u, v = L
+        row = np.empty(xi.shape[1:])
+        for j in range(xi.shape[0]):
             half[j % 2, j] += d[j] * xi[j]
-            if j + 1 < xi.shape[0]:
-                c = np.multiply(u[j + 1:], v[j], out=col[j + 1:])
-                half[j % 2, j + 1:] += np.multiply(c, xi[j], out=c)
-        else:
+            for i in range(j + 1, xi.shape[0]):
+                np.multiply(u[i], v[j], out=row)
+                half[j % 2, i] += np.multiply(row, xi[j], out=row)
+        del row  # gone before the sum, the step's largest live set
+    else:
+        for j in range(xi.shape[0]):
             half[j % 2] += L[:, j] * xi[j]
-    return np.add(half[0], half[1], out=half[0])
+    # a new sum rather than one half: a half would keep the whole block alive
+    return half[0] + half[1]
 
 
 def _normals(rng, m, k):
@@ -239,19 +248,18 @@ def _advance(proc, ys, t, cfg, rng):
     invalid after max_resample redraws is clipped from its last proposal.
     """
     k, m = ys.shape
-    xi = _normals(rng, m, k)
     try:
-        a = proc.drift(ys, t)
+        # in place only on arrays allocated here (a closure may return a
+        # view); the drift array goes once base = a dt + ys is formed
+        base = np.multiply(proc.drift(ys, t), cfg.dt, out=np.empty(ys.shape))
         L = _noise_factor(proc, ys, t)
     except NotPositiveSemiDefinite:
         raise
     except Exception as exc:  # drift/diffusion raised at a simulated state
         raise DegenerateState(f"evaluation failed at t={t}: {exc}") from exc
-    # in place only on arrays allocated here: a closure may return a view
-    sqrt_dt = np.sqrt(cfg.dt)
-    base = np.multiply(a, cfg.dt, out=np.empty(ys.shape))
     base += ys
-    prop = _noise(L, xi)
+    sqrt_dt = np.sqrt(cfg.dt)
+    prop = _noise(L, _normals(rng, m, k))  # nothing else draws: same stream
     prop *= sqrt_dt
     prop += base
     modified = _invalid_mask(prop)
@@ -265,7 +273,8 @@ def _advance(proc, ys, t, cfg, rng):
     if not np.all(finite):
         raise DegenerateState(
             f"non-finite proposal for particle {idx[np.argmin(finite)]}")
-    base, L = np.take(base, idx, axis=1), _columns(L, idx)
+    if cfg.max_resample:
+        base, L = np.take(base, idx, axis=1), _columns(L, idx)
     for _ in range(cfg.max_resample):
         cand = _noise(L, _normals(rng, idx.size, k))
         cand *= sqrt_dt

@@ -112,10 +112,12 @@ def beta_process(b, S, kappa) -> ProcessDefinition:
 def _wf_diffusion_factor(y):
     """Closed-form lower-triangular factor of diag(Y) - Y Y^T, as (d, u, v).
 
-    L[i, i] = d[i] and L[i, j] = u[i] * v[j] for j < i, with u = -Y, built
-    from the nested remainders q_j = 1 - Y_1 - ... - Y_j (q_0 = 1):
-    d = sqrt(Y_j q_j / q_{j-1}) and v = sqrt(Y_j / (q_j q_{j-1})).  An entry
-    that divides by a zero remainder is zero: that column carries no noise.
+    L[i, i] = d[i] and L[i, j] = u[i] * v[j] for j < i, with u = Y itself
+    (not a copy) and v <= 0, built from the nested remainders
+    q_j = 1 - Y_1 - ... - Y_j (q_0 = 1): d = sqrt(Y_j q_j / q_{j-1}) and
+    v = -sqrt(Y_j / (q_j q_{j-1})).  Y v[j] has the bits of (-Y) |v[j]|,
+    as a product's sign is its factors' signs.  An entry that divides by a
+    zero remainder is zero: that column carries no noise.
     Each remainder of a finite state is 0 or at least 2^-53 in magnitude,
     so no other quotient overflows.
     """
@@ -134,7 +136,7 @@ def _wf_diffusion_factor(y):
         v[1:][zero[:-1]] = 0.0
     for a in (d, v):
         np.sqrt(np.maximum(a, 0.0, out=a), out=a)
-    return d, -y, v
+    return d, y, np.negative(v, out=v)
 
 
 def wright_fisher_process(omega) -> ProcessDefinition:
@@ -247,9 +249,12 @@ def gen_dirichlet_process(b, S, kappa, c=None) -> ProcessDefinition:
             # -b_f (1 - S_f) Y_f != 0 at the first f: both raise below
             yy = y[:-1] * cy_last
             with np.errstate(divide="ignore", invalid="ignore"):
-                coupled = _col(c_t[0], yy) * yy / cy[0]
+                coupled = _col(c_t[0], yy) * yy
+                coupled /= cy[0]
+                term = np.empty(yy.shape)  # one scratch for every later term
                 for beta in range(1, k - 1):
-                    coupled += _col(c_t[beta], yy) * yy / cy[beta]
+                    np.multiply(_col(c_t[beta], yy), yy, out=term)
+                    coupled += np.divide(term, cy[beta], out=term)
             bracket[:-1] += coupled
         # a zero bracket gives 0 whatever its sign and the prefactor
         zero = bracket == 0.0

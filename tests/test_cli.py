@@ -243,7 +243,17 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
              ("integrator", dict(_INTEGRATOR, max_resample=-1)),
              ("sede", 7),
              ("compare", {"stat_tolerance": 5}),
-             ("sweep", {"grid": [{"integrator": {"dt": 2e-3, "dt_": 1}}]})]
+             ("sweep", {"grid": [{"integrator": {"dt": 2e-3, "dt_": 1}}]}),
+             # ensemble.initial takes only its kind's keys
+             ("ensemble", {"size": 500, "initial": {
+                 "kind": "uniform", "piont": [0.3, 0.3, 0.4],
+                 "states": [[1.0, 0.0, 0.0]]}}),
+             ("ensemble", {"size": 500, "initial": {
+                 "kind": "delta", "point": [0.9, 0.1], "states": [[0.9, 0.1]]}}),
+             ("ensemble", {"size": 2, "initial": {
+                 "kind": "list", "states": [[0.9, 0.1], [0.5, 0.5]],
+                 "point": [0.9, 0.1]}}),
+             ("ensemble", {"size": 500, "initial": {"kind": ["delta"]}})]
     for i, (section, values) in enumerate(cases):
         cfg_path = tmp_path / f"run{i}.yaml"
         write_config(cfg_path, **{section: values})
@@ -262,6 +272,11 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
     args = cli.make_parser().parse_args(["check", "--config", "-"])
     with pytest.raises(cli.ConfigError, match=r"'integrator\.recrod_every'"):
         cli.read_run(cfg, args, "check")
+    cfg = write_config(tmp_path / "initial.yaml", ensemble={
+        "size": 500, "initial": {"kind": "uniform", "piont": [0.3, 0.3, 0.4]}})
+    args = cli.make_parser().parse_args(["simulate", "--config", "-"])
+    with pytest.raises(cli.ConfigError, match=r"'ensemble\.initial\.piont'"):
+        cli.read_run(cfg, args, "simulate")
 
 
 def test_simulate_outputs(tmp_path):

@@ -333,27 +333,47 @@ def wf_edge_states(n, rng):
     return np.ascontiguousarray(np.concatenate(parts).T)
 
 
-@pytest.mark.parametrize("call", ["nested-drift", "wright_fisher-noise"])
+@pytest.mark.parametrize("call", ["nested-drift", "wright_fisher-noise",
+                                  "wright_fisher-step", "dirichlet-step",
+                                  "nested-step"])
 def test_step_closure_peak_memory(call):
-    """The two largest allocations of an N = 8, M = 10^4 step stay small.
+    """The two largest allocations of an N = 8, M = 10^4 step stay small,
+    and so does a whole step fed the state the step before returned.
 
-    The nested drift sums its coupling term by term in beta order, 3.6 MB
-    at peak where the whole (K-1, K-1, M) coupling array took 5.1 MB; the
-    Wright-Fisher noise map adds its odd half into its even one, 1.8 MB
-    where a third (K, M) sum took 2.2 MB.
+    The nested drift sums its coupling term by term in beta order through
+    one reused scratch, 3.3 MB at peak where the whole (K-1, K-1, M)
+    coupling array took 5.1 MB; the Wright-Fisher noise map forms each
+    product in one (M,) row and returns a new sum of its even and odd
+    halves, 1.7 MB where a (K, M) product scratch and a sum kept in the
+    (2, K, M) block took 1.8 MB.  A whole step drops the drift once its
+    term is formed, draws the normals after the noise factor and returns a
+    state that owns its memory: 3.9 MB (Wright-Fisher), 2.2 MB (Dirichlet)
+    and 3.3 MB (nested), where steps that kept them took 5.1, 3.0 and
+    4.2 MB.
     """
     import tracemalloc
     n, k = 8, 7
     y = component_major(np.random.default_rng(37).dirichlet(
         np.full(n, 1.5), size=10 ** 4)[:, :-1])
+    rates = dict(b=[4.0] * k, S=[0.5] * k, kappa=[1.0] * k)
     if call == "nested-drift":
-        proc = gen_dirichlet_process(b=[4.0] * k, S=[0.5] * k, kappa=[1.0] * k,
-                                     c="reduction")
+        proc = gen_dirichlet_process(c="reduction", **rates)
         run, bound = lambda: proc.drift(y, 0.0), 4e6
-    else:
+    elif call == "wright_fisher-noise":
         factor = wright_fisher_process(np.ones(n)).diffusion_factor(y, 0.0)
         xi = np.random.default_rng(1).standard_normal(y.shape)
         run, bound = lambda: _noise(factor, xi), 2e6
+    else:
+        family = call.split("-")[0]
+        proc, bound = {
+            "wright_fisher": (wright_fisher_process(np.ones(n)), 4.2e6),
+            "dirichlet": (dirichlet_process(dirichlet_invariant=True, **rates),
+                          2.7e6),
+            "nested": (gen_dirichlet_process(c="reduction", **rates), 3.7e6),
+        }[family]
+        cfg, rng = IntegratorConfig(dt=1e-5), RandomSource(38, 0)
+        state, _, _ = _advance(proc, y, 0.0, cfg, rng)
+        run = lambda: _advance(proc, state, cfg.dt, cfg, rng)  # noqa: E731
     run()
     tracemalloc.start()
     try:
@@ -362,6 +382,19 @@ def test_step_closure_peak_memory(call):
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"{peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("form", ["diagonal", "factor", "eigh", "nested"])
+@pytest.mark.parametrize("n", [3, 8])
+def test_advance_returns_a_state_that_owns_its_memory(form, n):
+    """The state a step returns is no view of a larger block (which the next
+    step would hold throughout), also after resample rounds and a clip."""
+    cfg = IntegratorConfig(dt=0.2, max_resample=1)
+    ys, modified, clipped = _advance(_factor_forms(n)[form],
+                                     _uniform_states(n, 400, 71), 0.0, cfg,
+                                     RandomSource(72, 0))
+    assert np.any(modified) and np.any(clipped)
+    assert ys.base is None and ys.shape == (n - 1, 400)
 
 
 @pytest.mark.parametrize("n", [3, 8, 12])
