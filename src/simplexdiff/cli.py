@@ -131,13 +131,14 @@ def build_ensemble(cfg: dict, n: int, gen: np.random.Generator) -> Ensemble:
             raise ConfigError(f"unknown config key 'ensemble.initial.{key}'")
     if kind == "uniform":
         return Ensemble.from_uniform(n, m, gen)
+    key = "point" if kind == "delta" else "states"
     try:
         if kind == "delta":
-            ens = Ensemble.from_delta(make_state(init["point"]), m)
+            ens = Ensemble.from_delta(make_state(init[key]), m)
         else:
-            ens = Ensemble.from_states([make_state(p) for p in init["states"]])
+            ens = Ensemble.from_states([make_state(p) for p in init[key]])
     except (SimplexDiffError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid ensemble spec: {exc}") from exc
+        raise ConfigError(f"invalid ensemble.initial.{key}: {exc}") from exc
     if ens.n != n:
         raise ConfigError(f"initial states have {ens.n} components, "
                           f"the process has {n}")

@@ -1,4 +1,5 @@
-"""State representation, geometry of the unit simplex, and process definitions.
+"""State representation, geometry of the unit simplex, process definitions,
+and the one rule each for counts and positive numbers given as input.
 
 An N-component state is a vector of non-negative fractions summing to one.
 Only the first N-1 components are independent; the last one is the remainder.
@@ -7,6 +8,7 @@ All types here are immutable values after construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -17,6 +19,25 @@ from .errors import NegativeComponent, SumViolation
 
 #: construction tolerance on |sum - 1|
 TOL_SUM = 1e-12
+
+
+def holds_bool(x) -> bool:
+    """Whether x is a bool or holds one: a bool is not a number anywhere."""
+    return any(isinstance(e, (bool, np.bool_))
+               for e in np.ravel(np.asarray(x, dtype=object)))
+
+
+def check_count(name, value, least=1):
+    """Refuse a count that is not an integer >= least; a bool is not a count."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_positive(name, value):
+    """Refuse a value that is not a finite number > 0; a bool is not a number."""
+    if (type(value) is bool or not isinstance(value, numbers.Real)
+            or not 0 < value < np.inf):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def face_label(face: int, k: int) -> str:
@@ -50,7 +71,8 @@ class ProcessDefinition:
     whenever dataclasses.replace gives a new one.
 
     invariant_dirichlet, the (N,) concentrations of the process's Dirichlet
-    invariant law or None, is the stationary oracle's only input.
+    invariant law or None, is the stationary oracle's only input.  dimension
+    is N, an integer >= 2 (check_count's rule: a bool is not a count).
     """
 
     dimension: int
@@ -62,6 +84,7 @@ class ProcessDefinition:
     diffusion_factor: Optional[Callable[[np.ndarray, float], tuple]] = None
 
     def __post_init__(self):
+        check_count("dimension", self.dimension, least=2)
         diag = self.diffusion_diag
         derived = getattr(self.diffusion, "func", None) is _diag_matrices
         if diag is not None and (self.diffusion is None or derived):
@@ -98,6 +121,8 @@ def make_state(fractions) -> np.ndarray:
     one).  Division preserves exact zeros, so absorbing states stay
     absorbing.
     """
+    if holds_bool(fractions):
+        raise TypeError(f"a bool is not a fraction, got {fractions!r}")
     y = np.asarray(fractions, dtype=float)
     if y.ndim != 1 or y.shape[0] < 2:
         raise SumViolation(f"need at least 2 components, got shape {y.shape}")

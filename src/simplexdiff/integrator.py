@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Ensemble, ProcessDefinition, component_major
+from .core import (Ensemble, ProcessDefinition, check_count, check_positive,
+                   component_major)
 from .errors import DegenerateState, NotPositiveSemiDefinite
 from . import statistics as stats_mod
 
@@ -124,15 +125,8 @@ class IntegratorConfig:
     max_resample: int = 100
 
     def __post_init__(self):
-        if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise ValueError(f"dt must be a finite number > 0, got {self.dt}")
-        _check_count("max_resample", self.max_resample, least=0)
-
-
-def _check_count(name, value, least=1):
-    """Refuse a count that is not an integer >= least; a bool is not a count."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_positive("dt", self.dt)
+        check_count("max_resample", self.max_resample, least=0)
 
 
 @dataclass
@@ -320,11 +314,10 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     """
     if init.size < 2:
         raise ValueError(f"need an ensemble of >= 2 particles, got {init.size}")
-    if not (t_end > 0 and np.isfinite(t_end)):
-        raise ValueError(f"t_end must be a finite number > 0, got {t_end}")
-    _check_count("record_every", record_every)
+    check_positive("t_end", t_end)
+    check_count("record_every", record_every)
     if dump_every is not None:
-        _check_count("dump_every", dump_every)
+        check_count("dump_every", dump_every)
     if init.n != proc.dimension:
         raise ValueError(f"ensemble has {init.n} components, "
                          f"process expects {proc.dimension}")

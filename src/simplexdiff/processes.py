@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ProcessDefinition
+from .core import ProcessDefinition, holds_bool
 from .errors import DirichletConstraintViolated, InvalidParameter, SingularNesting
 
 DIRCONST_RTOL = 1e-10
@@ -51,6 +51,8 @@ def invariant_ratio(b, S, kappa, required=False):
 
 
 def _as_vector(x, name, length=None):
+    if holds_bool(x):
+        raise InvalidParameter(name, f"a bool is not a number, got {x!r}")
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise InvalidParameter(name, f"expected a vector, got shape {v.shape}")
@@ -90,11 +92,11 @@ def reduction_coupling(kappa) -> np.ndarray:
 
 def beta_process(b, S, kappa) -> ProcessDefinition:
     """Scalar process on [0, 1]: linear drift toward S, quadratic diffusion."""
-    if not 0 < b < np.inf:
+    if holds_bool(b) or not 0 < b < np.inf:
         raise InvalidParameter("b", f"must be > 0 and finite, got {b}")
-    if not 0 < kappa < np.inf:
+    if holds_bool(kappa) or not 0 < kappa < np.inf:
         raise InvalidParameter("kappa", f"must be > 0 and finite, got {kappa}")
-    if not 0.0 <= S <= 1.0:
+    if holds_bool(S) or not 0.0 <= S <= 1.0:
         raise InvalidParameter("S", f"must be in [0, 1], got {S}")
 
     def drift(y, t):
@@ -199,7 +201,7 @@ def dirichlet_process(b, S, kappa, dirichlet_invariant=False) -> ProcessDefiniti
 def _gen_dirichlet_terms(y):
     """Nesting remainders cy, the last one, and the prefactors u.
 
-    A zero remainder leaves an infinite prefactor, which the callers guard.
+    A zero remainder leaves an infinite prefactor, which _nested guards.
     """
     cy = _running(np.add, y)                  # cy[a] = 1 - Y_1 - ... - Y_{a+1}
     np.subtract(1.0, cy, out=cy)
@@ -210,6 +212,20 @@ def _gen_dirichlet_terms(y):
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(1.0, prod[::-1], out=u[:-1])
     return cy, cy[-1], u
+
+
+def _nested(num, u, what):
+    """num times the prefactors u, in place; 0 wherever num is 0, whatever
+    its sign and the prefactor, and SingularNesting wherever a zero
+    remainder (an infinite prefactor) meets a non-zero numerator."""
+    zero = num == 0.0
+    with np.errstate(invalid="ignore"):  # 0 * inf, zeroed on the next line
+        num *= u
+    num[zero] = 0.0
+    if not np.all(np.isfinite(num)):
+        raise SingularNesting(f"{what} is undefined: zero nested remainder "
+                              "against a non-zero numerator")
+    return num
 
 
 def gen_dirichlet_process(b, S, kappa, c=None) -> ProcessDefinition:
@@ -256,32 +272,21 @@ def gen_dirichlet_process(b, S, kappa, c=None) -> ProcessDefinition:
                     np.multiply(_col(c_t[beta], yy), yy, out=term)
                     coupled += np.divide(term, cy[beta], out=term)
             bracket[:-1] += coupled
-        # a zero bracket gives 0 whatever its sign and the prefactor
-        zero = bracket == 0.0
-        out = np.multiply(0.5, u, out=u)
-        out *= bracket
-        out[zero] = 0.0
-        if not np.all(np.isfinite(out)):
-            raise SingularNesting("drift is undefined: zero nested remainder "
-                                  "against a non-zero numerator")
-        return out
+        return _nested(bracket, np.multiply(0.5, u, out=u), "drift")
 
     def diffusion_diag(y, t):
         cy, cy_last, u = _gen_dirichlet_terms(y)
         d = _col(kappa, y) * y
         d *= cy_last
-        zero = d == 0.0
-        with np.errstate(invalid="ignore"):  # 0 * inf, zeroed on the next line
-            d *= u
-        d[zero] = 0.0
-        if not np.all(np.isfinite(d)):
-            raise SingularNesting("diffusion is undefined: zero nested remainder "
-                                  "against a non-zero numerator")
-        return d
+        return _nested(d, u, "diffusion")
 
     return ProcessDefinition(
         dimension=b.shape[0] + 1, drift=drift, name="gen_dirichlet",
         diffusion_diag=diffusion_diag)
+
+
+#: each negative control's constant drift and diagonal diffusion
+BROKEN = {"constant_diffusion": (0.0, 0.1), "outward_drift": (-1.0, 0.0)}
 
 
 def broken_process(style: str, n: int = 3) -> ProcessDefinition:
@@ -291,23 +296,10 @@ def broken_process(style: str, n: int = 3) -> ProcessDefinition:
     every face); "outward_drift" pushes every component with rate -1
     (outward across every zero face).
     """
-    if style == "constant_diffusion":
-        def drift(y, t):
-            return np.zeros_like(y)
-
-        def diffusion_diag(y, t):
-            return np.full(y.shape, 0.1)
-
-        name = "broken_constant_diffusion"
-    elif style == "outward_drift":
-        def drift(y, t):
-            return np.full_like(y, -1.0)
-
-        def diffusion_diag(y, t):
-            return np.zeros(y.shape)
-
-        name = "broken_outward_drift"
-    else:
+    if not isinstance(style, str) or style not in BROKEN:
         raise InvalidParameter("style", f"unknown style {style!r}")
-    return ProcessDefinition(dimension=n, drift=drift, name=name,
-                             diffusion_diag=diffusion_diag)
+    drift, diffusion = BROKEN[style]
+    return ProcessDefinition(
+        dimension=n, drift=lambda y, t: np.full(y.shape, drift),
+        name=f"broken_{style}",
+        diffusion_diag=lambda y, t: np.full(y.shape, diffusion))

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProcessDefinition, component_major, face_label, face_points
+from .core import (ProcessDefinition, check_count, check_positive,
+                   component_major, face_label, face_points)
 from .errors import EvaluationFailure
 from .statistics import MomentSet
 
@@ -30,8 +31,7 @@ class ToleranceSet:
 
     def __post_init__(self):
         for name in ("diffusion_zero_tol", "drift_sign_tol", "moment_stat_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            check_positive(name, getattr(self, name))
 
 
 @dataclass
@@ -79,13 +79,6 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _worst(values: np.ndarray, pts: np.ndarray):
-    """Largest value over (..., sample) and the sample where it occurs."""
-    per_sample = values.reshape(-1, values.shape[-1]).max(axis=0)
-    i = int(np.argmax(per_sample))
-    return float(per_sample[i]), pts[i]
-
-
 def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
                    tol: ToleranceSet = ToleranceSet()) -> AuditReport:
     """Check the inward-drift and zero-diffusion conditions on every face.
@@ -99,11 +92,18 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
     drift component <= 0 and every matrix entry zero.  The face points are
     drawn from the RandomSource rng.
     """
-    if samples_per_face < 1:
-        raise ValueError("samples_per_face must be >= 1")
+    check_count("samples_per_face", samples_per_face)
     gen = rng.generator
     k = proc.k
     report = AuditReport()
+
+    def check(name, values, limit):
+        """Record the face's condition name: the largest of values over
+        (..., sample), the sample where it occurs, judged against limit."""
+        per_sample = values.reshape(-1, values.shape[-1]).max(axis=0)
+        i = int(np.argmax(per_sample))
+        report.add(f"{label}:{name}", label, per_sample[i], pts[i], limit)
+
     for face in range(k + 1):
         pts = face_points(face, k, samples_per_face, gen)
         label = face_label(face, k)
@@ -114,30 +114,18 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
         except Exception as exc:
             raise EvaluationFailure(
                 f"drift/diffusion raised on {label}: {exc}") from exc
+        # each condition's values are freed before the next are formed
         if face < k:
-            viol, loc = _worst(-a[face], pts)
-            report.add(f"{label}:drift-inward", label, viol, loc,
-                       tol.drift_sign_tol)
-            viol, loc = _worst(np.abs(B[face]), pts)
-            report.add(f"{label}:diffusion-zero", label, viol, loc,
-                       tol.diffusion_zero_tol)
-        else:
-            viol, loc = _worst(a.sum(axis=0), pts)
-            report.add(f"{label}:drift-inward", label, viol, loc,
-                       tol.drift_sign_tol)
-            viol, loc = _worst(np.abs(B.sum(axis=1)), pts)
-            report.add(f"{label}:diffusion-row-sums", label, viol, loc,
-                       tol.diffusion_zero_tol)
-            viol, loc = _worst(np.abs(B.sum(axis=(0, 1))), pts)
-            report.add(f"{label}:diffusion-total-sum", label, viol, loc,
-                       tol.diffusion_zero_tol)
-            if proc.diffusion_diag is not None:
-                viol, loc = _worst(a, pts)
-                report.add(f"{label}:drift-componentwise", label, viol, loc,
-                           tol.drift_sign_tol)
-                viol, loc = _worst(np.abs(B), pts)
-                report.add(f"{label}:diffusion-entries", label, viol, loc,
-                           tol.diffusion_zero_tol)
+            check("drift-inward", -a[face], tol.drift_sign_tol)
+            check("diffusion-zero", np.abs(B[face]), tol.diffusion_zero_tol)
+            continue
+        check("drift-inward", a.sum(axis=0), tol.drift_sign_tol)
+        check("diffusion-row-sums", np.abs(B.sum(axis=1)), tol.diffusion_zero_tol)
+        check("diffusion-total-sum", np.abs(B.sum(axis=(0, 1))),
+              tol.diffusion_zero_tol)
+        if proc.diffusion_diag is not None:
+            check("drift-componentwise", a, tol.drift_sign_tol)
+            check("diffusion-entries", np.abs(B), tol.diffusion_zero_tol)
     return report
 
 

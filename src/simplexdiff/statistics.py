@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProcessDefinition, component_major
+from .core import ProcessDefinition, check_count, check_positive, component_major
 from .errors import (EnsembleTooSmall, InsufficientSnapshots,
                      UnsupportedProcess)
 
@@ -81,7 +81,8 @@ def batch_slices(m: int, n_batches: int):
 
 
 def _ensemble_batches(m: int, n_batches: int):
-    """batch_slices of an ensemble of m >= 2 particles."""
+    """batch_slices of an ensemble of m >= 2 particles into n_batches >= 1."""
+    check_count("n_batches", n_batches)
     if m < 2:
         raise EnsembleTooSmall(f"need M >= 2 particles, got {m}")
     return batch_slices(m, n_batches)
@@ -247,6 +248,7 @@ def cross_validate_rates(traj, tol_multiplier: float = 3.0) -> dict:
     ((snapshot, entry) checks made) and failures (the failed checks, as
     dicts, in check order).
     """
+    check_positive("tol_multiplier", tol_multiplier)
     times = traj.t
     if times.size < 3:
         raise InsufficientSnapshots(f"need >= 3 snapshots, got {times.size}")

@@ -781,3 +781,53 @@ def test_readme_config_schema_reads():
         cli.read_run(cfg, args, command)
     documented = {name: set(cfg[name] if name else cfg) for name in cli.SCHEMA}
     assert documented == {name: set(keys) for name, keys in cli.SCHEMA.items()}
+
+
+@pytest.mark.parametrize("command,section,values,key", [
+    # a k = 0 negative control passed its own audit with exit 0
+    ("check", "process", {"name": "broken", "params": {
+        "style": "outward_drift", "n": 1}}, "dimension"),
+    ("check", "process", {"name": "broken", "params": {
+        "style": "outward_drift", "n": True}}, "dimension"),
+    # a bool was read as 1.0
+    ("check", "process", {"name": "beta", "params": {
+        "b": True, "S": 0.5, "kappa": 1.0}}, "b:"),
+    ("check", "process", {"name": "beta", "params": {
+        "b": 2.0, "S": True, "kappa": 1.0}}, "S:"),
+    ("check", "process", {"name": "wright_fisher", "params": {
+        "omega": [True, 1, 1]}}, "omega:"),
+    ("simulate", "ensemble", {"size": 500, "initial": {
+        "kind": "delta", "point": [True, 0]}}, "ensemble.initial.point"),
+    ("simulate", "ensemble", {"size": 2, "initial": {
+        "kind": "list", "states": [[0.5, 0.5], [True, False]]}},
+     "ensemble.initial.states"),
+    ("simulate", "ensemble", {"size": 3, "initial": {
+        "kind": "list", "states": [[0.5, 0.5], [0.2, 0.8]]}},
+     "ensemble size 3 does not match 2 listed states"),
+])
+def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command,
+                                             section, values, key):
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, **{section: values})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--outdir", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_run_failure_exits_1(tmp_path, capsys):
+    """A library error during a run exits 1 with 'failure:' on stderr: here
+    the nested drift, undefined at a start state whose second nesting
+    remainder is zero, stops the first snapshot."""
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path, process={"name": "gen_dirichlet", "params": {
+                     "b": [4.0] * 3, "S": [0.5] * 3, "kappa": [1.0] * 3,
+                     "c": "reduction"}},
+                 ensemble={"size": 10, "initial": {
+                     "kind": "delta", "point": [0.5, 0.5, 0.0, 0.0]}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--outdir", str(out),
+                 "--skip-audit"]) == 1
+    assert capsys.readouterr().err.startswith("failure: drift is undefined")
+    assert not (out / "moments.csv").exists()

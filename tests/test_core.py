@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexdiff import (Ensemble, NegativeComponent, ProcessDefinition,
-                         SumViolation, dirichlet_process, make_state)
+from simplexdiff import (Ensemble, IntegratorConfig, NegativeComponent,
+                         ProcessDefinition, RandomSource, SumViolation,
+                         ToleranceSet, audit_boundary, batch_statistics,
+                         beta_process, broken_process, cross_validate_rates,
+                         dirichlet_process, make_state, simulate)
 from simplexdiff.core import face_label, face_points
 
 
@@ -146,3 +149,63 @@ def test_replaced_diagonal_rebuilds_derived_diffusion():
     r = dataclasses.replace(q, diffusion=matrix)
     assert r.diffusion is matrix
     assert dataclasses.replace(r, diffusion_diag=p.diffusion_diag).diffusion is matrix
+
+
+def test_process_dimension_is_a_count():
+    """N is an integer >= 2 and not a bool, for every constructor: a k = 0
+    negative control would otherwise pass its own audit."""
+    def zero(y, t):
+        return np.zeros_like(y)
+
+    for bad in (1, 0, True, 3.0, "3", None):
+        with pytest.raises(ValueError, match="dimension"):
+            ProcessDefinition(dimension=bad, drift=zero, name="p",
+                              diffusion_diag=zero)
+        with pytest.raises(ValueError, match="dimension"):
+            broken_process("outward_drift", n=bad)
+    assert broken_process("outward_drift", n=np.int64(2)).k == 1
+
+
+def test_make_state_refuses_bools():
+    for bad in ([True, 0.0, 0.0], [1.0, False], np.array([True, False])):
+        with pytest.raises(TypeError, match="bool"):
+            make_state(bad)
+
+
+def _small_trajectory():
+    proc = beta_process(b=2.0, S=0.5, kappa=1.0)
+    return simulate(proc, Ensemble.from_delta(make_state([0.9, 0.1]), 40),
+                    IntegratorConfig(dt=0.01), t_end=0.03, record_every=1,
+                    rng=RandomSource(0, 0))
+
+
+@pytest.mark.parametrize("name,call", [
+    ("tol_multiplier", lambda: cross_validate_rates(_small_trajectory(), np.nan)),
+    ("tol_multiplier", lambda: cross_validate_rates(_small_trajectory(), np.inf)),
+    ("tol_multiplier", lambda: cross_validate_rates(_small_trajectory(), True)),
+    ("diffusion_zero_tol", lambda: ToleranceSet(diffusion_zero_tol=np.inf)),
+    ("drift_sign_tol", lambda: ToleranceSet(drift_sign_tol=True)),
+    ("moment_stat_tol", lambda: ToleranceSet(moment_stat_tol=np.nan)),
+    ("moment_stat_tol", lambda: ToleranceSet(moment_stat_tol="3")),
+    ("dt", lambda: IntegratorConfig(dt=True)),
+    ("t_end", lambda: simulate(
+        beta_process(b=2.0, S=0.5, kappa=1.0),
+        Ensemble.from_delta(make_state([0.9, 0.1]), 4), IntegratorConfig(dt=0.01),
+        t_end=True, record_every=1, rng=RandomSource(0, 0))),
+    ("n_batches", lambda: batch_statistics(
+        np.tile([0.5, 0.5], (10, 1)), beta_process(b=2.0, S=0.5, kappa=1.0),
+        0.0, n_batches=0)),
+    ("n_batches", lambda: batch_statistics(
+        np.tile([0.5, 0.5], (10, 1)), beta_process(b=2.0, S=0.5, kappa=1.0),
+        0.0, n_batches=2.0)),
+    ("samples_per_face", lambda: audit_boundary(
+        beta_process(b=2.0, S=0.5, kappa=1.0), 2.5, RandomSource(0, 1))),
+    ("samples_per_face", lambda: audit_boundary(
+        beta_process(b=2.0, S=0.5, kappa=1.0), True, RandomSource(0, 1))),
+])
+def test_numbers_and_counts_have_one_rule(name, call):
+    """A tolerance, step, duration or multiplier is a finite number > 0 and a
+    batch or sample count an integer >= 1, neither a bool: each input here
+    was accepted (and could pass a verdict) or failed obscurely before."""
+    with pytest.raises(ValueError, match=name):
+        call()

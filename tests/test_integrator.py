@@ -831,3 +831,23 @@ def test_failed_fill_raises_in_simulate(monkeypatch, good):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert errors == ["fill failed"]
+
+
+@pytest.mark.parametrize("closure", ["drift", "diffusion_diag"])
+def test_raising_closure_is_a_degenerate_state(closure):
+    """A drift or noise factor that raises at a simulated state stops the
+    step with DegenerateState naming the time, and the run names the step."""
+    def boom(y, t):
+        if t > 0.0:  # the snapshot at t = 0 and the first step pass
+            raise RuntimeError("boom")
+        return np.zeros_like(y)
+
+    proc = dataclasses.replace(constant_process([0.0, 0.0]), **{closure: boom})
+    ys = np.full((2, 4), 0.25)
+    with pytest.raises(DegenerateState, match=r"^evaluation failed at t=0.5: boom"):
+        _advance(proc, ys, 0.5, IntegratorConfig(dt=1e-2), RandomSource(0, 0))
+    ens = Ensemble.from_delta(make_state([0.25, 0.25, 0.5]), 4)
+    with pytest.raises(DegenerateState,
+                       match=r"^step 2 at t=0.01: evaluation failed at t=0.01"):
+        simulate(proc, ens, IntegratorConfig(dt=1e-2), t_end=0.03,
+                 record_every=3, rng=RandomSource(0, 0))

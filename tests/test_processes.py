@@ -240,3 +240,52 @@ def test_broken_processes():
     npt.assert_array_equal(od.drift(y, 0.0), [-1.0, -1.0])
     with pytest.raises(InvalidParameter):
         broken_process("nonsense")
+
+
+_RATES = {"b": [2.0, 2.0], "S": [0.5, 0.5], "kappa": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("field,params", [
+    ("b", dict(_RATES, b=[[2.0, 2.0]])),
+    ("S", dict(_RATES, S=[0.5])),
+    ("kappa", dict(_RATES, kappa=[1.0, 1.0, 1.0])),
+    ("b", dict(_RATES, b=[2.0, 0.0])),
+    ("kappa", dict(_RATES, kappa=[-1.0, 1.0])),
+    ("S", dict(_RATES, S=[0.5, 1.0])),
+    ("S", dict(_RATES, S=[0.0, 0.5])),
+    ("b", dict(_RATES, b=[True, 2.0])),
+    ("kappa", dict(_RATES, kappa=np.array([True, True]))),
+])
+def test_rate_vectors_refused_by_name(field, params):
+    """The Dirichlet families' shape, length, range and bool checks name
+    the vector that failed."""
+    for make in (dirichlet_process, gen_dirichlet_process):
+        with pytest.raises(InvalidParameter) as err:
+            make(**params)
+        assert err.value.field == field
+
+
+@pytest.mark.parametrize("field,make", [
+    ("b", lambda: beta_process(b=True, S=0.5, kappa=1.0)),
+    ("S", lambda: beta_process(b=2.0, S=True, kappa=1.0)),
+    ("kappa", lambda: beta_process(b=2.0, S=0.5, kappa=np.True_)),
+    ("omega", lambda: wright_fisher_process([True, 1.0, 1.0])),
+])
+def test_bools_are_not_parameters(field, make):
+    with pytest.raises(InvalidParameter) as err:
+        make()
+    assert err.value.field == field
+
+
+@pytest.mark.filterwarnings("error")
+def test_gen_dirichlet_diffusion_undefined_past_the_unit_sum_face():
+    """One ulp past the unit-sum face at N = 4, the second nesting
+    remainder is exactly zero while the last is not: the diffusion's
+    numerator is non-zero against an infinite prefactor, and it raises."""
+    proc = gen_dirichlet_process(b=np.full(3, 4.0), S=np.full(3, 0.5),
+                                 kappa=np.ones(3), c="reduction")
+    y = np.array([[0.25], [0.75], [2.0 ** -52]])
+    cy, cy_last, _ = _gen_dirichlet_terms(y)
+    assert cy[1, 0] == 0.0 and cy_last[0] != 0.0
+    with pytest.raises(SingularNesting, match="diffusion is undefined"):
+        proc.diffusion_diag(y, 0.0)

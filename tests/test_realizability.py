@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -160,3 +163,53 @@ def test_tolerance_validation():
         ToleranceSet(diffusion_zero_tol=0.0)
     with pytest.raises(ValueError):
         audit_boundary(named_processes()[0], 0, RandomSource(0, 1))
+
+
+def _audited_processes():
+    """Every benchmark family, at N = 2, 3 and 8, and both negative controls."""
+    def rates(n):
+        return {"b": [4.0] * (n - 1), "S": [0.5] * (n - 1), "kappa": [1.0] * (n - 1)}
+
+    procs = {"beta": beta_process(b=2.0, S=0.5, kappa=1.0),
+             "broken_constant_diffusion": broken_process("constant_diffusion"),
+             "broken_outward_drift": broken_process("outward_drift")}
+    for n in (3, 8):
+        procs[f"wright_fisher_{n}"] = wright_fisher_process([1.0] * n)
+        procs[f"dirichlet_{n}"] = dirichlet_process(dirichlet_invariant=True,
+                                                    **rates(n))
+        procs[f"gen_dirichlet_{n}"] = gen_dirichlet_process(c="reduction",
+                                                            **rates(n))
+    return procs
+
+
+#: sha256 of audit_boundary(proc, 1000, RandomSource(1, 1)).to_dict() as
+#: JSON (indent 2, as audit.json holds it) for each process of
+#: _audited_processes.  A change to the face samples, a closure's values on
+#: a face, or the checks' order, names, violations or locations moves them;
+#: such a change must update them and say so.
+AUDIT_SHA256 = {
+    "beta": "e7fbf7239aaf0659d1384a5bf049b5d57c649cbfe1df4be93f0a02f712cc87a9",
+    "broken_constant_diffusion":
+        "31f595e8f2c627c161abd1fa1b452735b18b74258cc27fe347910d0f7a4f2e53",
+    "broken_outward_drift":
+        "402c9ff6a99fc4c696a5ae21adcd8bcbbb1f9b3936365fb33be5094266c6472e",
+    "dirichlet_3": "7df9ff26293fee9c17e7c44d7c04e9379f3702f4ad405eed4b52920aaf09bbce",
+    "dirichlet_8": "6fb31d48ce7ad48ac5553fb235aafe953e9caf91e1cab6e4067eb2a20aaf70ba",
+    "gen_dirichlet_3":
+        "dfaeb07e003a0124b0ad236264cb3cd617e4c5c1d4a3b0a9269fdeb9b8168e24",
+    "gen_dirichlet_8":
+        "22a448cbbcea836f3149e4ec6134fc54efdcc7b3c2c4000818351f9557797af1",
+    "wright_fisher_3":
+        "fc30abf446c872816facadb370ee5b988a81dff9d3ca43069c3af650a6b97fc5",
+    "wright_fisher_8":
+        "5423e7beadd629ae5799a5eb5c911f914a61ed60a7d2985ec4d62b7860393242",
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_SHA256))
+def test_audit_outputs_pinned(name):
+    proc = _audited_processes()[name]
+    report = audit_boundary(proc, 1000, RandomSource(1, 1))
+    text = json.dumps(report.to_dict(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_SHA256[name]
+    assert report.overall_pass is not name.startswith("broken")
