@@ -52,17 +52,18 @@ class ProcessDefinition:
 
     The closures take component-major states: Y has shape (K, ...), K = N-1,
     with one row per reduced component and the particles along the trailing
-    axes; a single (K,) state is one particle.  drift(Y, t) returns drift
-    rates of Y's shape; diffusion(Y, t) returns symmetric non-negative
-    semi-definite matrices of shape (K, K, ...).  Every closure must be
-    pure and act particle by particle: a particle's output depends only on
-    its own state, since the integrator evaluates each closure once per step
-    on the whole batch and reuses the particles of rejected proposals.
+    axes; a single (K,) state is one particle.  drift(Y) returns drift rates
+    of Y's shape; diffusion(Y) returns symmetric non-negative semi-definite
+    matrices of shape (K, K, ...).  Every closure takes the state alone (the
+    process is autonomous), is pure and acts particle by particle: a
+    particle's output depends only on its own state, since the integrator
+    evaluates each closure once per step on the whole batch and reuses the
+    particles of rejected proposals.
 
     diffusion_factor and diffusion_diag supply the integrator's noise
-    factor.  diffusion_factor(Y, t) -> (d, u, v), three (K, ...) arrays, is
+    factor.  diffusion_factor(Y) -> (d, u, v), three (K, ...) arrays, is
     the lower-triangular L with L[i, i] = d[i], L[i, j] = u[i] * v[j] for
-    j < i and L @ L.T == diffusion.  diffusion_diag(Y, t) -> (K, ...) is the
+    j < i and L @ L.T == diffusion.  diffusion_diag(Y) -> (K, ...) is the
     diagonal of a diagonal diffusion matrix; its square root is the factor.
     A process that supplies neither is factored through an
     eigendecomposition of its diffusion matrix.  Supplying diffusion_diag
@@ -76,12 +77,12 @@ class ProcessDefinition:
     """
 
     dimension: int
-    drift: Callable[[np.ndarray, float], np.ndarray]
+    drift: Callable[[np.ndarray], np.ndarray]
     name: str
-    diffusion: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    diffusion: Optional[Callable[[np.ndarray], np.ndarray]] = None
     invariant_dirichlet: Optional[np.ndarray] = None
-    diffusion_diag: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    diffusion_factor: Optional[Callable[[np.ndarray, float], tuple]] = None
+    diffusion_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    diffusion_factor: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         check_count("dimension", self.dimension, least=2)
@@ -98,9 +99,9 @@ class ProcessDefinition:
         return self.dimension - 1
 
 
-def _diag_matrices(diag, y, t):
-    """The (K, K, ...) diagonal matrices of the (K, ...) diagonals diag(y, t)."""
-    d = diag(y, t)
+def _diag_matrices(diag, y):
+    """The (K, K, ...) diagonal matrices of the (K, ...) diagonals diag(y)."""
+    d = diag(y)
     k = d.shape[0]
     out = np.zeros((k,) + d.shape)
     idx = np.arange(k)

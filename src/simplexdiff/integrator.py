@@ -1,16 +1,16 @@
 """Explicit Euler-Maruyama integration of simplex ensembles.
 
-The integrator advances all particles of an ensemble with independent
-noise drawn from a counter-based (Philox) stream, maps it through the noise
-factor the process supplies (a (d, u, v) triangular factor, the square root
-of a diagonal, or an eigendecomposition of the diffusion matrix), and
-enforces the simplex constraints on every accepted step, so that every
-recorded state is realizable by construction; a non-finite proposal stops
-the run.  Drift and noise factor are evaluated once per step: a rejected
-proposal redraws only its normals.  The ensemble is held component-major,
-as a (K, M) array with one row per reduced component, so that sums over
-components run along the leading axis; the normals are still drawn
-particle by particle, as (M, K), and transposed.  A step holds few
+The integrator advances all particles of an ensemble with independent noise
+drawn from a counter-based (Philox) stream, maps it through the noise factor
+the process supplies (a (d, u, v) triangular factor, the square root of a
+diagonal, or an eigendecomposition of the diffusion matrix), and enforces
+the simplex constraints on every accepted step, so that every recorded state
+is realizable by construction; a non-finite proposal stops the run.  Drift
+and noise factor, functions of the state alone, are evaluated once per step:
+a rejected proposal redraws only its normals.  The ensemble is held
+component-major, as a (K, M) array with one row per reduced component, so
+that sums over components run along the leading axis; the normals are still
+drawn particle by particle, as (M, K), and transposed.  A step holds few
 state-sized arrays at once: the drift goes once its term is formed, the
 normals are drawn after the drift and the noise factor (neither draws, so
 the stream is the same), and the state it returns owns its memory, so the
@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import (Ensemble, ProcessDefinition, check_count, check_positive,
                    component_major)
-from .errors import DegenerateState, NotPositiveSemiDefinite
+from .errors import DegenerateState, NotPositiveSemiDefinite, SimplexDiffError
 from . import statistics as stats_mod
 
 #: reduced sums above 1 + this margin count as realizability violations
@@ -147,18 +147,18 @@ class Trajectory:
     dumps: dict
 
 
-def _noise_factor(proc: ProcessDefinition, ys: np.ndarray, t: float):
+def _noise_factor(proc: ProcessDefinition, ys: np.ndarray):
     """Per-particle noise factor: (K, M) diagonal roots, (d, u, v) or (K, K, M)."""
     if proc.diffusion_factor is not None:
-        return proc.diffusion_factor(ys, t)
+        return proc.diffusion_factor(ys)
     if proc.diffusion_diag is not None:
-        d = proc.diffusion_diag(ys, t)
+        d = proc.diffusion_diag(ys)
         if np.min(d) < NEGATIVE_CLAMP:
             raise NotPositiveSemiDefinite(
                 f"diagonal diffusion entry {np.min(d):.3e} < 0")
         root = np.maximum(d, 0.0)
         return np.sqrt(root, out=root)
-    B = proc.diffusion(ys, t)
+    B = proc.diffusion(ys)
     w, V = np.linalg.eigh(np.moveaxis(B, -1, 0))
     scale = max(float(np.max(np.abs(B))), 1.0)
     if np.min(w) < -1e-10 * scale:
@@ -234,7 +234,7 @@ def _clip_renormalize(ys):
     return ys
 
 
-def _advance(proc, ys, t, cfg, rng):
+def _advance(proc, ys, cfg, rng):
     """One Euler-Maruyama step for a (K, M) batch; returns (states, modified, clipped).
 
     Invalid columns are redrawn, in column order, as one shrinking subset
@@ -245,12 +245,12 @@ def _advance(proc, ys, t, cfg, rng):
     try:
         # in place only on arrays allocated here (a closure may return a
         # view); the drift array goes once base = a dt + ys is formed
-        base = np.multiply(proc.drift(ys, t), cfg.dt, out=np.empty(ys.shape))
-        L = _noise_factor(proc, ys, t)
+        base = np.multiply(proc.drift(ys), cfg.dt, out=np.empty(ys.shape))
+        L = _noise_factor(proc, ys)
     except NotPositiveSemiDefinite:
         raise
     except Exception as exc:  # drift/diffusion raised at a simulated state
-        raise DegenerateState(f"evaluation failed at t={t}: {exc}") from exc
+        raise DegenerateState(f"evaluation failed: {exc}") from exc
     base += ys
     sqrt_dt = np.sqrt(cfg.dt)
     prop = _noise(L, _normals(rng, m, k))  # nothing else draws: same stream
@@ -306,11 +306,13 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     reduced moment evolution rates in 20 particle batches, for standard
     errors) and merges the full-ensemble moments from its batches; the
     Trajectory stacks them once, after the last step.  Every accepted
-    proposal passed the exact simplex check; the clipped columns are
-    checked again at VIOLATION_TOL and violations counted (the clip should
-    make the count zero); a non-finite proposal raises DegenerateState
-    naming the step and the particle.  On two or more CPUs a helper thread
-    draws large steps' normals ahead; no output byte changes.
+    proposal passed the exact simplex check; the clipped columns are checked
+    again at VIOLATION_TOL and violations counted (the clip should make the
+    count zero).  DegenerateState names the step and particle of a
+    non-finite proposal, the step of a closure that raised, and the time of
+    a snapshot whose closure raised a non-library error.  On two or more
+    CPUs a helper thread draws large steps' normals ahead; no output byte
+    changes.
     """
     if init.size < 2:
         raise ValueError(f"need an ensemble of >= 2 particles, got {init.size}")
@@ -336,7 +338,13 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
         t = k * cfg.dt
         full = _full_states(ys)
         if snap:
-            bm, br = stats_mod.batch_statistics(full, proc, t)
+            try:
+                bm, br = stats_mod.batch_statistics(full, proc)
+            except SimplexDiffError:
+                raise
+            except Exception as exc:  # a closure raised at a recorded state
+                raise DegenerateState(
+                    f"snapshot at t={t}: evaluation failed: {exc}") from exc
             snaps.append((t, stats_mod.estimate_moments(full, bm), bm, br))
         if dump:
             dumps[t] = full
@@ -345,11 +353,11 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     try:
         observe(0, ys)
         for k in range(1, n_steps + 1):
-            t = (k - 1) * cfg.dt
             try:
-                ys, modified, clipped = _advance(proc, ys, t, cfg, rng)
+                ys, modified, clipped = _advance(proc, ys, cfg, rng)
             except (DegenerateState, NotPositiveSemiDefinite) as exc:
-                raise DegenerateState(f"step {k} at t={t}: {exc}") from exc
+                raise DegenerateState(
+                    f"step {k} at t={(k - 1) * cfg.dt}: {exc}") from exc
             particle_steps += ys.shape[1]
             modified_steps += int(np.count_nonzero(modified))
             n_clipped = int(np.count_nonzero(clipped))

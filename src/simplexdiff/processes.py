@@ -1,7 +1,7 @@
 """The four realizable simplex diffusion processes plus negative controls.
 
 Each constructor validates its parameters and returns a ProcessDefinition
-whose closures take component-major reduced states of shape (N-1, ...):
+whose closures take the component-major reduced state alone, (N-1, ...):
 drift and diffusion_diag return (N-1, ...), diffusion (N-1, N-1, ...), and
 Wright-Fisher's diffusion_factor three (N-1, ...) arrays (d, u, v).  The
 diagonal-diffusion processes supply diffusion_diag alone; ProcessDefinition
@@ -99,10 +99,10 @@ def beta_process(b, S, kappa) -> ProcessDefinition:
     if holds_bool(S) or not 0.0 <= S <= 1.0:
         raise InvalidParameter("S", f"must be in [0, 1], got {S}")
 
-    def drift(y, t):
+    def drift(y):
         return 0.5 * b * (S - y)
 
-    def diffusion_diag(y, t):
+    def diffusion_diag(y):
         return kappa * y * (1.0 - y)
 
     return ProcessDefinition(
@@ -153,10 +153,10 @@ def wright_fisher_process(omega) -> ProcessDefinition:
     om = omega[:k]
     eye = np.eye(k)
 
-    def drift(y, t):
+    def drift(y):
         return 0.5 * (_col(om, y) - w * y)
 
-    def diffusion(y, t):
+    def diffusion(y):
         B = _col(eye, y) - y[np.newaxis]
         B *= y[:, np.newaxis]   # in place: one (K, K, ...) array, same products
         return B
@@ -164,7 +164,7 @@ def wright_fisher_process(omega) -> ProcessDefinition:
     return ProcessDefinition(
         dimension=k + 1, drift=drift, diffusion=diffusion, name="wright_fisher",
         invariant_dirichlet=omega,
-        diffusion_factor=lambda y, t: _wf_diffusion_factor(y))
+        diffusion_factor=_wf_diffusion_factor)
 
 
 def dirichlet_process(b, S, kappa, dirichlet_invariant=False) -> ProcessDefinition:
@@ -180,13 +180,13 @@ def dirichlet_process(b, S, kappa, dirichlet_invariant=False) -> ProcessDefiniti
     c_in = 0.5 * b * S
     c_out = 0.5 * b * (1.0 - S)
 
-    def drift(y, t):
+    def drift(y):
         y_last = 1.0 - np.sum(y, axis=0)
         out = _col(c_in, y) * y_last
         out -= _col(c_out, y) * y
         return out
 
-    def diffusion_diag(y, t):
+    def diffusion_diag(y):
         d = _col(kappa, y) * y
         d *= 1.0 - np.sum(y, axis=0)
         return d
@@ -253,7 +253,7 @@ def gen_dirichlet_process(b, S, kappa, c=None) -> ProcessDefinition:
     S_out = 1.0 - S
     c_t = np.ascontiguousarray(c.T)    # c_t[beta, a] = c[a, beta]
 
-    def drift(y, t):
+    def drift(y):
         cy, cy_last, u = _gen_dirichlet_terms(y)
         bracket = _col(S, y) * cy_last
         bracket -= _col(S_out, y) * y
@@ -274,7 +274,7 @@ def gen_dirichlet_process(b, S, kappa, c=None) -> ProcessDefinition:
             bracket[:-1] += coupled
         return _nested(bracket, np.multiply(0.5, u, out=u), "drift")
 
-    def diffusion_diag(y, t):
+    def diffusion_diag(y):
         cy, cy_last, u = _gen_dirichlet_terms(y)
         d = _col(kappa, y) * y
         d *= cy_last
@@ -300,6 +300,6 @@ def broken_process(style: str, n: int = 3) -> ProcessDefinition:
         raise InvalidParameter("style", f"unknown style {style!r}")
     drift, diffusion = BROKEN[style]
     return ProcessDefinition(
-        dimension=n, drift=lambda y, t: np.full(y.shape, drift),
+        dimension=n, drift=lambda y: np.full(y.shape, drift),
         name=f"broken_{style}",
-        diffusion_diag=lambda y, t: np.full(y.shape, diffusion))
+        diffusion_diag=lambda y: np.full(y.shape, diffusion))

@@ -109,8 +109,8 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
         label = face_label(face, k)
         try:
             y = component_major(pts)
-            a = proc.drift(y, 0.0)              # (K, M)
-            B = proc.diffusion(y, 0.0)          # (K, K, M)
+            a = proc.drift(y)              # (K, M)
+            B = proc.diffusion(y)          # (K, K, M)
         except Exception as exc:
             raise EvaluationFailure(
                 f"drift/diffusion raised on {label}: {exc}") from exc

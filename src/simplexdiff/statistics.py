@@ -6,8 +6,8 @@ built in; rates cover the N-1 independent components.  A snapshot makes one
 component-major pass, batch_statistics: it walks whole particle batches in
 chunks of at most about 1 MiB (CHUNK_BYTES) of diffusion block, takes
 per-batch segment sums along the particle axis, and evaluates drift and one
-diffusion closure exactly once per particle.  estimate_moments merges its
-per-batch moments exactly.
+diffusion closure, functions of the state alone, exactly once per particle.
+estimate_moments merges its per-batch moments exactly.
 """
 
 from __future__ import annotations
@@ -157,13 +157,12 @@ def estimate_moments(states: np.ndarray, batch_moments=None) -> MomentSet:
     return MomentSet(mean, cov, third, fourth, m)
 
 
-def estimate_rates(states: np.ndarray, proc: ProcessDefinition,
-                   t: float) -> dict:
+def estimate_rates(states: np.ndarray, proc: ProcessDefinition) -> dict:
     """The rates of batch_statistics with one batch, without the batch axis."""
-    return {key: r[0] for key, r in batch_statistics(states, proc, t, 1)[1].items()}
+    return {key: r[0] for key, r in batch_statistics(states, proc, 1)[1].items()}
 
 
-def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
+def batch_statistics(states: np.ndarray, proc: ProcessDefinition,
                      n_batches: int = 20):
     """A snapshot's one pass: per-batch moments of all N components and rates.
 
@@ -196,26 +195,26 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition, t: float,
         # a contiguous copy, like the one chunk of N <= 3: closures on a
         # strided view of the whole run slower
         parts.append(_chunk_statistics(
-            component_major(states[lo:chunk[-1].stop]), proc, t,
+            component_major(states[lo:chunk[-1].stop]), proc,
             _Batches([slice(s.start - lo, s.stop - lo) for s in chunk])))
     return tuple({key: np.concatenate([part[j][key] for part in parts])
                   for key in parts[0][j]} for j in (0, 1))
 
 
-def _chunk_statistics(x, proc, t, batches):
+def _chunk_statistics(x, proc, batches):
     """batch_statistics' two dicts for the (N, m) states x of whole batches."""
     moments, centred = batches.moments(x)
     y = x[:-1]
     c, c2, c3 = (v[:-1] for v in centred)
-    a = proc.drift(y, t)
+    a = proc.drift(y)
     a_mean = batches.mean(a)
     ac = batches.centre(a, a_mean)
     ya = batches.products(c, a)
     if proc.diffusion_diag is not None:
-        d = proc.diffusion_diag(y, t)
+        d = proc.diffusion_diag(y)
         b_mean = np.stack([np.diag(v) for v in batches.mean(d)])
     else:
-        B = proc.diffusion(y, t)
+        B = proc.diffusion(y)
         d = np.einsum("iim->im", B)
         b_mean = batches.mean(B)
     mean = batches.mean

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -568,23 +569,35 @@ def test_compare_writes_counters_and_builds_no_dumps(tmp_path, monkeypatch):
     assert metas["compare"]["particle_steps"] == 500 * 1000
 
 
-def test_compare_too_few_snapshots_exits_2(tmp_path):
+def test_compare_too_few_snapshots_exits_2(tmp_path, capsys):
     """compare's needs of the run's shape are checked before the audit: at
-    least three snapshots, one inside a given stationary window, and a start
-    point with the process's N components."""
+    least three snapshots and one inside a given stationary window
+    (InsufficientSnapshots), and a start point with the process's N
+    components (ConfigError); read_run raises each, and main exits 2 with
+    its message."""
+    args = cli.make_parser().parse_args(["compare", "--config", "-"])
     cases = [
-        {"integrator": {"dt": 1e-2, "t_end": 0.02, "record_every": 100}},
-        {"integrator": {"dt": 1e-2, "t_end": 0.05, "record_every": 2},
-         "compare": {"stationary_window": [0.025, 0.035]}},
-        {"compare": {"stationary_window": [2.0, 3.0]}},
-        {"ensemble": {"size": 500, "initial": {"kind": "delta",
-                                               "point": [0.3, 0.3, 0.4]}}}]
-    for i, overrides in enumerate(cases):
+        ({"integrator": {"dt": 1e-2, "t_end": 0.02, "record_every": 100}},
+         cli.InsufficientSnapshots, r"need >= 3 snapshots, got 2"),
+        ({"integrator": {"dt": 1e-2, "t_end": 0.05, "record_every": 2},
+          "compare": {"stationary_window": [0.025, 0.035]}},
+         cli.InsufficientSnapshots,
+         r"no snapshots inside the stationary window \[0.025, 0.035\]"),
+        ({"compare": {"stationary_window": [2.0, 3.0]}},
+         cli.InsufficientSnapshots,
+         r"no snapshots inside the stationary window \[2.0, 3.0\]"),
+        ({"ensemble": {"size": 500, "initial": {"kind": "delta",
+                                                "point": [0.3, 0.3, 0.4]}}},
+         cli.ConfigError, r"initial states have 3 components, the process has 2")]
+    for i, (overrides, error, message) in enumerate(cases):
         cfg_path = tmp_path / f"run{i}.yaml"
-        write_config(cfg_path, **overrides)
+        cfg = write_config(cfg_path, **overrides)
+        with pytest.raises(error, match=f"^{message}$"):
+            cli.read_run(cfg, args, "compare")
         out = tmp_path / f"out{i}"
         assert main(["compare", "--config", str(cfg_path),
                      "--outdir", str(out)]) == 2, overrides
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
         assert not (out / "audit.json").exists(), overrides
     # the point's length is the simulate command's to check too
     assert main(["simulate", "--config", str(tmp_path / "run3.yaml"),
@@ -717,6 +730,25 @@ def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_memory_tool_measures_each_phase(tmp_path, monkeypatch):
+    """tools/phase_memory.py's phase_peaks runs a step, a snapshot and an
+    audit through the library's current signatures, on a small run."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(root, "tools"))
+    phase_memory = importlib.import_module("phase_memory")
+    cfg = write_config(tmp_path / "run.yaml",
+                       process={"name": "wright_fisher",
+                                "params": {"omega": [1.0, 1.0, 1.0]}},
+                       ensemble={"size": 200, "initial": {
+                           "kind": "delta", "point": [1 / 3, 1 / 3, 1 / 3]}})
+    args = cli.make_parser().parse_args(["simulate", "--config", "-"])
+    peaks, state = phase_memory.phase_peaks(cli.read_run(cfg, args, "simulate"))
+    assert list(peaks) == ["step", "snapshot", "audit"]
+    assert all(peak > 0 for peak in peaks.values()), peaks
+    assert state == 2 * 200 * 8  # the (K, M) state owns its memory
+
+
 def test_benchmark_configs_build():
     """Every config the benchmark writes reads as a compare run of its family."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -830,4 +862,23 @@ def test_run_failure_exits_1(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--outdir", str(out),
                  "--skip-audit"]) == 1
     assert capsys.readouterr().err.startswith("failure: drift is undefined")
+    assert not (out / "moments.csv").exists()
+
+
+def test_raising_snapshot_exits_1(tmp_path, monkeypatch, capsys):
+    """A drift that raises a foreign error on its first call, at the snapshot
+    at t = 0 (the audit skipped), exits 1 with one failure line naming the
+    snapshot, not a traceback."""
+    def boom(y):
+        raise RuntimeError("boom")
+    build = cli.build_process
+    monkeypatch.setattr(cli, "build_process",
+                        lambda cfg: dataclasses.replace(build(cfg), drift=boom))
+    cfg_path = tmp_path / "run.yaml"
+    write_config(cfg_path)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg_path), "--outdir", str(out),
+                 "--skip-audit"]) == 1
+    assert capsys.readouterr().err == (
+        "failure: snapshot at t=0.0: evaluation failed: boom\n")
     assert not (out / "moments.csv").exists()

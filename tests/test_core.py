@@ -102,25 +102,25 @@ def test_ensemble_constructors():
 
 def test_process_definition_derives_diagonal_diffusion():
     """diffusion defaults to the diagonal matrices of diffusion_diag."""
-    def drift(y, t):
+    def drift(y):
         return -y
 
-    def diag(y, t):
+    def diag(y):
         return y * (1.0 - y)
 
     p = ProcessDefinition(dimension=3, drift=drift, name="diag",
                           diffusion_diag=diag)
     y = np.array([[0.2, 0.1, 0.0], [0.3, 0.6, 1.0]])
-    B = p.diffusion(y, 0.0)
+    B = p.diffusion(y)
     assert B.shape == (2, 2, 3)
-    npt.assert_array_equal(np.einsum("iim->im", B), diag(y, 0.0))
+    npt.assert_array_equal(np.einsum("iim->im", B), diag(y))
     npt.assert_array_equal(B[0, 1], 0.0)
     npt.assert_array_equal(B[1, 0], 0.0)
-    npt.assert_array_equal(p.diffusion(y[:, 0], 0.0), np.diag(diag(y[:, 0], 0.0)))
+    npt.assert_array_equal(p.diffusion(y[:, 0]), np.diag(diag(y[:, 0])))
     with pytest.raises(ValueError, match="needs diffusion"):
         ProcessDefinition(dimension=3, drift=drift, name="none")
 
-    def matrix(y, t):
+    def matrix(y):
         return np.zeros((2,) + y.shape)
 
     assert dataclasses.replace(p, diffusion=matrix).diffusion is matrix
@@ -134,16 +134,16 @@ def test_replaced_diagonal_rebuilds_derived_diffusion():
     p = dirichlet_process(b=[2.0, 2.0], S=[0.5, 0.5], kappa=[1.0, 1.0])
     y = np.array([0.2, 0.3])
 
-    def doubled(y, t):
-        return 2.0 * p.diffusion_diag(y, t)
+    def doubled(y):
+        return 2.0 * p.diffusion_diag(y)
 
     q = dataclasses.replace(p, diffusion_diag=doubled)
-    npt.assert_array_equal(q.diffusion_diag(y, 0.0), [0.2, 0.3])
-    npt.assert_array_equal(q.diffusion(y, 0.0), np.diag([0.2, 0.3]))
+    npt.assert_array_equal(q.diffusion_diag(y), [0.2, 0.3])
+    npt.assert_array_equal(q.diffusion(y), np.diag([0.2, 0.3]))
     npt.assert_array_equal(dataclasses.replace(q, diffusion_diag=None)
-                           .diffusion(y, 0.0), np.diag([0.2, 0.3]))
+                           .diffusion(y), np.diag([0.2, 0.3]))
 
-    def matrix(y, t):
+    def matrix(y):
         return np.zeros((2,) + y.shape)
 
     r = dataclasses.replace(q, diffusion=matrix)
@@ -154,7 +154,7 @@ def test_replaced_diagonal_rebuilds_derived_diffusion():
 def test_process_dimension_is_a_count():
     """N is an integer >= 2 and not a bool, for every constructor: a k = 0
     negative control would otherwise pass its own audit."""
-    def zero(y, t):
+    def zero(y):
         return np.zeros_like(y)
 
     for bad in (1, 0, True, 3.0, "3", None):
@@ -194,10 +194,10 @@ def _small_trajectory():
         t_end=True, record_every=1, rng=RandomSource(0, 0))),
     ("n_batches", lambda: batch_statistics(
         np.tile([0.5, 0.5], (10, 1)), beta_process(b=2.0, S=0.5, kappa=1.0),
-        0.0, n_batches=0)),
+        n_batches=0)),
     ("n_batches", lambda: batch_statistics(
         np.tile([0.5, 0.5], (10, 1)), beta_process(b=2.0, S=0.5, kappa=1.0),
-        0.0, n_batches=2.0)),
+        n_batches=2.0)),
     ("samples_per_face", lambda: audit_boundary(
         beta_process(b=2.0, S=0.5, kappa=1.0), 2.5, RandomSource(0, 1))),
     ("samples_per_face", lambda: audit_boundary(

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 import threading
@@ -22,11 +23,11 @@ from simplexdiff.integrator import (VIOLATION_TOL, _advance,
 from simplexdiff.processes import _running
 
 
-def step(y, proc, t, cfg, rng):
+def step(y, proc, cfg, rng):
     """One step of a single (K,) reduced state, as a (K, 1) batch:
     (the new state, whether it was modified, whether it was clipped)."""
     out, modified, clipped = _advance(proc, np.array(y, dtype=float)[:, np.newaxis],
-                                      t, cfg, rng)
+                                      cfg, rng)
     return out[:, 0], bool(modified[0]), bool(clipped[0])
 
 
@@ -35,10 +36,10 @@ def constant_process(a, n=3):
     k = n - 1
     a = np.asarray(a, dtype=float)
 
-    def drift(y, t):
+    def drift(y):
         return np.broadcast_to(a.reshape((k,) + (1,) * (y.ndim - 1)), y.shape).copy()
 
-    def diffusion(y, t):
+    def diffusion(y):
         return np.zeros((k,) + y.shape)
 
     return ProcessDefinition(dimension=n, drift=drift, diffusion=diffusion,
@@ -48,7 +49,7 @@ def constant_process(a, n=3):
 def test_step_zero_diffusion_is_euler():
     p = constant_process([0.05, -0.02])
     cfg = IntegratorConfig(dt=1e-2)
-    y, modified, clipped = step([0.3, 0.4], p, 0.0, cfg, RandomSource(1, 0))
+    y, modified, clipped = step([0.3, 0.4], p, cfg, RandomSource(1, 0))
     npt.assert_allclose(y, [0.3 + 0.05e-2, 0.4 - 0.02e-2], rtol=1e-15)
     assert not modified and not clipped
 
@@ -56,7 +57,7 @@ def test_step_zero_diffusion_is_euler():
 def test_step_reenters_from_boundary():
     p = beta_process(b=2.0, S=0.5, kappa=1.0)
     cfg = IntegratorConfig(dt=1e-3)
-    y, _, _ = step([0.0], p, 0.0, cfg, RandomSource(2, 0))
+    y, _, _ = step([0.0], p, cfg, RandomSource(2, 0))
     npt.assert_allclose(y, [0.5e-3], rtol=1e-15)
 
 
@@ -169,18 +170,25 @@ def test_integrator_config_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_drift_raises_with_step_and_particle(bad):
     """A non-finite proposal stops the run instead of passing the checks."""
-    def drift(y, t):
-        a = np.zeros_like(y)
-        if t > 0.0:  # the second step poisons particle 3
-            a[1, 3] = bad
-        return a
+    def poisoned():
+        """A zero process whose drift poisons particle 3 from its third call
+        on: the snapshot at t = 0 and the first step pass, the second faults."""
+        calls = itertools.count(1)
 
-    p = ProcessDefinition(dimension=3, drift=drift, name="poisoned",
-                          diffusion=lambda y, t: np.zeros((2,) + y.shape),
-                          diffusion_diag=lambda y, t: np.zeros(y.shape))
+        def drift(y):
+            a = np.zeros_like(y)
+            if next(calls) > 2:
+                a[1, 3] = bad
+            return a
+        return ProcessDefinition(dimension=3, drift=drift, name="poisoned",
+                                 diffusion=lambda y: np.zeros((2,) + y.shape),
+                                 diffusion_diag=lambda y: np.zeros(y.shape))
+
     ens = Ensemble.from_delta(make_state([0.2, 0.3, 0.5]), 10)
     for max_resample in (100, 0):
-        with pytest.raises(DegenerateState, match=r"step 2 .*particle 3\b"):
+        p = poisoned()
+        with pytest.raises(DegenerateState,
+                           match=r"^step 2 at t=0.01: .*particle 3\b"):
             simulate(p, ens, IntegratorConfig(dt=1e-2, max_resample=max_resample),
                      t_end=0.05, record_every=100, rng=RandomSource(4, 0))
 
@@ -190,18 +198,18 @@ def test_indefinite_diffusion_raises(path):
     """Both noise-factor paths refuse a diffusion with a negative direction."""
     d = np.array([0.1, -0.1])
 
-    def diffusion_diag(y, t):
+    def diffusion_diag(y):
         return np.broadcast_to(d[:, np.newaxis], y.shape)
 
-    def diffusion(y, t):
+    def diffusion(y):
         return np.broadcast_to(np.diag(d)[..., np.newaxis], (2,) + y.shape)
 
     p = ProcessDefinition(
-        dimension=3, drift=lambda y, t: np.zeros_like(y), diffusion=diffusion,
+        dimension=3, drift=lambda y: np.zeros_like(y), diffusion=diffusion,
         name="indefinite",
         diffusion_diag=diffusion_diag if path == "diffusion_diag" else None)
     with pytest.raises(NotPositiveSemiDefinite):
-        step([0.3, 0.4], p, 0.0, IntegratorConfig(dt=1e-3), RandomSource(6, 0))
+        step([0.3, 0.4], p, IntegratorConfig(dt=1e-3), RandomSource(6, 0))
 
 
 def _factor_forms(n=3):
@@ -232,9 +240,9 @@ def _counted(proc, calls):
     def wrap(name):
         fn = getattr(proc, name)
 
-        def call(y, t):
+        def call(y):
             calls[name] += 1
-            return fn(y, t)
+            return fn(y)
         return call
     names = ("drift", _noise_factor_name(proc))
     return dataclasses.replace(proc, **{n: wrap(n) for n in names})
@@ -257,7 +265,7 @@ def test_advance_evaluates_each_closure_once(form):
              "diffusion": 0, "normals": 0}
     proc = _factor_forms()[form]
     ys = _uniform_states(3, 400, 11)
-    _advance(_counted(proc, calls), ys, 0.0, IntegratorConfig(dt=0.05),
+    _advance(_counted(proc, calls), ys, IntegratorConfig(dt=0.05),
              CountingSource(12, calls))
     assert calls["normals"] > 1  # at least one resample round ran
     assert calls["drift"] == 1
@@ -268,7 +276,7 @@ def test_step_evaluates_each_closure_once():
     """An always-rejected step: every round redraws, then the state is clipped."""
     calls = {"drift": 0, "diffusion_diag": 0, "normals": 0}
     proc = _counted(broken_process("outward_drift"), calls)
-    _, _, clipped = step([0.3, 0.4], proc, 0.0,
+    _, _, clipped = step([0.3, 0.4], proc,
                          IntegratorConfig(dt=1.0, max_resample=5),
                          CountingSource(13, calls))
     assert clipped
@@ -358,9 +366,9 @@ def test_step_closure_peak_memory(call):
     rates = dict(b=[4.0] * k, S=[0.5] * k, kappa=[1.0] * k)
     if call == "nested-drift":
         proc = gen_dirichlet_process(c="reduction", **rates)
-        run, bound = lambda: proc.drift(y, 0.0), 4e6
+        run, bound = lambda: proc.drift(y), 4e6
     elif call == "wright_fisher-noise":
-        factor = wright_fisher_process(np.ones(n)).diffusion_factor(y, 0.0)
+        factor = wright_fisher_process(np.ones(n)).diffusion_factor(y)
         xi = np.random.default_rng(1).standard_normal(y.shape)
         run, bound = lambda: _noise(factor, xi), 2e6
     else:
@@ -372,8 +380,8 @@ def test_step_closure_peak_memory(call):
             "nested": (gen_dirichlet_process(c="reduction", **rates), 3.7e6),
         }[family]
         cfg, rng = IntegratorConfig(dt=1e-5), RandomSource(38, 0)
-        state, _, _ = _advance(proc, y, 0.0, cfg, rng)
-        run = lambda: _advance(proc, state, cfg.dt, cfg, rng)  # noqa: E731
+        state, _, _ = _advance(proc, y, cfg, rng)
+        run = lambda: _advance(proc, state, cfg, rng)  # noqa: E731
     run()
     tracemalloc.start()
     try:
@@ -391,7 +399,7 @@ def test_advance_returns_a_state_that_owns_its_memory(form, n):
     step would hold throughout), also after resample rounds and a clip."""
     cfg = IntegratorConfig(dt=0.2, max_resample=1)
     ys, modified, clipped = _advance(_factor_forms(n)[form],
-                                     _uniform_states(n, 400, 71), 0.0, cfg,
+                                     _uniform_states(n, 400, 71), cfg,
                                      RandomSource(72, 0))
     assert np.any(modified) and np.any(clipped)
     assert ys.base is None and ys.shape == (n - 1, 400)
@@ -404,7 +412,7 @@ def test_structured_wf_noise_matches_dense_factor(n):
     rng = np.random.default_rng(n)
     y = wf_edge_states(n, rng)
     proc = wright_fisher_process(np.ones(n))
-    factor = proc.diffusion_factor(y, 0.0)
+    factor = proc.diffusion_factor(y)
     assert [a.shape for a in factor] == [y.shape] * 3
     dense = _dense_wf_factor(y)
     xi = rng.standard_normal(y.shape)
@@ -414,21 +422,21 @@ def test_structured_wf_noise_matches_dense_factor(n):
             == _dense_noise(dense[..., idx], xi[:, idx]).tobytes())
 
 
-def _reference_advance(proc, ys, t, cfg, rng):
+def _reference_advance(proc, ys, cfg, rng):
     """A particle-major step on (M, K) states that re-evaluates drift and
     noise factor at rejected rows; closures are called through transposes.
     Wright-Fisher, the one process with an explicit factor, steps with the
     dense factor."""
     def propose(ys, xi):
         y = ys.T
-        a = proc.drift(y, t).T
+        a = proc.drift(y).T
         if proc.diffusion_factor is not None:
             L = np.ascontiguousarray(np.moveaxis(_dense_wf_factor(y), -1, 0))
             noise = np.einsum("...ij,...j->...i", L, xi)
         elif proc.diffusion_diag is not None:
-            noise = np.sqrt(np.maximum(proc.diffusion_diag(y, t).T, 0.0)) * xi
+            noise = np.sqrt(np.maximum(proc.diffusion_diag(y).T, 0.0)) * xi
         else:
-            w, V = np.linalg.eigh(np.moveaxis(proc.diffusion(y, t), -1, 0))
+            w, V = np.linalg.eigh(np.moveaxis(proc.diffusion(y), -1, 0))
             L = V * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]
             noise = np.einsum("...ij,...j->...i", L, xi)
         return ys + a * cfg.dt + noise * np.sqrt(cfg.dt)
@@ -454,9 +462,9 @@ def _check_against_reference(form, n, max_resample):
     rng, ref_rng = RandomSource(22, 0), RandomSource(22, 0)
     modified = clipped = 0
     for k in range(300):
-        out, mod, clip = _advance(proc, ys, k * cfg.dt, cfg, rng)
-        ref, ref_mod, ref_clip = _reference_advance(proc, ys.T.copy(),
-                                                    k * cfg.dt, cfg, ref_rng)
+        out, mod, clip = _advance(proc, ys, cfg, rng)
+        ref, ref_mod, ref_clip = _reference_advance(proc, ys.T.copy(), cfg,
+                                                    ref_rng)
         assert out.T.tobytes() == ref.tobytes(), f"step {k}"
         npt.assert_array_equal(mod, ref_mod)
         npt.assert_array_equal(clip, ref_clip)
@@ -509,10 +517,10 @@ def test_step_matches_batched_column(form, n):
     cfg = IntegratorConfig(dt=1e-6)
     ys = _uniform_states(n, 50, 31)
     xi = RandomSource(32, 0).normals((50, n - 1))
-    out, modified, _ = _advance(proc, ys, 0.0, cfg, ReplaySource(xi))
+    out, modified, _ = _advance(proc, ys, cfg, ReplaySource(xi))
     assert not np.any(modified)
     for j in range(50):
-        y, _, _ = step(ys[:, j], proc, 0.0, cfg, ReplaySource(xi[j:j + 1]))
+        y, _, _ = step(ys[:, j], proc, cfg, ReplaySource(xi[j:j + 1]))
         assert y.tobytes() == out[:, j].tobytes(), f"particle {j}"
 
 
@@ -527,7 +535,7 @@ def test_exhausted_column_clipped_from_last_redraw():
     round1 = np.array([[-2.0, 0.0], [1.0, -3.0]])   # both still invalid
     round2 = np.array([[0.5, 0.0], [2.0, -4.0]])    # column 1 accepted
     src = ReplaySource(first, round1, round2)
-    out, modified, clipped = _advance(proc, ys, 0.0,
+    out, modified, clipped = _advance(proc, ys,
                                       IntegratorConfig(dt=dt, max_resample=2), src)
     assert src.draws == []
 
@@ -557,7 +565,7 @@ def test_simulate_counters_match_full_recount(max_resample, dt, clips):
     ys, rng = component_major(ens.reduced), RandomSource(42, 0)
     modified = clipped = violations = 0
     for k, states in enumerate(list(traj.dumps.values())[1:], start=1):
-        ys, mod, clip = _advance(proc, ys, (k - 1) * dt, cfg, rng)
+        ys, mod, clip = _advance(proc, ys, cfg, rng)
         npt.assert_array_equal(states[:, :-1], ys.T)
         assert not np.any(_invalid_mask(ys[:, ~clip]))
         modified += np.count_nonzero(mod)
@@ -573,8 +581,8 @@ def _read_only_outputs(proc):
     """A copy of proc whose drift and noise-factor closures return read-only
     arrays."""
     def freeze(fn):
-        def call(y, t):
-            out = fn(y, t)
+        def call(y):
+            out = fn(y)
             for a in out if isinstance(out, tuple) else (out,):
                 a.setflags(write=False)
             return out
@@ -717,11 +725,15 @@ def _resampled_run(proc, rng, t_end=0.2):
                     record_every=5, rng=rng, dump_every=5)
 
 
-def _poisoned(proc, after):
-    """proc with a non-finite drift for particle 3 after time `after`."""
-    def drift(y, t):
-        a = np.array(proc.drift(y, t))
-        if t > after:
+def _poisoned(proc, first):
+    """proc with a non-finite drift for particle 3 from its `first` call on;
+    in _resampled_run the snapshot at t = 0 is call 1 and step k is call
+    k + 1 up to the snapshot after step 5."""
+    calls = itertools.count(1)
+
+    def drift(y):
+        a = np.array(proc.drift(y))
+        if next(calls) >= first:
             a[0, 3] = np.nan
         return a
     return dataclasses.replace(proc, drift=drift)
@@ -738,8 +750,9 @@ def test_draw_ahead_rewinds_to_the_direct_stream(monkeypatch, case):
         _draw_ahead(monkeypatch, on)
         rng = RandomSource(61, 0)
         if case == "raises":
-            with pytest.raises(DegenerateState, match="particle 3"):
-                _resampled_run(_poisoned(proc, 0.1), rng)
+            with pytest.raises(DegenerateState,
+                               match=r"^step 7 at t=0.12: .*particle 3\b"):
+                _resampled_run(_poisoned(proc, 9), rng)
             dumps = []
         else:
             runs = [_resampled_run(proc, rng)
@@ -757,8 +770,8 @@ def test_no_helper_thread_outlives_simulate(monkeypatch):
     before = threading.active_count()
     for i in range(20):
         if i == 7:
-            with pytest.raises(DegenerateState):
-                _resampled_run(_poisoned(proc, 0.02), RandomSource(i, 0))
+            with pytest.raises(DegenerateState, match=r"^step 3 at t=0.04: "):
+                _resampled_run(_poisoned(proc, 4), RandomSource(i, 0))
         else:
             _resampled_run(proc, RandomSource(i, 0), t_end=0.04)
     assert threading.active_count() == before
@@ -775,9 +788,9 @@ def test_helper_runs_only_on_two_cpus_above_the_threshold(monkeypatch, cpus,
     proc = _factor_forms()["factor"]
     seen = set()
 
-    def drift(y, t):
+    def drift(y):
         seen.add(threading.active_count())
-        return proc.drift(y, t)
+        return proc.drift(y)
     before = threading.active_count()
     _resampled_run(dataclasses.replace(proc, drift=drift), RandomSource(5, 0))
     assert seen == {before + helpers}
@@ -836,18 +849,44 @@ def test_failed_fill_raises_in_simulate(monkeypatch, good):
 @pytest.mark.parametrize("closure", ["drift", "diffusion_diag"])
 def test_raising_closure_is_a_degenerate_state(closure):
     """A drift or noise factor that raises at a simulated state stops the
-    step with DegenerateState naming the time, and the run names the step."""
-    def boom(y, t):
-        if t > 0.0:  # the snapshot at t = 0 and the first step pass
+    step with DegenerateState, and the run names the step and its time."""
+    def booming(passes):
+        """The zero process with `closure` raising after `passes` calls."""
+        calls = itertools.count(1)
+
+        def boom(y):
+            if next(calls) > passes:
+                raise RuntimeError("boom")
+            return np.zeros_like(y)
+        return dataclasses.replace(constant_process([0.0, 0.0]), **{closure: boom})
+
+    ys = np.full((2, 4), 0.25)
+    with pytest.raises(DegenerateState, match=r"^evaluation failed: boom"):
+        _advance(booming(0), ys, IntegratorConfig(dt=1e-2), RandomSource(0, 0))
+    ens = Ensemble.from_delta(make_state([0.25, 0.25, 0.5]), 4)
+    # the snapshot at t = 0 and the first step pass
+    with pytest.raises(DegenerateState,
+                       match=r"^step 2 at t=0.01: evaluation failed: boom"):
+        simulate(booming(2), ens, IntegratorConfig(dt=1e-2), t_end=0.03,
+                 record_every=3, rng=RandomSource(0, 0))
+
+
+@pytest.mark.parametrize("passes,t", [(0, "0.0"), (2, "0.01")])
+def test_raising_snapshot_is_a_degenerate_state(passes, t):
+    """A drift that raises a foreign error at a recorded state stops the run
+    with DegenerateState naming the snapshot's time, as a failing step
+    names its own: on its first call (the snapshot at t = 0), or after the
+    snapshot at t = 0 and the first step passed (the snapshot after it)."""
+    calls = itertools.count(1)
+
+    def boom(y):
+        if next(calls) > passes:
             raise RuntimeError("boom")
         return np.zeros_like(y)
 
-    proc = dataclasses.replace(constant_process([0.0, 0.0]), **{closure: boom})
-    ys = np.full((2, 4), 0.25)
-    with pytest.raises(DegenerateState, match=r"^evaluation failed at t=0.5: boom"):
-        _advance(proc, ys, 0.5, IntegratorConfig(dt=1e-2), RandomSource(0, 0))
+    proc = dataclasses.replace(constant_process([0.0, 0.0]), drift=boom)
     ens = Ensemble.from_delta(make_state([0.25, 0.25, 0.5]), 4)
     with pytest.raises(DegenerateState,
-                       match=r"^step 2 at t=0.01: evaluation failed at t=0.01"):
+                       match=rf"^snapshot at t={t}: evaluation failed: boom$"):
         simulate(proc, ens, IntegratorConfig(dt=1e-2), t_end=0.03,
-                 record_every=3, rng=RandomSource(0, 0))
+                 record_every=1, rng=RandomSource(0, 0))

@@ -13,21 +13,21 @@ from simplexdiff.processes import _gen_dirichlet_terms
 def test_beta_substitution():
     p = beta_process(b=2.0, S=0.5, kappa=1.0)
     y = np.array([[0.0, 1.0, 0.5]])
-    npt.assert_allclose(p.drift(y, 0.0), [[0.5, -0.5, 0.0]])
-    B = p.diffusion(y, 0.0)
+    npt.assert_allclose(p.drift(y), [[0.5, -0.5, 0.0]])
+    B = p.diffusion(y)
     npt.assert_allclose(B[0, 0, :], [0.0, 0.0, 0.25])
 
 
 def test_beta_drift_affine_diffusion_quadratic():
     p = beta_process(b=3.0, S=0.3, kappa=2.0)
     y = np.linspace(0.0, 1.0, 11)[None, :]
-    a = p.drift(y, 0.0)[0]
+    a = p.drift(y)[0]
     # affine: second differences vanish
     npt.assert_allclose(np.diff(a, 2), 0.0, atol=1e-14)
-    d = p.diffusion(y, 0.0)[0, 0, :]
+    d = p.diffusion(y)[0, 0, :]
     assert d[0] == 0.0 and d[-1] == 0.0
     assert np.all(d[1:-1] > 0.0)
-    npt.assert_allclose(p.diffusion(np.array([[0.5]]), 0.0)[0, 0, 0], 2.0 / 4)
+    npt.assert_allclose(p.diffusion(np.array([[0.5]]))[0, 0, 0], 2.0 / 4)
 
 
 def test_beta_param_validation():
@@ -54,22 +54,22 @@ def test_vector_params_must_be_finite():
 def test_wright_fisher_centroid():
     p = wright_fisher_process(np.ones(3))
     y = np.array([1 / 3, 1 / 3])
-    npt.assert_allclose(p.drift(y, 0.0), [0.0, 0.0], atol=1e-15)
-    npt.assert_allclose(p.diffusion(y, 0.0),
+    npt.assert_allclose(p.drift(y), [0.0, 0.0], atol=1e-15)
+    npt.assert_allclose(p.diffusion(y),
                         [[2 / 9, -1 / 9], [-1 / 9, 2 / 9]], atol=1e-15)
 
 
 def test_wright_fisher_zero_face_row():
     p = wright_fisher_process(np.ones(3))
     y = np.array([0.0, 0.5])
-    assert p.drift(y, 0.0)[0] == 0.5
-    B = p.diffusion(y, 0.0)
+    assert p.drift(y)[0] == 0.5
+    B = p.diffusion(y)
     assert B[0, 0] == 0.0 and B[0, 1] == 0.0
 
 
 def test_wright_fisher_unitsum_face_matrix():
     p = wright_fisher_process(np.ones(3))
-    B = p.diffusion(np.array([0.5, 0.5]), 0.0)
+    B = p.diffusion(np.array([0.5, 0.5]))
     npt.assert_allclose(B, [[0.25, -0.25], [-0.25, 0.25]])
     # singular along the face normal
     npt.assert_allclose(B @ np.ones(2), 0.0, atol=1e-15)
@@ -79,7 +79,7 @@ def test_wright_fisher_psd_interior():
     p = wright_fisher_process(np.array([0.5, 1.5, 2.0, 1.0]))
     rng = np.random.default_rng(2)
     y = rng.dirichlet(np.ones(4), size=500)[:, :3]
-    B = p.diffusion(y.T, 0.0)
+    B = p.diffusion(y.T)
     w = np.linalg.eigvalsh(np.moveaxis(B, -1, 0))
     assert w.min() >= -1e-12
 
@@ -95,12 +95,12 @@ def test_wright_fisher_factor_roundtrip():
             [rng.dirichlet(np.ones(n), size=200)[:, :k]]
             + [face_points(f, k, 50, rng) for f in range(n)]
             + [np.eye(k), np.zeros((1, k))]).T
-        d, u, v = p.diffusion_factor(y, 0.0)
+        d, u, v = p.diffusion_factor(y)
         below = np.tril(np.ones((k, k)), -1)[..., np.newaxis]
         L = below * u[:, np.newaxis] * v[np.newaxis]
         L[np.arange(k), np.arange(k)] = d
         npt.assert_allclose(np.einsum("ikm,jkm->ijm", L, L),
-                            p.diffusion(y, 0.0), atol=1e-13)
+                            p.diffusion(y), atol=1e-13)
 
 
 def test_dirichlet_substitution():
@@ -108,20 +108,20 @@ def test_dirichlet_substitution():
                           S=np.array([0.5, 0.5]),
                           kappa=np.array([1.0, 1.0]))
     y = np.array([0.25, 0.25])
-    npt.assert_allclose(p.drift(y, 0.0), [0.125, 0.125])
-    npt.assert_allclose(p.diffusion(y, 0.0), np.diag([0.125, 0.125]))
+    npt.assert_allclose(p.drift(y), [0.125, 0.125])
+    npt.assert_allclose(p.diffusion(y), np.diag([0.125, 0.125]))
 
 
 def test_dirichlet_boundary_values():
     p = dirichlet_process(b=np.array([2.0, 2.0]),
                           S=np.array([0.5, 0.5]),
                           kappa=np.array([1.0, 1.0]))
-    a = p.drift(np.array([0.0, 0.5]), 0.0)
+    a = p.drift(np.array([0.0, 0.5]))
     assert a[0] >= 0.0
-    assert p.diffusion(np.array([0.0, 0.5]), 0.0)[0, 0] == 0.0
-    a = p.drift(np.array([0.5, 0.5]), 0.0)
+    assert p.diffusion(np.array([0.0, 0.5]))[0, 0] == 0.0
+    a = p.drift(np.array([0.5, 0.5]))
     assert np.all(a <= 0.0)
-    npt.assert_array_equal(p.diffusion(np.array([0.5, 0.5]), 0.0),
+    npt.assert_array_equal(p.diffusion(np.array([0.5, 0.5])),
                            np.zeros((2, 2)))
 
 
@@ -146,8 +146,8 @@ def test_gen_dirichlet_oracle_point():
         b=np.array([2.0, 2.0]), S=np.array([0.5, 0.5]),
         kappa=np.array([1.0, 1.0]), c=np.array([[1.0]]))
     y = np.array([0.25, 0.25])
-    npt.assert_allclose(p.drift(y, 0.0), [5.0 / 18.0, 1.0 / 8.0], rtol=1e-13)
-    npt.assert_allclose(p.diffusion(y, 0.0),
+    npt.assert_allclose(p.drift(y), [5.0 / 18.0, 1.0 / 8.0], rtol=1e-13)
+    npt.assert_allclose(p.diffusion(y),
                         np.diag([1.0 / 6.0, 1.0 / 8.0]), rtol=1e-13)
 
 
@@ -156,9 +156,9 @@ def test_gen_dirichlet_k1_equals_beta():
         b=np.array([2.0]), S=np.array([0.4]), kappa=np.array([1.5]))
     bp = beta_process(b=2.0, S=0.4, kappa=1.5)
     y = np.linspace(0.01, 0.99, 23)[None, :]
-    npt.assert_allclose(gp.drift(y, 0.0), bp.drift(y, 0.0), rtol=1e-14)
-    npt.assert_allclose(gp.diffusion(y, 0.0)[0, 0, :],
-                        bp.diffusion(y, 0.0)[0, 0, :], rtol=1e-14)
+    npt.assert_allclose(gp.drift(y), bp.drift(y), rtol=1e-14)
+    npt.assert_allclose(gp.diffusion(y)[0, 0, :],
+                        bp.diffusion(y)[0, 0, :], rtol=1e-14)
 
 
 def _reference_nested_drift(p, y):
@@ -192,7 +192,7 @@ def test_gen_dirichlet_drift_matches_double_loop(n):
                  "random": dict(base, c=np.triu(rng.normal(size=(k - 1, k - 1))))}
     for name, params in couplings.items():
         for states in (y, y[:, :1].copy()):
-            got = gen_dirichlet_process(**params).drift(states, 0.0)
+            got = gen_dirichlet_process(**params).drift(states)
             ref = _reference_nested_drift(params, states)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), name
 
@@ -212,8 +212,8 @@ def test_gen_dirichlet_zero_intermediate_remainder():
         proc = gen_dirichlet_process(**base, c=c)
         for states in (y, y[:, 0].copy(), y[:, 1].copy()):
             with pytest.raises(SingularNesting, match="drift is undefined"):
-                proc.drift(states, 0.0)
-            d = proc.diffusion_diag(states, 0.0)
+                proc.drift(states)
+            d = proc.diffusion_diag(states)
             assert d.shape == states.shape
             assert np.all(d == 0.0) and not np.any(np.signbit(d))
 
@@ -235,9 +235,9 @@ def test_gen_dirichlet_reduction_params():
 def test_broken_processes():
     cd = broken_process("constant_diffusion")
     y = np.array([0.0, 0.5])
-    assert cd.diffusion(y, 0.0)[0, 0] == 0.1
+    assert cd.diffusion(y)[0, 0] == 0.1
     od = broken_process("outward_drift")
-    npt.assert_array_equal(od.drift(y, 0.0), [-1.0, -1.0])
+    npt.assert_array_equal(od.drift(y), [-1.0, -1.0])
     with pytest.raises(InvalidParameter):
         broken_process("nonsense")
 
@@ -288,4 +288,4 @@ def test_gen_dirichlet_diffusion_undefined_past_the_unit_sum_face():
     cy, cy_last, _ = _gen_dirichlet_terms(y)
     assert cy[1, 0] == 0.0 and cy_last[0] != 0.0
     with pytest.raises(SingularNesting, match="diffusion is undefined"):
-        proc.diffusion_diag(y, 0.0)
+        proc.diffusion_diag(y)

@@ -73,7 +73,7 @@ def test_audit_determinism():
 
 
 def test_evaluation_failure_wrapped():
-    def bad(y, t):
+    def bad(y):
         raise RuntimeError("boom")
 
     proc = ProcessDefinition(dimension=3, drift=bad, diffusion=bad, name="bad")

@@ -5,8 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (Ensemble, EnsembleTooSmall, IntegratorConfig,
-                         RandomSource, UnsupportedProcess,
+from simplexdiff import (Ensemble, EnsembleTooSmall, InsufficientSnapshots,
+                         IntegratorConfig, RandomSource, UnsupportedProcess,
                          analytic_stationary, beta_process, broken_process,
                          dirichlet_moments, dirichlet_process,
                          estimate_moments, estimate_rates,
@@ -107,7 +107,7 @@ def test_beta_mean_rate_affine_identity():
     p = beta_process(b=2.0, S=0.5, kappa=1.0)
     rng = np.random.default_rng(13)
     states = rng.dirichlet([1.0, 1.0], size=1000)
-    r = estimate_rates(states, p, 0.0)
+    r = estimate_rates(states, p)
     mean = states[:, 0].mean()
     npt.assert_allclose(r["mean"][0], 1.0 * (0.5 - mean), rtol=1e-12)
 
@@ -118,7 +118,7 @@ def test_beta_cov_rate_identity():
     p = beta_process(b=b, S=S, kappa=kappa)
     rng = np.random.default_rng(14)
     states = rng.dirichlet([1.0, 1.0], size=1000)
-    r = estimate_rates(states, p, 0.0)
+    r = estimate_rates(states, p)
     y1 = states[:, 0]
     expected = -b * y1.var() + kappa * (y1.mean() - np.mean(y1 ** 2))
     npt.assert_allclose(r["cov"][0, 0], expected, rtol=1e-10)
@@ -129,7 +129,7 @@ def test_degenerate_cov_rate_equals_diffusion():
                           S=np.array([0.5, 0.5]),
                           kappa=np.array([1.0, 1.0]))
     states = np.tile([0.25, 0.25, 0.5], (10, 1))
-    r = estimate_rates(states, p, 0.0)
+    r = estimate_rates(states, p)
     npt.assert_allclose(r["cov"], np.diag([0.125, 0.125]), atol=1e-15)
 
 
@@ -137,17 +137,17 @@ def test_cov_rate_symmetry():
     p = wright_fisher_process(np.array([1.0, 2.0, 3.0]))
     rng = np.random.default_rng(15)
     states = rng.dirichlet([1.0, 1.0, 1.0], size=500)
-    r = estimate_rates(states, p, 0.0)
+    r = estimate_rates(states, p)
     npt.assert_array_equal(r["cov"], r["cov"].T)
 
 
 def _static_process(n=3):
     k = n - 1
 
-    def drift(y, t):
+    def drift(y):
         return np.zeros_like(y)
 
-    def diffusion(y, t):
+    def diffusion(y):
         return np.zeros((k,) + y.shape)
 
     from simplexdiff import ProcessDefinition
@@ -168,6 +168,17 @@ def test_cross_validation_static_process():
     # K = 2 (mean 2, cov 4, third 2, fourth 2)
     assert rep["n_checks"] == 5 * 10
     assert rep["failures"] == []
+
+
+def test_cross_validation_needs_three_snapshots():
+    """A central difference needs an interior snapshot: a run that records
+    only t = 0 and its last step is refused."""
+    ens = Ensemble.from_uniform(3, 50, np.random.default_rng(17))
+    traj = simulate(_static_process(), ens, IntegratorConfig(dt=1e-2),
+                    t_end=0.05, record_every=5, rng=RandomSource(18, 0))
+    assert traj.t.size == 2
+    with pytest.raises(InsufficientSnapshots, match="need >= 3 snapshots, got 2"):
+        cross_validate_rates(traj)
 
 
 def _reference_cross_validate(traj, tol_multiplier):
@@ -333,7 +344,7 @@ def _invariant_rates(proc):
 
     def expect(v):
         return v @ w
-    a, B = proc.drift(y, 0.0), proc.diffusion(y, 0.0)
+    a, B = proc.drift(y), proc.diffusion(y)
     d = np.einsum("iiq->iq", B)
     trace = d.sum(axis=0)
     c, ac = y - expect(y)[:, None], a - expect(a)[:, None]
@@ -378,7 +389,7 @@ def test_ito_rates_vanish_at_the_invariant_law(name, printed):
         npt.assert_allclose(rates["fourth_printed"], printed[1], rtol=1e-13)
 
 
-def _reference_batch_statistics(states, proc, t, n_batches=20):
+def _reference_batch_statistics(states, proc, n_batches=20):
     """A particle-major per-batch loop: moments of all N components, the
     remainder read from the states, and rates of the K reduced ones."""
     def central_moments(x):
@@ -401,8 +412,8 @@ def _reference_batch_statistics(states, proc, t, n_batches=20):
                            + 6.0 * np.mean(y ** 2 * diag, axis=0))}
 
     reduced = states[:, :-1]
-    a = proc.drift(reduced.T.copy(), t).T
-    B = np.moveaxis(proc.diffusion(reduced.T.copy(), t), -1, 0)
+    a = proc.drift(reduced.T.copy()).T
+    B = np.moveaxis(proc.diffusion(reduced.T.copy()), -1, 0)
     bm, br = {}, {}
     for sl in batch_slices(states.shape[0], n_batches):
         mean, cov, third, fourth = central_moments(states[sl])
@@ -443,15 +454,15 @@ def test_batch_statistics_match_per_batch_loop(name, m):
     proc = _statistics_processes()[name]
     states = np.random.default_rng(23).dirichlet(np.full(proc.dimension, 1.5),
                                                  size=m)
-    got = batch_statistics(states, proc, 0.3)
-    ref = _reference_batch_statistics(states, proc, 0.3)
+    got = batch_statistics(states, proc)
+    ref = _reference_batch_statistics(states, proc)
     assert got[0]["mean"].shape[0] == min(m, 20)
     for g, r in zip(got, ref):
         assert g.keys() == r.keys()
         for key in r:
             _assert_scaled_close(g[key], r[key], key)
-    rates = estimate_rates(states, proc, 0.3)
-    _, whole = _reference_batch_statistics(states, proc, 0.3, n_batches=1)
+    rates = estimate_rates(states, proc)
+    _, whole = _reference_batch_statistics(states, proc, n_batches=1)
     assert rates.keys() == whole.keys()
     for key, value in rates.items():
         _assert_scaled_close(value, whole[key][0], key)
@@ -466,9 +477,9 @@ def test_batch_statistics_chunks_are_local(name, m):
     proc = _statistics_processes()[name]
     states = np.random.default_rng(31).dirichlet(np.full(proc.dimension, 1.5),
                                                  size=m)
-    got = batch_statistics(states, proc, 0.3)
+    got = batch_statistics(states, proc)
     for b, sl in enumerate(batch_slices(m, 20)):
-        alone = batch_statistics(states[sl], proc, 0.3, 1)
+        alone = batch_statistics(states[sl], proc, 1)
         for g, a in zip(got, alone):
             assert g.keys() == a.keys()
             for key in a:
@@ -489,10 +500,10 @@ def test_batch_statistics_peak_memory(name):
     proc = _statistics_processes()[name]
     states = np.random.default_rng(37).dirichlet(np.full(proc.dimension, 1.5),
                                                  size=10 ** 4)
-    batch_statistics(states, proc, 0.3)
+    batch_statistics(states, proc)
     tracemalloc.start()
     try:
-        batch_statistics(states, proc, 0.3)
+        batch_statistics(states, proc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -514,9 +525,9 @@ def test_batch_slices_cover_in_non_empty_batches():
 def _counting(proc, calls):
     """A copy of proc whose closures count their calls."""
     def wrap(name, fn):
-        def call(y, t):
+        def call(y):
             calls[name] += 1
-            return fn(y, t)
+            return fn(y)
         return call
     names = [n for n in ("drift", "diffusion", "diffusion_diag",
                          "diffusion_factor") if getattr(proc, n) is not None]
@@ -552,7 +563,7 @@ def test_snapshot_evaluates_each_closure_once(name, monkeypatch):
                            "diffusion_factor"), 0)
     states = np.random.default_rng(7).dirichlet(np.ones(proc.dimension),
                                                 size=300)
-    batch_statistics(states, _counting(proc, calls), 0.0)
+    batch_statistics(states, _counting(proc, calls))
     diffusion = ("diffusion_diag" if proc.diffusion_diag is not None
                  else "diffusion")
     assert calls == {"drift": 1, "diffusion": 0, "diffusion_diag": 0,

@@ -5,7 +5,11 @@
 For each seed, runs ``check``, ``simulate`` and ``compare`` in a fresh
 interpreter on every family of every workload in perfbench/workloads.py,
 using the sources under src/ of the checkout this file is in.  ``simulate``
-dumps particles at the workload's dump_every, as its config says.  Prints
+dumps particles at the workload's dump_every, as its config says.  No
+benchmark family clips, so each seed also runs ``simulate``, with dumps, on
+CLIPPING, a Dirichlet config with an attainable boundary: once with the
+default redraw budget, under which many steps redraw, and once with
+``max_resample: 0``, under which they clip.  Prints
 one block per command and operation: the exit code, the first line of
 stderr, and the sha256 of stdout and of each output file the command
 writes (run_meta.json without its timestamp; "-" for a file that was not
@@ -28,12 +32,25 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.dont_write_bytecode = True  # leave perfbench/ as checked out
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
+import yaml  # noqa: E402
 
 # the files each command writes; a pattern stands for every file it matches
 OUTPUTS = {
     "check": ("audit.json",),
     "simulate": ("audit.json", "moments.csv", "run_meta.json", "ensemble_*.csv"),
     "compare": ("audit.json", "compare.json", "moments.csv", "run_meta.json"),
+}
+
+#: a Dirichlet run whose proposals leave the simplex often: b S / kappa < 1
+#: makes zero-face-1 attainable
+CLIPPING = {
+    "schema_version": 1,
+    "process": {"name": "dirichlet", "params": {
+        "b": [0.5, 1.0], "S": [0.5, 0.3], "kappa": [1.0, 1.0]}},
+    "integrator": {"dt": 4e-3, "t_end": 0.8, "record_every": 20},
+    "ensemble": {"size": 5000,
+                 "initial": {"kind": "delta", "point": [0.1, 0.1, 0.8]}},
+    "output": {"dump_every": 50},
 }
 
 
@@ -69,6 +86,28 @@ def run_once(command: str, config: str, outdir: str):
     return proc.returncode, err[0], proc.stdout
 
 
+def report(command: str, config: str, outdir: str, title: str):
+    """Run command once and print its block: exit code, stderr and digests."""
+    code, err, stdout = run_once(command, config, outdir)
+    print(f"{command} {title} exit={code} stderr={err!r}")
+    print(f"  stdout {digest(stdout)}")
+    for pattern in OUTPUTS[command]:
+        for name, value in file_digests(outdir, pattern):
+            print(f"  {name} {value}")
+
+
+def clipping_configs(seed: int, directory: str) -> dict:
+    """Write CLIPPING at seed with each redraw budget; name -> config path."""
+    paths = {}
+    for name, budget in (("default", {}), ("max_resample_0", {"max_resample": 0})):
+        cfg = dict(CLIPPING, seed=seed,
+                   integrator=dict(CLIPPING["integrator"], **budget))
+        paths[name] = os.path.join(directory, f"clipping-{name}-{seed}.yaml")
+        with open(paths[name], "w") as f:
+            yaml.safe_dump(cfg, f)
+    return paths
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("seeds", type=int, nargs="+")
@@ -79,16 +118,15 @@ def main(argv=None) -> int:
                 configs = workloads.write_configs(
                     workload, seed, os.path.join(tmp, f"{workload}-{seed}"))
                 for family, config in configs.items():
-                    for command, outputs in OUTPUTS.items():
+                    for command in OUTPUTS:
                         outdir = os.path.join(
                             tmp, f"{command}-{workload}-{seed}-{family}")
-                        code, err, stdout = run_once(command, config, outdir)
-                        print(f"{command} {workload} {family} seed={seed} "
-                              f"exit={code} stderr={err!r}")
-                        print(f"  stdout {digest(stdout)}")
-                        for pattern in outputs:
-                            for name, value in file_digests(outdir, pattern):
-                                print(f"  {name} {value}")
+                        report(command, config, outdir,
+                               f"{workload} {family} seed={seed}")
+            for name, config in clipping_configs(seed, tmp).items():
+                report("simulate", config,
+                       os.path.join(tmp, f"simulate-clipping-{name}-{seed}"),
+                       f"clipping {name} seed={seed}")
     return 0
 
 

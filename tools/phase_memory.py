@@ -60,15 +60,14 @@ def phase_peaks(run):
     """{phase: peak bytes} of one step, one snapshot and one audit of a run,
     and the bytes of the block behind the state the step returns."""
     rng = integrator.RandomSource(run.seed, 0)
-    dt = run.icfg.dt
     first, _, _ = integrator._advance(
-        run.proc, component_major(run.init.reduced), 0.0, run.icfg, rng)
+        run.proc, component_major(run.init.reduced), run.icfg, rng)
     step, (after, _, _) = traced_peak(
-        lambda: integrator._advance(run.proc, first, dt, run.icfg, rng))
+        lambda: integrator._advance(run.proc, first, run.icfg, rng))
 
     def snapshot():
         full = integrator._full_states(after)
-        bm, _ = statistics.batch_statistics(full, run.proc, 2 * dt)
+        bm, _ = statistics.batch_statistics(full, run.proc)
         return statistics.estimate_moments(full, bm)
     audit_rng = integrator.RandomSource(run.seed, 1)
     return {"step": step, "snapshot": traced_peak(snapshot)[0],
