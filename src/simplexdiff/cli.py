@@ -16,6 +16,7 @@ import argparse
 import ctypes
 import json
 import os
+import re
 import sys
 import time
 import types
@@ -24,8 +25,9 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import Ensemble, make_state
-from .errors import (ConfigError, InsufficientSnapshots, SimplexDiffError)
+from .core import Ensemble, check_count, check_positive, make_state
+from .errors import (ConfigError, InsufficientSnapshots, InvalidParameter,
+                     SimplexDiffError)
 from .integrator import IntegratorConfig, RandomSource, simulate, snapshot_steps
 from .processes import (beta_process, broken_process, dirichlet_process,
                         gen_dirichlet_process, wright_fisher_process)
@@ -41,10 +43,21 @@ OUTDIR_ENV = "SIMPLEXDIFF_OUTDIR"
 FMT = "%.17g"
 
 
+class _Loader(yaml.SafeLoader):
+    """safe_load's reader, plus YAML 1.2's floats that safe_load reads as
+    strings: an exponent with no dot or no sign (1e-3, 2e0, 1.0e5)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as f:
-            cfg = yaml.safe_load(f)
+            cfg = yaml.load(f, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -78,38 +91,32 @@ def build_process(cfg: dict):
         raise ConfigError(f"invalid parameters for process {name!r}: {exc}") from exc
 
 
-def _number(raw):
-    """raw as a float, or None where it is not a number; a bool is not one."""
+def _checked(name, value, kind=float, low=0, shape=()):
+    """value by the core rule for a count >= low + 1 (kind int; an integral
+    float such as 10000.0 is one) or for numbers > low of the given shape,
+    its InvalidParameter a ConfigError naming name."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
     try:
-        return None if isinstance(raw, bool) else float(raw)
-    except (TypeError, ValueError, OverflowError):
-        return None
+        return (check_count(name, value, low + 1) if kind is int
+                else check_positive(name, value, low=low, shape=shape))
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def setting(cfg: dict, section: str, key: str, default, kind=float, low=0):
-    """cfg[section][key], or default, as a finite kind above low; else ConfigError.
-
-    A bool is not a number, and an int setting takes only integral values.
-    """
+    """cfg[section][key], or default, as _checked() reads it under the name
+    section.key, converted to kind."""
     spec = cfg.get(section) or {}
     if not isinstance(spec, dict):
         raise ConfigError(f"config section {section!r} is not a mapping")
-    raw = spec.get(key, default)
-    value = _number(raw)
-    if (value is None or not (value > low and np.isfinite(value))
-            or (kind is int and not value.is_integer())):
-        bound = f"an integer >= {low + 1}" if kind is int else f"a number > {low}"
-        raise ConfigError(f"{section}.{key} must be {bound}, got {raw!r}")
-    return kind(value)
+    return kind(_checked(f"{section}.{key}", spec.get(key, default), kind, low))
 
 
 def run_seed(cfg: dict, args) -> int:
-    """--seed, else the config seed: integral and not a bool, like a count."""
-    raw = cfg["seed"] if args.seed is None else args.seed
-    value = _number(raw)
-    if value is None or not (np.isfinite(value) and value.is_integer()):
-        raise ConfigError(f"seed must be an integer, got {raw!r}")
-    return raw if isinstance(raw, int) else int(value)  # an int stays exact
+    """--seed, else the config seed: an integer of any sign, not a bool."""
+    return _checked("seed", cfg["seed"] if args.seed is None else args.seed,
+                   int, -np.inf)
 
 
 #: the keys each kind of ensemble.initial takes
@@ -234,13 +241,11 @@ def read_run(cfg: dict, args, command: str) -> types.SimpleNamespace:
     run.stat_tol = setting(cfg, "compare", "stat_tol", 3.0)
     window = (cfg.get("compare") or {}).get("stationary_window")
     if window is not None:
-        # only a list is read: a string would unpack character by character
-        bounds = [_number(v) for v in window] if isinstance(window, list) else []
-        if (len(bounds) != 2 or None in bounds  # a NaN bound fails below
-                or not -np.inf < bounds[0] <= bounds[1] < np.inf):
-            raise ConfigError("compare.stationary_window must be a list of two "
-                              f"finite numbers lo <= hi, got {window!r}")
-        window = tuple(bounds)
+        window = tuple(_checked("compare.stationary_window", window,
+                               low=-np.inf, shape=(2,)).tolist())
+        if window[0] > window[1]:
+            raise ConfigError("compare.stationary_window must be lo <= hi, "
+                              f"got {list(window)}")
     run.window = window
     times = [k * run.icfg.dt
              for k in snapshot_steps(run.t_end, run.icfg.dt, run.record_every)]

@@ -1,5 +1,5 @@
 """State representation, geometry of the unit simplex, process definitions,
-and the one rule each for counts and positive numbers given as input.
+and the one rule each for counts and for numbers given as input.
 
 An N-component state is a vector of non-negative fractions summing to one.
 Only the first N-1 components are independent; the last one is the remainder.
@@ -8,14 +8,13 @@ All types here are immutable values after construction.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NegativeComponent, SumViolation
+from .errors import InvalidParameter, NegativeComponent, SumViolation
 
 #: construction tolerance on |sum - 1|
 TOL_SUM = 1e-12
@@ -28,16 +27,27 @@ def holds_bool(x) -> bool:
 
 
 def check_count(name, value, least=1):
-    """Refuse a count that is not an integer >= least; a bool is not a count."""
+    """value, refused unless it is an integer >= least; a bool is not a count."""
     if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise InvalidParameter(name, f"must be an integer >= {least}, got {value!r}")
+    return value
 
 
-def check_positive(name, value):
-    """Refuse a value that is not a finite number > 0; a bool is not a number."""
-    if (type(value) is bool or not isinstance(value, numbers.Real)
-            or not 0 < value < np.inf):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+def check_positive(name, value, high=np.inf, low=0.0, shape=()):
+    """value as a float array, refused unless every entry is a finite number
+    in (low, high) and it has the given shape (one number by default; a None
+    length is free): a bool, a string or a ragged list is not a number."""
+    try:
+        v = np.asarray(value)
+    except ValueError:  # a ragged list, refused below as objects
+        v = np.asarray(value, dtype=object)
+    if (v.dtype.kind not in "iuf" or holds_bool(value)
+            or not np.all((low < v) & (v < high))):
+        raise InvalidParameter(
+            name, f"must be a finite number in ({low:g}, {high:g}), got {value!r}")
+    if v.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, v.shape)):
+        raise InvalidParameter(name, f"expected shape {shape}, got {v.shape}")
+    return v.astype(float)
 
 
 def face_label(face: int, k: int) -> str:
@@ -91,8 +101,8 @@ class ProcessDefinition:
         if diag is not None and (self.diffusion is None or derived):
             object.__setattr__(self, "diffusion", partial(_diag_matrices, diag))
         elif self.diffusion is None:
-            raise ValueError(f"process {self.name!r} needs diffusion "
-                             "or diffusion_diag")
+            raise InvalidParameter("diffusion", f"process {self.name!r} needs "
+                                   "diffusion or diffusion_diag")
 
     @property
     def k(self) -> int:
@@ -122,8 +132,9 @@ def make_state(fractions) -> np.ndarray:
     one).  Division preserves exact zeros, so absorbing states stay
     absorbing.
     """
-    if holds_bool(fractions):
-        raise TypeError(f"a bool is not a fraction, got {fractions!r}")
+    if holds_bool(fractions) or np.asarray(fractions).dtype.kind not in "iuf":
+        raise TypeError(f"a fraction is a number, not a bool or a string, "
+                        f"got {fractions!r}")
     y = np.asarray(fractions, dtype=float)
     if y.ndim != 1 or y.shape[0] < 2:
         raise SumViolation(f"need at least 2 components, got shape {y.shape}")
@@ -172,7 +183,8 @@ class Ensemble:
     def __init__(self, states: np.ndarray):
         states = np.ascontiguousarray(states, dtype=float)
         if states.ndim != 2 or states.shape[1] < 2:
-            raise ValueError(f"expected (M, N>=2) array, got {states.shape}")
+            raise InvalidParameter("states", "expected an (M, N>=2) array, "
+                                   f"got {states.shape}")
         self.states = states
 
     @property

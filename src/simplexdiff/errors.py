@@ -13,8 +13,8 @@ class SumViolation(SimplexDiffError):
     """Components do not satisfy the unit-sum requirement."""
 
 
-class InvalidParameter(SimplexDiffError):
-    """A process parameter is out of its admissible range."""
+class InvalidParameter(SimplexDiffError, ValueError):
+    """An input breaks its number, count, flag or shape rule; field names it."""
 
     def __init__(self, field, message):
         self.field = field

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import (Ensemble, ProcessDefinition, check_count, check_positive,
                    component_major)
-from .errors import DegenerateState, NotPositiveSemiDefinite, SimplexDiffError
+from .errors import DegenerateState, InvalidParameter, NotPositiveSemiDefinite
 from . import statistics as stats_mod
 
 #: reduced sums above 1 + this margin count as realizability violations
@@ -310,19 +310,18 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     again at VIOLATION_TOL and violations counted (the clip should make the
     count zero).  DegenerateState names the step and particle of a
     non-finite proposal, the step of a closure that raised, and the time of
-    a snapshot whose closure raised a non-library error.  On two or more
-    CPUs a helper thread draws large steps' normals ahead; no output byte
-    changes.
+    a snapshot whose closure raised.  On two or more CPUs a helper thread
+    draws large steps' normals ahead; no output byte changes.
     """
     if init.size < 2:
-        raise ValueError(f"need an ensemble of >= 2 particles, got {init.size}")
+        raise InvalidParameter("init", f"need >= 2 particles, got {init.size}")
     check_positive("t_end", t_end)
     check_count("record_every", record_every)
     if dump_every is not None:
         check_count("dump_every", dump_every)
     if init.n != proc.dimension:
-        raise ValueError(f"ensemble has {init.n} components, "
-                         f"process expects {proc.dimension}")
+        raise InvalidParameter("init", f"ensemble has {init.n} components, "
+                                       f"process expects {proc.dimension}")
     steps = snapshot_steps(t_end, cfg.dt, record_every)
     n_steps, recorded = steps[-1], set(steps)
     ys = component_major(init.reduced)
@@ -340,8 +339,6 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
         if snap:
             try:
                 bm, br = stats_mod.batch_statistics(full, proc)
-            except SimplexDiffError:
-                raise
             except Exception as exc:  # a closure raised at a recorded state
                 raise DegenerateState(
                     f"snapshot at t={t}: evaluation failed: {exc}") from exc

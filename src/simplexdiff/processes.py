@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ProcessDefinition, holds_bool
+from .core import ProcessDefinition, check_positive, holds_bool
 from .errors import DirichletConstraintViolated, InvalidParameter, SingularNesting
 
 DIRCONST_RTOL = 1e-10
@@ -50,31 +50,11 @@ def invariant_ratio(b, S, kappa, required=False):
     return ratio, not varies
 
 
-def _as_vector(x, name, length=None):
-    if holds_bool(x):
-        raise InvalidParameter(name, f"a bool is not a number, got {x!r}")
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise InvalidParameter(name, f"expected a vector, got shape {v.shape}")
-    if length is not None and v.shape[0] != length:
-        raise InvalidParameter(name, f"expected length {length}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidParameter(name, "all components must be finite")
-    return v
-
-
 def _rate_vectors(b, S, kappa):
-    """b, S and kappa as float vectors of one length, each checked."""
-    b = _as_vector(b, "b")
-    S = _as_vector(S, "S", b.shape[0])
-    kappa = _as_vector(kappa, "kappa", b.shape[0])
-    if np.any(b <= 0):
-        raise InvalidParameter("b", "all components must be > 0")
-    if np.any(kappa <= 0):
-        raise InvalidParameter("kappa", "all components must be > 0")
-    if np.any((S <= 0) | (S >= 1)):
-        raise InvalidParameter("S", "all components must be in (0, 1)")
-    return b, S, kappa
+    """b, S and kappa as float vectors of one length, S in (0, 1)."""
+    b = check_positive("b", b, shape=(None,))
+    return (b, check_positive("S", S, 1.0, shape=b.shape),
+            check_positive("kappa", kappa, shape=b.shape))
 
 
 def reduction_coupling(kappa) -> np.ndarray:
@@ -92,10 +72,7 @@ def reduction_coupling(kappa) -> np.ndarray:
 
 def beta_process(b, S, kappa) -> ProcessDefinition:
     """Scalar process on [0, 1]: linear drift toward S, quadratic diffusion."""
-    if holds_bool(b) or not 0 < b < np.inf:
-        raise InvalidParameter("b", f"must be > 0 and finite, got {b}")
-    if holds_bool(kappa) or not 0 < kappa < np.inf:
-        raise InvalidParameter("kappa", f"must be > 0 and finite, got {kappa}")
+    b, kappa = check_positive("b", b), check_positive("kappa", kappa)
     if holds_bool(S) or not 0.0 <= S <= 1.0:
         raise InvalidParameter("S", f"must be in [0, 1], got {S}")
 
@@ -143,11 +120,9 @@ def _wf_diffusion_factor(y):
 
 def wright_fisher_process(omega) -> ProcessDefinition:
     """Multivariate neutral-mutation diffusion with full coupling matrix."""
-    omega = _as_vector(omega, "omega")
+    omega = check_positive("omega", omega, shape=(None,))
     if omega.shape[0] < 2:
         raise InvalidParameter("omega", "need at least 2 components")
-    if np.any(omega <= 0):
-        raise InvalidParameter("omega", "all components must be > 0")
     w = float(omega.sum())
     k = omega.shape[0] - 1
     om = omega[:k]
@@ -174,6 +149,9 @@ def dirichlet_process(b, S, kappa, dirichlet_invariant=False) -> ProcessDefiniti
     dirichlet_invariant requires the invariant law to be Dirichlet, that is
     (1-S_a) b_a / kappa_a the same for every component.
     """
+    if not isinstance(dirichlet_invariant, (bool, np.bool_)):
+        raise InvalidParameter("dirichlet_invariant",
+                               f"must be a bool, got {dirichlet_invariant!r}")
     b, S, kappa = _rate_vectors(b, S, kappa)
     ratio, constant = invariant_ratio(b, S, kappa, required=dirichlet_invariant)
     k = b.shape[0]
@@ -243,11 +221,7 @@ def gen_dirichlet_process(b, S, kappa, c=None) -> ProcessDefinition:
     elif isinstance(c, str) and c == "reduction":
         invariant_ratio(b, S, kappa, required=True)
         c = reduction_coupling(kappa)
-    c = np.asarray(c, dtype=float)
-    if c.shape != (k - 1, k - 1):
-        raise InvalidParameter("c", f"expected shape {(k - 1, k - 1)}, got {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise InvalidParameter("c", "all entries must be finite")
+    c = check_positive("c", c, low=-np.inf, shape=(k - 1, k - 1))  # any sign
     if k > 1 and np.any(np.tril(c, -1) != 0.0):
         raise InvalidParameter("c", "entries below the diagonal must be zero")
     S_out = 1.0 - S

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProcessDefinition, check_count, check_positive, component_major
-from .errors import (EnsembleTooSmall, InsufficientSnapshots,
+from .errors import (EnsembleTooSmall, InsufficientSnapshots, InvalidParameter,
                      UnsupportedProcess)
 
 #: variances below this leave skewness/kurtosis undefined (NaN)
@@ -140,7 +140,8 @@ def estimate_moments(states: np.ndarray, batch_moments=None) -> MomentSet:
         whole = _Batches(_ensemble_batches(m, 1))
         bm = whole.moments(component_major(states))[0]
     if np.sum(bm["count"]) != m:
-        raise ValueError(f"batches hold {np.sum(bm['count'])} of {m} particles")
+        raise InvalidParameter("batch_moments", f"batches hold "
+                               f"{np.sum(bm['count'])} of {m} particles")
     w = bm["count"] / m
 
     def merge(v):

@@ -185,7 +185,7 @@ def test_single_particle_ensemble_exits_2(tmp_path):
 _INTEGRATOR = {"dt": 1e-3, "t_end": 1.0, "record_every": 200}
 
 
-def test_invalid_integrator_exits_2_before_audit(tmp_path):
+def test_invalid_integrator_exits_2_before_audit(tmp_path, capsys):
     """Every numeric setting is read and checked before anything is written,
     the output directory included."""
     cases = [("integrator", {"dt": 0.0, "t_end": 1.0}),
@@ -278,6 +278,30 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path):
     args = cli.make_parser().parse_args(["simulate", "--config", "-"])
     with pytest.raises(cli.ConfigError, match=r"'ensemble\.initial\.piont'"):
         cli.read_run(cfg, args, "simulate")
+    # hand-written YAML: an exponent without a dot is a number, as in YAML
+    # 1.2, wherever it stands; a quoted number is a string
+    text = ("schema_version: 1\nseed: 7\nprocess: {name: %s, params: %s}\n"
+            "integrator: {dt: %s, t_end: 0.1, record_every: 25}\n"
+            "ensemble: {size: 200}\naudit: {samples_per_face: 100}\n")
+    for i, (name, params, dt) in enumerate((
+            ("beta", "{b: 2.0, S: 0.5, kappa: 1.0}", "1e-3"),
+            ("beta", "{b: 2e0, S: 0.5, kappa: 1e0}", "1e-3"),
+            ("dirichlet", "{b: [2e0, 2e0], S: [0.5, 0.5], kappa: [1.0, 1.0]}",
+             "1E-3"))):
+        cfg_path = tmp_path / "text.yaml"
+        cfg_path.write_text(text % (name, params, dt))
+        cfg = load_config(str(cfg_path))
+        assert cfg["integrator"]["dt"] == 1e-3
+        assert all(type(v) is float or type(v[0]) is float
+                   for v in cfg["process"]["params"].values())
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--outdir", str(tmp_path / f"text{i}")]) == 0, params
+    capsys.readouterr()
+    cfg_path.write_text(text % ("beta", "{b: 2.0, S: 0.5, kappa: 1.0}", '"0.001"'))
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--outdir", str(tmp_path / "quoted")]) == 2
+    assert not (tmp_path / "quoted").exists()
+    assert capsys.readouterr().err.startswith("error: integrator.dt: ")
 
 
 def test_simulate_outputs(tmp_path):
@@ -749,6 +773,36 @@ def test_memory_tool_measures_each_phase(tmp_path, monkeypatch):
     assert state == 2 * 200 * 8  # the (K, M) state owns its memory
 
 
+@pytest.mark.parametrize("tool", ["output_digests", "phase_memory"])
+def test_importing_a_tool_changes_no_global_state(monkeypatch, tool):
+    """A tool puts perfbench/ and src/ on sys.path, and stops bytecode
+    writes, only when run as a script."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "tools"))
+    monkeypatch.delitem(sys.modules, tool, raising=False)
+    path, dont_write = list(sys.path), sys.dont_write_bytecode
+    importlib.import_module(tool)
+    assert sys.path == path
+    assert sys.dont_write_bytecode == dont_write
+
+
+def test_output_digests_reports_a_run(tmp_path, monkeypatch, capsys):
+    """tools/output_digests.py, which every byte-identity check runs, runs a
+    command in a fresh interpreter and prints its exit code and the sha256
+    of each file it writes."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "tools"))
+    output_digests = importlib.import_module("output_digests")
+    write_config(tmp_path / "run.yaml")
+    output_digests.report("check", str(tmp_path / "run.yaml"),
+                          str(tmp_path / "out"), "beta")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "check beta exit=0 stderr=''"
+    assert re.fullmatch(r"  stdout [0-9a-f]{64}", lines[1])
+    assert re.fullmatch(r"  audit\.json [0-9a-f]{64}", lines[2])
+    assert len(lines) == 3
+
+
 def test_benchmark_configs_build():
     """Every config the benchmark writes reads as a compare run of its family."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -836,6 +890,10 @@ def test_readme_config_schema_reads():
     ("simulate", "ensemble", {"size": 3, "initial": {
         "kind": "list", "states": [[0.5, 0.5], [0.2, 0.8]]}},
      "ensemble size 3 does not match 2 listed states"),
+    # the string "false" counted as true, and refused this varying ratio
+    ("check", "process", {"name": "dirichlet", "params": {
+        "b": [4.0, 2.0], "S": [0.5, 0.5], "kappa": [1.0, 1.0],
+        "dirichlet_invariant": "false"}}, "dirichlet_invariant:"),
 ])
 def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command,
                                              section, values, key):
@@ -849,9 +907,10 @@ def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command,
 
 
 def test_run_failure_exits_1(tmp_path, capsys):
-    """A library error during a run exits 1 with 'failure:' on stderr: here
-    the nested drift, undefined at a start state whose second nesting
-    remainder is zero, stops the first snapshot."""
+    """A library error during a run exits 1 with 'failure:' on stderr,
+    naming where it arose as a step does: here the nested drift, undefined
+    at a start state whose second nesting remainder is zero, stops the
+    first snapshot."""
     cfg_path = tmp_path / "run.yaml"
     write_config(cfg_path, process={"name": "gen_dirichlet", "params": {
                      "b": [4.0] * 3, "S": [0.5] * 3, "kappa": [1.0] * 3,
@@ -861,7 +920,8 @@ def test_run_failure_exits_1(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg_path), "--outdir", str(out),
                  "--skip-audit"]) == 1
-    assert capsys.readouterr().err.startswith("failure: drift is undefined")
+    assert capsys.readouterr().err.startswith(
+        "failure: snapshot at t=0.0: evaluation failed: drift is undefined")
     assert not (out / "moments.csv").exists()
 
 

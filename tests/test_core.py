@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexdiff import (Ensemble, IntegratorConfig, NegativeComponent,
-                         ProcessDefinition, RandomSource, SumViolation,
-                         ToleranceSet, audit_boundary, batch_statistics,
-                         beta_process, broken_process, cross_validate_rates,
-                         dirichlet_process, make_state, simulate)
+from simplexdiff import (Ensemble, IntegratorConfig, InvalidParameter,
+                         NegativeComponent, ProcessDefinition, RandomSource,
+                         SumViolation, ToleranceSet, audit_boundary,
+                         batch_statistics, beta_process, broken_process,
+                         cross_validate_rates, dirichlet_process,
+                         gen_dirichlet_process, make_state, simulate,
+                         wright_fisher_process)
 from simplexdiff.core import face_label, face_points
 
 
@@ -202,10 +204,20 @@ def _small_trajectory():
         beta_process(b=2.0, S=0.5, kappa=1.0), 2.5, RandomSource(0, 1))),
     ("samples_per_face", lambda: audit_boundary(
         beta_process(b=2.0, S=0.5, kappa=1.0), True, RandomSource(0, 1))),
+    # a process vector follows the same rule entry by entry
+    ("b", lambda: dirichlet_process(b=[True, 2.0], S=[0.5, 0.5],
+                                    kappa=[1.0, 1.0])),
+    ("b", lambda: dirichlet_process(b=["1"], S=[0.5], kappa=[1.0])),
+    ("omega", lambda: wright_fisher_process(["1", "1", "1"])),
+    ("kappa", lambda: dirichlet_process(b=[2.0], S=[0.5], kappa=[np.nan])),
+    ("b", lambda: gen_dirichlet_process(b=[10 ** 400], S=[0.5], kappa=[1.0])),
+    ("b", lambda: dirichlet_process(b=np.full((2, 2), 2.0), S=[0.5, 0.5],
+                                    kappa=[1.0, 1.0])),
 ])
 def test_numbers_and_counts_have_one_rule(name, call):
-    """A tolerance, step, duration or multiplier is a finite number > 0 and a
-    batch or sample count an integer >= 1, neither a bool: each input here
-    was accepted (and could pass a verdict) or failed obscurely before."""
-    with pytest.raises(ValueError, match=name):
+    """A tolerance, step, duration, multiplier or process rate is a finite
+    number > 0, entry by entry for a vector, and a batch or sample count an
+    integer >= 1, neither a bool nor a string: each refusal is the core
+    rule's InvalidParameter (a ValueError) naming the input."""
+    with pytest.raises(InvalidParameter, match=name):
         call()

@@ -270,6 +270,11 @@ def test_rate_vectors_refused_by_name(field, params):
     ("S", lambda: beta_process(b=2.0, S=True, kappa=1.0)),
     ("kappa", lambda: beta_process(b=2.0, S=0.5, kappa=np.True_)),
     ("omega", lambda: wright_fisher_process([True, 1.0, 1.0])),
+    # and a flag is a bool: "false" counted as true, [0] was accepted
+    ("dirichlet_invariant", lambda: dirichlet_process(
+        b=[4.0, 2.0], S=[0.5, 0.5], kappa=[1.0, 1.0], dirichlet_invariant="false")),
+    ("dirichlet_invariant", lambda: dirichlet_process(
+        b=[2.0, 2.0], S=[0.5, 0.5], kappa=[1.0, 1.0], dirichlet_invariant=[0])),
 ])
 def test_bools_are_not_parameters(field, make):
     with pytest.raises(InvalidParameter) as err:

@@ -14,7 +14,8 @@ one block per command and operation: the exit code, the first line of
 stderr, and the sha256 of stdout and of each output file the command
 writes (run_meta.json without its timestamp; "-" for a file that was not
 written).  Two checkouts give the same outputs when the outputs of this
-script, run in each, have no diff.
+script, run in each, have no diff.  Imported, it leaves ``sys.path`` and
+``sys.dont_write_bytecode`` as they were.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ import subprocess
 import sys
 import tempfile
 
+import yaml
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.dont_write_bytecode = True  # leave perfbench/ as checked out
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-import workloads  # noqa: E402
-import yaml  # noqa: E402
 
 # the files each command writes; a pattern stands for every file it matches
 OUTPUTS = {
@@ -109,6 +108,7 @@ def clipping_configs(seed: int, directory: str) -> dict:
 
 
 def main(argv=None) -> int:
+    import workloads  # perfbench/, put on sys.path when run as a script
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("seeds", type=int, nargs="+")
     args = parser.parse_args(argv)
@@ -131,4 +131,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    sys.dont_write_bytecode = True  # leave perfbench/ as checked out
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.exit(main())

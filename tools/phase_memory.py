@@ -18,8 +18,10 @@ Each phase runs once untraced first, so lazy set-up is not counted, and the
 phase with the largest peak is named last on its family's line.  The peaks
 count the arrays a phase allocates, not the state it is given, so the line
 also prints ``state``: the bytes of the block that owns the memory of the
-state a step returns, which the next step holds throughout.  Uses the
-sources under src/ of the checkout this file is in.
+state a step returns, which the next step holds throughout.  Run as a
+script, it uses the sources under src/ of the checkout this file is in;
+imported, it uses the importer's ``simplexdiff`` and leaves ``sys.path``
+and ``sys.dont_write_bytecode`` as they were.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ import sys
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.dont_write_bytecode = True  # leave perfbench/ as checked out
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-import workloads  # noqa: E402
+if __name__ == "__main__":  # an importer keeps its own path and settings
+    sys.dont_write_bytecode = True  # leave perfbench/ as checked out
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 from simplexdiff import cli, integrator, statistics  # noqa: E402
 from simplexdiff.core import component_major  # noqa: E402
 from simplexdiff.realizability import audit_boundary  # noqa: E402
@@ -76,6 +77,7 @@ def phase_peaks(run):
 
 
 def main(argv=None) -> int:
+    import workloads  # perfbench/, put on sys.path when run as a script
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("seed", type=int)
     seed = parser.parse_args(argv).seed
