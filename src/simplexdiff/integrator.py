@@ -10,11 +10,11 @@ and noise factor, functions of the state alone, are evaluated once per step:
 a rejected proposal redraws only its normals.  The ensemble is held
 component-major, as a (K, M) array with one row per reduced component, so
 that sums over components run along the leading axis; the normals are still
-drawn particle by particle, as (M, K), and transposed.  A step holds few
-state-sized arrays at once: the drift goes once its term is formed, the
-normals are drawn after the drift and the noise factor (neither draws, so
-the stream is the same), and the state it returns owns its memory, so the
-next step holds no larger block behind it.
+drawn particle by particle, into a column-major (M, K) array that is (K, M)
+when transposed.  A step holds few state-sized arrays at once: the drift
+goes once its term is formed, the normals are drawn after the drift and the
+noise factor (neither draws, so the stream is the same), and the state it
+returns owns its memory, so the next step holds no larger block behind it.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ VIOLATION_TOL = 1e-12
 NEGATIVE_CLAMP = -1e-14
 #: fewest normals per step (M x K) worth drawing ahead on a helper thread
 DRAW_AHEAD_MIN = 8192
+#: leading rows (particles) per piece of a direct draw into a column-major array
+DRAW_CHUNK = 1024
 
 
 def _cpus():
@@ -58,10 +60,14 @@ class RandomSource:
         self._ahead = None  # simulate's _DrawAhead while it runs
 
     def normals(self, shape) -> np.ndarray:
-        """The stream's next values; drawn ahead, only (m, K) ones, column-major."""
-        if self._ahead is None:
-            return self.generator.standard_normal(shape)
-        return self._ahead.take(shape)
+        """The stream's next values, in row-major index order, stored column-major."""
+        if self._ahead is not None:
+            return self._ahead.take(shape)
+        out = np.empty(np.atleast_1d(shape)[::-1]).T
+        for a in range(0, len(out), DRAW_CHUNK):
+            piece = out[a:a + DRAW_CHUNK]
+            piece[...] = self.generator.standard_normal(piece.shape)
+        return out
 
 
 class _DrawAhead:
@@ -175,33 +181,26 @@ def _columns(L, idx):
 
 
 def _noise(L, xi):
-    """Map (K, M) unit normals through per-particle noise factors, into a
-    new (K, M) array."""
-    if not isinstance(L, tuple) and L.ndim == xi.ndim:
-        return L * xi
-    # even and odd columns summed apart, each from zero and left to right:
-    # the order of einsum("...ij,...j->...i"), bit for bit.  A structured
-    # factor skips the zeros above its diagonal, which change no sum, and
-    # forms each product u[i] v[j] xi[j] in one row.
-    half = np.zeros((2,) + xi.shape)
+    """Map (K, M) unit normals through per-particle noise factors into a new
+    (K, M) array, each row summed in increasing j from its first term; row i
+    of a (d, u, v) factor is d[i] xi[i] + u[i] (the sum of v[j] xi[j], j < i)."""
     if isinstance(L, tuple):
         d, u, v = L
-        row = np.empty(xi.shape[1:])
-        for j in range(xi.shape[0]):
-            half[j % 2, j] += d[j] * xi[j]
-            for i in range(j + 1, xi.shape[0]):
-                np.multiply(u[i], v[j], out=row)
-                half[j % 2, i] += np.multiply(row, xi[j], out=row)
-        del row  # gone before the sum, the step's largest live set
-    else:
-        for j in range(xi.shape[0]):
-            half[j % 2] += L[:, j] * xi[j]
-    # a new sum rather than one half: a half would keep the whole block alive
-    return half[0] + half[1]
+        out, s = d * xi, v[0] * xi[0]
+        for i in range(1, xi.shape[0]):
+            out[i] += u[i] * s
+            s += v[i] * xi[i]
+        return out
+    if L.ndim == xi.ndim:
+        return L * xi
+    out = L[:, 0] * xi[0]
+    for j in range(1, xi.shape[0]):
+        out += L[:, j] * xi[j]
+    return out
 
 
 def _normals(rng, m, k):
-    """(K, m) unit normals, drawn particle by particle as (m, K)."""
+    """(K, m) unit normals, drawn particle by particle as a column-major (m, K)."""
     return np.ascontiguousarray(rng.normals((m, k)).T)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ProcessDefinition, check_positive, holds_bool
+from .core import ProcessDefinition, check_positive
 from .errors import DirichletConstraintViolated, InvalidParameter, SingularNesting
 
 DIRCONST_RTOL = 1e-10
@@ -73,7 +73,8 @@ def reduction_coupling(kappa) -> np.ndarray:
 def beta_process(b, S, kappa) -> ProcessDefinition:
     """Scalar process on [0, 1]: linear drift toward S, quadratic diffusion."""
     b, kappa = check_positive("b", b), check_positive("kappa", kappa)
-    if holds_bool(S) or not 0.0 <= S <= 1.0:
+    S = check_positive("S", S, low=-np.inf)
+    if not 0.0 <= S <= 1.0:
         raise InvalidParameter("S", f"must be in [0, 1], got {S}")
 
     def drift(y):
@@ -94,9 +95,8 @@ def _wf_diffusion_factor(y):
     L[i, i] = d[i] and L[i, j] = u[i] * v[j] for j < i, with u = Y itself
     (not a copy) and v <= 0, built from the nested remainders
     q_j = 1 - Y_1 - ... - Y_j (q_0 = 1): d = sqrt(Y_j q_j / q_{j-1}) and
-    v = -sqrt(Y_j / (q_j q_{j-1})).  Y v[j] has the bits of (-Y) |v[j]|,
-    as a product's sign is its factors' signs.  An entry that divides by a
-    zero remainder is zero: that column carries no noise.
+    v = -sqrt(Y_j / (q_j q_{j-1})).  An entry that divides by a zero
+    remainder is zero: that column carries no noise.
     Each remainder of a finite state is 0 or at least 2^-53 in magnitude,
     so no other quotient overflows.
     """

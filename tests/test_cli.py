@@ -468,8 +468,8 @@ COMPARE_SHA256 = {
     "beta": ("f54d40fea795682bce4815adf4e50ae337d16e9daea55e778625eab9e544b0f8",
              "b70fe287749eb6da5a78dea381ad0811c1183945ebb3b5e8a08c3a7e5c37028a"),
     "wright_fisher": (
-        "ac4c1e5524ed1bb0c1694e01b68b58735baa86f2a01b19064c891af2cced1efc",
-        "ab6c48bbf3197f4bb24003ebefc9a57f68bf6891c8ba4eaf9f758f3715ff86ed"),
+        "d45347ef39ea2bdadd43043fcf9bc1c468500e2d3ea0c59b1bc43aa17418ed18",
+        "a0b6115f274d1676fe23c8ea53b1c6c63f34d392606a111425e73022f358cb6d"),
 }
 _COMPARE_PINNED = {
     "beta": _STATIONARY_BETA,
@@ -894,6 +894,9 @@ def test_readme_config_schema_reads():
     ("check", "process", {"name": "dirichlet", "params": {
         "b": [4.0, 2.0], "S": [0.5, 0.5], "kappa": [1.0, 1.0],
         "dirichlet_invariant": "false"}}, "dirichlet_invariant:"),
+    # a bare TypeError that did not name S
+    ("check", "process", {"name": "beta", "params": {
+        "b": 2.0, "S": "0.5", "kappa": 1.0}}, "S:"),
 ])
 def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command,
                                              section, values, key):

@@ -296,11 +296,10 @@ def _clip_rows(ys):
     return ys
 
 
-def _dense_wf_factor(y):
-    """The dense (K, K, M) Wright-Fisher factor, as it was built before the
-    structured (d, u, v) form: the reference the structured noise must
-    reproduce bit for bit."""
-    k = y.shape[0]
+def _wf_quotients(y):
+    """The Wright-Fisher factor's diagonal and column quotients, (K, M) each,
+    built from the nested remainders independently of _wf_diffusion_factor:
+    L[i, i] = diag[i] and L[i, j] = -y[i] col[j] for j < i."""
     q = 1.0 - _running(np.add, y)
     q_prev = np.concatenate([np.ones((1,) + y.shape[1:]), q[:-1]], axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -308,20 +307,29 @@ def _dense_wf_factor(y):
         col = y / (q * q_prev)
     diag = np.sqrt(np.maximum(np.nan_to_num(diag, nan=0.0), 0.0))
     col = np.sqrt(np.maximum(np.nan_to_num(col, nan=0.0, posinf=0.0), 0.0))
-    L = np.zeros((k, k) + y.shape[1:])
-    for i in range(k):
+    return diag, col
+
+
+def _dense_wf_factor(y):
+    """The dense (K, K, M) Wright-Fisher factor built from _wf_quotients."""
+    diag, col = _wf_quotients(y)
+    L = np.zeros((y.shape[0],) + y.shape)
+    for i in range(y.shape[0]):
         L[i, i] = diag[i]
         L[i, :i] = -y[i] * col[:i]
     return L
 
 
-def _dense_noise(L, xi):
-    """(K, K, M) factors times (K, M) normals, even and odd columns summed
-    apart as einsum("...ij,...j->...i") does."""
-    half = np.zeros((2,) + xi.shape)
-    for j in range(xi.shape[0]):
-        half[j % 2] += L[:, j] * xi[j]
-    return half[0] + half[1]
+def _wf_reference_noise(y, xi):
+    """(K, M) normals through the factor of _wf_quotients, in the stated
+    order: row i is diag[i] xi[i] plus y[i] times the running sum of
+    -col[j] xi[j] over j < i, started from the j = 0 term."""
+    diag, col = _wf_quotients(y)
+    out, s = diag * xi, -col[0] * xi[0]
+    for i in range(1, xi.shape[0]):
+        out[i] = out[i] + y[i] * s
+        s = s + -col[i] * xi[i]
+    return out
 
 
 def wf_edge_states(n, rng):
@@ -350,14 +358,14 @@ def test_step_closure_peak_memory(call):
 
     The nested drift sums its coupling term by term in beta order through
     one reused scratch, 3.3 MB at peak where the whole (K-1, K-1, M)
-    coupling array took 5.1 MB; the Wright-Fisher noise map forms each
-    product in one (M,) row and returns a new sum of its even and odd
-    halves, 1.7 MB where a (K, M) product scratch and a sum kept in the
-    (2, K, M) block took 1.8 MB.  A whole step drops the drift once its
-    term is formed, draws the normals after the noise factor and returns a
-    state that owns its memory: 3.9 MB (Wright-Fisher), 2.2 MB (Dirichlet)
-    and 3.3 MB (nested), where steps that kept them took 5.1, 3.0 and
-    4.2 MB.
+    coupling array took 5.1 MB.  The Wright-Fisher noise map holds its
+    (K, M) result, the (M,) running sum and one (M,) product: 0.72 MB,
+    where summing even and odd columns in a (2, K, M) block took 1.7 MB.
+    A whole step drops the drift once its term is formed, draws the normals
+    after the noise factor, straight into the (K, M) layout, and returns a
+    state that owns its memory: 2.96 MB (Wright-Fisher, set while the noise
+    map runs), 2.2 MB (Dirichlet) and 3.3 MB (nested), where the block took
+    3.9 MB and steps that kept the drift took 5.1, 3.0 and 4.2 MB.
     """
     import tracemalloc
     n, k = 8, 7
@@ -370,11 +378,11 @@ def test_step_closure_peak_memory(call):
     elif call == "wright_fisher-noise":
         factor = wright_fisher_process(np.ones(n)).diffusion_factor(y)
         xi = np.random.default_rng(1).standard_normal(y.shape)
-        run, bound = lambda: _noise(factor, xi), 2e6
+        run, bound = lambda: _noise(factor, xi), 0.8e6
     else:
         family = call.split("-")[0]
         proc, bound = {
-            "wright_fisher": (wright_fisher_process(np.ones(n)), 4.2e6),
+            "wright_fisher": (wright_fisher_process(np.ones(n)), 3.25e6),
             "dirichlet": (dirichlet_process(dirichlet_invariant=True, **rates),
                           2.7e6),
             "nested": (gen_dirichlet_process(c="reduction", **rates), 3.7e6),
@@ -408,37 +416,45 @@ def test_advance_returns_a_state_that_owns_its_memory(form, n):
 @pytest.mark.parametrize("n", [3, 8, 12])
 def test_structured_wf_noise_matches_dense_factor(n):
     """The (d, u, v) Wright-Fisher factor maps normals to the bits of the
-    dense factor, on whole batches and on gathered resample columns."""
+    running-sum reference, on whole batches and on gathered resample
+    columns, and to the dense product L xi within its rounding bound."""
     rng = np.random.default_rng(n)
     y = wf_edge_states(n, rng)
     proc = wright_fisher_process(np.ones(n))
     factor = proc.diffusion_factor(y)
     assert [a.shape for a in factor] == [y.shape] * 3
-    dense = _dense_wf_factor(y)
     xi = rng.standard_normal(y.shape)
-    assert _noise(factor, xi).tobytes() == _dense_noise(dense, xi).tobytes()
+    noise = _noise(factor, xi)
+    assert noise.tobytes() == _wf_reference_noise(y, xi).tobytes()
     idx = np.flatnonzero(rng.random(y.shape[1]) < 0.3)
     assert (_noise(_columns(factor, idx), xi[:, idx]).tobytes()
-            == _dense_noise(dense[..., idx], xi[:, idx]).tobytes())
+            == _wf_reference_noise(y[:, idx], xi[:, idx]).tobytes())
+    dense = _dense_wf_factor(y)
+    exact = np.einsum("ij...,j...->i...", dense, xi)
+    bound = (n - 1) * np.finfo(float).eps * np.einsum(
+        "ij...,j...->i...", np.abs(dense), np.abs(xi))
+    assert np.all(np.abs(noise - exact) <= bound)
 
 
 def _reference_advance(proc, ys, cfg, rng):
     """A particle-major step on (M, K) states that re-evaluates drift and
     noise factor at rejected rows; closures are called through transposes.
-    Wright-Fisher, the one process with an explicit factor, steps with the
-    dense factor."""
+    Wright-Fisher, the one process with an explicit factor, steps with
+    _wf_reference_noise; an eigendecomposed factor sums each row's terms in
+    increasing j from the first."""
     def propose(ys, xi):
         y = ys.T
         a = proc.drift(y).T
         if proc.diffusion_factor is not None:
-            L = np.ascontiguousarray(np.moveaxis(_dense_wf_factor(y), -1, 0))
-            noise = np.einsum("...ij,...j->...i", L, xi)
+            noise = _wf_reference_noise(y, np.ascontiguousarray(xi.T)).T
         elif proc.diffusion_diag is not None:
             noise = np.sqrt(np.maximum(proc.diffusion_diag(y).T, 0.0)) * xi
         else:
             w, V = np.linalg.eigh(np.moveaxis(proc.diffusion(y), -1, 0))
             L = V * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]
-            noise = np.einsum("...ij,...j->...i", L, xi)
+            noise = L[..., 0] * xi[:, :1]
+            for j in range(1, xi.shape[1]):
+                noise = noise + L[..., j] * xi[:, j:j + 1]
         return ys + a * cfg.dt + noise * np.sqrt(cfg.dt)
 
     prop = propose(ys, rng.normals(ys.shape))
@@ -627,7 +643,7 @@ def _stepping_families():
 #: such a change must update them and say so.
 FINAL_STATE_SHA256 = {
     "beta": "bbb616302eec170c9cd086452613a3e326cde831a4fc3e6687b28497bb606deb",
-    "wright_fisher": "899c8c9277fb93591de100030871d8e293261c1f22839ac4ce97ee00aff6512f",
+    "wright_fisher": "126d43b2edf5d173fca3e9305312908c04383cc030ff1114d1ee5f8d36c8c979",
     "dirichlet": "f19834a4fcc7b7bd3a0b9e48e4e39b545ca25204e858fda2ea1bcaf87e6f85df",
     "gen_dirichlet": "87dca128aefb9bb270d835bc277da5262e0a39a170a95fcc193afb5b902dbd05",
 }
@@ -684,6 +700,19 @@ def test_drawn_ahead_normals_are_the_direct_stream():
     assert rng._ahead is None
     assert _state(rng) == _state(direct)
     npt.assert_array_equal(rng.normals(5), direct.normals(5))
+
+
+def test_direct_normals_fill_the_transposed_layout():
+    """A direct draw, DRAW_CHUNK leading rows (particles) at a time, is the
+    generator's own stream in a column-major array, so the (K, m) transpose
+    of an (m, K) draw is C-ordered and _normals copies nothing."""
+    rng, raw = RandomSource(9, 0), RandomSource(9, 0)
+    for shape in [(1, 3), (integrator.DRAW_CHUNK, 2),
+                  (2 * integrator.DRAW_CHUNK + 5, 7), 4, (3000,), (2, 3, 2)]:
+        xi = rng.normals(shape)
+        npt.assert_array_equal(xi, raw.generator.standard_normal(shape))
+        assert xi.T.flags.c_contiguous
+    assert _state(rng) == _state(raw)
 
 
 def test_draw_ahead_under_thread_switching():

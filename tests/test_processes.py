@@ -35,9 +35,15 @@ def test_beta_param_validation():
         beta_process(b=-1.0, S=0.5, kappa=1.0)
     with pytest.raises(InvalidParameter):
         beta_process(b=1.0, S=1.5, kappa=1.0)
-    for bad in ({"b": np.inf}, {"kappa": np.inf}, {"S": np.nan}):
-        with pytest.raises(InvalidParameter):
+    # S is one number by the core rule: a string or a list raised a bare
+    # TypeError, and a one-entry array gave a (2, 1) invariant law
+    for bad in ({"b": np.inf}, {"kappa": np.inf}, {"S": np.nan}, {"S": "0.5"},
+                {"S": [0.5]}, {"S": np.array([0.5])}):
+        with pytest.raises(InvalidParameter) as err:
             beta_process(**dict({"b": 1.0, "S": 0.5, "kappa": 1.0}, **bad))
+        assert err.value.field == next(iter(bad))
+    for S in (0, 1.0):  # the closed ends build
+        assert beta_process(b=2.0, S=S, kappa=1.0).invariant_dirichlet.shape == (2,)
 
 
 def test_vector_params_must_be_finite():
