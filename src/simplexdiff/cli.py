@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import os
 import re
@@ -31,7 +32,7 @@ from .errors import (ConfigError, InsufficientSnapshots, InvalidParameter,
 from .integrator import IntegratorConfig, RandomSource, simulate, snapshot_steps
 from .processes import (beta_process, broken_process, dirichlet_process,
                         gen_dirichlet_process, wright_fisher_process)
-from .realizability import (ToleranceSet, audit_boundary,
+from .realizability import (EXACT_TOL, ToleranceSet, audit_boundary,
                             audit_covariance_structure, audit_moment_bounds)
 from .statistics import (UnsupportedProcess, analytic_stationary,
                          batch_mean_se, cross_validate_rates, quantity_label)
@@ -157,7 +158,8 @@ def build_ensemble(cfg: dict, n: int, gen: np.random.Generator) -> Ensemble:
 
 def build_integrator(cfg: dict) -> IntegratorConfig:
     dt = setting(cfg, "integrator", "dt", 1e-3)
-    max_resample = setting(cfg, "integrator", "max_resample", 100, int, low=-1)
+    max_resample = setting(cfg, "integrator", "max_resample",
+                           IntegratorConfig.max_resample, int, low=-1)
     policy = (cfg.get("integrator") or {}).get("boundary_policy",
                                                 "reject_resample")
     # schema 1 spells a redraw budget of 0 as boundary_policy: clip_renormalize
@@ -167,10 +169,8 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
 
 
 def build_tolerances(cfg: dict) -> ToleranceSet:
-    return ToleranceSet(**{key: setting(cfg, "audit", key, default)
-                           for key, default in (("diffusion_zero_tol", 1e-10),
-                                                ("drift_sign_tol", 1e-10),
-                                                ("moment_stat_tol", 3.0))})
+    return ToleranceSet(**{f.name: setting(cfg, "audit", f.name, f.default)
+                           for f in dataclasses.fields(ToleranceSet)})
 
 
 def _merge(base, override):
@@ -362,7 +362,7 @@ def stationary_checks(traj, oracle, window, stat_tol: float):
 
     def judge(name, batch_vals, oracle_vals):
         est, se = batch_mean_se(batch_vals)
-        thresh = np.maximum(stat_tol * se, 1e-12)
+        thresh = np.maximum(stat_tol * se, EXACT_TOL)
         res = np.abs(est - oracle_vals)
         for pos in np.ndindex(est.shape):
             checks.append({"quantity": quantity_label(name, pos),

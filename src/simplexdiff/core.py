@@ -18,6 +18,10 @@ from .errors import InvalidParameter, NegativeComponent, SumViolation
 
 #: construction tolerance on |sum - 1|
 TOL_SUM = 1e-12
+#: largest dimension N a process may have: the boundary audit's largest
+#: block is (K, K, samples), 32 MB at N = 64 and 1000 samples per face, and
+#: it grows as N^2, so a larger N is far more likely a typo than a model
+MAX_DIMENSION = 64
 
 
 def holds_bool(x) -> bool:
@@ -71,19 +75,20 @@ class ProcessDefinition:
     particles of rejected proposals.
 
     diffusion_factor and diffusion_diag supply the integrator's noise
-    factor.  diffusion_factor(Y) -> (d, u, v), three (K, ...) arrays, is
-    the lower-triangular L with L[i, i] = d[i], L[i, j] = u[i] * v[j] for
-    j < i and L @ L.T == diffusion.  diffusion_diag(Y) -> (K, ...) is the
-    diagonal of a diagonal diffusion matrix; its square root is the factor.
-    A process that supplies neither is factored through an
-    eigendecomposition of its diffusion matrix.  Supplying diffusion_diag
-    also declares the diffusion diagonal to the boundary audit, and
-    diffusion may then be omitted: it is built from the diagonal, again
-    whenever dataclasses.replace gives a new one.
+    factor.  diffusion_factor(Y) -> (r, w), two (K, ...) arrays, is the
+    square root L = diag(r) - w r^T with L @ L.T == diffusion, applied to
+    normals xi as r * xi - w * (r . xi).  diffusion_diag(Y) -> (K, ...) is
+    the diagonal of a diagonal diffusion matrix; its square root is the
+    factor, and the boundary audit judges it in place of diffusion.  A
+    process that supplies neither is factored through an eigendecomposition
+    of its diffusion matrix.  With diffusion_diag, diffusion may be omitted:
+    it is built from the diagonal, again whenever dataclasses.replace gives
+    a new one.
 
     invariant_dirichlet, the (N,) concentrations of the process's Dirichlet
     invariant law or None, is the stationary oracle's only input.  dimension
-    is N, an integer >= 2 (check_count's rule: a bool is not a count).
+    is N, an integer from 2 to MAX_DIMENSION (check_count's rule: a bool is
+    not a count).
     """
 
     dimension: int
@@ -95,7 +100,9 @@ class ProcessDefinition:
     diffusion_factor: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
-        check_count("dimension", self.dimension, least=2)
+        if check_count("dimension", self.dimension, least=2) > MAX_DIMENSION:
+            raise InvalidParameter("dimension", f"must be <= {MAX_DIMENSION}, "
+                                   f"got {self.dimension}")
         diag = self.diffusion_diag
         derived = getattr(self.diffusion, "func", None) is _diag_matrices
         if diag is not None and (self.diffusion is None or derived):

@@ -2,7 +2,7 @@
 
 The integrator advances all particles of an ensemble with independent noise
 drawn from a counter-based (Philox) stream, maps it through the noise factor
-the process supplies (a (d, u, v) triangular factor, the square root of a
+the process supplies (an (r, w) rank-one square root, the square root of a
 diagonal, or an eigendecomposition of the diffusion matrix), and enforces
 the simplex constraints on every accepted step, so that every recorded state
 is realizable by construction; a non-finite proposal stops the run.  Drift
@@ -154,7 +154,7 @@ class Trajectory:
 
 
 def _noise_factor(proc: ProcessDefinition, ys: np.ndarray):
-    """Per-particle noise factor: (K, M) diagonal roots, (d, u, v) or (K, K, M)."""
+    """Per-particle noise factor: (K, M) diagonal roots, (r, w) or (K, K, M)."""
     if proc.diffusion_factor is not None:
         return proc.diffusion_factor(ys)
     if proc.diffusion_diag is not None:
@@ -182,14 +182,16 @@ def _columns(L, idx):
 
 def _noise(L, xi):
     """Map (K, M) unit normals through per-particle noise factors into a new
-    (K, M) array, each row summed in increasing j from its first term; row i
-    of a (d, u, v) factor is d[i] xi[i] + u[i] (the sum of v[j] xi[j], j < i)."""
+    (K, M) array, each sum running in increasing j from its first term; an
+    (r, w) factor gives r xi - w (the sum of r[j] xi[j])."""
     if isinstance(L, tuple):
-        d, u, v = L
-        out, s = d * xi, v[0] * xi[0]
-        for i in range(1, xi.shape[0]):
-            out[i] += u[i] * s
-            s += v[i] * xi[i]
+        r, w = L
+        out = r * xi
+        s = out[0].copy()
+        for row in out[1:]:
+            s += row
+        for i in range(out.shape[0]):
+            out[i] -= w[i] * s
         return out
     if L.ndim == xi.ndim:
         return L * xi

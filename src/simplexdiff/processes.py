@@ -3,7 +3,7 @@
 Each constructor validates its parameters and returns a ProcessDefinition
 whose closures take the component-major reduced state alone, (N-1, ...):
 drift and diffusion_diag return (N-1, ...), diffusion (N-1, N-1, ...), and
-Wright-Fisher's diffusion_factor three (N-1, ...) arrays (d, u, v).  The
+Wright-Fisher's diffusion_factor two (N-1, ...) arrays (r, w).  The
 diagonal-diffusion processes supply diffusion_diag alone; ProcessDefinition
 builds their matrices.  Drift and diffusion entries carry units of 1/time.
 The beta, Wright-Fisher and constant-ratio Dirichlet processes state their
@@ -90,32 +90,16 @@ def beta_process(b, S, kappa) -> ProcessDefinition:
 
 
 def _wf_diffusion_factor(y):
-    """Closed-form lower-triangular factor of diag(Y) - Y Y^T, as (d, u, v).
+    """The square root L = diag(r) - w r^T of diag(Y) - Y Y^T, as (r, w).
 
-    L[i, i] = d[i] and L[i, j] = u[i] * v[j] for j < i, with u = Y itself
-    (not a copy) and v <= 0, built from the nested remainders
-    q_j = 1 - Y_1 - ... - Y_j (q_0 = 1): d = sqrt(Y_j q_j / q_{j-1}) and
-    v = -sqrt(Y_j / (q_j q_{j-1})).  An entry that divides by a zero
-    remainder is zero: that column carries no noise.
-    Each remainder of a finite state is 0 or at least 2^-53 in magnitude,
-    so no other quotient overflows.
+    r = sqrt(Y) and w = c Y, c = 1 / (1 + sqrt(Y_N)), Y_N = max(1 - sum(Y),
+    0): c solves 2c - c^2 (1 - Y_N) = 1, so L L^T is exact.  Row a vanishes
+    where Y_a = 0, and 1^T L = (1 - sum(w)) r^T where sum(Y) = 1.  Python's
+    sum adds rows in order, as np.sum(y, axis=0) does over a batch but not
+    over a lone (K,) state.
     """
-    q = _running(np.add, y)
-    np.subtract(1.0, q, out=q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = y * q
-        d[1:] /= q[:-1]
-        v = q.copy()
-        v[1:] *= q[:-1]
-        np.divide(y, v, out=v)
-    if not np.isfinite(np.sum(v)):  # only a zero remainder makes v infinite
-        zero = q == 0.0  # d[j] divides by q[j-1], v[j] by q[j] q[j-1]
-        d[1:][zero[:-1]] = 0.0
-        v[zero] = 0.0
-        v[1:][zero[:-1]] = 0.0
-    for a in (d, v):
-        np.sqrt(np.maximum(a, 0.0, out=a), out=a)
-    return d, y, np.negative(v, out=v)
+    root = np.sqrt(np.maximum(1.0 - sum(y), 0.0)) + 1.0
+    return np.sqrt(y), y / root
 
 
 def wright_fisher_process(omega) -> ProcessDefinition:

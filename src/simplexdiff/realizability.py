@@ -89,8 +89,9 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
     components) must be <= 0 and the diffusion must annihilate the normal
     (zero row-sums and total sum); diagonal-structured processes must
     additionally satisfy the stricter entrywise conditions there, every
-    drift component <= 0 and every matrix entry zero.  The face points are
-    drawn from the RandomSource rng.
+    drift component <= 0 and every matrix entry zero, judged on
+    diffusion_diag, which its runs evaluate.  The face points are drawn
+    from the RandomSource rng.
     """
     check_count("samples_per_face", samples_per_face)
     gen = rng.generator
@@ -104,13 +105,15 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
         i = int(np.argmax(per_sample))
         report.add(f"{label}:{name}", label, per_sample[i], pts[i], limit)
 
+    diag = proc.diffusion_diag is not None
     for face in range(k + 1):
         pts = face_points(face, k, samples_per_face, gen)
         label = face_label(face, k)
         try:
             y = component_major(pts)
             a = proc.drift(y)              # (K, M)
-            B = proc.diffusion(y)          # (K, K, M)
+            # (K, M) diagonals or (K, K, M) matrices: what a run evaluates
+            B = proc.diffusion_diag(y) if diag else proc.diffusion(y)
         except Exception as exc:
             raise EvaluationFailure(
                 f"drift/diffusion raised on {label}: {exc}") from exc
@@ -120,10 +123,11 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
             check("diffusion-zero", np.abs(B[face]), tol.diffusion_zero_tol)
             continue
         check("drift-inward", a.sum(axis=0), tol.drift_sign_tol)
-        check("diffusion-row-sums", np.abs(B.sum(axis=1)), tol.diffusion_zero_tol)
-        check("diffusion-total-sum", np.abs(B.sum(axis=(0, 1))),
+        check("diffusion-row-sums", np.abs(B if diag else B.sum(axis=1)),
               tol.diffusion_zero_tol)
-        if proc.diffusion_diag is not None:
+        check("diffusion-total-sum", np.abs(B.sum(axis=0 if diag else (0, 1))),
+              tol.diffusion_zero_tol)
+        if diag:
             check("drift-componentwise", a, tol.drift_sign_tol)
             check("diffusion-entries", np.abs(B), tol.diffusion_zero_tol)
     return report

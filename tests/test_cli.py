@@ -468,8 +468,8 @@ COMPARE_SHA256 = {
     "beta": ("f54d40fea795682bce4815adf4e50ae337d16e9daea55e778625eab9e544b0f8",
              "b70fe287749eb6da5a78dea381ad0811c1183945ebb3b5e8a08c3a7e5c37028a"),
     "wright_fisher": (
-        "d45347ef39ea2bdadd43043fcf9bc1c468500e2d3ea0c59b1bc43aa17418ed18",
-        "a0b6115f274d1676fe23c8ea53b1c6c63f34d392606a111425e73022f358cb6d"),
+        "e2b82274a8fca2be2f2ae66b1083752207fa889efd99065a68539d4cc2f6a96c",
+        "f7abb79c228cf6bbec5ab8a99f1e36f9a2adea9891b61d4b9df91206f97d376c"),
 }
 _COMPARE_PINNED = {
     "beta": _STATIONARY_BETA,
@@ -789,7 +789,7 @@ def test_importing_a_tool_changes_no_global_state(monkeypatch, tool):
 def test_output_digests_reports_a_run(tmp_path, monkeypatch, capsys):
     """tools/output_digests.py, which every byte-identity check runs, runs a
     command in a fresh interpreter and prints its exit code and the sha256
-    of each file it writes."""
+    of each file it writes; beside compare's stdout digest, its verdict."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "tools"))
     output_digests = importlib.import_module("output_digests")
@@ -801,6 +801,15 @@ def test_output_digests_reports_a_run(tmp_path, monkeypatch, capsys):
     assert re.fullmatch(r"  stdout [0-9a-f]{64}", lines[1])
     assert re.fullmatch(r"  audit\.json [0-9a-f]{64}", lines[2])
     assert len(lines) == 3
+    output_digests.report("compare", str(tmp_path / "run.yaml"),
+                          str(tmp_path / "compare"), "beta")
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"compare beta exit=[01] stderr=''", lines[0])
+    assert re.fullmatch(r"  stdout [0-9a-f]{64} compare: rate check (pass|FAIL); "
+                        r"moment audit (pass|FAIL); overall (pass|FAIL)", lines[1])
+    assert [line.split()[0] for line in lines[2:]] == [
+        "audit.json", "compare.json", "moments.csv", "run_meta.json"]
+    assert output_digests.verdict("compare", b"") == " -"
 
 
 def test_benchmark_configs_build():
@@ -897,6 +906,12 @@ def test_readme_config_schema_reads():
     # a bare TypeError that did not name S
     ("check", "process", {"name": "beta", "params": {
         "b": 2.0, "S": "0.5", "kappa": 1.0}}, "S:"),
+    # passed read_run, then check made its output directory and died in
+    # face_points with a traceback
+    ("check", "process", {"name": "broken", "params": {
+        "style": "outward_drift", "n": 10 ** 30}}, "dimension"),
+    ("check", "process", {"name": "broken", "params": {
+        "style": "outward_drift", "n": 65}}, "dimension"),
 ])
 def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command,
                                              section, values, key):

@@ -296,56 +296,47 @@ def _clip_rows(ys):
     return ys
 
 
-def _wf_quotients(y):
-    """The Wright-Fisher factor's diagonal and column quotients, (K, M) each,
-    built from the nested remainders independently of _wf_diffusion_factor:
-    L[i, i] = diag[i] and L[i, j] = -y[i] col[j] for j < i."""
-    q = 1.0 - _running(np.add, y)
-    q_prev = np.concatenate([np.ones((1,) + y.shape[1:]), q[:-1]], axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diag = y * q / q_prev
-        col = y / (q * q_prev)
-    diag = np.sqrt(np.maximum(np.nan_to_num(diag, nan=0.0), 0.0))
-    col = np.sqrt(np.maximum(np.nan_to_num(col, nan=0.0, posinf=0.0), 0.0))
-    return diag, col
+def _wf_root(y):
+    """The Wright-Fisher square root's (r, w), (K, M) each, built apart from
+    _wf_diffusion_factor: r = sqrt(y) and w = y / (1 + sqrt(Y_N)), the
+    remainder Y_N = max(1 - y_1 - ... - y_K, 0) summed in row order."""
+    remainder = np.maximum(1.0 - _running(np.add, y)[-1], 0.0)
+    return np.sqrt(y), y / (1.0 + np.sqrt(remainder))
 
 
 def _dense_wf_factor(y):
-    """The dense (K, K, M) Wright-Fisher factor built from _wf_quotients."""
-    diag, col = _wf_quotients(y)
-    L = np.zeros((y.shape[0],) + y.shape)
-    for i in range(y.shape[0]):
-        L[i, i] = diag[i]
-        L[i, :i] = -y[i] * col[:i]
+    """The dense (K, K, M) Wright-Fisher factor diag(r) - w r^T of _wf_root."""
+    r, w = _wf_root(y)
+    L = -w[:, np.newaxis] * r[np.newaxis]
+    diag = np.arange(y.shape[0])
+    L[diag, diag] += r
     return L
 
 
 def _wf_reference_noise(y, xi):
-    """(K, M) normals through the factor of _wf_quotients, in the stated
-    order: row i is diag[i] xi[i] plus y[i] times the running sum of
-    -col[j] xi[j] over j < i, started from the j = 0 term."""
-    diag, col = _wf_quotients(y)
-    out, s = diag * xi, -col[0] * xi[0]
-    for i in range(1, xi.shape[0]):
-        out[i] = out[i] + y[i] * s
-        s = s + -col[i] * xi[i]
-    return out
+    """(K, M) normals through the factor of _wf_root, in the stated order:
+    r xi less w times the sum of r[j] xi[j], started from the j = 0 term."""
+    r, w = _wf_root(y)
+    s = r[0] * xi[0]
+    for j in range(1, xi.shape[0]):
+        s = s + r[j] * xi[j]
+    return r * xi - w * s
 
 
 def wf_edge_states(n, rng):
     """Component-major reduced states: interior, every zero face, the
-    unit-sum face, every vertex, remainders one ulp above zero, and a zero
-    remainder under a positive component, where the dense factor's column
-    quotient y / (q q_prev) is inf."""
+    unit-sum face, every vertex, remainders one ulp above zero, and (N > 2)
+    a zero remainder under two positive components."""
     k = n - 1
     faces = [face_points(f, k, 20, rng) for f in range(k + 1)]
     ulp = np.zeros((2, k))
     ulp[:, 0] = 1.0 - 2.0 ** -53
-    ulp[0, 1], ulp[1, -1] = 2.0 ** -60, 2.0 ** -54
-    inf_quotient = np.zeros((1, k))
-    inf_quotient[0, :2] = 0.5
+    if k > 1:
+        ulp[0, 1], ulp[1, -1] = 2.0 ** -60, 2.0 ** -54
+    zero_remainder = np.zeros((1, k))
+    zero_remainder[0, :2] = 0.5
     parts = [rng.dirichlet(np.ones(n), size=200)[:, :k], *faces,
-             np.eye(k), np.zeros((1, k)), ulp, inf_quotient]
+             np.eye(k), np.zeros((1, k)), ulp, zero_remainder]
     return np.ascontiguousarray(np.concatenate(parts).T)
 
 
@@ -415,25 +406,58 @@ def test_advance_returns_a_state_that_owns_its_memory(form, n):
 
 @pytest.mark.parametrize("n", [3, 8, 12])
 def test_structured_wf_noise_matches_dense_factor(n):
-    """The (d, u, v) Wright-Fisher factor maps normals to the bits of the
+    """The (r, w) Wright-Fisher factor maps normals to the bits of the
     running-sum reference, on whole batches and on gathered resample
-    columns, and to the dense product L xi within its rounding bound."""
+    columns, and to the dense product L xi within its rounding bound.  The
+    bound takes |L| term by term, diag(r) + w r^T: near a vertex and on the
+    unit-sum face the diagonal r - w r cancels, and the two products each
+    round before it does."""
     rng = np.random.default_rng(n)
     y = wf_edge_states(n, rng)
     proc = wright_fisher_process(np.ones(n))
     factor = proc.diffusion_factor(y)
-    assert [a.shape for a in factor] == [y.shape] * 3
+    assert [a.shape for a in factor] == [y.shape] * 2
     xi = rng.standard_normal(y.shape)
     noise = _noise(factor, xi)
     assert noise.tobytes() == _wf_reference_noise(y, xi).tobytes()
     idx = np.flatnonzero(rng.random(y.shape[1]) < 0.3)
     assert (_noise(_columns(factor, idx), xi[:, idx]).tobytes()
             == _wf_reference_noise(y[:, idx], xi[:, idx]).tobytes())
-    dense = _dense_wf_factor(y)
-    exact = np.einsum("ij...,j...->i...", dense, xi)
-    bound = (n - 1) * np.finfo(float).eps * np.einsum(
-        "ij...,j...->i...", np.abs(dense), np.abs(xi))
+    exact = np.einsum("ij...,j...->i...", _dense_wf_factor(y), xi)
+    r, w = factor
+    terms = r * np.abs(xi)
+    bound = (n - 1) * np.finfo(float).eps * (terms + w * np.sum(terms, axis=0))
     assert np.all(np.abs(noise - exact) <= bound)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 12])
+def test_wf_factor_keeps_faces_and_lone_states(n):
+    """Row a of the Wright-Fisher factor is exactly 0 where Y_a = 0, so a
+    zero component gets no noise; where the reduced sum is exactly 1, w is
+    y bit for bit, so 1^T L = (1 - sum(w)) r^T is exactly 0 and the
+    increments sum to 0 up to their rounding; and a lone (K,) state gets
+    its batch column's bytes."""
+    rng = np.random.default_rng(n)
+    y = wf_edge_states(n, rng)
+    proc = wright_fisher_process(np.ones(n))
+    r, w = proc.diffusion_factor(y)
+    xi = rng.standard_normal(y.shape)
+    noise = _noise((r, w), xi)
+    zero = y == 0.0
+    assert np.any(zero)
+    assert np.all(r[zero] == 0.0) and np.all(w[zero] == 0.0)
+    assert np.all(noise[zero] == 0.0)
+    unit = _running(np.add, y)[-1] == 1.0
+    assert np.any(unit)
+    assert w[:, unit].tobytes() == y[:, unit].tobytes()
+    assert np.all(_running(np.add, w[:, unit])[-1] == 1.0)
+    scale = np.abs(r * xi).sum(axis=0)[unit]  # |w^T| |r xi| is as large
+    assert np.all(np.abs(noise.sum(axis=0))[unit]
+                  <= 2 * (n - 1) * np.finfo(float).eps * scale)
+    for j in range(y.shape[1]):
+        lone = proc.diffusion_factor(y[:, j].copy())
+        assert [a.tobytes() for a in lone] == [r[:, j].tobytes(),
+                                               w[:, j].tobytes()], j
 
 
 def _reference_advance(proc, ys, cfg, rng):
@@ -643,7 +667,7 @@ def _stepping_families():
 #: such a change must update them and say so.
 FINAL_STATE_SHA256 = {
     "beta": "bbb616302eec170c9cd086452613a3e326cde831a4fc3e6687b28497bb606deb",
-    "wright_fisher": "126d43b2edf5d173fca3e9305312908c04383cc030ff1114d1ee5f8d36c8c979",
+    "wright_fisher": "12d3c6a4e975774995cfcdac5cabdd50bf2261ac5cffeb4bb4c14a2d6817fcae",
     "dirichlet": "f19834a4fcc7b7bd3a0b9e48e4e39b545ca25204e858fda2ea1bcaf87e6f85df",
     "gen_dirichlet": "87dca128aefb9bb270d835bc277da5262e0a39a170a95fcc193afb5b902dbd05",
 }

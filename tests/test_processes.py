@@ -91,22 +91,21 @@ def test_wright_fisher_psd_interior():
 
 
 def test_wright_fisher_factor_roundtrip():
-    """L rebuilt from (d, u, v) satisfies L L^T = diffusion, inside and on
-    every face of the simplex, at N = 3 and 8."""
+    """L = diag(r) - w r^T rebuilt from (r, w) satisfies L L^T = diffusion,
+    inside and on every face of the simplex, at N = 2, 3, 8 and 13."""
     rng = np.random.default_rng(3)
-    for n in (3, 8):
+    for n in (2, 3, 8, 13):
         k = n - 1
         p = wright_fisher_process(np.ones(n))
         y = np.concatenate(
             [rng.dirichlet(np.ones(n), size=200)[:, :k]]
             + [face_points(f, k, 50, rng) for f in range(n)]
             + [np.eye(k), np.zeros((1, k))]).T
-        d, u, v = p.diffusion_factor(y)
-        below = np.tril(np.ones((k, k)), -1)[..., np.newaxis]
-        L = below * u[:, np.newaxis] * v[np.newaxis]
-        L[np.arange(k), np.arange(k)] = d
+        r, w = p.diffusion_factor(y)
+        L = -w[:, np.newaxis] * r[np.newaxis]
+        L[np.arange(k), np.arange(k)] += r
         npt.assert_allclose(np.einsum("ikm,jkm->ijm", L, L),
-                            p.diffusion(y), atol=1e-13)
+                            p.diffusion(y), rtol=0, atol=1e-15)
 
 
 def test_dirichlet_substitution():

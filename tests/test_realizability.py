@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -52,6 +53,24 @@ def test_outward_drift_fails_on_zero_faces():
     failed = [c for c in report.checks if not c.passed]
     assert all("drift" in c.constraint for c in failed)
     assert any(c.constraint.startswith("zero-face") for c in failed)
+
+
+def test_audit_judges_the_diagonal_a_run_evaluates():
+    """A realizable diffusion matrix beside a diagonal that is 0.1 on every
+    face fails: every step and snapshot uses the diagonal, not the matrix."""
+    dirichlet = dirichlet_process(b=[2.0, 2.0], S=[0.5, 0.5], kappa=[1.0, 1.0])
+    matrix = dataclasses.replace(dirichlet, diffusion_diag=None,
+                                 diffusion=wright_fisher_process(
+                                     np.ones(3)).diffusion)
+    assert audit_boundary(matrix, 100, RandomSource(0, 1)).overall_pass
+    proc = dataclasses.replace(matrix,
+                               diffusion_diag=lambda y: np.full(y.shape, 0.1))
+    report = audit_boundary(proc, 100, RandomSource(0, 1))
+    failed = {c.constraint for c in report.checks if not c.passed}
+    assert failed == {c.constraint for c in report.checks
+                      if "diffusion" in c.constraint}
+    assert {c.constraint for c in report.checks} >= {
+        "unit-sum-face:drift-componentwise", "unit-sum-face:diffusion-entries"}
 
 
 def test_worst_location_is_on_boundary():

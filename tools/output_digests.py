@@ -11,8 +11,9 @@ CLIPPING, a Dirichlet config with an attainable boundary: once with the
 default redraw budget, under which many steps redraw, and once with
 ``max_resample: 0``, under which they clip.  Prints
 one block per command and operation: the exit code, the first line of
-stderr, and the sha256 of stdout and of each output file the command
-writes (run_meta.json without its timestamp; "-" for a file that was not
+stderr, the sha256 of stdout (beside compare's verdict line, so that a
+changed verdict reads as text) and of each output file the command writes
+(run_meta.json without its timestamp; "-" for a file that was not
 written).  Two checkouts give the same outputs when the outputs of this
 script, run in each, have no diff.  Imported, it leaves ``sys.path`` and
 ``sys.dont_write_bytecode`` as they were.
@@ -74,6 +75,16 @@ def file_digests(outdir: str, pattern: str):
     return out
 
 
+def verdict(command: str, stdout: bytes) -> str:
+    """" " and compare's verdict line ("compare: ..."), or " -" if it
+    printed none, to follow its stdout digest; "" for the other commands."""
+    if command != "compare":
+        return ""
+    lines = [line for line in stdout.decode(errors="replace").splitlines()
+             if line.startswith("compare: ")]
+    return " " + (lines[-1] if lines else "-")
+
+
 def run_once(command: str, config: str, outdir: str):
     """command in a fresh interpreter: (exit code, stderr's first line, stdout)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -89,7 +100,7 @@ def report(command: str, config: str, outdir: str, title: str):
     """Run command once and print its block: exit code, stderr and digests."""
     code, err, stdout = run_once(command, config, outdir)
     print(f"{command} {title} exit={code} stderr={err!r}")
-    print(f"  stdout {digest(stdout)}")
+    print(f"  stdout {digest(stdout)}{verdict(command, stdout)}")
     for pattern in OUTPUTS[command]:
         for name, value in file_digests(outdir, pattern):
             print(f"  {name} {value}")
