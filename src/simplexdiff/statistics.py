@@ -4,14 +4,19 @@ Moments cover all N components, the remainder estimated from the states like
 any other, so unit mean sums and zero covariance row sums are checked, not
 built in; rates cover the N-1 independent components.  A snapshot makes one
 component-major pass, batch_statistics: it walks whole particle batches in
-chunks of at most about 1 MiB (CHUNK_BYTES) of diffusion block, takes
-per-batch segment sums along the particle axis, and evaluates drift and one
-diffusion closure, functions of the state alone, exactly once per particle.
-estimate_moments merges its per-batch moments exactly.
+chunks of at most about 2 MiB (CHUNK_BYTES) of work buffer, drift and
+diffusion block, and evaluates drift and one diffusion closure, functions
+of the state alone, exactly once per particle.  Within a chunk every power
+and rate product is written in place into one work buffer and summed per
+batch in one segment sum along the particle axis; each run of equal-size
+batches is viewed as (..., batches, size), so it is centred by broadcasting
+and its per-batch products are one stacked matmul.  estimate_moments merges
+the per-batch moments exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +28,10 @@ from .errors import (EnsembleTooSmall, InsufficientSnapshots, InvalidParameter,
 #: variances below this leave skewness/kurtosis undefined (NaN)
 VAR_GUARD = 1e-14
 
-#: batch_statistics walks whole batches in chunks whose (K, K, m) diffusion
-#: block stays within this many bytes, so a snapshot's peak memory does not
-#: grow with M
-CHUNK_BYTES = 1 << 20
+#: batch_statistics walks whole batches in chunks whose work buffer, drift
+#: and (K, K, m) diffusion block stay within this many bytes together, so a
+#: snapshot's peak memory does not grow with M
+CHUNK_BYTES = 2 << 20
 
 
 @dataclass
@@ -88,43 +93,6 @@ def _ensemble_batches(m: int, n_batches: int):
     return batch_slices(m, n_batches)
 
 
-class _Batches:
-    """Per-batch sums along the trailing particle axis over contiguous slices
-    that tile it from 0."""
-
-    def __init__(self, slices):
-        self.slices = slices
-        self.starts = [s.start for s in slices]
-        self.counts = np.array([s.stop - s.start for s in slices])
-
-    def mean(self, v):
-        """Per-batch means of a (..., M) array, batch axis first."""
-        # batch_slices makes no empty segment, for which reduceat is not 0
-        return np.moveaxis(np.add.reduceat(v, self.starts, axis=-1)
-                           / self.counts, -1, 0)
-
-    def centre(self, v, mean):
-        """A (K, M) array minus its (nb, K) batch means."""
-        return v - np.repeat(mean.T, self.counts, axis=-1)
-
-    def products(self, u, v):
-        """Per-batch means of u v^T for (K, M) arrays, as (nb, K, K)."""
-        return (np.stack([u[:, s] @ v[:, s].T for s in self.slices])
-                / self.counts[:, None, None])
-
-    def moments(self, x):
-        """Batch means and central moments of a (K, M) array; centred values."""
-        mean = self.mean(x)
-        # one compensation pass removes the roundoff of the first mean
-        mean = mean + self.mean(self.centre(x, mean))
-        c = self.centre(x, mean)
-        c2 = c * c
-        c3 = c2 * c
-        return ({"count": self.counts, "mean": mean, "cov": self.products(c, c),
-                 "third": self.mean(c3), "fourth": self.mean(c2 * c2)},
-                (c, c2, c3))
-
-
 def estimate_moments(states: np.ndarray, batch_moments=None) -> MomentSet:
     """Moments of (M, N) full states, merged exactly from their batch_moments.
 
@@ -137,8 +105,8 @@ def estimate_moments(states: np.ndarray, batch_moments=None) -> MomentSet:
     m = states.shape[0]
     bm = batch_moments
     if bm is None:
-        whole = _Batches(_ensemble_batches(m, 1))
-        bm = whole.moments(component_major(states))[0]
+        _ensemble_batches(m, 1)  # refuses m < 2
+        bm = _chunk_statistics(component_major(states), [m])[0]
     if np.sum(bm["count"]) != m:
         raise InvalidParameter("batch_moments", f"batches hold "
                                f"{np.sum(bm['count'])} of {m} particles")
@@ -176,53 +144,116 @@ def batch_statistics(states: np.ndarray, proc: ProcessDefinition,
     expansion of the centred powers, 3E[c^2 (a - mean a)] + 3E[c B_ii] and
     4E[c^3 (a - mean a)] + 6E[c^2 B_ii] with c = Y_i - mean Y_i.
 
-    The pass walks whole batches in chunks of at most CHUNK_BYTES of
-    (K, K, m) diffusion block (one batch at least), and concatenates the
-    chunks' per-batch arrays.  Each particle meets drift and one diffusion
-    closure (diffusion_diag for a diagonal process: no (K, K, m) matrix)
-    exactly once; each per-batch sum is one segment sum over its own batch,
-    so the chunking changes no value.
+    The pass walks whole batches in chunks whose work buffer, drift and
+    (K, K, m) diffusion block stay within CHUNK_BYTES (one batch at least),
+    and concatenates the chunks' per-batch arrays.  Each particle meets
+    drift and one diffusion closure exactly once; each per-batch sum is one
+    segment sum over its own batch, so the chunking changes no value.
     """
     states = np.asarray(states, dtype=float)
     m, n = states.shape
     slices = _ensemble_batches(m, n_batches)
+    xs = component_major(states)
+    # per particle: the (4, N) work buffer, the drift and a (K, K) block
+    rows = 4 * n + (n - 1) + (n - 1) ** 2
     longest = max(s.stop - s.start for s in slices)
-    block = (n - 1) ** 2 * states.itemsize * longest  # one batch's (K, K, m)
-    per_chunk = max(1, CHUNK_BYTES // block)
+    per_chunk = max(1, CHUNK_BYTES // (rows * states.itemsize * longest))
     parts = []
     for i in range(0, len(slices), per_chunk):
         chunk = slices[i:i + per_chunk]
         lo = chunk[0].start
-        # a contiguous copy, like the one chunk of N <= 3: closures on a
-        # strided view of the whole run slower
         parts.append(_chunk_statistics(
-            component_major(states[lo:chunk[-1].stop]), proc,
-            _Batches([slice(s.start - lo, s.stop - lo) for s in chunk])))
+            xs[:, lo:chunk[-1].stop], [s.stop - s.start for s in chunk], proc))
     return tuple({key: np.concatenate([part[j][key] for part in parts])
                   for key in parts[0][j]} for j in (0, 1))
 
 
-def _chunk_statistics(x, proc, batches):
-    """batch_statistics' two dicts for the (N, m) states x of whole batches."""
-    moments, centred = batches.moments(x)
-    y = x[:-1]
-    c, c2, c3 = (v[:-1] for v in centred)
-    a = proc.drift(y)
-    a_mean = batches.mean(a)
-    ac = batches.centre(a, a_mean)
-    ya = batches.products(c, a)
-    if proc.diffusion_diag is not None:
-        d = proc.diffusion_diag(y)
-        b_mean = np.stack([np.diag(v) for v in batches.mean(d)])
+def _chunk_statistics(x, sizes, proc=None):
+    """batch_statistics' two dicts for the (N, m) states x of consecutive
+    batches of the given sizes; without proc, the moments alone and no
+    closure call.
+
+    The centred powers, then the rate products, are written in place into
+    one (4, N, m) work buffer and summed over every batch in one segment sum
+    each; drift and diffusion are summed where the closures return them.  A
+    run of equal-size batches is viewed as (..., batches, size): it is
+    centred by broadcasting against its batch means, and its per-batch
+    products are one stacked matmul.
+    """
+    n, m = x.shape
+    k = n - 1
+    counts = np.array(sizes)
+    starts = np.cumsum(counts) - counts
+    runs = []  # (particle slice, batch slice, size) of each run
+    for size, run in itertools.groupby(range(len(sizes)), sizes.__getitem__):
+        run = list(run)
+        runs.append((slice(starts[run[0]], starts[run[-1]] + size),
+                     slice(run[0], run[-1] + 1), size))
+
+    def mean(v):
+        """Per-batch means along the trailing axis, batch axis last."""
+        # batch_slices makes no empty segment, for which reduceat is not 0
+        return np.add.reduceat(v, starts, axis=-1) / counts
+
+    def batched(v, run):
+        return v[..., run[0]].reshape(v.shape[:-1] + (-1, run[2]))
+
+    def centre(v, mu, out):
+        for run in runs:
+            np.subtract(batched(v, run), mu[..., run[1], None],
+                        out=batched(out, run))
+
+    def products(u, v):
+        """Per-batch means of u v^T for (K, m) rows, as (batches, K, K)."""
+        out = np.empty((counts.size, u.shape[0], v.shape[0]))
+        for run in runs:
+            np.matmul(batched(u, run).transpose(1, 0, 2),
+                      batched(v, run).transpose(1, 2, 0), out=out[run[1]])
+        return out / counts[:, None, None]
+
+    if proc is not None:  # first, so closure temporaries never meet the buffer
+        a = proc.drift(x[:-1])
+        if proc.diffusion_diag is not None:
+            B, d = None, proc.diffusion_diag(x[:-1])
+        else:
+            B = proc.diffusion(x[:-1])
+            d = np.einsum("iim->im", B)
+    w = np.empty((4, n, m))
+    c, c3, c4 = w[:3]
+    mu = mean(x)
+    # one compensation pass removes the roundoff of the first mean
+    centre(x, mu, c)
+    mu = mu + mean(c)
+    centre(x, mu, c)
+    np.multiply(c, c, out=c4)
+    np.multiply(c4, c, out=c3)
+    np.multiply(c4, c4, out=c4)
+    third, fourth = mean(w[1:3])
+    moments = {"count": counts, "mean": mu.T, "cov": products(c, c),
+               "third": third.T, "fourth": fourth.T}
+    if proc is None:
+        return moments, None
+    ya = products(c[:k], a)
+    a_mean = mean(a)
+    if B is None:
+        b_mean = np.zeros((counts.size, k, k))
+        b_mean[:, range(k), range(k)] = mean(d).T
     else:
-        B = proc.diffusion(y)
-        d = np.einsum("iim->im", B)
-        b_mean = batches.mean(B)
-    mean = batches.mean
+        b_mean = np.moveaxis(mean(B), -1, 0)
+    # the rate products of the K reduced rows, each written over rows no
+    # later product reads: c^2 where c^4 was, a - mean a into block 3
+    ac, c2, cy, c3y = w[3, :k], c4[:k], c[:k], c3[:k]
+    centre(a, a_mean, ac)
+    np.multiply(cy, cy, out=c2)
+    np.multiply(c3y, ac, out=c3y)
+    np.multiply(c2, ac, out=ac)
+    np.multiply(cy, d, out=cy)
+    np.multiply(c2, d, out=c2)
+    cd, c3ac, c2d, c2ac = mean(w[:, :k])
     return moments, {
-        "mean": a_mean, "cov": ya + ya.transpose(0, 2, 1) + b_mean,
-        "third": 3.0 * mean(c2 * ac) + 3.0 * mean(c * d),
-        "fourth": 4.0 * mean(c3 * ac) + 6.0 * mean(c2 * d)}
+        "mean": a_mean.T, "cov": ya + ya.transpose(0, 2, 1) + b_mean,
+        "third": (3.0 * c2ac + 3.0 * cd).T,
+        "fourth": (4.0 * c3ac + 6.0 * c2d).T}
 
 
 def quantity_label(name: str, index) -> str:

@@ -158,15 +158,19 @@ def test_main_sets_heap_thresholds(tmp_path, monkeypatch):
                  "--outdir", str(tmp_path / "out")]) == 0
 
 
-def test_malformed_config_exits_2(tmp_path):
+def test_malformed_config_exits_2(tmp_path, monkeypatch):
     bad = tmp_path / "bad.yaml"
     bad.write_text("process: [unclosed\n  nope")
-    assert main(["check", "--config", str(bad)]) == 2
     missing = tmp_path / "missing.yaml"
-    assert main(["check", "--config", str(missing)]) == 2
     wrong_schema = tmp_path / "schema.yaml"
     wrong_schema.write_text("schema_version: 99\nprocess: {name: beta}\nseed: 1\n")
-    assert main(["check", "--config", str(wrong_schema)]) == 2
+    for base in _yaml_bases():
+        monkeypatch.setattr(cli, "_Loader", cli._yaml12_loader(base))
+        with pytest.raises(yaml.YAMLError):
+            yaml.load(bad.read_text(), Loader=cli._Loader)
+        assert main(["check", "--config", str(bad)]) == 2
+        assert main(["check", "--config", str(missing)]) == 2
+        assert main(["check", "--config", str(wrong_schema)]) == 2
 
 
 def test_single_particle_ensemble_exits_2(tmp_path):
@@ -185,7 +189,7 @@ def test_single_particle_ensemble_exits_2(tmp_path):
 _INTEGRATOR = {"dt": 1e-3, "t_end": 1.0, "record_every": 200}
 
 
-def test_invalid_integrator_exits_2_before_audit(tmp_path, capsys):
+def test_invalid_integrator_exits_2_before_audit(tmp_path):
     """Every numeric setting is read and checked before anything is written,
     the output directory included."""
     cases = [("integrator", {"dt": 0.0, "t_end": 1.0}),
@@ -278,30 +282,48 @@ def test_invalid_integrator_exits_2_before_audit(tmp_path, capsys):
     args = cli.make_parser().parse_args(["simulate", "--config", "-"])
     with pytest.raises(cli.ConfigError, match=r"'ensemble\.initial\.piont'"):
         cli.read_run(cfg, args, "simulate")
-    # hand-written YAML: an exponent without a dot is a number, as in YAML
-    # 1.2, wherever it stands; a quoted number is a string
+
+
+def _yaml_bases():
+    """The pure-Python safe loader, and libyaml's where PyYAML has it."""
+    return [yaml.SafeLoader] + ([yaml.CSafeLoader]
+                                if hasattr(yaml, "CSafeLoader") else [])
+
+
+def test_config_reader_uses_libyaml_where_available():
+    assert issubclass(cli._Loader, _yaml_bases()[-1])
+
+
+def test_yaml12_floats_read_as_numbers(tmp_path, capsys, monkeypatch):
+    """Hand-written YAML: an exponent without a dot is a number, as in YAML
+    1.2, wherever it stands; a quoted number is a string.  Under either
+    parser."""
     text = ("schema_version: 1\nseed: 7\nprocess: {name: %s, params: %s}\n"
             "integrator: {dt: %s, t_end: 0.1, record_every: 25}\n"
             "ensemble: {size: 200}\naudit: {samples_per_face: 100}\n")
-    for i, (name, params, dt) in enumerate((
-            ("beta", "{b: 2.0, S: 0.5, kappa: 1.0}", "1e-3"),
-            ("beta", "{b: 2e0, S: 0.5, kappa: 1e0}", "1e-3"),
-            ("dirichlet", "{b: [2e0, 2e0], S: [0.5, 0.5], kappa: [1.0, 1.0]}",
-             "1E-3"))):
-        cfg_path = tmp_path / "text.yaml"
-        cfg_path.write_text(text % (name, params, dt))
-        cfg = load_config(str(cfg_path))
-        assert cfg["integrator"]["dt"] == 1e-3
-        assert all(type(v) is float or type(v[0]) is float
-                   for v in cfg["process"]["params"].values())
+    for base in _yaml_bases():
+        monkeypatch.setattr(cli, "_Loader", cli._yaml12_loader(base))
+        tmp = tmp_path / base.__name__
+        tmp.mkdir()
+        for i, (name, params, dt) in enumerate((
+                ("beta", "{b: 2.0, S: 0.5, kappa: 1.0}", "1e-3"),
+                ("beta", "{b: 2e0, S: 0.5, kappa: 1e0}", "1e-3"),
+                ("dirichlet", "{b: [2e0, 2e0], S: [0.5, 0.5], kappa: [1.0, 1.0]}",
+                 "1E-3"))):
+            cfg_path = tmp / "text.yaml"
+            cfg_path.write_text(text % (name, params, dt))
+            cfg = load_config(str(cfg_path))
+            assert cfg["integrator"]["dt"] == 1e-3
+            assert all(type(v) is float or type(v[0]) is float
+                       for v in cfg["process"]["params"].values())
+            assert main(["simulate", "--config", str(cfg_path),
+                         "--outdir", str(tmp / f"text{i}")]) == 0, params
+        capsys.readouterr()
+        cfg_path.write_text(text % ("beta", "{b: 2.0, S: 0.5, kappa: 1.0}", '"0.001"'))
         assert main(["simulate", "--config", str(cfg_path),
-                     "--outdir", str(tmp_path / f"text{i}")]) == 0, params
-    capsys.readouterr()
-    cfg_path.write_text(text % ("beta", "{b: 2.0, S: 0.5, kappa: 1.0}", '"0.001"'))
-    assert main(["simulate", "--config", str(cfg_path),
-                 "--outdir", str(tmp_path / "quoted")]) == 2
-    assert not (tmp_path / "quoted").exists()
-    assert capsys.readouterr().err.startswith("error: integrator.dt: ")
+                     "--outdir", str(tmp / "quoted")]) == 2
+        assert not (tmp / "quoted").exists()
+        assert capsys.readouterr().err.startswith("error: integrator.dt: ")
 
 
 def test_simulate_outputs(tmp_path):
@@ -755,8 +777,9 @@ def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
 
 
 def test_memory_tool_measures_each_phase(tmp_path, monkeypatch):
-    """tools/phase_memory.py's phase_peaks runs a step, a snapshot and an
-    audit through the library's current signatures, on a small run."""
+    """tools/phase_memory.py's phase_costs runs a step, a snapshot and an
+    audit through the library's current signatures, on a small run, and
+    gives each phase's traced peak and untraced median wall time."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(os.path.join(root, "tools"))
@@ -767,9 +790,9 @@ def test_memory_tool_measures_each_phase(tmp_path, monkeypatch):
                        ensemble={"size": 200, "initial": {
                            "kind": "delta", "point": [1 / 3, 1 / 3, 1 / 3]}})
     args = cli.make_parser().parse_args(["simulate", "--config", "-"])
-    peaks, state = phase_memory.phase_peaks(cli.read_run(cfg, args, "simulate"))
-    assert list(peaks) == ["step", "snapshot", "audit"]
-    assert all(peak > 0 for peak in peaks.values()), peaks
+    costs, state = phase_memory.phase_costs(cli.read_run(cfg, args, "simulate"))
+    assert list(costs) == ["step", "snapshot", "audit"]
+    assert all(peak > 0 and 0 < wall < 1 for peak, wall in costs.values()), costs
     assert state == 2 * 200 * 8  # the (K, M) state owns its memory
 
 

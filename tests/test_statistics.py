@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -486,6 +487,56 @@ def test_batch_statistics_chunks_are_local(name, m):
                 assert np.array_equal(g[key][b], a[key][0]), (b, key)
 
 
+def _statistics_digest(stats):
+    """sha256 of every key, shape and byte of batch_statistics' two dicts."""
+    h = hashlib.sha256()
+    for part in stats:
+        for key, value in part.items():
+            h.update(f"{key}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()
+
+
+BATCH_STATISTICS_SHA256 = {
+    ("beta", 10000): "579be130333ca0c0db1ccc05ef774d9c83afab841cd037b154289738e736596d",
+    ("beta", 10001): "01e6de38b8718d8f7024361bdd547f110e7101231fe0bb10288d37934a30318d",
+    ("beta", 1003): "6bfe44762d71251c959d5dc27642746b217488424e8baea162dfec3c99708ef1",
+    ("dirichlet-3", 10000): "e83ae84187a49b16b849aed952e49742c3ff59fbc4e243f985ce88ccbb79fa07",
+    ("dirichlet-3", 10001): "5d4ddde3298b90d3628b1ce1c7621bb76d597c348b7550aaf1b0e70c97e4a1c5",
+    ("dirichlet-3", 1003): "5cabd195c3469604a94f95b0fa7c5036b07661575402b3c2b9c1d05448ebada7",
+    ("wright_fisher-3", 10000): "7292a5f6c3f2b19f3463b140b3d6faa4fd471d7bb69d216a9f275180813d3698",
+    ("wright_fisher-3", 10001): "1b90e397ff564e5d4d003b769f99ccebf12d4b26f80d33fb77bee297755ef104",
+    ("wright_fisher-3", 1003): "1418dcd9d12a88f146f24c12c5ddaa2737d6cb182924a483e508ad16cea511e2",
+    ("nested-3", 10000): "55551877c3e91ad5088ea6c55ca0b4cf0021b7e3f2dceed0aa6d6670dc89ff83",
+    ("nested-3", 10001): "383dc1697112db1460ecf60c9e306f0396284d53623ac3c3ee96fddd3c6a2721",
+    ("nested-3", 1003): "3bde3dac08fe7b05381c00f4d732500df9ad28cbd00641decdc732f076157c63",
+    ("dirichlet-8", 10000): "c84d63f980be2135d1d190d6beef71470497c6718400803fcb51f0a43843f0e4",
+    ("dirichlet-8", 10001): "49db33a5ce8c9c3ccb8582349a91f79e45c032b2f41c5eaf8acd64d3e6c55ae2",
+    ("dirichlet-8", 1003): "cb3423447edff5efcb772ebb3d10aba1734be4212c94273a39a46a69b86c6775",
+    ("wright_fisher-8", 10000): "1a26e96cde7031b92063b6703b1a3f6f0b7783adcec87c028a3ad540e1071d20",
+    ("wright_fisher-8", 10001): "e5cc9000a2d66bf316e6273073595a347625df83f18a3c9cfd78406c69147491",
+    ("wright_fisher-8", 1003): "64f1745aee6c877a72462f07f58138d5e920cf5ccecdccec64165a524f8be8cd",
+    ("nested-8", 10000): "02e9b4c0960c4eb56ededabde262a5aee91638287da2720d7586723c149b68bd",
+    ("nested-8", 10001): "536b58adc2dabeed5b3535c6537ec1353965b9cd58a977ab366977a737df0961",
+    ("nested-8", 1003): "951a4bcb1aa7684261ff877bf804b8eacb7945fc293086fcea24e0dd3e105c39",
+    ("user-3", 10000): "e83ae84187a49b16b849aed952e49742c3ff59fbc4e243f985ce88ccbb79fa07",
+    ("user-3", 10001): "5d4ddde3298b90d3628b1ce1c7621bb76d597c348b7550aaf1b0e70c97e4a1c5",
+    ("user-3", 1003): "5cabd195c3469604a94f95b0fa7c5036b07661575402b3c2b9c1d05448ebada7",
+}
+
+
+@pytest.mark.parametrize("name, m", sorted(BATCH_STATISTICS_SHA256))
+def test_batch_statistics_pinned(name, m):
+    """A guard against any change in the bits of a snapshot's statistics:
+    M = 10^4 tiles 20 equal batches, M = 10,001 and 1003 mix two batch
+    sizes, and at N = 8 the pass walks several chunks."""
+    proc = _statistics_processes()[name]
+    states = np.random.default_rng(43).dirichlet(np.full(proc.dimension, 1.5),
+                                                 size=m)
+    got = _statistics_digest(batch_statistics(states, proc))
+    assert got == BATCH_STATISTICS_SHA256[name, m]
+
+
 @pytest.mark.parametrize("name", ["wright_fisher-8", "dirichlet-8", "nested-8"])
 def test_batch_statistics_peak_memory(name):
     """One snapshot pass at N = 8, M = 10^4 allocates at most 4 MB at peak.
@@ -493,8 +544,9 @@ def test_batch_statistics_peak_memory(name):
     The bound comes from the (K, K, M) diffusion block: 3.9 MB at K = 7,
     which a whole-ensemble pass holds beside the centred powers (4.9 MB
     Dirichlet to 8.2 MB Wright-Fisher at peak).  A pass in chunks of at
-    most CHUNK_BYTES (1 MiB) of block peaks at 1.3-2.2 MB, the 0.64 MB of
-    component-major states included; 4 MB lies below the whole block alone.
+    most CHUNK_BYTES (2 MiB) of work buffer, drift and block peaks at
+    1.7-2.6 MB, the 0.64 MB of component-major states included; 4 MB lies
+    below the whole block alone.
     """
     import tracemalloc
     proc = _statistics_processes()[name]
@@ -542,22 +594,22 @@ def test_snapshot_evaluates_each_closure_once(name, monkeypatch):
     the particles, and batch_statistics evaluates drift and one diffusion
     closure once."""
     proc = _statistics_processes()[name]
-    counts = {"estimate_moments": 0, "batch_statistics": 0, "moments": 0}
-    for owner, fname in ((statistics, "estimate_moments"),
-                         (statistics, "batch_statistics"),
-                         (statistics._Batches, "moments")):
-        fn = getattr(owner, fname)
+    counts = dict.fromkeys(("estimate_moments", "batch_statistics",
+                            "_chunk_statistics"), 0)
+    for fname in counts:
+        fn = getattr(statistics, fname)
 
         def counted(*args, _fn=fn, _name=fname, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(owner, fname, counted)
+        monkeypatch.setattr(statistics, fname, counted)
     ens = Ensemble.from_uniform(proc.dimension, 200, np.random.default_rng(5))
     traj = simulate(proc, ens, IntegratorConfig(dt=1e-2), t_end=0.1,
                     record_every=3, rng=RandomSource(6, 0))
     assert traj.t.size == 5
+    # 200 particles make one chunk: one chunk pass per snapshot
     assert counts == {"estimate_moments": 5, "batch_statistics": 5,
-                      "moments": 5}
+                      "_chunk_statistics": 5}
 
     calls = dict.fromkeys(("drift", "diffusion", "diffusion_diag",
                            "diffusion_factor"), 0)

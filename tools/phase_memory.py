@@ -1,11 +1,13 @@
-"""Peak memory of one step, one snapshot and one audit on every benchmark family.
+"""Peak memory and wall time of one step, one snapshot and one audit on every
+benchmark family.
 
     python3 tools/phase_memory.py 1
 
 For every family of every workload in perfbench/workloads.py, reads the
 family's config at the given seed through ``cli.read_run`` as ``simulate``
 reads it, with the random streams ``simulate`` uses.  It then prints the
-peak that ``tracemalloc`` records during each phase:
+peak that ``tracemalloc`` records during each phase, and beside it the
+median wall time of 20 untraced calls of the phase:
 
 - step:     one ``_advance`` from the state a first, untraced step made
             from the config's start ensemble, as every later step of a run
@@ -15,10 +17,12 @@ peak that ``tracemalloc`` records during each phase:
 - audit:    one ``audit_boundary`` at the config's samples_per_face
 
 Each phase runs once untraced first, so lazy set-up is not counted, and the
-phase with the largest peak is named last on its family's line.  The peaks
-count the arrays a phase allocates, not the state it is given, so the line
-also prints ``state``: the bytes of the block that owns the memory of the
-state a step returns, which the next step holds throughout.  Run as a
+phase with the largest peak is named last on its family's line.  The timed
+calls follow the traced one, so the step they repeat advances the random
+stream, not the state the snapshot reads.  The peaks count the arrays a
+phase allocates, not the state it is given, so the line also prints
+``state``: the bytes of the block that owns the memory of the state a step
+returns, which the next step holds throughout.  Run as a
 script, it uses the sources under src/ of the checkout this file is in;
 imported, it uses the importer's ``simplexdiff`` and leaves ``sys.path``
 and ``sys.dont_write_bytecode`` as they were.
@@ -28,7 +32,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics as stats
 import sys
+import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,16 +46,26 @@ from simplexdiff.core import component_major  # noqa: E402
 from simplexdiff.realizability import audit_boundary  # noqa: E402
 
 
-def traced_peak(fn):
+TIMED_CALLS = 20
+
+
+def measure(fn):
     """fn() once untraced, then the tracemalloc peak in bytes of a second call,
-    and that call's result."""
+    the median wall time in seconds of TIMED_CALLS untraced calls after it,
+    and the traced call's result."""
     fn()
     tracemalloc.start()
     try:
         out = fn()
-        return tracemalloc.get_traced_memory()[1], out
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    times = []
+    for _ in range(TIMED_CALLS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return peak, stats.median(times), out
 
 
 def owner_bytes(a):
@@ -57,13 +73,14 @@ def owner_bytes(a):
     return (a if a.base is None else a.base).nbytes
 
 
-def phase_peaks(run):
-    """{phase: peak bytes} of one step, one snapshot and one audit of a run,
-    and the bytes of the block behind the state the step returns."""
+def phase_costs(run):
+    """{phase: (peak bytes, median seconds)} of one step, one snapshot and
+    one audit of a run, and the bytes of the block behind the state the step
+    returns."""
     rng = integrator.RandomSource(run.seed, 0)
     first, _, _ = integrator._advance(
         run.proc, component_major(run.init.reduced), run.icfg, rng)
-    step, (after, _, _) = traced_peak(
+    step_peak, step_wall, (after, _, _) = measure(
         lambda: integrator._advance(run.proc, first, run.icfg, rng))
 
     def snapshot():
@@ -71,9 +88,9 @@ def phase_peaks(run):
         bm, _ = statistics.batch_statistics(full, run.proc)
         return statistics.estimate_moments(full, bm)
     audit_rng = integrator.RandomSource(run.seed, 1)
-    return {"step": step, "snapshot": traced_peak(snapshot)[0],
-            "audit": traced_peak(lambda: audit_boundary(
-                run.proc, run.samples, audit_rng, run.tol))[0]}, owner_bytes(after)
+    return {"step": (step_peak, step_wall), "snapshot": measure(snapshot)[:2],
+            "audit": measure(lambda: audit_boundary(
+                run.proc, run.samples, audit_rng, run.tol))[:2]}, owner_bytes(after)
 
 
 def main(argv=None) -> int:
@@ -82,15 +99,16 @@ def main(argv=None) -> int:
     parser.add_argument("seed", type=int)
     seed = parser.parse_args(argv).seed
     args = cli.make_parser().parse_args(["simulate", "--config", "-"])
-    print(f"seed={seed}  tracemalloc peak in MB (10^6 bytes)")
+    print(f"seed={seed}  tracemalloc peak in MB (10^6 bytes), median untraced "
+          f"wall time in us of {TIMED_CALLS} calls")
     for workload in workloads.WORKLOADS:
         for family in workloads.WORKLOADS[workload]["families"]:
             cfg = workloads.family_config(workload, family, seed)
-            peaks, state = phase_peaks(cli.read_run(cfg, args, "simulate"))
-            cells = "  ".join(f"{phase} {peak / 1e6:6.2f}"
-                              for phase, peak in peaks.items())
+            costs, state = phase_costs(cli.read_run(cfg, args, "simulate"))
+            cells = "  ".join(f"{phase} {peak / 1e6:6.2f} {wall * 1e6:7.0f}us"
+                              for phase, (peak, wall) in costs.items())
             print(f"{workload:15s} {family:14s} {cells}  state {state / 1e6:5.2f}"
-                  f"  peak: {max(peaks, key=peaks.get)}")
+                  f"  peak: {max(costs, key=lambda phase: costs[phase][0])}")
     return 0
 
 
