@@ -3,11 +3,11 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import mmap
 import os
 import re
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -84,7 +84,8 @@ def test_cli_import_leaves_scipy_out():
 
 
 # Records mallopt lookups through ctypes, runs {run}, then asks glibc
-# whether a 20 MiB array, below the CLI's 32 MiB mmap threshold, was mmapped.
+# whether a 20 MiB array was mmapped, as glibc's default mmap threshold
+# (adaptive, at most 32 MiB) maps it.
 _HEAP_PROBE = """import ctypes
 seen = []
 
@@ -117,13 +118,12 @@ simulate(wright_fisher_process([1.0, 1.0, 1.0]),
          rng=RandomSource(1))"""
 
 
-@pytest.mark.parametrize("run,expected", [
-    pytest.param(_LIBRARY_RUN, "False 1", id="library"),
-    pytest.param("import simplexdiff.cli\nsimplexdiff.cli.main([])", "True 0",
-                 id="cli")])
-def test_heap_policy_is_set_by_main_only(run, expected):
-    """import simplexdiff plus simulate leave glibc's allocator alone; main
-    raises the mmap threshold."""
+@pytest.mark.parametrize("run", [
+    pytest.param(_LIBRARY_RUN, id="library"),
+    pytest.param("import simplexdiff.cli\nsimplexdiff.cli.main([])", id="cli")])
+def test_no_entry_point_sets_the_allocator(run):
+    """Neither simulate nor main looks up mallopt: every caller runs on
+    glibc's default allocator settings."""
     if not hasattr(ctypes.CDLL(None), "mallinfo2"):
         pytest.skip("needs glibc >= 2.33 for mallinfo2")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -133,29 +133,7 @@ def test_heap_policy_is_set_by_main_only(run, expected):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _HEAP_PROBE.format(run=run)],
                          capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == expected
-
-
-def test_main_sets_heap_thresholds(tmp_path, monkeypatch):
-    """main sets the mmap, then the trim threshold; a libc without mallopt
-    is left alone and the run goes on."""
-    calls = []
-
-    class Mallopt:
-        def __call__(self, param, value):
-            calls.append((param, value))
-            return 1
-
-    monkeypatch.setattr(cli.ctypes, "CDLL",
-                        lambda name: types.SimpleNamespace(mallopt=Mallopt()))
-    assert main([]) == 2
-    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
-    cfg_path = tmp_path / "run.yaml"
-    write_config(cfg_path)
-    assert main(["check", "--config", str(cfg_path),
-                 "--outdir", str(tmp_path / "out")]) == 0
+    assert out.stdout.strip() == "False 1"
 
 
 def test_malformed_config_exits_2(tmp_path, monkeypatch):
@@ -779,7 +757,8 @@ def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
 def test_memory_tool_measures_each_phase(tmp_path, monkeypatch):
     """tools/phase_memory.py's phase_costs runs a step, a snapshot and an
     audit through the library's current signatures, on a small run, and
-    gives each phase's traced peak and untraced median wall time."""
+    gives each phase's traced peak and untraced median wall time and minor
+    page faults."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(os.path.join(root, "tools"))
@@ -792,7 +771,14 @@ def test_memory_tool_measures_each_phase(tmp_path, monkeypatch):
     args = cli.make_parser().parse_args(["simulate", "--config", "-"])
     costs, state = phase_memory.phase_costs(cli.read_run(cfg, args, "simulate"))
     assert list(costs) == ["step", "snapshot", "audit"]
-    assert all(peak > 0 and 0 < wall < 1 for peak, wall in costs.values()), costs
+    assert all(peak > 0 and 0 < wall < 1 and faults >= 0
+               for peak, wall, faults in costs.values()), costs
+
+    def touch_fresh_pages():  # each call maps 64 new pages and writes them
+        pages = mmap.mmap(-1, 64 * mmap.PAGESIZE)
+        pages[::mmap.PAGESIZE] = b"\1" * 64
+        pages.close()
+    assert phase_memory.measure(touch_fresh_pages)[2] >= 1
     assert state == 2 * 200 * 8  # the (K, M) state owns its memory
 
 

@@ -1,18 +1,20 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (EvaluationFailure, MomentSet, RandomSource, ToleranceSet,
+from simplexdiff import (EvaluationFailure, MomentSet, RandomSource,
+                         SingularNesting, ToleranceSet,
                          audit_boundary, audit_covariance_structure,
                          audit_moment_bounds, beta_process, broken_process,
                          dirichlet_process,
                          estimate_moments, gen_dirichlet_process,
                          wright_fisher_process)
-from simplexdiff.core import ProcessDefinition
+from simplexdiff.core import ProcessDefinition, component_major
 
 
 def named_processes():
@@ -232,3 +234,236 @@ def test_audit_outputs_pinned(name):
     text = json.dumps(report.to_dict(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_SHA256[name]
     assert report.overall_pass is not name.startswith("broken")
+
+
+# The paper's constraints on polynomial fields, and the (Q, alpha) form they
+# leave.  Filipovic & Larsson, "Polynomial diffusions and applications in
+# finance", Finance Stoch. 20 (2016), characterise polynomial diffusions on
+# the unit simplex this way: the drift is a rate matrix Q, a(Y) = Q Y, and
+# the diffusion a sum of pair pieces alpha_ij Y_i Y_j (e_i - e_j)(e_i - e_j)^T,
+# in full coordinates.  Every check below is an identity up to roundoff, so
+# the fixed interior states the read-off evaluates decide no verdict.
+
+def _monomials(k, degree):
+    """Exponents, (count, k), of every monomial of degree <= degree in k
+    variables."""
+    return np.array([e for e in itertools.product(range(degree + 1), repeat=k)
+                     if sum(e) <= degree])
+
+
+def _p2_nodes(vertices):
+    """The vertices and edge midpoints of the simplex the rows span."""
+    return np.vstack([vertices] + [(vertices[i] + vertices[j]) / 2 for i, j in
+                                   itertools.combinations(range(len(vertices)), 2)])
+
+
+def _face_points(vertices):
+    """A face's P2 nodes plus three fixed points inside it."""
+    weights = np.arange(1.0, len(vertices) + 1.0)
+    inner = np.array([np.ones_like(weights), weights, weights[::-1]])
+    inner /= inner.sum(axis=1)[:, None]
+    return np.vstack([_p2_nodes(vertices), inner @ vertices])
+
+
+def _field_map(y, entries, exps):
+    """(K, K, unknowns): the map from the coefficients of the symmetric field
+    (one polynomial per entry (a, b), a <= b, over exps) to its value at y."""
+    k = y.shape[0]
+    out = np.zeros((k, k, len(entries), len(exps)))
+    values = np.prod(y ** exps, axis=1)
+    for i, (a, b) in enumerate(entries):
+        out[a, b, i] = out[b, a, i] = values
+    return out.reshape(k, k, -1)
+
+
+def _realizable_fields(n, diagonal=False, degree=2, unit_sum=True):
+    """The fields, symmetric (K, K) with entries of degree <= degree in the
+    reduced state, whose row a vanishes on the face y_a = 0 and, with
+    unit_sum, whose row sums vanish on the face sum(y) = 1: (dimension of
+    that space, its null-space basis as columns, the constraints' singular
+    values)."""
+    k = n - 1
+    exps = _monomials(k, degree)
+    entries = [(a, b) for a in range(k) for b in range(a, k) if a == b or not diagonal]
+    vertices = np.vstack([np.zeros(k), np.eye(k)])  # e_N, then e_1 ... e_K
+    rows = [_field_map(y, entries, exps)[a]
+            for a in range(k) for y in _face_points(np.delete(vertices, a + 1, axis=0))]
+    if unit_sum:
+        rows += [_field_map(y, entries, exps).sum(axis=1)
+                 for y in _face_points(vertices[1:])]
+    _, s, vt = np.linalg.svd(np.vstack(rows))
+    rank = int(np.sum(s > 1e-9 * s[0]))
+    return vt.shape[0] - rank, vt[rank:].T, s, (entries, exps)
+
+
+def _pair_pieces(n, pairs):
+    """The reduced (K, K) blocks of Y_i Y_j (e_i - e_j)(e_i - e_j)^T for each
+    (i, j) in pairs, evaluated at the P2 nodes of the simplex: one column
+    per pair."""
+    k = n - 1
+    nodes = _p2_nodes(np.eye(n))
+    cols = []
+    for i, j in pairs:
+        e = np.eye(n)[i] - np.eye(n)[j]
+        cols.append(np.concatenate([
+            (y[i] * y[j] * np.outer(e, e))[:k, :k].ravel() for y in nodes]))
+    return np.array(cols).T, nodes[:, :k]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_realizable_diffusion_is_coupled_and_nonlinear(n):
+    """The abstract's "must be coupled and nonlinear" as a rank count.  The
+    face conditions leave C(N, 2) dimensions of quadratic fields, spanned by
+    the pair pieces; K for diagonal ones, each alpha_a Y_a Y_N, coupled
+    through Y_N; and none at all for affine fields, diagonal or not."""
+    k = n - 1
+    all_pairs = list(itertools.combinations(range(n), 2))
+    star = [(a, n - 1) for a in range(k)]
+    for diagonal, pairs in ((False, all_pairs), (True, star)):
+        dim, basis, s, (entries, exps) = _realizable_fields(n, diagonal)
+        assert dim == len(pairs) == (k if diagonal else n * (n - 1) // 2)
+        # the rank is not a tolerance's call: no singular value near the cut
+        assert not np.any((s > 1e-13 * s[0]) & (s < 1e-6 * s[0])), s
+        # P2 nodes fix a quadratic, so equal values there mean equal fields
+        pieces, nodes = _pair_pieces(n, pairs)
+        found = np.concatenate([np.einsum("abu,ud->abd", _field_map(y, entries, exps),
+                                          basis).reshape(k * k, -1) for y in nodes])
+        assert np.linalg.matrix_rank(pieces) == dim
+        assert np.linalg.matrix_rank(np.hstack([found, pieces])) == dim
+        # control: without the unit-sum face more fields pass
+        assert _realizable_fields(n, diagonal, unit_sum=False)[0] > dim
+        assert _realizable_fields(n, diagonal, degree=1)[0] == 0
+        assert _realizable_fields(n, diagonal, degree=1, unit_sum=False)[0] > 0
+
+
+def _full(proc, states):
+    """Drift (N, M) and diffusion (N, N, M) in full coordinates at (M, N)
+    states: a_N = -sum(a), and B bordered so that its rows and columns sum
+    to 0."""
+    y = component_major(states[:, :-1])
+    a, b = proc.drift(y), proc.diffusion(y)
+    a = np.vstack([a, -a.sum(axis=0)])
+    b = np.concatenate([b, -b.sum(axis=0, keepdims=True)], axis=0)
+    return a, np.concatenate([b, -b.sum(axis=1, keepdims=True)], axis=1)
+
+
+def polynomial_generator(proc):
+    """(Q, alpha, residual) of proc in full coordinates, or None where the
+    closures are undefined at the nodes (not polynomial).
+
+    Q[i, j] = q_{j->i} = a_i(e_j), the drift at the vertices, so that
+    a(Y) = Q Y; alpha[i, j] = 4 B_ii at the midpoint of edge (i, j).  The
+    residual is the largest difference between the closures and
+    a = Q Y, B = diag(P 1) - P with P = alpha * Y Y^T at 400 Dirichlet(1)
+    states."""
+    n = proc.dimension
+    pairs = list(itertools.combinations(range(n), 2))
+    try:
+        q = _full(proc, np.eye(n))[0]
+        mid = _full(proc, np.array([(np.eye(n)[i] + np.eye(n)[j]) / 2
+                                    for i, j in pairs]))[1]
+        states = np.random.default_rng(0).dirichlet(np.ones(n), 400)
+        a, b = _full(proc, states)
+    except SingularNesting:
+        return None
+    alpha = np.zeros((n, n))
+    for p, (i, j) in enumerate(pairs):
+        alpha[i, j] = alpha[j, i] = 4.0 * mid[i, i, p]
+    y = states.T
+    pieces = alpha[:, :, None] * y[:, None] * y[None]
+    fit = np.eye(n)[:, :, None] * pieces.sum(axis=1)[:, None] - pieces
+    residual = max(np.max(np.abs(a - q @ y)), np.max(np.abs(b - fit)))
+    return q, alpha, residual
+
+
+def _constant_ratio_dirichlet(b, kappa, ratio):
+    """The Dirichlet process with (1 - S) b / kappa = ratio for every
+    component, which has a Dirichlet invariant law."""
+    b, kappa = np.asarray(b, float), np.asarray(kappa, float)
+    return dirichlet_process(b, 1.0 - ratio * kappa / b, kappa)
+
+
+def _varying_dirichlet():
+    """A Dirichlet process whose (1 - S) b / kappa varies: 2, 1.05, 0.8 / 3."""
+    return dirichlet_process([4.0, 3.0, 2.0], [0.5, 0.3, 0.6], [1.0, 2.0, 3.0])
+
+
+#: polynomial processes with a Dirichlet invariant law
+_POLYNOMIAL = {
+    "beta": lambda: beta_process(2.0, 0.5, 1.0),
+    "wright_fisher_4": lambda: wright_fisher_process([1.0, 2.0, 3.0, 4.0]),
+    "wright_fisher_8": lambda: wright_fisher_process(np.ones(8)),
+    "dirichlet_4": lambda: _constant_ratio_dirichlet(
+        [4.0, 3.0, 2.0], [1.0, 2.0, 3.0], 0.5),
+    "dirichlet_8": lambda: _constant_ratio_dirichlet(
+        np.arange(2.0, 9.0), np.linspace(1.0, 2.5, 7), 0.75),
+}
+
+
+def _balance_gap(q, alpha, omega):
+    """Largest |q_{j->i} - alpha_ij omega_i / 2| over i != j, relative to
+    the largest rate: 0 under detailed balance with the Dirichlet(omega)
+    law."""
+    off = ~np.eye(len(omega), dtype=bool)
+    return np.max(np.abs(q - alpha * omega[:, None] / 2.0)[off]) / np.max(q[off])
+
+
+@pytest.mark.parametrize("name", [*_POLYNOMIAL, "dirichlet_varying"])
+def test_polynomial_families_read_back_as_rates_and_pairs(name):
+    """Each polynomial family is a rate matrix and non-negative pair weights:
+    the (Q, alpha) read at the nodes rebuilds its closures at interior states,
+    with Dirichlet's pairs a star on component N and Wright-Fisher's all 1."""
+    proc = _varying_dirichlet() if name == "dirichlet_varying" else _POLYNOMIAL[name]()
+    q, alpha, residual = polynomial_generator(proc)
+    n = proc.dimension
+    off = ~np.eye(n, dtype=bool)
+    assert residual <= 1e-14
+    assert np.all(q[off] >= 0.0) and np.all(alpha >= 0.0)
+    npt.assert_array_equal(alpha, alpha.T)
+    npt.assert_array_equal(np.diag(alpha), 0.0)
+    if name.startswith("wright_fisher"):
+        npt.assert_array_equal(alpha[off], 1.0)
+    else:  # beta is the N = 2 Dirichlet process
+        star = np.zeros((n, n), dtype=bool)
+        star[:-1, -1] = star[-1, :-1] = True
+        assert np.all(alpha[star] > 0.0) and np.all(alpha[~star] == 0.0)
+
+
+@pytest.mark.parametrize("name", _POLYNOMIAL)
+def test_detailed_balance_gives_the_invariant_dirichlet(name):
+    """q_{j->i} = alpha_ij omega_i / 2 for every pair, omega the process's
+    invariant_dirichlet; one rate moved by 0.1 breaks it."""
+    proc = _POLYNOMIAL[name]()
+    q, alpha, _ = polynomial_generator(proc)
+    assert _balance_gap(q, alpha, proc.invariant_dirichlet) <= 1e-12
+
+    def moved(y):  # q_{N->1} + 0.1: component 1 gains 0.1 Y_N from component N
+        out = proc.drift(y)
+        out[0] += 0.1 * (1.0 - np.sum(y, axis=0))
+        return out
+    q, alpha, residual = polynomial_generator(dataclasses.replace(proc, drift=moved))
+    assert residual <= 1e-14
+    assert _balance_gap(q, alpha, proc.invariant_dirichlet) >= 0.1 / np.max(q) - 1e-12
+
+
+def test_varying_ratio_dirichlet_has_no_invariant_dirichlet():
+    """With (1 - S) b / kappa varying, the pairs (a, N) ask for different
+    omega_N = 2 q_{a->N} / alpha_aN, so no Dirichlet law balances them, and
+    the process states none."""
+    proc = _varying_dirichlet()
+    assert proc.invariant_dirichlet is None
+    q, alpha, _ = polynomial_generator(proc)
+    omega_n = 2.0 * q[-1, :-1] / alpha[:-1, -1]
+    npt.assert_allclose(omega_n, [2.0, 1.05, 0.8 / 3.0], rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_nested_process_is_not_polynomial(n):
+    """Every nesting remainder is 0 at a vertex, so the nested closures raise
+    there and the read-off reports the process as not polynomial."""
+    k = n - 1
+    proc = gen_dirichlet_process(np.full(k, 2.0), np.full(k, 0.5), np.ones(k),
+                                 c="reduction")
+    with pytest.raises(SingularNesting):
+        proc.drift(np.eye(k)[:, :1])
+    assert polynomial_generator(proc) is None

@@ -1,5 +1,5 @@
-"""Peak memory and wall time of one step, one snapshot and one audit on every
-benchmark family.
+"""Peak memory, wall time and page faults of one step, one snapshot and one
+audit on every benchmark family.
 
     python3 tools/phase_memory.py 1
 
@@ -7,7 +7,9 @@ For every family of every workload in perfbench/workloads.py, reads the
 family's config at the given seed through ``cli.read_run`` as ``simulate``
 reads it, with the random streams ``simulate`` uses.  It then prints the
 peak that ``tracemalloc`` records during each phase, and beside it the
-median wall time of 20 untraced calls of the phase:
+median wall time and the median minor page-fault count (``ru_minflt`` of
+``resource.getrusage``, every thread of the process) of 20 untraced calls
+of the phase:
 
 - step:     one ``_advance`` from the state a first, untraced step made
             from the config's start ensemble, as every later step of a run
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import statistics as stats
 import sys
 import time
@@ -49,10 +52,14 @@ from simplexdiff.realizability import audit_boundary  # noqa: E402
 TIMED_CALLS = 20
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def measure(fn):
     """fn() once untraced, then the tracemalloc peak in bytes of a second call,
-    the median wall time in seconds of TIMED_CALLS untraced calls after it,
-    and the traced call's result."""
+    the median wall time in seconds and the median minor-fault count of
+    TIMED_CALLS untraced calls after it, and the traced call's result."""
     fn()
     tracemalloc.start()
     try:
@@ -60,12 +67,13 @@ def measure(fn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    times = []
+    times, faults = [], []
     for _ in range(TIMED_CALLS):
-        start = time.perf_counter()
+        start, start_faults = time.perf_counter(), minor_faults()
         fn()
         times.append(time.perf_counter() - start)
-    return peak, stats.median(times), out
+        faults.append(minor_faults() - start_faults)
+    return peak, stats.median(times), stats.median(faults), out
 
 
 def owner_bytes(a):
@@ -74,13 +82,13 @@ def owner_bytes(a):
 
 
 def phase_costs(run):
-    """{phase: (peak bytes, median seconds)} of one step, one snapshot and
-    one audit of a run, and the bytes of the block behind the state the step
-    returns."""
+    """{phase: (peak bytes, median seconds, median minor faults)} of one
+    step, one snapshot and one audit of a run, and the bytes of the block
+    behind the state the step returns."""
     rng = integrator.RandomSource(run.seed, 0)
     first, _, _ = integrator._advance(
         run.proc, component_major(run.init.reduced), run.icfg, rng)
-    step_peak, step_wall, (after, _, _) = measure(
+    *step, (after, _, _) = measure(
         lambda: integrator._advance(run.proc, first, run.icfg, rng))
 
     def snapshot():
@@ -88,9 +96,9 @@ def phase_costs(run):
         bm, _ = statistics.batch_statistics(full, run.proc)
         return statistics.estimate_moments(full, bm)
     audit_rng = integrator.RandomSource(run.seed, 1)
-    return {"step": (step_peak, step_wall), "snapshot": measure(snapshot)[:2],
+    return {"step": tuple(step), "snapshot": measure(snapshot)[:3],
             "audit": measure(lambda: audit_boundary(
-                run.proc, run.samples, audit_rng, run.tol))[:2]}, owner_bytes(after)
+                run.proc, run.samples, audit_rng, run.tol))[:3]}, owner_bytes(after)
 
 
 def main(argv=None) -> int:
@@ -99,14 +107,15 @@ def main(argv=None) -> int:
     parser.add_argument("seed", type=int)
     seed = parser.parse_args(argv).seed
     args = cli.make_parser().parse_args(["simulate", "--config", "-"])
-    print(f"seed={seed}  tracemalloc peak in MB (10^6 bytes), median untraced "
-          f"wall time in us of {TIMED_CALLS} calls")
+    print(f"seed={seed}  tracemalloc peak in MB (10^6 bytes), then the median "
+          f"untraced wall time in us and minor faults of {TIMED_CALLS} calls")
     for workload in workloads.WORKLOADS:
         for family in workloads.WORKLOADS[workload]["families"]:
             cfg = workloads.family_config(workload, family, seed)
             costs, state = phase_costs(cli.read_run(cfg, args, "simulate"))
-            cells = "  ".join(f"{phase} {peak / 1e6:6.2f} {wall * 1e6:7.0f}us"
-                              for phase, (peak, wall) in costs.items())
+            cells = "  ".join(
+                f"{phase} {peak / 1e6:6.2f} {wall * 1e6:7.0f}us {faults:6.0f}f"
+                for phase, (peak, wall, faults) in costs.items())
             print(f"{workload:15s} {family:14s} {cells}  state {state / 1e6:5.2f}"
                   f"  peak: {max(costs, key=lambda phase: costs[phase][0])}")
     return 0
