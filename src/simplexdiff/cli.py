@@ -28,7 +28,8 @@ from . import __version__
 from .core import Ensemble, check_count, check_positive, make_state
 from .errors import (ConfigError, InsufficientSnapshots, InvalidParameter,
                      SimplexDiffError)
-from .integrator import IntegratorConfig, RandomSource, simulate, snapshot_steps
+from .integrator import (SEED_RANGE, IntegratorConfig, RandomSource, simulate,
+                         snapshot_steps)
 from .processes import (beta_process, broken_process, dirichlet_process,
                         gen_dirichlet_process, wright_fisher_process)
 from .realizability import (EXACT_TOL, ToleranceSet, audit_boundary,
@@ -96,14 +97,14 @@ def build_process(cfg: dict):
         raise ConfigError(f"invalid parameters for process {name!r}: {exc}") from exc
 
 
-def _checked(name, value, kind=float, low=0, shape=()):
-    """value by the core rule for a count >= low + 1 (kind int; an integral
-    float such as 10000.0 is one) or for numbers > low of the given shape,
-    its InvalidParameter a ConfigError naming name."""
+def _checked(name, value, kind=float, low=0, shape=(), high=np.inf):
+    """value by the core rule for a count in [low + 1, high) (kind int; an
+    integral float such as 10000.0 is one) or for numbers > low of the given
+    shape, its InvalidParameter a ConfigError naming name."""
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     try:
-        return (check_count(name, value, low + 1) if kind is int
+        return (check_count(name, value, low + 1, high) if kind is int
                 else check_positive(name, value, low=low, shape=shape))
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
@@ -119,9 +120,9 @@ def setting(cfg: dict, section: str, key: str, default, kind=float, low=0):
 
 
 def run_seed(cfg: dict, args) -> int:
-    """--seed, else the config seed: an integer of any sign, not a bool."""
+    """--seed, else the config seed: an integer in SEED_RANGE, not a bool."""
     return _checked("seed", cfg["seed"] if args.seed is None else args.seed,
-                   int, -np.inf)
+                    int, SEED_RANGE[0] - 1, high=SEED_RANGE[1])
 
 
 #: the keys each kind of ensemble.initial takes

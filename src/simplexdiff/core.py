@@ -9,7 +9,6 @@ All types here are immutable values after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,10 +29,12 @@ def holds_bool(x) -> bool:
                for e in np.ravel(np.asarray(x, dtype=object)))
 
 
-def check_count(name, value, least=1):
-    """value, refused unless it is an integer >= least; a bool is not a count."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
-        raise InvalidParameter(name, f"must be an integer >= {least}, got {value!r}")
+def check_count(name, value, least=1, high=np.inf):
+    """value, refused unless it is an integer in [least, high); a bool is not a count."""
+    if (type(value) is bool or not isinstance(value, (int, np.integer))
+            or not least <= value < high):
+        bound = f">= {least}" if high == np.inf else f"in [{least}, {high})"
+        raise InvalidParameter(name, f"must be an integer {bound}, got {value!r}")
     return value
 
 
@@ -81,9 +82,8 @@ class ProcessDefinition:
     the diagonal of a diagonal diffusion matrix; its square root is the
     factor, and the boundary audit judges it in place of diffusion.  A
     process that supplies neither is factored through an eigendecomposition
-    of its diffusion matrix.  With diffusion_diag, diffusion may be omitted:
-    it is built from the diagonal, again whenever dataclasses.replace gives
-    a new one.
+    of its diffusion matrix.  A process needs diffusion or diffusion_diag:
+    a diagonal process states only the diagonal, and its diffusion is None.
 
     invariant_dirichlet, the (N,) concentrations of the process's Dirichlet
     invariant law or None, is the stationary oracle's only input.  dimension
@@ -103,27 +103,13 @@ class ProcessDefinition:
         if check_count("dimension", self.dimension, least=2) > MAX_DIMENSION:
             raise InvalidParameter("dimension", f"must be <= {MAX_DIMENSION}, "
                                    f"got {self.dimension}")
-        diag = self.diffusion_diag
-        derived = getattr(self.diffusion, "func", None) is _diag_matrices
-        if diag is not None and (self.diffusion is None or derived):
-            object.__setattr__(self, "diffusion", partial(_diag_matrices, diag))
-        elif self.diffusion is None:
+        if self.diffusion is None and self.diffusion_diag is None:
             raise InvalidParameter("diffusion", f"process {self.name!r} needs "
                                    "diffusion or diffusion_diag")
 
     @property
     def k(self) -> int:
         return self.dimension - 1
-
-
-def _diag_matrices(diag, y):
-    """The (K, K, ...) diagonal matrices of the (K, ...) diagonals diag(y)."""
-    d = diag(y)
-    k = d.shape[0]
-    out = np.zeros((k,) + d.shape)
-    idx = np.arange(k)
-    out[idx, idx] = d
-    return out
 
 
 def component_major(states: np.ndarray) -> np.ndarray:

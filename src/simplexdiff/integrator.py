@@ -45,8 +45,13 @@ def _cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+#: a seed or stream id keys Philox as one 64-bit word, onto which the signed
+#: 64-bit integers map one to one: a wider range would alias streams
+SEED_RANGE = (-2 ** 63, 2 ** 63)
+
+
 class RandomSource:
-    """Deterministic noise stream keyed by (seed, stream_id).
+    """Deterministic noise stream keyed by (seed, stream_id) in SEED_RANGE.
 
     Backed by the Philox counter-based generator, so identical keys yield
     identical increment sequences on any platform or thread layout, also
@@ -54,6 +59,8 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
+        check_count("seed", seed, *SEED_RANGE)
+        check_count("stream_id", stream_id, *SEED_RANGE)
         key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF,
                         int(stream_id) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))

@@ -2,12 +2,11 @@
 
 Each constructor validates its parameters and returns a ProcessDefinition
 whose closures take the component-major reduced state alone, (N-1, ...):
-drift and diffusion_diag return (N-1, ...), diffusion (N-1, N-1, ...), and
-Wright-Fisher's diffusion_factor two (N-1, ...) arrays (r, w).  The
-diagonal-diffusion processes supply diffusion_diag alone; ProcessDefinition
-builds their matrices.  Drift and diffusion entries carry units of 1/time.
-The beta, Wright-Fisher and constant-ratio Dirichlet processes state their
-Dirichlet invariant law as invariant_dirichlet.
+drift and diffusion_diag return (N-1, ...), Wright-Fisher's diffusion
+(N-1, N-1, ...) and its diffusion_factor two (N-1, ...) arrays (r, w); the
+other processes' diffusion is None.  Drift and diffusion entries carry
+units of 1/time.  The beta, Wright-Fisher and constant-ratio Dirichlet
+processes state their Dirichlet invariant law as invariant_dirichlet.
 """
 
 from __future__ import annotations

@@ -423,6 +423,12 @@ def test_seed_override_changes_results(tmp_path):
     main(["simulate", "--config", str(cfg_path), "--outdir", str(out2),
           "--seed", "8"])
     assert (out1 / "moments.csv").read_bytes() != (out2 / "moments.csv").read_bytes()
+    # a flag outside [-2**63, 2**63) exits 2 before any output exists; 2**64
+    # drew seed 0's stream
+    out3 = tmp_path / "c"
+    assert main(["simulate", "--config", str(cfg_path), "--outdir", str(out3),
+                 "--seed", str(2 ** 64)]) == 2
+    assert not out3.exists()
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):
@@ -713,19 +719,23 @@ def test_load_config_requires_keys(tmp_path):
         load_config(str(p))
 
 
-def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
+@pytest.mark.parametrize("process", [
+    {"name": "wright_fisher", "params": {"omega": [1.0, 1.0, 1.0]}},
+    {"name": "dirichlet", "params": {"b": [4.0, 4.0], "S": [0.5, 0.5],
+                                     "kappa": [1.0, 1.0]}}],
+    ids=["wright_fisher", "dirichlet"])
+def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch, process):
     """The benchmark's tracer patches simplexdiff's entry points by name: a
     traced compare still records drift calls, snapshots and normal draws,
     and counts the same draws and resample rounds whether the integrator's
-    helper thread draws the normals ahead or not."""
+    helper thread draws the normals ahead or not.  The tracer wraps a
+    diagonal process's diffusion, None, which nothing then calls."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     tracing = importlib.import_module("tracing")
     cfg_path = tmp_path / "run.yaml"
-    write_config(cfg_path,
-                 process={"name": "wright_fisher",
-                          "params": {"omega": [1.0, 1.0, 1.0]}},
+    write_config(cfg_path, process=process,
                  integrator={"dt": 1e-3, "t_end": 0.02, "record_every": 5},
                  ensemble={"size": 200, "initial": {
                      "kind": "delta", "point": [1 / 3, 1 / 3, 1 / 3]}})
@@ -749,6 +759,8 @@ def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
         # 20 steps, a snapshot every 5th and at step 0; one drift call a step
         assert metrics["statistics.snapshots"] == 5
         assert metrics["processes.evals_per_step"] == 1.0
+        assert (metrics["processes.diffusion_matrix_calls"] > 0) == (
+            process["name"] == "wright_fisher")
         counts.append((metrics["integrator.normals_drawn"],
                        metrics["integrator.resample_rounds"]))
     assert counts[0] == counts[1]
@@ -758,7 +770,8 @@ def test_memory_tool_measures_each_phase(tmp_path, monkeypatch):
     """tools/phase_memory.py's phase_costs runs a step, a snapshot and an
     audit through the library's current signatures, on a small run, and
     gives each phase's traced peak and untraced median wall time and minor
-    page faults."""
+    page faults; operation_cost times whole compare runs of the config file,
+    one warm-up and OPERATIONS more, each writing its own directory."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(os.path.join(root, "tools"))
@@ -780,6 +793,12 @@ def test_memory_tool_measures_each_phase(tmp_path, monkeypatch):
         pages.close()
     assert phase_memory.measure(touch_fresh_pages)[2] >= 1
     assert state == 2 * 200 * 8  # the (K, M) state owns its memory
+    wall, faults = phase_memory.operation_cost(str(tmp_path / "run.yaml"),
+                                               str(tmp_path / "ops"))
+    assert 0 < wall < 10 and faults >= 0
+    runs = sorted(os.listdir(tmp_path / "ops"))
+    assert runs == [str(i) for i in range(phase_memory.OPERATIONS + 1)]
+    assert all((tmp_path / "ops" / run / "compare.json").exists() for run in runs)
 
 
 @pytest.mark.parametrize("tool", ["output_digests", "phase_memory"])
@@ -921,6 +940,9 @@ def test_readme_config_schema_reads():
         "style": "outward_drift", "n": 10 ** 30}}, "dimension"),
     ("check", "process", {"name": "broken", "params": {
         "style": "outward_drift", "n": 65}}, "dimension"),
+    # keyed the streams of seeds 0 and 2**63 - 1
+    ("check", "seed", 2 ** 64, "seed:"),
+    ("simulate", "seed", -2 ** 63 - 1, "seed:"),
 ])
 def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command,
                                              section, values, key):

@@ -102,55 +102,30 @@ def test_ensemble_constructors():
     npt.assert_array_equal(ens3.states, [[0.2, 0.8], [1.0, 0.0]])
 
 
-def test_process_definition_derives_diagonal_diffusion():
-    """diffusion defaults to the diagonal matrices of diffusion_diag."""
+def test_process_definition_takes_the_diffusion_as_given():
+    """A process needs diffusion or diffusion_diag: a diagonal process's
+    diffusion is None, dropping its diagonal is refused, and a given matrix
+    is kept as it is, also by dataclasses.replace."""
     def drift(y):
         return -y
 
-    def diag(y):
-        return y * (1.0 - y)
-
-    p = ProcessDefinition(dimension=3, drift=drift, name="diag",
-                          diffusion_diag=diag)
-    y = np.array([[0.2, 0.1, 0.0], [0.3, 0.6, 1.0]])
-    B = p.diffusion(y)
-    assert B.shape == (2, 2, 3)
-    npt.assert_array_equal(np.einsum("iim->im", B), diag(y))
-    npt.assert_array_equal(B[0, 1], 0.0)
-    npt.assert_array_equal(B[1, 0], 0.0)
-    npt.assert_array_equal(p.diffusion(y[:, 0]), np.diag(diag(y[:, 0])))
-    with pytest.raises(ValueError, match="needs diffusion"):
+    with pytest.raises(InvalidParameter, match="needs diffusion") as err:
         ProcessDefinition(dimension=3, drift=drift, name="none")
+    assert err.value.field == "diffusion"
+    p = dirichlet_process(b=[2.0, 2.0], S=[0.5, 0.5], kappa=[1.0, 1.0])
+    assert p.diffusion is None
+    with pytest.raises(InvalidParameter, match="needs diffusion") as err:
+        dataclasses.replace(p, diffusion_diag=None)
+    assert err.value.field == "diffusion"
 
     def matrix(y):
         return np.zeros((2,) + y.shape)
 
-    assert dataclasses.replace(p, diffusion=matrix).diffusion is matrix
+    r = dataclasses.replace(p, diffusion=matrix)
+    assert r.diffusion is matrix and r.diffusion_diag is p.diffusion_diag
+    assert dataclasses.replace(r, diffusion_diag=None).diffusion is matrix
     # name precedes diffusion for positional callers
     assert ProcessDefinition(3, drift, "pos", matrix).diffusion is matrix
-
-
-def test_replaced_diagonal_rebuilds_derived_diffusion():
-    """A new diffusion_diag brings a new derived matrix; a diffusion passed
-    in is kept, and dropping the diagonal keeps the last derived matrix."""
-    p = dirichlet_process(b=[2.0, 2.0], S=[0.5, 0.5], kappa=[1.0, 1.0])
-    y = np.array([0.2, 0.3])
-
-    def doubled(y):
-        return 2.0 * p.diffusion_diag(y)
-
-    q = dataclasses.replace(p, diffusion_diag=doubled)
-    npt.assert_array_equal(q.diffusion_diag(y), [0.2, 0.3])
-    npt.assert_array_equal(q.diffusion(y), np.diag([0.2, 0.3]))
-    npt.assert_array_equal(dataclasses.replace(q, diffusion_diag=None)
-                           .diffusion(y), np.diag([0.2, 0.3]))
-
-    def matrix(y):
-        return np.zeros((2,) + y.shape)
-
-    r = dataclasses.replace(q, diffusion=matrix)
-    assert r.diffusion is matrix
-    assert dataclasses.replace(r, diffusion_diag=p.diffusion_diag).diffusion is matrix
 
 
 def test_process_dimension_is_a_count():
@@ -213,6 +188,15 @@ def _small_trajectory():
     ("b", lambda: gen_dirichlet_process(b=[10 ** 400], S=[0.5], kappa=[1.0])),
     ("b", lambda: dirichlet_process(b=np.full((2, 2), 2.0), S=[0.5, 0.5],
                                     kappa=[1.0, 1.0])),
+    # a seed or stream id is an integer in [-2**63, 2**63): out of it, or
+    # as a float or a bool, it aliased an in-range key (2**64 keyed seed 0)
+    ("seed", lambda: RandomSource(2 ** 64)),
+    ("seed", lambda: RandomSource(2 ** 63)),
+    ("seed", lambda: RandomSource(-2 ** 63 - 1)),
+    ("seed", lambda: RandomSource(1.9)),
+    ("seed", lambda: RandomSource(True)),
+    ("stream_id", lambda: RandomSource(0, 2 ** 64 - 1)),
+    ("stream_id", lambda: RandomSource(0, np.True_)),
 ])
 def test_numbers_and_counts_have_one_rule(name, call):
     """A tolerance, step, duration, multiplier or process rate is a finite

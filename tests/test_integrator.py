@@ -113,6 +113,15 @@ def test_random_source_streams():
     c = RandomSource(5, 1).normals(4)
     npt.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+    # a key is the 64-bit two's-complement word of the seed and stream id,
+    # and the ends of their range are distinct streams
+    for seed, stream, words in ((-1, 0, [2 ** 64 - 1, 0]), (0, -2 ** 63, [0, 2 ** 63]),
+                                (2 ** 63 - 1, 0, [2 ** 63 - 1, 0])):
+        philox = np.random.Philox(key=np.array(words, dtype=np.uint64))
+        npt.assert_array_equal(RandomSource(seed, stream).normals(4),
+                               np.random.Generator(philox).standard_normal(4))
+    assert not np.array_equal(RandomSource(2 ** 63 - 1).normals(4),
+                              RandomSource(-2 ** 63).normals(4))
 
 
 def test_clip_renormalize_policy():

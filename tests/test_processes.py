@@ -14,8 +14,8 @@ def test_beta_substitution():
     p = beta_process(b=2.0, S=0.5, kappa=1.0)
     y = np.array([[0.0, 1.0, 0.5]])
     npt.assert_allclose(p.drift(y), [[0.5, -0.5, 0.0]])
-    B = p.diffusion(y)
-    npt.assert_allclose(B[0, 0, :], [0.0, 0.0, 0.25])
+    assert p.diffusion is None
+    npt.assert_allclose(p.diffusion_diag(y), [[0.0, 0.0, 0.25]])
 
 
 def test_beta_drift_affine_diffusion_quadratic():
@@ -24,10 +24,10 @@ def test_beta_drift_affine_diffusion_quadratic():
     a = p.drift(y)[0]
     # affine: second differences vanish
     npt.assert_allclose(np.diff(a, 2), 0.0, atol=1e-14)
-    d = p.diffusion(y)[0, 0, :]
+    d = p.diffusion_diag(y)[0]
     assert d[0] == 0.0 and d[-1] == 0.0
     assert np.all(d[1:-1] > 0.0)
-    npt.assert_allclose(p.diffusion(np.array([[0.5]]))[0, 0, 0], 2.0 / 4)
+    npt.assert_allclose(p.diffusion_diag(np.array([[0.5]]))[0, 0], 2.0 / 4)
 
 
 def test_beta_param_validation():
@@ -114,7 +114,7 @@ def test_dirichlet_substitution():
                           kappa=np.array([1.0, 1.0]))
     y = np.array([0.25, 0.25])
     npt.assert_allclose(p.drift(y), [0.125, 0.125])
-    npt.assert_allclose(p.diffusion(y), np.diag([0.125, 0.125]))
+    npt.assert_allclose(p.diffusion_diag(y), [0.125, 0.125])
 
 
 def test_dirichlet_boundary_values():
@@ -123,11 +123,10 @@ def test_dirichlet_boundary_values():
                           kappa=np.array([1.0, 1.0]))
     a = p.drift(np.array([0.0, 0.5]))
     assert a[0] >= 0.0
-    assert p.diffusion(np.array([0.0, 0.5]))[0, 0] == 0.0
+    assert p.diffusion_diag(np.array([0.0, 0.5]))[0] == 0.0
     a = p.drift(np.array([0.5, 0.5]))
     assert np.all(a <= 0.0)
-    npt.assert_array_equal(p.diffusion(np.array([0.5, 0.5])),
-                           np.zeros((2, 2)))
+    npt.assert_array_equal(p.diffusion_diag(np.array([0.5, 0.5])), [0.0, 0.0])
 
 
 def test_dirichlet_invariant_flag():
@@ -152,8 +151,7 @@ def test_gen_dirichlet_oracle_point():
         kappa=np.array([1.0, 1.0]), c=np.array([[1.0]]))
     y = np.array([0.25, 0.25])
     npt.assert_allclose(p.drift(y), [5.0 / 18.0, 1.0 / 8.0], rtol=1e-13)
-    npt.assert_allclose(p.diffusion(y),
-                        np.diag([1.0 / 6.0, 1.0 / 8.0]), rtol=1e-13)
+    npt.assert_allclose(p.diffusion_diag(y), [1.0 / 6.0, 1.0 / 8.0], rtol=1e-13)
 
 
 def test_gen_dirichlet_k1_equals_beta():
@@ -162,8 +160,7 @@ def test_gen_dirichlet_k1_equals_beta():
     bp = beta_process(b=2.0, S=0.4, kappa=1.5)
     y = np.linspace(0.01, 0.99, 23)[None, :]
     npt.assert_allclose(gp.drift(y), bp.drift(y), rtol=1e-14)
-    npt.assert_allclose(gp.diffusion(y)[0, 0, :],
-                        bp.diffusion(y)[0, 0, :], rtol=1e-14)
+    npt.assert_allclose(gp.diffusion_diag(y), bp.diffusion_diag(y), rtol=1e-14)
 
 
 def _reference_nested_drift(p, y):
@@ -240,7 +237,7 @@ def test_gen_dirichlet_reduction_params():
 def test_broken_processes():
     cd = broken_process("constant_diffusion")
     y = np.array([0.0, 0.5])
-    assert cd.diffusion(y)[0, 0] == 0.1
+    npt.assert_array_equal(cd.diffusion_diag(y), [0.1, 0.1])
     od = broken_process("outward_drift")
     npt.assert_array_equal(od.drift(y), [-1.0, -1.0])
     with pytest.raises(InvalidParameter):

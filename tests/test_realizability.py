@@ -8,10 +8,11 @@ import numpy.testing as npt
 import pytest
 
 from simplexdiff import (EvaluationFailure, MomentSet, RandomSource,
-                         SingularNesting, ToleranceSet,
-                         audit_boundary, audit_covariance_structure,
-                         audit_moment_bounds, beta_process, broken_process,
-                         dirichlet_process,
+                         SingularNesting, ToleranceSet, UnsupportedProcess,
+                         analytic_stationary, audit_boundary,
+                         audit_covariance_structure, audit_moment_bounds,
+                         batch_statistics, beta_process, broken_process,
+                         dirichlet_moments, dirichlet_process,
                          estimate_moments, gen_dirichlet_process,
                          wright_fisher_process)
 from simplexdiff.core import ProcessDefinition, component_major
@@ -336,12 +337,27 @@ def test_realizable_diffusion_is_coupled_and_nonlinear(n):
         assert _realizable_fields(n, diagonal, degree=1, unit_sum=False)[0] > 0
 
 
+def diffusion_matrices(proc):
+    """proc's diffusion closure; for a diagonal process, one that gives the
+    (K, K, ...) matrices with the diagonals diffusion_diag(y), zero elsewhere."""
+    if proc.diffusion is not None:
+        return proc.diffusion
+
+    def diffusion(y):
+        d = proc.diffusion_diag(y)
+        out = np.zeros((d.shape[0],) + d.shape)
+        idx = np.arange(d.shape[0])
+        out[idx, idx] = d
+        return out
+    return diffusion
+
+
 def _full(proc, states):
     """Drift (N, M) and diffusion (N, N, M) in full coordinates at (M, N)
     states: a_N = -sum(a), and B bordered so that its rows and columns sum
     to 0."""
     y = component_major(states[:, :-1])
-    a, b = proc.drift(y), proc.diffusion(y)
+    a, b = proc.drift(y), diffusion_matrices(proc)(y)
     a = np.vstack([a, -a.sum(axis=0)])
     b = np.concatenate([b, -b.sum(axis=0, keepdims=True)], axis=0)
     return a, np.concatenate([b, -b.sum(axis=1, keepdims=True)], axis=1)
@@ -467,3 +483,122 @@ def test_nested_process_is_not_polynomial(n):
     with pytest.raises(SingularNesting):
         proc.drift(np.eye(k)[:, :1])
     assert polynomial_generator(proc) is None
+
+
+def _second_moment_map(q, alpha):
+    """The (N^2, N^2) matrix of S -> Q S + S Q^T + diag((alpha * S) 1) -
+    alpha * S on row-major vec(S): dE[Y Y^T]/dt for a = Q Y and
+    B = diag(P 1) - P, P = alpha * Y Y^T, since E[P] = alpha * E[Y Y^T]."""
+    n = len(q)
+    cols = [q @ s + s @ q.T + np.diag((alpha * s).sum(axis=1)) - alpha * s
+            for s in np.eye(n * n).reshape(n * n, n, n)]
+    return np.array([c.ravel() for c in cols]).T
+
+
+def _exact_solution(rows, rhs):
+    """The one x with rows @ x = rhs: rows has full column rank, and the
+    overdetermined system holds to roundoff."""
+    assert np.linalg.matrix_rank(rows) == rows.shape[1]
+    x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+    assert np.max(np.abs(rows @ x - rhs)) <= 1e-13
+    return x
+
+
+def _stationary_moments(q, alpha):
+    """The stationary mean m and second moment S of the closed hierarchy:
+    Q m = 0 with sum(m) = 1, and the second-moment map 0 with S 1 = m (the
+    unit sum)."""
+    n = len(q)
+    m = _exact_solution(np.vstack([q, np.ones(n)]), np.eye(n + 1)[n])
+    s = _exact_solution(np.vstack([_second_moment_map(q, alpha),
+                                   np.kron(np.eye(n), np.ones(n))]),
+                        np.concatenate([np.zeros(n * n), m]))
+    return m, s.reshape(n, n)
+
+
+def _relative_gap(got, exact):
+    return np.max(np.abs(got - exact)) / np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("name", _POLYNOMIAL)
+def test_moment_hierarchy_is_stationary_at_the_invariant_dirichlet(name):
+    """The first two moments close in full coordinates, dm/dt = Q m and
+    dS/dt = Q S + S Q^T + diag((alpha * S) 1) - alpha * S; their stationary
+    solution is the mean and covariance of invariant_dirichlet.  Control:
+    q_{N->1} + 0.1 moves the stationary mean by more than 1e-3."""
+    proc = _POLYNOMIAL[name]()
+    exact = dirichlet_moments(proc.invariant_dirichlet)
+    q, alpha, _ = polynomial_generator(proc)
+    m, s = _stationary_moments(q, alpha)
+    assert _relative_gap(m, exact.mean) <= 1e-12
+    assert _relative_gap(s - np.outer(m, m), exact.covariance) <= 1e-12
+
+    def moved(y):  # as in the detailed-balance test
+        out = proc.drift(y)
+        out[0] += 0.1 * (1.0 - np.sum(y, axis=0))
+        return out
+    q, alpha, _ = polynomial_generator(dataclasses.replace(proc, drift=moved))
+    assert np.max(np.abs(_stationary_moments(q, alpha)[0] - exact.mean)) >= 1e-3
+
+
+def test_moment_hierarchy_gives_varying_ratio_stationary_moments():
+    """The varying-ratio Dirichlet process has no Dirichlet invariant law, so
+    analytic_stationary refuses it, but the closed hierarchy still fixes its
+    stationary mean and covariance: a point of the simplex, and a symmetric
+    covariance whose rows sum to 0 (the unit sum).  No Dirichlet law has
+    them: m_i (1 - m_i) / C_ii would be a_0 + 1 for every i."""
+    proc = _varying_dirichlet()
+    with pytest.raises(UnsupportedProcess):
+        analytic_stationary(proc)
+    q, alpha, _ = polynomial_generator(proc)
+    m, s = _stationary_moments(q, alpha)
+    cov = s - np.outer(m, m)
+    assert np.all(m > 0.0) and abs(m.sum() - 1.0) <= 1e-14
+    npt.assert_allclose(cov, cov.T, rtol=0, atol=1e-14)
+    assert np.max(np.abs(cov.sum(axis=1))) <= 1e-14
+    assert np.all(np.linalg.eigvalsh(cov)[1:] > 0.0)
+    assert np.ptp(m * (1.0 - m) / np.diag(cov)) > 1.0
+
+
+@pytest.mark.parametrize("name", [*_POLYNOMIAL, "dirichlet_varying"])
+def test_batch_rates_are_the_moment_hierarchy(name):
+    """On any sample, batch_statistics' one-batch mean and cov rates are the
+    hierarchy's right-hand sides at the sample's moments: Q m and
+    Q C + C Q^T + diag((alpha * S) 1) - alpha * S, C the covariance and S
+    the second moment, on the reduced block.  No seed decides it."""
+    proc = _varying_dirichlet() if name == "dirichlet_varying" else _POLYNOMIAL[name]()
+    n, k = proc.dimension, proc.k
+    q, alpha, _ = polynomial_generator(proc)
+    states = np.random.default_rng(11).dirichlet(np.linspace(0.5, 2.0, n), 5000)
+    mean = states.mean(axis=0)
+    second = states.T @ states / len(states)
+    cov = second - np.outer(mean, mean)
+    cov_rate = (q @ cov + cov @ q.T + np.diag((alpha * second).sum(axis=1))
+                - alpha * second)
+    rates = batch_statistics(states, proc, 1)[1]
+    assert np.max(np.abs(rates["mean"][0] - (q @ mean)[:k])) <= 1e-13
+    assert np.max(np.abs(rates["cov"][0] - cov_rate[:k, :k])) <= 1e-13
+
+
+def _expm(a):
+    """exp(a) by scaling and squaring a Taylor series: a / 2^j has row-sum
+    norm <= 1/2, where 20 terms leave a remainder below 1e-24."""
+    j = max(0, int(np.ceil(np.log2(2.0 * np.max(np.abs(a).sum(axis=1)) + 1e-300))))
+    out = term = np.eye(len(a))
+    for i in range(1, 21):
+        term = term @ a / (2.0 ** j * i)
+        out = out + term
+    for _ in range(j):
+        out = out @ out
+    return out
+
+
+def test_beta_mean_relaxes_as_the_exponential_of_q():
+    """exp(Q t) m0 is the beta process's mean S + (y0 - S) e^{-b t / 2} in
+    closed form."""
+    b, S, y0 = 3.0, 0.3, 0.9
+    q, _, _ = polynomial_generator(beta_process(b, S, 2.0))
+    for t in (0.4, 0.8):
+        mean = S + (y0 - S) * np.exp(-0.5 * b * t)
+        npt.assert_allclose(_expm(q * t) @ [y0, 1.0 - y0], [mean, 1.0 - mean],
+                            rtol=0, atol=1e-15)

@@ -16,6 +16,7 @@ from simplexdiff import (Ensemble, EnsembleTooSmall, InsufficientSnapshots,
 from simplexdiff import statistics
 from simplexdiff.statistics import (batch_slices, batch_statistics,
                                     cross_validate_rates)
+from test_realizability import diffusion_matrices
 
 
 def test_degenerate_ensemble_moments():
@@ -345,7 +346,7 @@ def _invariant_rates(proc):
 
     def expect(v):
         return v @ w
-    a, B = proc.drift(y), proc.diffusion(y)
+    a, B = proc.drift(y), diffusion_matrices(proc)(y)
     d = np.einsum("iiq->iq", B)
     trace = d.sum(axis=0)
     c, ac = y - expect(y)[:, None], a - expect(a)[:, None]
@@ -414,7 +415,7 @@ def _reference_batch_statistics(states, proc, n_batches=20):
 
     reduced = states[:, :-1]
     a = proc.drift(reduced.T.copy()).T
-    B = np.moveaxis(proc.diffusion(reduced.T.copy()), -1, 0)
+    B = np.moveaxis(diffusion_matrices(proc)(reduced.T.copy()), -1, 0)
     bm, br = {}, {}
     for sl in batch_slices(states.shape[0], n_batches):
         mean, cov, third, fourth = central_moments(states[sl])
@@ -438,8 +439,9 @@ def _statistics_processes():
         procs[f"wright_fisher-{n}"] = wright_fisher_process(np.linspace(0.5, 3.0, n))
         procs[f"nested-{n}"] = gen_dirichlet_process(
             c=np.triu(np.ones((k - 1, k - 1))), **base)
-    procs["user-3"] = dataclasses.replace(procs["dirichlet-3"],
-                                          diffusion_diag=None, name="user")
+    procs["user-3"] = dataclasses.replace(
+        procs["dirichlet-3"], diffusion=diffusion_matrices(procs["dirichlet-3"]),
+        diffusion_diag=None, name="user")
     return procs
 
 

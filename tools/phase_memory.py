@@ -1,5 +1,6 @@
 """Peak memory, wall time and page faults of one step, one snapshot and one
-audit on every benchmark family.
+audit on every benchmark family, and the wall time and page faults of a
+whole compare operation.
 
     python3 tools/phase_memory.py 1
 
@@ -21,22 +22,31 @@ of the phase:
 Each phase runs once untraced first, so lazy set-up is not counted, and the
 phase with the largest peak is named last on its family's line.  The timed
 calls follow the traced one, so the step they repeat advances the random
-stream, not the state the snapshot reads.  The peaks count the arrays a
-phase allocates, not the state it is given, so the line also prints
-``state``: the bytes of the block that owns the memory of the state a step
-returns, which the next step holds throughout.  Run as a
-script, it uses the sources under src/ of the checkout this file is in;
-imported, it uses the importer's ``simplexdiff`` and leaves ``sys.path``
-and ``sys.dont_write_bytecode`` as they were.
+stream, not the state the snapshot reads.  Beside the phases,
+``operation`` is the median wall time and minor-fault count of three whole
+``cli.main(["compare", ...])`` runs of the config the benchmark writes,
+after one warm-up run, each into a new directory under a temporary one: a
+repeated phase reuses the memory it freed, so its faults read near 0,
+while an operation alternates phases and output and faults throughout.
+The peaks count the arrays a phase allocates, not the state it is given,
+so the line also prints ``state``: the bytes of the block that owns the
+memory of the state a step returns, which the next step holds throughout.
+Run as a script, it uses the sources under src/ of the checkout this file
+is in; imported, it uses the importer's ``simplexdiff`` and leaves
+``sys.path`` and ``sys.dont_write_bytecode`` as they were.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import itertools
 import os
 import resource
 import statistics as stats
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -50,6 +60,7 @@ from simplexdiff.realizability import audit_boundary  # noqa: E402
 
 
 TIMED_CALLS = 20
+OPERATIONS = 3
 
 
 def minor_faults():
@@ -67,13 +78,33 @@ def measure(fn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return (peak, *timed(fn, TIMED_CALLS), out)
+
+
+def timed(fn, calls):
+    """The median wall time in seconds and the median minor-fault count of
+    calls untraced calls of fn."""
     times, faults = [], []
-    for _ in range(TIMED_CALLS):
+    for _ in range(calls):
         start, start_faults = time.perf_counter(), minor_faults()
         fn()
         times.append(time.perf_counter() - start)
         faults.append(minor_faults() - start_faults)
-    return peak, stats.median(times), stats.median(faults), out
+    return stats.median(times), stats.median(faults)
+
+
+def operation_cost(config, workdir):
+    """The median wall time and minor faults of OPERATIONS whole compare runs
+    of the config file through cli.main, after one warm-up run, each into a
+    new directory under workdir, with the console output discarded."""
+    outdirs = (os.path.join(workdir, str(i)) for i in itertools.count())
+
+    def compare():
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["compare", "--config", config, "--outdir", next(outdirs)])
+    compare()
+    return timed(compare, OPERATIONS)
 
 
 def owner_bytes(a):
@@ -108,16 +139,23 @@ def main(argv=None) -> int:
     seed = parser.parse_args(argv).seed
     args = cli.make_parser().parse_args(["simulate", "--config", "-"])
     print(f"seed={seed}  tracemalloc peak in MB (10^6 bytes), then the median "
-          f"untraced wall time in us and minor faults of {TIMED_CALLS} calls")
+          f"untraced wall time in us and minor faults of {TIMED_CALLS} calls; "
+          f"operation: the median of {OPERATIONS} compare runs in ms and faults")
     for workload in workloads.WORKLOADS:
-        for family in workloads.WORKLOADS[workload]["families"]:
-            cfg = workloads.family_config(workload, family, seed)
-            costs, state = phase_costs(cli.read_run(cfg, args, "simulate"))
-            cells = "  ".join(
-                f"{phase} {peak / 1e6:6.2f} {wall * 1e6:7.0f}us {faults:6.0f}f"
-                for phase, (peak, wall, faults) in costs.items())
-            print(f"{workload:15s} {family:14s} {cells}  state {state / 1e6:5.2f}"
-                  f"  peak: {max(costs, key=lambda phase: costs[phase][0])}")
+        with tempfile.TemporaryDirectory() as workdir:
+            configs = workloads.write_configs(workload, seed, workdir)
+            for family, config in configs.items():
+                cfg = workloads.family_config(workload, family, seed)
+                costs, state = phase_costs(cli.read_run(cfg, args, "simulate"))
+                op_wall, op_faults = operation_cost(
+                    config, os.path.join(workdir, family))
+                cells = "  ".join(
+                    f"{phase} {peak / 1e6:6.2f} {wall * 1e6:7.0f}us {faults:6.0f}f"
+                    for phase, (peak, wall, faults) in costs.items())
+                print(f"{workload:15s} {family:14s} {cells}  state "
+                      f"{state / 1e6:5.2f}  operation {op_wall * 1e3:5.0f}ms "
+                      f"{op_faults:6.0f}f  peak: "
+                      f"{max(costs, key=lambda phase: costs[phase][0])}")
     return 0
 
 
