@@ -71,9 +71,10 @@ class ProcessDefinition:
     of Y's shape; diffusion(Y) returns symmetric non-negative semi-definite
     matrices of shape (K, K, ...).  Every closure takes the state alone (the
     process is autonomous), is pure and acts particle by particle: a
-    particle's output depends only on its own state, since the integrator
-    evaluates each closure once per step on the whole batch and reuses the
-    particles of rejected proposals.
+    particle's output depends only on its own state, bit for bit, alone or
+    in any batch, since the integrator evaluates each closure once per step
+    on the whole batch and reuses the particles of rejected proposals.  Sum
+    over components with component_sum: numpy pairs a lone column's terms.
 
     diffusion_factor and diffusion_diag supply the integrator's noise
     factor.  diffusion_factor(Y) -> (r, w), two (K, ...) arrays, is the
@@ -115,6 +116,16 @@ class ProcessDefinition:
 def component_major(states: np.ndarray) -> np.ndarray:
     """Particle-major (M, K) states as the contiguous (K, M) array closures take."""
     return np.ascontiguousarray(states.T)
+
+
+def component_sum(y: np.ndarray) -> np.ndarray:
+    """The (...) sums over the leading axis of a component-major (K, ...)
+    array, new, adding rows in order from the first: a particle's sum has
+    the same bits alone, as (K,) or (K, 1), as in any batch."""
+    total = y[0].copy()
+    for row in y[1:]:
+        total += row
+    return total
 
 
 def make_state(fractions) -> np.ndarray:
@@ -171,13 +182,25 @@ def face_points(face: int, k: int, n_samples: int,
 
 
 class Ensemble:
-    """M realizable states stored as an (M, N) array of full fractions."""
+    """M realizable states stored as an (M, N) array of full fractions: each
+    particle meets make_state's rule (finite, no component below -TOL_SUM, a
+    sum within TOL_SUM of one), or is refused; nothing is clamped here."""
 
     def __init__(self, states: np.ndarray):
         states = np.ascontiguousarray(states, dtype=float)
         if states.ndim != 2 or states.shape[1] < 2:
             raise InvalidParameter("states", "expected an (M, N>=2) array, "
                                    f"got {states.shape}")
+        bad = np.argwhere(~np.isfinite(states) | (states < -TOL_SUM))
+        if bad.size:
+            p, c = bad[0]
+            error = NegativeComponent if states[p, c] < 0.0 else SumViolation
+            raise error(f"particle {p}: component {c + 1} is {float(states[p, c])!r}")
+        total = component_sum(states.T)
+        off = np.flatnonzero(np.abs(total - 1.0) > TOL_SUM)
+        if off.size:
+            raise SumViolation(f"particle {off[0]}: components sum to "
+                               f"{float(total[off[0]])!r}")
         self.states = states
 
     @property

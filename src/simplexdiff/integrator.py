@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Ensemble, ProcessDefinition, check_count, check_positive,
-                   component_major)
+                   component_major, component_sum)
 from .errors import DegenerateState, InvalidParameter, NotPositiveSemiDefinite
 from . import statistics as stats_mod
 
@@ -194,9 +194,7 @@ def _noise(L, xi):
     if isinstance(L, tuple):
         r, w = L
         out = r * xi
-        s = out[0].copy()
-        for row in out[1:]:
-            s += row
+        s = component_sum(out)
         for i in range(out.shape[0]):
             out[i] -= w[i] * s
         return out
@@ -213,29 +211,17 @@ def _normals(rng, m, k):
     return np.ascontiguousarray(rng.normals((m, k)).T)
 
 
-def _column_sum_min(ys):
-    """Each column's sum and minimum in one pass, row by row: np.sum(axis=0)'s
-    order over many C-ordered columns, not its pairwise sum of a lone column,
-    so a column gets the same bits alone as in any batch."""
-    total = low = ys[0]
-    for row in ys[1:]:
-        total = total + row
-        low = np.minimum(low, row)
-    return total, low
-
-
 def _invalid_mask(ys, tol=0.0):
     """Columns outside the reduced simplex; a non-finite column counts as outside."""
-    total, low = _column_sum_min(ys)
-    ok = low >= 0.0
-    ok &= total <= 1.0 + tol
+    ok = np.all(ys >= 0.0, axis=0)
+    ok &= component_sum(ys) <= 1.0 + tol
     return ~ok
 
 
 def _clip_renormalize(ys):
     """Clamp negatives to zero; scale columns whose reduced sum exceeds one."""
     ys = np.maximum(ys, 0.0)
-    s, _ = _column_sum_min(ys)
+    s = component_sum(ys)
     over = s > 1.0
     if np.any(over):
         ys[:, over] /= s[over]
@@ -294,7 +280,7 @@ def _advance(proc, ys, cfg, rng):
 
 def _full_states(ys):
     """(K, M) reduced batch -> (M, N) full states, a transposed (N, M) array."""
-    return np.vstack([ys, np.maximum(1.0 - np.sum(ys, axis=0), 0.0)]).T
+    return np.vstack([ys, np.maximum(1.0 - component_sum(ys), 0.0)]).T
 
 
 def snapshot_steps(t_end: float, dt: float, record_every: int) -> list:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ProcessDefinition, check_positive
+from .core import ProcessDefinition, check_positive, component_sum
 from .errors import DirichletConstraintViolated, InvalidParameter, SingularNesting
 
 DIRCONST_RTOL = 1e-10
@@ -93,11 +93,9 @@ def _wf_diffusion_factor(y):
 
     r = sqrt(Y) and w = c Y, c = 1 / (1 + sqrt(Y_N)), Y_N = max(1 - sum(Y),
     0): c solves 2c - c^2 (1 - Y_N) = 1, so L L^T is exact.  Row a vanishes
-    where Y_a = 0, and 1^T L = (1 - sum(w)) r^T where sum(Y) = 1.  Python's
-    sum adds rows in order, as np.sum(y, axis=0) does over a batch but not
-    over a lone (K,) state.
+    where Y_a = 0, and 1^T L = (1 - sum(w)) r^T where sum(Y) = 1.
     """
-    root = np.sqrt(np.maximum(1.0 - sum(y), 0.0)) + 1.0
+    root = np.sqrt(np.maximum(1.0 - component_sum(y), 0.0)) + 1.0
     return np.sqrt(y), y / root
 
 
@@ -142,14 +140,14 @@ def dirichlet_process(b, S, kappa, dirichlet_invariant=False) -> ProcessDefiniti
     c_out = 0.5 * b * (1.0 - S)
 
     def drift(y):
-        y_last = 1.0 - np.sum(y, axis=0)
+        y_last = 1.0 - component_sum(y)
         out = _col(c_in, y) * y_last
         out -= _col(c_out, y) * y
         return out
 
     def diffusion_diag(y):
         d = _col(kappa, y) * y
-        d *= 1.0 - np.sum(y, axis=0)
+        d *= 1.0 - component_sum(y)
         return d
 
     return ProcessDefinition(

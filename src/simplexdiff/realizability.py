@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ProcessDefinition, check_count, check_positive,
-                   component_major, face_label, face_points)
+                   component_major, component_sum, face_label, face_points)
 from .errors import EvaluationFailure
 from .statistics import MomentSet
 
@@ -122,10 +122,11 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
             check("drift-inward", -a[face], tol.drift_sign_tol)
             check("diffusion-zero", np.abs(B[face]), tol.diffusion_zero_tol)
             continue
-        check("drift-inward", a.sum(axis=0), tol.drift_sign_tol)
+        check("drift-inward", component_sum(a), tol.drift_sign_tol)
         check("diffusion-row-sums", np.abs(B if diag else B.sum(axis=1)),
               tol.diffusion_zero_tol)
-        check("diffusion-total-sum", np.abs(B.sum(axis=0 if diag else (0, 1))),
+        check("diffusion-total-sum",
+              np.abs(component_sum(B) if diag else B.sum(axis=(0, 1))),
               tol.diffusion_zero_tol)
         if diag:
             check("drift-componentwise", a, tol.drift_sign_tol)

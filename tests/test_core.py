@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -100,6 +101,40 @@ def test_ensemble_constructors():
     npt.assert_allclose(ens2.states.sum(axis=1), 1.0, atol=1e-12)
     ens3 = Ensemble.from_states([make_state([0.2, 0.8]), make_state([1.0, 0.0])])
     npt.assert_array_equal(ens3.states, [[0.2, 0.8], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    ([0.6, 0.5, -0.1], NegativeComponent, "particle 7: component 3 is -0.1"),
+    ([0.2, 0.3, 0.9], SumViolation, "particle 7: components sum to 1.4"),
+    ([0.2, np.nan, 0.8], SumViolation, "particle 7: component 2 is nan"),
+    ([np.inf, 0.0, 0.0], SumViolation, "particle 7: component 1 is inf"),
+    ([0.5, 0.5 + 2e-12, 0.0], SumViolation, "particle 7: components sum to"),
+    ([0.5, 0.5 + 2e-12, -2e-12], NegativeComponent, "particle 7: component 3"),
+], ids=["negative", "over-full", "nan", "inf", "sum-past-tol", "negative-past-tol"])
+def test_ensemble_refuses_an_unrealizable_particle(bad, error, message):
+    """make_state's rule holds for every particle of an Ensemble, which
+    names the first that breaks it.  A state with a negative component or
+    an over-full sum, tiled or among valid ones, was taken as given and
+    stepped: [0.6, 0.5, -0.1] recorded a t = 0 mean summing to 1.1 with no
+    violation counted, and [0.2, 0.3, 0.9] was stepped as [0.2, 0.3, 0.5]."""
+    states = np.tile([0.2, 0.3, 0.5], (100, 1))
+    states[7:] = bad
+    with pytest.raises(error, match=re.escape(message)):
+        Ensemble(states)
+    with pytest.raises(error):
+        Ensemble.from_delta(np.array(bad), 100)
+
+
+def test_ensemble_keeps_the_bytes_of_valid_states():
+    """The rule refuses and never repairs: the constructors keep every byte
+    of their input, tiny negatives and sum drift within TOL_SUM included."""
+    draws = np.random.default_rng(5).dirichlet(np.ones(9), 1000)
+    npt.assert_array_equal(Ensemble.from_uniform(9, 1000, np.random.default_rng(5)).states,
+                           draws)
+    point = make_state([0.25, 0.25, 0.5])
+    assert Ensemble.from_delta(point, 4).states.tobytes() == np.tile(point, (4, 1)).tobytes()
+    edge = [np.array([0.5, 0.5 + 5e-13, -5e-13]), np.array([0.3, 0.7 + 5e-13, 0.0])]
+    assert Ensemble.from_states(edge).states.tobytes() == np.stack(edge).tobytes()
 
 
 def test_process_definition_takes_the_diffusion_as_given():

@@ -559,7 +559,7 @@ class ReplaySource:
 
 
 @pytest.mark.parametrize("form", ["diagonal", "factor", "eigh", "nested"])
-@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("n", [3, 8, 9])
 def test_step_matches_batched_column(form, n):
     """A single (K,) state steps exactly as its column of a batch does."""
     proc = _factor_forms(n)[form]

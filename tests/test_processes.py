@@ -6,7 +6,7 @@ from simplexdiff import (DirichletConstraintViolated, InvalidParameter,
                          SingularNesting, beta_process, broken_process,
                          dirichlet_process, gen_dirichlet_process,
                          reduction_coupling, wright_fisher_process)
-from simplexdiff.core import face_points
+from simplexdiff.core import component_major, face_points
 from simplexdiff.processes import _gen_dirichlet_terms
 
 
@@ -296,3 +296,40 @@ def test_gen_dirichlet_diffusion_undefined_past_the_unit_sum_face():
     assert cy[1, 0] == 0.0 and cy_last[0] != 0.0
     with pytest.raises(SingularNesting, match="diffusion is undefined"):
         proc.diffusion_diag(y)
+
+
+def _lone_case(family, n):
+    k = n - 1
+    rates = {"b": np.full(k, 4.0), "S": np.full(k, 0.5), "kappa": np.ones(k)}
+    if family == "beta":
+        return beta_process(2.0, 0.5, 1.0)
+    if family == "wright_fisher":
+        return wright_fisher_process(np.ones(n))
+    if family == "dirichlet":
+        return dirichlet_process(**rates)
+    return gen_dirichlet_process(**rates, c="reduction")
+
+
+@pytest.mark.parametrize("family,n", [("beta", 2)] + [
+    (family, n) for family in ("wright_fisher", "dirichlet", "nested")
+    for n in (3, 8, 9, 14)])
+def test_closures_give_a_lone_particle_its_batch_bits(family, n):
+    """Every closure a process states gives each of 500 Dirichlet(1) states,
+    alone as (K,) and as (K, 1), exactly the bytes of its batch column: a
+    particle's output depends on its own state only, whatever the batch.
+    numpy sums a lone column pairwise from K = 8 on and a batch row by row,
+    so a sum over components that is not component_sum fails here at N >= 9."""
+    proc = _lone_case(family, n)
+    ys = component_major(np.random.default_rng(61).dirichlet(np.ones(n), 500)[:, :-1])
+    for name in ("drift", "diffusion_diag", "diffusion_factor", "diffusion"):
+        closure = getattr(proc, name)
+        if closure is None:
+            continue
+        batch = closure(ys)
+        batch = batch if isinstance(batch, tuple) else (batch,)
+        for j in range(ys.shape[1]):
+            for lone, cut in ((ys[:, j].copy(), j), (ys[:, j:j + 1].copy(), slice(j, j + 1))):
+                out = closure(lone)
+                out = out if isinstance(out, tuple) else (out,)
+                for got, whole in zip(out, batch):
+                    assert got.tobytes() == whole[..., cut].tobytes(), (name, j, lone.shape)

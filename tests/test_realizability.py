@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +17,7 @@ from simplexdiff import (EvaluationFailure, MomentSet, RandomSource,
                          dirichlet_moments, dirichlet_process,
                          estimate_moments, gen_dirichlet_process,
                          wright_fisher_process)
-from simplexdiff.core import ProcessDefinition, component_major
+from simplexdiff.core import ProcessDefinition, component_major, component_sum
 
 
 def named_processes():
@@ -416,6 +418,20 @@ _POLYNOMIAL = {
 }
 
 
+def _named_polynomial(name):
+    """The _POLYNOMIAL process of that name, or the varying-ratio Dirichlet."""
+    return _varying_dirichlet() if name == "dirichlet_varying" else _POLYNOMIAL[name]()
+
+
+def _moved(proc):
+    """proc with q_{N->1} + 0.1: component 1 gains 0.1 Y_N from component N."""
+    def drift(y):
+        out = proc.drift(y)
+        out[0] += 0.1 * (1.0 - component_sum(y))
+        return out
+    return dataclasses.replace(proc, drift=drift)
+
+
 def _balance_gap(q, alpha, omega):
     """Largest |q_{j->i} - alpha_ij omega_i / 2| over i != j, relative to
     the largest rate: 0 under detailed balance with the Dirichlet(omega)
@@ -429,7 +445,7 @@ def test_polynomial_families_read_back_as_rates_and_pairs(name):
     """Each polynomial family is a rate matrix and non-negative pair weights:
     the (Q, alpha) read at the nodes rebuilds its closures at interior states,
     with Dirichlet's pairs a star on component N and Wright-Fisher's all 1."""
-    proc = _varying_dirichlet() if name == "dirichlet_varying" else _POLYNOMIAL[name]()
+    proc = _named_polynomial(name)
     q, alpha, residual = polynomial_generator(proc)
     n = proc.dimension
     off = ~np.eye(n, dtype=bool)
@@ -452,12 +468,7 @@ def test_detailed_balance_gives_the_invariant_dirichlet(name):
     proc = _POLYNOMIAL[name]()
     q, alpha, _ = polynomial_generator(proc)
     assert _balance_gap(q, alpha, proc.invariant_dirichlet) <= 1e-12
-
-    def moved(y):  # q_{N->1} + 0.1: component 1 gains 0.1 Y_N from component N
-        out = proc.drift(y)
-        out[0] += 0.1 * (1.0 - np.sum(y, axis=0))
-        return out
-    q, alpha, residual = polynomial_generator(dataclasses.replace(proc, drift=moved))
+    q, alpha, residual = polynomial_generator(_moved(proc))
     assert residual <= 1e-14
     assert _balance_gap(q, alpha, proc.invariant_dirichlet) >= 0.1 / np.max(q) - 1e-12
 
@@ -485,14 +496,28 @@ def test_nested_process_is_not_polynomial(n):
     assert polynomial_generator(proc) is None
 
 
-def _second_moment_map(q, alpha):
-    """The (N^2, N^2) matrix of S -> Q S + S Q^T + diag((alpha * S) 1) -
-    alpha * S on row-major vec(S): dE[Y Y^T]/dt for a = Q Y and
-    B = diag(P 1) - P, P = alpha * Y Y^T, since E[P] = alpha * E[Y Y^T]."""
+def _moment_block(q, alpha, d):
+    """(G_d, exponents): dm/dt = G_d m for the raw moments m_e = E[Y^e] of
+    degree d in full coordinates, e over the exponent tuples in
+    combinations_with_replacement order.  With a = Q Y and
+    B = diag(P 1) - P, P = alpha * Y Y^T, the generator maps Y^e to
+    sum_ij e_i (q_ij + (e_i - 1) alpha_ij / 2) Y^(e - 1_i + 1_j)
+    - (e^T alpha e / 2) Y^e, of degree d again: G_d is exact, built by
+    exponent arithmetic with no fit."""
     n = len(q)
-    cols = [q @ s + s @ q.T + np.diag((alpha * s).sum(axis=1)) - alpha * s
-            for s in np.eye(n * n).reshape(n * n, n, n)]
-    return np.array([c.ravel() for c in cols]).T
+    exps = [tuple(c.count(i) for i in range(n))
+            for c in itertools.combinations_with_replacement(range(n), d)]
+    index = {e: r for r, e in enumerate(exps)}
+    g = np.zeros((len(exps), len(exps)))
+    for r, e in enumerate(exps):
+        g[r, r] -= 0.5 * np.dot(e, alpha @ e)
+        for i in np.flatnonzero(e):
+            for j in range(n):
+                f = list(e)
+                f[i] -= 1
+                f[j] += 1
+                g[r, index[tuple(f)]] += e[i] * (q[i, j] + 0.5 * (e[i] - 1) * alpha[i, j])
+    return g, exps
 
 
 def _exact_solution(rows, rhs):
@@ -504,16 +529,47 @@ def _exact_solution(rows, rhs):
     return x
 
 
+def _stationary_raw(g, exps):
+    """The stationary raw moments of one degree d: G_d m = 0, normalized by
+    sum_e multinom(e) m_e = E[(sum Y)^d] = 1."""
+    d = sum(exps[0])
+    multinom = [math.factorial(d) / math.prod(map(math.factorial, e)) for e in exps]
+    return _exact_solution(np.vstack([g, multinom]), np.eye(len(exps) + 1)[-1])
+
+
 def _stationary_moments(q, alpha):
-    """The stationary mean m and second moment S of the closed hierarchy:
-    Q m = 0 with sum(m) = 1, and the second-moment map 0 with S 1 = m (the
-    unit sum)."""
+    """The stationary mean m and second moment S = E[Y Y^T] of the closed
+    hierarchy, from the degree-1 and degree-2 blocks (G_1 is Q)."""
     n = len(q)
-    m = _exact_solution(np.vstack([q, np.ones(n)]), np.eye(n + 1)[n])
-    s = _exact_solution(np.vstack([_second_moment_map(q, alpha),
-                                   np.kron(np.eye(n), np.ones(n))]),
-                        np.concatenate([np.zeros(n * n), m]))
-    return m, s.reshape(n, n)
+    s = np.zeros((n, n))
+    s[np.triu_indices(n)] = _stationary_raw(*_moment_block(q, alpha, 2))
+    return _stationary_raw(*_moment_block(q, alpha, 1)), s + np.triu(s, 1).T
+
+
+@functools.lru_cache(maxsize=None)
+def _named_block(name, d):
+    """_moment_block of the named process, built once for every test."""
+    return _moment_block(*polynomial_generator(_named_polynomial(name))[:2], d)
+
+
+def _diagonal(m, exps):
+    """The entries of m at the pure powers Y_i^d, i = 1..N, of its degree d."""
+    n, d = len(exps[0]), sum(exps[0])
+    return m[[exps.index(tuple(d * (j == i) for j in range(n))) for i in range(n)]]
+
+
+def _dirichlet_raw(omega, exps):
+    """E[Y^e] under Dirichlet(omega): prod_i (omega_i)^(e_i) / (omega_0)^(d),
+    with rising factorials (x)^(k) = x (x + 1) ... (x + k - 1)."""
+    def rising(x, k):
+        return math.prod(x + i for i in range(k))
+    return (np.array([math.prod(map(rising, omega, e)) for e in exps])
+            / rising(omega.sum(), sum(exps[0])))
+
+
+def _fixed_sample(n):
+    """5,000 fixed Dirichlet states, (M, N), for the batch-rate tests."""
+    return np.random.default_rng(11).dirichlet(np.linspace(0.5, 2.0, n), 5000)
 
 
 def _relative_gap(got, exact):
@@ -532,12 +588,7 @@ def test_moment_hierarchy_is_stationary_at_the_invariant_dirichlet(name):
     m, s = _stationary_moments(q, alpha)
     assert _relative_gap(m, exact.mean) <= 1e-12
     assert _relative_gap(s - np.outer(m, m), exact.covariance) <= 1e-12
-
-    def moved(y):  # as in the detailed-balance test
-        out = proc.drift(y)
-        out[0] += 0.1 * (1.0 - np.sum(y, axis=0))
-        return out
-    q, alpha, _ = polynomial_generator(dataclasses.replace(proc, drift=moved))
+    q, alpha, _ = polynomial_generator(_moved(proc))
     assert np.max(np.abs(_stationary_moments(q, alpha)[0] - exact.mean)) >= 1e-3
 
 
@@ -566,10 +617,10 @@ def test_batch_rates_are_the_moment_hierarchy(name):
     hierarchy's right-hand sides at the sample's moments: Q m and
     Q C + C Q^T + diag((alpha * S) 1) - alpha * S, C the covariance and S
     the second moment, on the reduced block.  No seed decides it."""
-    proc = _varying_dirichlet() if name == "dirichlet_varying" else _POLYNOMIAL[name]()
+    proc = _named_polynomial(name)
     n, k = proc.dimension, proc.k
     q, alpha, _ = polynomial_generator(proc)
-    states = np.random.default_rng(11).dirichlet(np.linspace(0.5, 2.0, n), 5000)
+    states = _fixed_sample(n)
     mean = states.mean(axis=0)
     second = states.T @ states / len(states)
     cov = second - np.outer(mean, mean)
@@ -578,6 +629,62 @@ def test_batch_rates_are_the_moment_hierarchy(name):
     rates = batch_statistics(states, proc, 1)[1]
     assert np.max(np.abs(rates["mean"][0] - (q @ mean)[:k])) <= 1e-13
     assert np.max(np.abs(rates["cov"][0] - cov_rate[:k, :k])) <= 1e-13
+
+
+@pytest.mark.parametrize("name", _POLYNOMIAL)
+def test_moment_hierarchy_gives_every_dirichlet_moment_to_degree_four(name):
+    """The degree-3 and degree-4 blocks, built from (Q, alpha), are
+    stationary at every raw moment of invariant_dirichlet, mixed moments
+    included: 20 and 35 at N = 4, 120 and 330 at N = 8.  Control:
+    q_{N->1} + 0.1 moves the degree-3 moments by more than 1e-2 of the
+    largest (at N = 8 they are themselves below 1e-2)."""
+    omega = _POLYNOMIAL[name]().invariant_dirichlet
+    for d in (3, 4):
+        g, exps = _named_block(name, d)
+        assert np.max(np.abs(_stationary_raw(g, exps) / _dirichlet_raw(omega, exps)
+                             - 1.0)) <= 1e-11
+    q, alpha, _ = polynomial_generator(_moved(_POLYNOMIAL[name]()))
+    moved = _stationary_raw(*_moment_block(q, alpha, 3))
+    assert _relative_gap(moved, _stationary_raw(*_named_block(name, 3))) >= 1e-2
+
+
+@pytest.mark.parametrize("name", _POLYNOMIAL)
+def test_moment_hierarchy_gives_the_central_third_and_fourth_moments(name):
+    """The pure powers of the stationary blocks d = 1..4 give the diagonal
+    central third and fourth moments of dirichlet_moments(invariant_dirichlet):
+    the third over sd^3 (beta's are 0), the fourth relative to itself."""
+    exact = dirichlet_moments(_POLYNOMIAL[name]().invariant_dirichlet)
+    blocks = [_named_block(name, d) for d in (1, 2, 3, 4)]
+    m1, m2, m3, m4 = (_diagonal(_stationary_raw(g, exps), exps) for g, exps in blocks)
+    third = m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3
+    fourth = m4 - 4.0 * m1 * m3 + 6.0 * m1 ** 2 * m2 - 3.0 * m1 ** 4
+    sd = np.sqrt(np.diag(exact.covariance))
+    assert np.max(np.abs(third - exact.third) / sd ** 3) <= 1e-10
+    assert np.max(np.abs(fourth / exact.fourth - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", [*_POLYNOMIAL, "dirichlet_varying"])
+def test_batch_third_and_fourth_rates_are_the_moment_hierarchy(name):
+    """batch_statistics' one-batch third and fourth rates are the time
+    derivatives of the central moments mu_3 = M3 - 3 M1 M2 + 2 M1^3 and
+    mu_4 = M4 - 4 M1 M3 + 6 M1^2 M2 - 3 M1^4, each dM_d/dt = G_d m_d
+    taken at the sample's raw moments m_d of degree d: criterion 9's third
+    and fourth forms, on the fixed sample of the mean and cov test."""
+    proc = _named_polynomial(name)
+    states = _fixed_sample(proc.dimension)
+    m, dm = [], []
+    for d in (1, 2, 3, 4):
+        g, exps = _named_block(name, d)
+        raw = np.array([np.prod(states ** np.array(e), axis=1).mean() for e in exps])
+        m.append(_diagonal(raw, exps))
+        dm.append(_diagonal(g @ raw, exps))
+    (m1, m2, m3, _), (d1, d2, d3, d4) = m, dm
+    third = d3 - 3.0 * (d1 * m2 + m1 * d2) + 6.0 * m1 ** 2 * d1
+    fourth = (d4 - 4.0 * (d1 * m3 + m1 * d3) + 6.0 * (2.0 * m1 * d1 * m2 + m1 ** 2 * d2)
+              - 12.0 * m1 ** 3 * d1)
+    rates = batch_statistics(states, proc, 1)[1]
+    assert np.max(np.abs(rates["third"][0] - third[:proc.k])) <= 1e-13
+    assert np.max(np.abs(rates["fourth"][0] - fourth[:proc.k])) <= 1e-13
 
 
 def _expm(a):

@@ -9,7 +9,9 @@ dumps particles at the workload's dump_every, as its config says.  No
 benchmark family clips, so each seed also runs ``simulate``, with dumps, on
 CLIPPING, a Dirichlet config with an attainable boundary: once with the
 default redraw budget, under which many steps redraw, and once with
-``max_resample: 0``, under which they clip.  Prints
+``max_resample: 0``, under which they clip; and on WIDE_DIRICHLET, a
+Dirichlet config at N = 9, where numpy would sum a lone column's 8 reduced
+components pairwise and a batch's row by row.  Prints
 one block per command and operation: the exit code, the first line of
 stderr, the sha256 of stdout (beside compare's verdict line, so that a
 changed verdict reads as text) and of each output file the command writes
@@ -50,6 +52,16 @@ CLIPPING = {
     "integrator": {"dt": 4e-3, "t_end": 0.8, "record_every": 20},
     "ensemble": {"size": 5000,
                  "initial": {"kind": "delta", "point": [0.1, 0.1, 0.8]}},
+    "output": {"dump_every": 50},
+}
+
+#: a Dirichlet run with 8 reduced components, from uniform states
+WIDE_DIRICHLET = {
+    "schema_version": 1,
+    "process": {"name": "dirichlet", "params": {
+        "b": [4.0] * 8, "S": [0.5] * 8, "kappa": [1.0] * 8}},
+    "integrator": {"dt": 1e-3, "t_end": 0.2, "record_every": 50},
+    "ensemble": {"size": 2000, "initial": {"kind": "uniform"}},
     "output": {"dump_every": 50},
 }
 
@@ -106,14 +118,17 @@ def report(command: str, config: str, outdir: str, title: str):
             print(f"  {name} {value}")
 
 
-def clipping_configs(seed: int, directory: str) -> dict:
-    """Write CLIPPING at seed with each redraw budget; name -> config path."""
+def simulate_configs(seed: int, directory: str) -> dict:
+    """Write CLIPPING at seed with each redraw budget, and WIDE_DIRICHLET;
+    title -> config path."""
+    configs = {f"clipping {name}": dict(CLIPPING, seed=seed, integrator=dict(
+        CLIPPING["integrator"], **budget)) for name, budget in (
+            ("default", {}), ("max_resample_0", {"max_resample": 0}))}
+    configs["wide dirichlet"] = dict(WIDE_DIRICHLET, seed=seed)
     paths = {}
-    for name, budget in (("default", {}), ("max_resample_0", {"max_resample": 0})):
-        cfg = dict(CLIPPING, seed=seed,
-                   integrator=dict(CLIPPING["integrator"], **budget))
-        paths[name] = os.path.join(directory, f"clipping-{name}-{seed}.yaml")
-        with open(paths[name], "w") as f:
+    for title, cfg in configs.items():
+        paths[title] = os.path.join(directory, f"{title.replace(' ', '-')}-{seed}.yaml")
+        with open(paths[title], "w") as f:
             yaml.safe_dump(cfg, f)
     return paths
 
@@ -134,10 +149,10 @@ def main(argv=None) -> int:
                             tmp, f"{command}-{workload}-{seed}-{family}")
                         report(command, config, outdir,
                                f"{workload} {family} seed={seed}")
-            for name, config in clipping_configs(seed, tmp).items():
-                report("simulate", config,
-                       os.path.join(tmp, f"simulate-clipping-{name}-{seed}"),
-                       f"clipping {name} seed={seed}")
+            for title, config in simulate_configs(seed, tmp).items():
+                report("simulate", config, os.path.join(
+                    tmp, f"simulate-{title.replace(' ', '-')}-{seed}"),
+                       f"{title} seed={seed}")
     return 0
 
 
