@@ -25,14 +25,14 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import Ensemble, check_count, check_positive, make_state
+from .core import TOL_SUM, Ensemble, check_count, check_positive, make_state
 from .errors import (ConfigError, InsufficientSnapshots, InvalidParameter,
                      SimplexDiffError)
 from .integrator import (SEED_RANGE, IntegratorConfig, RandomSource, simulate,
                          snapshot_steps)
 from .processes import (beta_process, broken_process, dirichlet_process,
                         gen_dirichlet_process, wright_fisher_process)
-from .realizability import (EXACT_TOL, ToleranceSet, audit_boundary,
+from .realizability import (ToleranceSet, audit_boundary,
                             audit_covariance_structure, audit_moment_bounds)
 from .statistics import (UnsupportedProcess, analytic_stationary,
                          batch_mean_se, cross_validate_rates, quantity_label)
@@ -196,8 +196,7 @@ SCHEMA = {"": ("schema_version", "process", "seed", "outdir", "integrator",
           "integrator": ("dt", "t_end", "record_every", "max_resample",
                          "boundary_policy"),
           "ensemble": ("size", "initial"),
-          "audit": ("samples_per_face", "diffusion_zero_tol", "drift_sign_tol",
-                    "moment_stat_tol"),
+          "audit": ("samples_per_face", "diffusion_zero_tol", "drift_sign_tol"),
           "compare": ("stationary_window", "tol_multiplier", "stat_tol"),
           "output": ("dump_every",), "sweep": ("grid",)}
 
@@ -367,7 +366,7 @@ def stationary_checks(traj, oracle, window, stat_tol: float):
 
     def judge(name, batch_vals, oracle_vals):
         est, se = batch_mean_se(batch_vals)
-        thresh = np.maximum(stat_tol * se, EXACT_TOL)
+        thresh = np.maximum(stat_tol * se, TOL_SUM)
         res = np.abs(est - oracle_vals)
         for pos in np.ndindex(est.shape):
             checks.append({"quantity": quantity_label(name, pos),
@@ -382,7 +381,7 @@ def stationary_checks(traj, oracle, window, stat_tol: float):
     return checks
 
 
-def moment_audit(traj, tol: ToleranceSet) -> dict:
+def moment_audit(traj) -> dict:
     """The moment-bound and covariance-structure audits of every snapshot.
 
     Per constraint: the worst violation over all snapshots, the time of its
@@ -391,7 +390,7 @@ def moment_audit(traj, tol: ToleranceSet) -> dict:
     """
     checks = []
     for report in (audit_moment_bounds(traj.moments),
-                   audit_covariance_structure(traj.moments, tol)):
+                   audit_covariance_structure(traj.moments)):
         for c in report.checks:
             i = int(np.argmax(c.violation))
             checks.append({"constraint": c.constraint,
@@ -420,7 +419,7 @@ def run_compare(run, outdir: str):
         result["stationary"] = {"available": True, "window": [lo, hi],
                                 "checks": checks, "overall_pass": stat_pass}
         passed = passed and stat_pass
-    audit = result["moment_audit"] = moment_audit(traj, run.tol)
+    audit = result["moment_audit"] = moment_audit(traj)
     passed = passed and audit["overall_pass"] and not traj.violation_count
     result["overall_pass"] = passed
     with open(os.path.join(outdir, "compare.json"), "w") as f:

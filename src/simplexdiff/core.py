@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import InvalidParameter, NegativeComponent, SumViolation
 
-#: construction tolerance on |sum - 1|
+#: the roundoff allowance of every identity that holds exactly on the
+#: simplex: unit sums (of a state, a step, the means), the moment bounds,
+#: the covariance identities and the stationary checks' threshold floor
 TOL_SUM = 1e-12
 #: largest dimension N a process may have: the boundary audit's largest
 #: block is (K, K, samples), 32 MB at N = 64 and 1000 samples per face, and
@@ -148,7 +150,7 @@ def make_state(fractions) -> np.ndarray:
     y = np.where(y < 0.0, 0.0, y)
     s = y.sum()
     if not abs(s - 1.0) <= TOL_SUM:  # a non-finite component fails too
-        raise SumViolation(f"components sum to {s!r}")
+        raise SumViolation(f"components sum to {float(s)!r}")
     if s != 1.0:
         y = y / s
         # division can leave the sum one ulp off; absorb the residual into

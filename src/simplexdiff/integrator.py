@@ -26,13 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Ensemble, ProcessDefinition, check_count, check_positive,
-                   component_major, component_sum)
+from .core import (TOL_SUM, Ensemble, ProcessDefinition, check_count,
+                   check_positive, component_major, component_sum)
 from .errors import DegenerateState, InvalidParameter, NotPositiveSemiDefinite
 from . import statistics as stats_mod
 
-#: reduced sums above 1 + this margin count as realizability violations
-VIOLATION_TOL = 1e-12
 #: squared-noise arguments below this are treated as roundoff, not errors
 NEGATIVE_CLAMP = -1e-14
 #: fewest normals per step (M x K) worth drawing ahead on a helper thread
@@ -301,7 +299,7 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
     errors) and merges the full-ensemble moments from its batches; the
     Trajectory stacks them once, after the last step.  Every accepted
     proposal passed the exact simplex check; the clipped columns are checked
-    again at VIOLATION_TOL and violations counted (the clip should make the
+    again at TOL_SUM and violations counted (the clip should make the
     count zero).  DegenerateState names the step and particle of a
     non-finite proposal, the step of a closure that raised, and the time of
     a snapshot whose closure raised.  On two or more CPUs a helper thread
@@ -356,7 +354,7 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
             if n_clipped:  # every other column passed the stricter tol-0 check
                 fallback = np.compress(clipped, ys, axis=1)
                 violation_count += int(np.count_nonzero(
-                    _invalid_mask(fallback, VIOLATION_TOL)))
+                    _invalid_mask(fallback, TOL_SUM)))
             observe(k, ys)
     finally:
         if ahead:

@@ -46,14 +46,12 @@ class MomentSet:
     covariance: np.ndarray    # (N, N) central second moments
     third: np.ndarray         # (N,) central third moments
     fourth: np.ndarray        # (N,) central fourth moments
-    ensemble_size: int
 
     @classmethod
     def stack(cls, sets) -> "MomentSet":
-        """Moment sets of one ensemble size, stacked along a leading axis."""
+        """Moment sets stacked along a leading axis."""
         return cls(*(np.stack([getattr(m, name) for m in sets])
-                     for name in ("mean", "covariance", "third", "fourth")),
-                   sets[0].ensemble_size)
+                     for name in ("mean", "covariance", "third", "fourth")))
 
     def _standardized(self, moment, power):
         """moment / variance^power; NaN where the variance is below VAR_GUARD."""
@@ -123,7 +121,7 @@ def estimate_moments(states: np.ndarray, batch_moments=None) -> MomentSet:
     third = merge(bm["third"] + 3.0 * d * m2 + d ** 3)
     fourth = merge(bm["fourth"] + 4.0 * d * bm["third"] + 6.0 * d ** 2 * m2
                    + d ** 4)
-    return MomentSet(mean, cov, third, fourth, m)
+    return MomentSet(mean, cov, third, fourth)
 
 
 def estimate_rates(states: np.ndarray, proc: ProcessDefinition) -> dict:
@@ -334,8 +332,7 @@ def dirichlet_moments(alpha: np.ndarray) -> MomentSet:
     third = 2.0 * a * b * (b - a) / (s ** 3 * (s + 1.0) * (s + 2.0))
     fourth = (3.0 * a * b * (a * b * (s + 2.0) + 2.0 * (a - b) ** 2)
               / (s ** 4 * (s + 1.0) * (s + 2.0) * (s + 3.0)))
-    return MomentSet(mean=mean, covariance=cov, third=third, fourth=fourth,
-                     ensemble_size=0)
+    return MomentSet(mean=mean, covariance=cov, third=third, fourth=fourth)
 
 
 def analytic_stationary(proc: ProcessDefinition) -> MomentSet:

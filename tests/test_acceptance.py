@@ -14,7 +14,7 @@ import pytest
 
 from simplexdiff import (Ensemble, IntegratorConfig, RandomSource,
                          ToleranceSet, analytic_stationary,
-                         audit_boundary,
+                         audit_boundary, audit_covariance_structure,
                          audit_moment_bounds, beta_process, broken_process,
                          cross_validate_rates, dirichlet_moments,
                          dirichlet_process, estimate_moments,
@@ -203,10 +203,13 @@ def test_criterion_04_stationary_variance(beta_run):
 
 def test_criterion_05_covariance_structure(all_runs):
     """The remainder is estimated from the states, in the full-ensemble and
-    in every per-batch moment, so none of these sums holds by construction."""
+    in every per-batch moment, so none of these sums holds by construction.
+    compare's covariance audit judges the full-ensemble identities by the
+    same rule."""
     worst = 0.0
     margins = {}
     for name, traj in all_runs.items():
+        assert audit_covariance_structure(traj.moments).overall_pass, name
         bm = traj.batch_moments
         sums = {"covariance row sums": traj.moments.covariance_row_sums(),
                 "weak-constraint residual":

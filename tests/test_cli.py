@@ -468,13 +468,13 @@ def test_compare_beta_stationary(tmp_path):
 #: sha256 of compare's compare.json and moments.csv for _STATIONARY_BETA
 #: and a Wright-Fisher run from its invariant law, both passing.  A change
 #: to the draws, the step, the statistics or their summation order moves
-#: them, by one ulp of a window average too; such a change must update them
-#: and say so.
+#: them, by one ulp of a window average too, and so does a change to what
+#: the moment audit records; such a change must update them and say so.
 COMPARE_SHA256 = {
     "beta": ("f54d40fea795682bce4815adf4e50ae337d16e9daea55e778625eab9e544b0f8",
              "b70fe287749eb6da5a78dea381ad0811c1183945ebb3b5e8a08c3a7e5c37028a"),
     "wright_fisher": (
-        "e2b82274a8fca2be2f2ae66b1083752207fa889efd99065a68539d4cc2f6a96c",
+        "8ea499a4c8e78f78cced9143dabcaa73f87bcbcb8c1eac7f21e1c449eea0dc04",
         "f7abb79c228cf6bbec5ab8a99f1e36f9a2adea9891b61d4b9df91206f97d376c"),
 }
 _COMPARE_PINNED = {
@@ -943,6 +943,13 @@ def test_readme_config_schema_reads():
     # keyed the streams of seeds 0 and 2**63 - 1
     ("check", "seed", 2 ** 64, "seed:"),
     ("simulate", "seed", -2 ** 63 - 1, "seed:"),
+    # the covariance audit judges its identities exactly: no knob is left
+    ("check", "audit", {"samples_per_face": 100, "moment_stat_tol": 3.0},
+     "'audit.moment_stat_tol'"),
+    # printed the sum as np.float64(1.4)
+    ("simulate", "ensemble", {"size": 500, "initial": {
+        "kind": "delta", "point": [0.2, 0.3, 0.9]}},
+     "invalid ensemble.initial.point: components sum to 1.4\n"),
 ])
 def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command,
                                              section, values, key):

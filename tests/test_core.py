@@ -47,6 +47,11 @@ def test_make_state_sum_violation():
             make_state(raw)
 
 
+def test_make_state_sum_message_prints_the_number():
+    with pytest.raises(SumViolation, match=r"^components sum to 1\.4$"):
+        make_state([0.2, 0.3, 0.9])
+
+
 def test_make_state_renormalizes_and_preserves_zeros():
     eps = 3e-13
     s = make_state([0.4 + eps, 0.0, 0.6])
@@ -197,8 +202,6 @@ def _small_trajectory():
     ("tol_multiplier", lambda: cross_validate_rates(_small_trajectory(), True)),
     ("diffusion_zero_tol", lambda: ToleranceSet(diffusion_zero_tol=np.inf)),
     ("drift_sign_tol", lambda: ToleranceSet(drift_sign_tol=True)),
-    ("moment_stat_tol", lambda: ToleranceSet(moment_stat_tol=np.nan)),
-    ("moment_stat_tol", lambda: ToleranceSet(moment_stat_tol="3")),
     ("dt", lambda: IntegratorConfig(dt=True)),
     ("t_end", lambda: simulate(
         beta_process(b=2.0, S=0.5, kappa=1.0),

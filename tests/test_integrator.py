@@ -16,10 +16,9 @@ from simplexdiff import (DegenerateState, Ensemble, IntegratorConfig,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
 from simplexdiff import integrator
-from simplexdiff.core import component_major, face_points
-from simplexdiff.integrator import (VIOLATION_TOL, _advance,
-                                    _clip_renormalize, _columns, _DrawAhead,
-                                    _invalid_mask, _noise)
+from simplexdiff.core import TOL_SUM, component_major, face_points
+from simplexdiff.integrator import (_advance, _clip_renormalize, _columns,
+                                    _DrawAhead, _invalid_mask, _noise)
 from simplexdiff.processes import _running
 
 
@@ -604,7 +603,7 @@ def test_exhausted_column_clipped_from_last_redraw():
 def test_simulate_counters_match_full_recount(max_resample, dt, clips):
     """violation_count, modified_steps and clipped_steps equal a recount over
     every post-step state, replayed step by step; violations are counted at
-    VIOLATION_TOL over all columns, and every column that was not clipped
+    TOL_SUM over all columns, and every column that was not clipped
     passes the exact check."""
     proc = wright_fisher_process(np.ones(3))
     ens = Ensemble.from_uniform(3, 400, np.random.default_rng(41))
@@ -619,7 +618,7 @@ def test_simulate_counters_match_full_recount(max_resample, dt, clips):
         assert not np.any(_invalid_mask(ys[:, ~clip]))
         modified += np.count_nonzero(mod)
         clipped += np.count_nonzero(clip)
-        violations += np.count_nonzero(_invalid_mask(ys, VIOLATION_TOL))
+        violations += np.count_nonzero(_invalid_mask(ys, TOL_SUM))
     assert k == 40
     assert (traj.violation_count, traj.modified_steps, traj.clipped_steps) == (
         violations, modified, clipped)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -17,7 +18,8 @@ from simplexdiff import (EvaluationFailure, MomentSet, RandomSource,
                          dirichlet_moments, dirichlet_process,
                          estimate_moments, gen_dirichlet_process,
                          wright_fisher_process)
-from simplexdiff.core import ProcessDefinition, component_major, component_sum
+from simplexdiff.core import ProcessDefinition, component_sum
+from simplexdiff.realizability import polynomial_generator
 
 
 def named_processes():
@@ -74,8 +76,11 @@ def test_audit_judges_the_diagonal_a_run_evaluates():
     failed = {c.constraint for c in report.checks if not c.passed}
     assert failed == {c.constraint for c in report.checks
                       if "diffusion" in c.constraint}
-    assert {c.constraint for c in report.checks} >= {
-        "unit-sum-face:drift-componentwise", "unit-sum-face:diffusion-entries"}
+    # a diagonal's row sums are its entries: one check judges both
+    constraints = [c.constraint for c in report.checks]
+    assert set(constraints) >= {"unit-sum-face:drift-componentwise",
+                                "unit-sum-face:diffusion-row-sums"}
+    assert "unit-sum-face:diffusion-entries" not in constraints
 
 
 def test_worst_location_is_on_boundary():
@@ -144,6 +149,23 @@ def test_covariance_structure_valid_ensemble():
     assert max(c.violation for c in report.checks) <= 1e-12
 
 
+def test_covariance_structure_judges_the_identities_exactly():
+    """The identities hold state by state, so states that sum to
+    1 + eps Y_1 fail down to eps = 1e-6 (row sums 2.0e-5 to 2.0e-8, which
+    three standard errors let pass), and the recorded violation is the
+    largest |row sum|."""
+    states = np.random.default_rng(21).dirichlet([1.0, 2.0, 3.0], size=3000)
+    for eps in (1e-3, 1e-4, 1e-6):
+        m = estimate_moments(states * (1.0 + eps * states[:, :1]))
+        assert not audit_covariance_structure(m).overall_pass, eps
+    m = estimate_moments(states)
+    rows = np.abs(m.covariance_row_sums())
+    check = audit_covariance_structure(m).checks[0]
+    assert check.constraint == "covariance-row-sums-zero"
+    assert check.violation == np.max(rows)
+    npt.assert_array_equal(check.location, [np.argmax(rows) + 1])
+
+
 def test_covariance_structure_non_simplex_fails():
     rng = np.random.default_rng(22)
     states = rng.uniform(0.0, 1.0, size=(3000, 3))
@@ -166,12 +188,10 @@ def test_stacked_moment_audits_match_each_snapshot():
     for i, m in enumerate(sets):
         assert stacked.skewness[i].tobytes() == m.skewness.tobytes()
         assert stacked.kurtosis[i].tobytes() == m.kurtosis.tobytes()
-    tol = ToleranceSet(moment_stat_tol=2.0)
-    for audit, args in ((audit_moment_bounds, ()),
-                        (audit_covariance_structure, (tol,))):
-        whole = audit(stacked, *args).checks
+    for audit in (audit_moment_bounds, audit_covariance_structure):
+        whole = audit(stacked).checks
         for i, m in enumerate(sets):
-            alone = audit(m, *args).checks
+            alone = audit(m).checks
             assert [c.constraint for c in whole] == [c.constraint for c in alone]
             for w, a in zip(whole, alone):
                 assert w.violation[i] == a.violation, (w.constraint, i)
@@ -179,7 +199,7 @@ def test_stacked_moment_audits_match_each_snapshot():
                 if a.location is not None:
                     npt.assert_array_equal(w.location[i], a.location)
     assert not audit_moment_bounds(stacked).overall_pass
-    assert not audit_covariance_structure(stacked, tol).overall_pass
+    assert not audit_covariance_structure(stacked).overall_pass
 
 
 def test_tolerance_validation():
@@ -209,24 +229,25 @@ def _audited_processes():
 #: sha256 of audit_boundary(proc, 1000, RandomSource(1, 1)).to_dict() as
 #: JSON (indent 2, as audit.json holds it) for each process of
 #: _audited_processes.  A change to the face samples, a closure's values on
-#: a face, or the checks' order, names, violations or locations moves them;
-#: such a change must update them and say so.
+#: a face or at the generator's nodes and fit states, or the checks' order,
+#: names, violations or locations moves them; such a change must update
+#: them and say so.
 AUDIT_SHA256 = {
-    "beta": "e7fbf7239aaf0659d1384a5bf049b5d57c649cbfe1df4be93f0a02f712cc87a9",
+    "beta": "3ca3ef7abf9bd2cc4fc9631fed66d72772f75f8bf27e56954c65e4a844ac4015",
     "broken_constant_diffusion":
-        "31f595e8f2c627c161abd1fa1b452735b18b74258cc27fe347910d0f7a4f2e53",
+        "7c9f88830a49112aee9124d32ef62e577c89584dbf95d591f8524e07fd706472",
     "broken_outward_drift":
-        "402c9ff6a99fc4c696a5ae21adcd8bcbbb1f9b3936365fb33be5094266c6472e",
-    "dirichlet_3": "7df9ff26293fee9c17e7c44d7c04e9379f3702f4ad405eed4b52920aaf09bbce",
-    "dirichlet_8": "6fb31d48ce7ad48ac5553fb235aafe953e9caf91e1cab6e4067eb2a20aaf70ba",
+        "d2f7f435e753f6562bbd38179f339b36348b45324efdffe375e218bd832567c2",
+    "dirichlet_3": "932eb252c01ce97a286a32b007f8207528884e929218c5c0105de1e97e1374ce",
+    "dirichlet_8": "a46bc2e404ea9fe8dd7256cdc502d5aa28b7dcdf795a6d15423847ac3344f7cb",
     "gen_dirichlet_3":
-        "dfaeb07e003a0124b0ad236264cb3cd617e4c5c1d4a3b0a9269fdeb9b8168e24",
+        "f5e81357a35881c08d1074becd71f1a14f714868b65e8d497947d012fda0da0f",
     "gen_dirichlet_8":
-        "22a448cbbcea836f3149e4ec6134fc54efdcc7b3c2c4000818351f9557797af1",
+        "e9c7970a8a32ca584c107f8fcb0110e6e2be785c1ba726065b922bdc2ffd5d12",
     "wright_fisher_3":
-        "fc30abf446c872816facadb370ee5b988a81dff9d3ca43069c3af650a6b97fc5",
+        "740a195d06a5ef5bf92859aeeaa58f8515e6dcdf4858dc2f3fe783748f898135",
     "wright_fisher_8":
-        "5423e7beadd629ae5799a5eb5c911f914a61ed60a7d2985ec4d62b7860393242",
+        "71cd79e177dc7c44027ff22adc4effc3c615a7cf6955b7591cb405c094ddf950",
 }
 
 
@@ -237,6 +258,81 @@ def test_audit_outputs_pinned(name):
     text = json.dumps(report.to_dict(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_SHA256[name]
     assert report.overall_pass is not name.startswith("broken")
+
+
+def _off_vertex_drift(delta):
+    """Dirichlet (b = 4, S = 1/2, kappa = 1, N = 3) with delta (1e-3 - y_2)
+    added to drift component 1.  On zero-face-1 that component is
+    Y_3 + delta (1e-3 - y_2), negative only within about delta of the vertex
+    e_2, where q_{2->1} = -0.999 delta."""
+    proc = dirichlet_process([4.0, 4.0], [0.5, 0.5], [1.0, 1.0])
+
+    def drift(y):
+        out = proc.drift(y)
+        out[0] += delta * (1e-3 - y[1])
+        return out
+    return dataclasses.replace(proc, drift=drift)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-5])
+def test_exact_audit_fails_a_negative_rate_the_faces_miss(delta):
+    """The face samples rarely come that close to a vertex, so the sampled
+    checks pass at 19 or more of 20 seeds; the generator's rate q_{2->1}
+    fails at every seed."""
+    proc = _off_vertex_drift(delta)
+    q, _, residual = polynomial_generator(proc)
+    assert residual <= 1e-14
+    npt.assert_allclose(q[0, 1], -0.999 * delta, rtol=1e-12)
+    faces_pass = 0
+    for seed in range(1, 21):
+        report = audit_boundary(proc, 1000, RandomSource(seed, 1))
+        assert report.exact and not report.overall_pass
+        rates = report.checks[-2]
+        assert rates.constraint == "generator:drift-rates-non-negative"
+        assert not rates.passed and rates.location == [1, 2]
+        assert rates.violation == -q[0, 1]
+        faces_pass += all(c.passed for c in report.checks[:-2])
+    assert faces_pass >= 19
+
+
+def test_audit_is_exact_where_the_closures_fit_a_generator():
+    """Beta, Wright-Fisher and Dirichlet fit (Q, alpha) and audit exactly,
+    appending the generator's checks; the nested process is not polynomial
+    and keeps the sampled audit; both broken controls still fail, the
+    outward drift on its generator's rates too."""
+    procs = _audited_processes()
+    for name, proc in procs.items():
+        report = audit_boundary(proc, 300, RandomSource(1, 1))
+        exact = name not in ("gen_dirichlet_3", "gen_dirichlet_8",
+                             "broken_constant_diffusion")
+        assert report.exact is exact, name
+        generator = [c for c in report.checks
+                     if c.constraint.startswith("generator:")]
+        assert len(generator) == (2 if exact else 0), name
+        assert report.overall_pass is not name.startswith("broken"), name
+        if report.exact:
+            assert report.fit_residual <= 1e-14
+    assert audit_boundary(procs["gen_dirichlet_3"], 300,
+                          RandomSource(1, 1)).fit_residual is None
+    assert audit_boundary(procs["broken_constant_diffusion"], 300,
+                          RandomSource(1, 1)).fit_residual > 0.1
+    outward = audit_boundary(procs["broken_outward_drift"], 300, RandomSource(1, 1))
+    assert not outward.checks[-2].passed and outward.checks[-1].passed
+
+
+def test_exact_audit_peak_memory_at_the_largest_dimension():
+    """At N = 64 the generator's C(64, 2) edge midpoints are evaluated
+    samples_per_face at a time, so the exact audit's peak stays within the
+    97.6 MB that the sampled audit alone reached."""
+    proc = wright_fisher_process(np.ones(64))
+    tracemalloc.start()
+    try:
+        report = audit_boundary(proc, 1000, RandomSource(1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.exact and report.overall_pass
+    assert peak <= 97.6e6, peak / 1e6
 
 
 # The paper's constraints on polynomial fields, and the (Q, alpha) form they
@@ -337,61 +433,6 @@ def test_realizable_diffusion_is_coupled_and_nonlinear(n):
         assert _realizable_fields(n, diagonal, unit_sum=False)[0] > dim
         assert _realizable_fields(n, diagonal, degree=1)[0] == 0
         assert _realizable_fields(n, diagonal, degree=1, unit_sum=False)[0] > 0
-
-
-def diffusion_matrices(proc):
-    """proc's diffusion closure; for a diagonal process, one that gives the
-    (K, K, ...) matrices with the diagonals diffusion_diag(y), zero elsewhere."""
-    if proc.diffusion is not None:
-        return proc.diffusion
-
-    def diffusion(y):
-        d = proc.diffusion_diag(y)
-        out = np.zeros((d.shape[0],) + d.shape)
-        idx = np.arange(d.shape[0])
-        out[idx, idx] = d
-        return out
-    return diffusion
-
-
-def _full(proc, states):
-    """Drift (N, M) and diffusion (N, N, M) in full coordinates at (M, N)
-    states: a_N = -sum(a), and B bordered so that its rows and columns sum
-    to 0."""
-    y = component_major(states[:, :-1])
-    a, b = proc.drift(y), diffusion_matrices(proc)(y)
-    a = np.vstack([a, -a.sum(axis=0)])
-    b = np.concatenate([b, -b.sum(axis=0, keepdims=True)], axis=0)
-    return a, np.concatenate([b, -b.sum(axis=1, keepdims=True)], axis=1)
-
-
-def polynomial_generator(proc):
-    """(Q, alpha, residual) of proc in full coordinates, or None where the
-    closures are undefined at the nodes (not polynomial).
-
-    Q[i, j] = q_{j->i} = a_i(e_j), the drift at the vertices, so that
-    a(Y) = Q Y; alpha[i, j] = 4 B_ii at the midpoint of edge (i, j).  The
-    residual is the largest difference between the closures and
-    a = Q Y, B = diag(P 1) - P with P = alpha * Y Y^T at 400 Dirichlet(1)
-    states."""
-    n = proc.dimension
-    pairs = list(itertools.combinations(range(n), 2))
-    try:
-        q = _full(proc, np.eye(n))[0]
-        mid = _full(proc, np.array([(np.eye(n)[i] + np.eye(n)[j]) / 2
-                                    for i, j in pairs]))[1]
-        states = np.random.default_rng(0).dirichlet(np.ones(n), 400)
-        a, b = _full(proc, states)
-    except SingularNesting:
-        return None
-    alpha = np.zeros((n, n))
-    for p, (i, j) in enumerate(pairs):
-        alpha[i, j] = alpha[j, i] = 4.0 * mid[i, i, p]
-    y = states.T
-    pieces = alpha[:, :, None] * y[:, None] * y[None]
-    fit = np.eye(n)[:, :, None] * pieces.sum(axis=1)[:, None] - pieces
-    residual = max(np.max(np.abs(a - q @ y)), np.max(np.abs(b - fit)))
-    return q, alpha, residual
 
 
 def _constant_ratio_dirichlet(b, kappa, ratio):

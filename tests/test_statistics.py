@@ -14,9 +14,9 @@ from simplexdiff import (Ensemble, EnsembleTooSmall, InsufficientSnapshots,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
 from simplexdiff import statistics
+from simplexdiff.realizability import diffusion_matrices
 from simplexdiff.statistics import (batch_slices, batch_statistics,
                                     cross_validate_rates)
-from test_realizability import diffusion_matrices
 
 
 def test_degenerate_ensemble_moments():

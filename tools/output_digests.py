@@ -11,7 +11,9 @@ CLIPPING, a Dirichlet config with an attainable boundary: once with the
 default redraw budget, under which many steps redraw, and once with
 ``max_resample: 0``, under which they clip; and on WIDE_DIRICHLET, a
 Dirichlet config at N = 9, where numpy would sum a lone column's 8 reduced
-components pairwise and a batch's row by row.  Prints
+components pairwise and a batch's row by row.  It also runs ``check`` on
+both: CLIPPING's ratio (1 - S) b / kappa varies and WIDE_DIRICHLET is wider
+than any benchmark family, so their exact audits are covered too.  Prints
 one block per command and operation: the exit code, the first line of
 stderr, the sha256 of stdout (beside compare's verdict line, so that a
 changed verdict reads as text) and of each output file the command writes
@@ -149,9 +151,14 @@ def main(argv=None) -> int:
                             tmp, f"{command}-{workload}-{seed}-{family}")
                         report(command, config, outdir,
                                f"{workload} {family} seed={seed}")
-            for title, config in simulate_configs(seed, tmp).items():
+            paths = simulate_configs(seed, tmp)
+            for title, config in paths.items():
                 report("simulate", config, os.path.join(
                     tmp, f"simulate-{title.replace(' ', '-')}-{seed}"),
+                       f"{title} seed={seed}")
+            for title in ("clipping default", "wide dirichlet"):
+                report("check", paths[title], os.path.join(
+                    tmp, f"check-{title.replace(' ', '-')}-{seed}"),
                        f"{title} seed={seed}")
     return 0
 
