@@ -9,11 +9,8 @@ leaving the simplex, and statistical validation of the moment evolution.
 __version__ = "0.1.0"
 
 from .core import Ensemble, ProcessDefinition, make_state
-from .errors import (ConfigError, DegenerateState,
-                     DirichletConstraintViolated, EnsembleTooSmall,
-                     EvaluationFailure, InsufficientSnapshots,
-                     InvalidParameter, NegativeComponent,
-                     NotPositiveSemiDefinite, SimplexDiffError,
+from .errors import (ConfigError, DegenerateState, InsufficientSnapshots,
+                     InvalidParameter, NegativeComponent, SimplexDiffError,
                      SingularNesting, SumViolation, UnsupportedProcess)
 from .integrator import IntegratorConfig, RandomSource, Trajectory, simulate
 from .processes import (beta_process, broken_process, dirichlet_process,
@@ -29,11 +26,9 @@ from .statistics import (MomentSet, analytic_stationary, batch_statistics,
 __all__ = [
     "__version__",
     "Ensemble", "ProcessDefinition", "make_state",
-    "ConfigError", "DegenerateState", "DirichletConstraintViolated",
-    "EnsembleTooSmall", "EvaluationFailure", "InsufficientSnapshots",
-    "InvalidParameter", "NegativeComponent", "NotPositiveSemiDefinite",
-    "SimplexDiffError", "SingularNesting", "SumViolation",
-    "UnsupportedProcess",
+    "ConfigError", "DegenerateState", "InsufficientSnapshots",
+    "InvalidParameter", "NegativeComponent", "SimplexDiffError",
+    "SingularNesting", "SumViolation", "UnsupportedProcess",
     "IntegratorConfig", "RandomSource", "Trajectory", "simulate",
     "beta_process", "broken_process", "dirichlet_process",
     "gen_dirichlet_process", "reduction_coupling", "wright_fisher_process",

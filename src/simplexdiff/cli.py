@@ -34,8 +34,9 @@ from .processes import (beta_process, broken_process, dirichlet_process,
                         gen_dirichlet_process, wright_fisher_process)
 from .realizability import (ToleranceSet, audit_boundary,
                             audit_covariance_structure, audit_moment_bounds)
-from .statistics import (UnsupportedProcess, analytic_stationary,
-                         batch_mean_se, cross_validate_rates, quantity_label)
+from .statistics import (SE_MULTIPLIER, UnsupportedProcess,
+                         analytic_stationary, batch_mean_se,
+                         cross_validate_rates, judged_snapshots, quantity_label)
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "SIMPLEXDIFF_OUTDIR"
@@ -197,7 +198,7 @@ SCHEMA = {"": ("schema_version", "process", "seed", "outdir", "integrator",
                          "boundary_policy"),
           "ensemble": ("size", "initial"),
           "audit": ("samples_per_face", "diffusion_zero_tol", "drift_sign_tol"),
-          "compare": ("stationary_window", "tol_multiplier", "stat_tol"),
+          "compare": ("stationary_window",),
           "output": ("dump_every",), "sweep": ("grid",)}
 
 
@@ -241,8 +242,6 @@ def read_run(cfg: dict, args, command: str) -> types.SimpleNamespace:
         run.dump_every = setting(cfg, "output", "dump_every", 0, int, low=-1) or None
         return run
     run.dump_every = None  # compare writes no particle dumps
-    run.tol_multiplier = setting(cfg, "compare", "tol_multiplier", 3.0)
-    run.stat_tol = setting(cfg, "compare", "stat_tol", 3.0)
     window = (cfg.get("compare") or {}).get("stationary_window")
     if window is not None:
         window = tuple(_checked("compare.stationary_window", window,
@@ -251,10 +250,9 @@ def read_run(cfg: dict, args, command: str) -> types.SimpleNamespace:
             raise ConfigError("compare.stationary_window must be lo <= hi, "
                               f"got {list(window)}")
     run.window = window
-    times = [k * run.icfg.dt
-             for k in snapshot_steps(run.t_end, run.icfg.dt, run.record_every)]
-    if len(times) < 3:
-        raise InsufficientSnapshots(f"need >= 3 snapshots, got {len(times)}")
+    steps = snapshot_steps(run.t_end, run.icfg.dt, run.record_every)
+    judged_snapshots(steps)  # the rate check's refusals, before the audit
+    times = [k * run.icfg.dt for k in steps]
     if window and not any(window[0] <= t <= window[1] for t in times):
         raise InsufficientSnapshots("no snapshots inside the stationary window "
                                     f"[{window[0]}, {window[1]}]")
@@ -347,13 +345,14 @@ def cmd_simulate(run, outdir: str) -> int:
     return 0
 
 
-def stationary_checks(traj, oracle, window, stat_tol: float):
+def stationary_checks(traj, oracle, window):
     """Time-averaged means/covariances vs the analytic stationary values.
 
     Standard errors come from per-particle-batch time averages over the
     window, so slow decorrelation across snapshots is accounted for by the
     spread across independent particle batches.  Every component is
-    judged, the remainder as estimated from the states.
+    judged, the remainder as estimated from the states, against
+    SE_MULTIPLIER standard errors.
     """
     lo, hi = window
     inside = (lo <= traj.t) & (traj.t <= hi)
@@ -366,7 +365,7 @@ def stationary_checks(traj, oracle, window, stat_tol: float):
 
     def judge(name, batch_vals, oracle_vals):
         est, se = batch_mean_se(batch_vals)
-        thresh = np.maximum(stat_tol * se, TOL_SUM)
+        thresh = np.maximum(SE_MULTIPLIER * se, TOL_SUM)
         res = np.abs(est - oracle_vals)
         for pos in np.ndindex(est.shape):
             checks.append({"quantity": quantity_label(name, pos),
@@ -405,7 +404,7 @@ def run_compare(run, outdir: str):
     traj = _simulate(run, outdir)
     if traj is None:
         return 1, None
-    rate_check = cross_validate_rates(traj, run.tol_multiplier)
+    rate_check = cross_validate_rates(traj)
     result = {"rate_check": rate_check}
     passed = rate_check["overall_pass"]
     try:
@@ -414,7 +413,7 @@ def run_compare(run, outdir: str):
         result["stationary"] = {"available": False, "reason": str(exc)}
     else:
         lo, hi = run.window or (float(traj.t[-1]) / 2.0, float(traj.t[-1]))
-        checks = stationary_checks(traj, oracle, (lo, hi), run.stat_tol)
+        checks = stationary_checks(traj, oracle, (lo, hi))
         stat_pass = all(c["passed"] for c in checks)
         result["stationary"] = {"available": True, "window": [lo, hi],
                                 "checks": checks, "overall_pass": stat_pass}

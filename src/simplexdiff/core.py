@@ -81,7 +81,11 @@ class ProcessDefinition:
     diffusion_factor and diffusion_diag supply the integrator's noise
     factor.  diffusion_factor(Y) -> (r, w), two (K, ...) arrays, is the
     square root L = diag(r) - w r^T with L @ L.T == diffusion, applied to
-    normals xi as r * xi - w * (r . xi).  diffusion_diag(Y) -> (K, ...) is
+    normals xi as r * xi - w * (r . xi).  A step evaluates it in place of
+    diffusion, which the boundary audit and the snapshot statistics
+    evaluate, so the audit's verdict reaches the steps through that
+    obligation, L @ L.T == diffusion (test_wright_fisher_factor_roundtrip
+    checks it for Wright-Fisher).  diffusion_diag(Y) -> (K, ...) is
     the diagonal of a diagonal diffusion matrix; its square root is the
     factor, and the boundary audit judges it in place of diffusion.  A
     process that supplies neither is factored through an eigendecomposition

@@ -21,32 +21,16 @@ class InvalidParameter(SimplexDiffError, ValueError):
         super().__init__(f"{field}: {message}")
 
 
-class DirichletConstraintViolated(SimplexDiffError):
-    """(1-S_a) b_a / kappa_a is not constant across components."""
-
-
 class SingularNesting(SimplexDiffError):
     """A nested remainder appears as 0/0 at an interior evaluation point."""
 
 
-class NotPositiveSemiDefinite(SimplexDiffError):
-    """A diffusion matrix has a negative eigenvalue or diagonal entry beyond roundoff."""
-
-
 class DegenerateState(SimplexDiffError):
-    """Drift or diffusion evaluation failed at the input state."""
-
-
-class EvaluationFailure(SimplexDiffError):
-    """Drift/diffusion raised while being audited on a boundary face."""
-
-
-class EnsembleTooSmall(SimplexDiffError):
-    """Moment estimation needs at least two particles."""
+    """Drift or diffusion failed at a state: raised, non-finite or not PSD."""
 
 
 class InsufficientSnapshots(SimplexDiffError):
-    """Rate cross-validation needs at least three recorded snapshots."""
+    """Rate cross-validation needs an interior snapshot with even spacing."""
 
 
 class UnsupportedProcess(SimplexDiffError):

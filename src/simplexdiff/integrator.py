@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import (TOL_SUM, Ensemble, ProcessDefinition, check_count,
                    check_positive, component_major, component_sum)
-from .errors import DegenerateState, InvalidParameter, NotPositiveSemiDefinite
+from .errors import DegenerateState, InvalidParameter
 from . import statistics as stats_mod
 
 #: squared-noise arguments below this are treated as roundoff, not errors
@@ -165,7 +165,7 @@ def _noise_factor(proc: ProcessDefinition, ys: np.ndarray):
     if proc.diffusion_diag is not None:
         d = proc.diffusion_diag(ys)
         if np.min(d) < NEGATIVE_CLAMP:
-            raise NotPositiveSemiDefinite(
+            raise DegenerateState(
                 f"diagonal diffusion entry {np.min(d):.3e} < 0")
         root = np.maximum(d, 0.0)
         return np.sqrt(root, out=root)
@@ -173,7 +173,7 @@ def _noise_factor(proc: ProcessDefinition, ys: np.ndarray):
     w, V = np.linalg.eigh(np.moveaxis(B, -1, 0))
     scale = max(float(np.max(np.abs(B))), 1.0)
     if np.min(w) < -1e-10 * scale:
-        raise NotPositiveSemiDefinite(
+        raise DegenerateState(
             f"diffusion eigenvalue {np.min(w):.3e} at a simulated state")
     return np.moveaxis(V * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :], 0, -1)
 
@@ -239,7 +239,7 @@ def _advance(proc, ys, cfg, rng):
         # view); the drift array goes once base = a dt + ys is formed
         base = np.multiply(proc.drift(ys), cfg.dt, out=np.empty(ys.shape))
         L = _noise_factor(proc, ys)
-    except NotPositiveSemiDefinite:
+    except DegenerateState:  # _noise_factor's own refusal
         raise
     except Exception as exc:  # drift/diffusion raised at a simulated state
         raise DegenerateState(f"evaluation failed: {exc}") from exc
@@ -344,7 +344,7 @@ def simulate(proc: ProcessDefinition, init: Ensemble, cfg: IntegratorConfig,
         for k in range(1, n_steps + 1):
             try:
                 ys, modified, clipped = _advance(proc, ys, cfg, rng)
-            except (DegenerateState, NotPositiveSemiDefinite) as exc:
+            except DegenerateState as exc:
                 raise DegenerateState(
                     f"step {k} at t={(k - 1) * cfg.dt}: {exc}") from exc
             particle_steps += ys.shape[1]

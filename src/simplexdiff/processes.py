@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ProcessDefinition, check_positive, component_sum
-from .errors import DirichletConstraintViolated, InvalidParameter, SingularNesting
+from .errors import InvalidParameter, SingularNesting
 
 DIRCONST_RTOL = 1e-10
 
@@ -37,15 +37,10 @@ def _running(op, y):
     return out
 
 
-def invariant_ratio(b, S, kappa, required=False):
-    """(1-S) b / kappa, and whether it is constant (a Dirichlet invariant law).
-
-    required refuses a ratio that varies.
-    """
+def invariant_ratio(b, S, kappa):
+    """(1-S) b / kappa, and whether it is constant (a Dirichlet invariant law)."""
     ratio = (1.0 - S) * b / kappa
     varies = np.max(np.abs(ratio - ratio[0])) > DIRCONST_RTOL * max(1.0, abs(ratio[0]))
-    if required and varies:
-        raise DirichletConstraintViolated(f"(1-S) b / kappa must be constant, got {ratio}")
     return ratio, not varies
 
 
@@ -134,7 +129,10 @@ def dirichlet_process(b, S, kappa, dirichlet_invariant=False) -> ProcessDefiniti
         raise InvalidParameter("dirichlet_invariant",
                                f"must be a bool, got {dirichlet_invariant!r}")
     b, S, kappa = _rate_vectors(b, S, kappa)
-    ratio, constant = invariant_ratio(b, S, kappa, required=dirichlet_invariant)
+    ratio, constant = invariant_ratio(b, S, kappa)
+    if dirichlet_invariant and not constant:
+        raise InvalidParameter("dirichlet_invariant", "needs (1-S) b / kappa "
+                               f"constant, got {ratio}")
     k = b.shape[0]
     c_in = 0.5 * b * S
     c_out = 0.5 * b * (1.0 - S)
@@ -200,7 +198,10 @@ def gen_dirichlet_process(b, S, kappa, c=None) -> ProcessDefinition:
     if c is None:
         c = np.zeros((k - 1, k - 1))
     elif isinstance(c, str) and c == "reduction":
-        invariant_ratio(b, S, kappa, required=True)
+        ratio, constant = invariant_ratio(b, S, kappa)
+        if not constant:
+            raise InvalidParameter("c", '"reduction" needs (1-S) b / kappa '
+                                   f"constant, got {ratio}")
         c = reduction_coupling(kappa)
     c = check_positive("c", c, low=-np.inf, shape=(k - 1, k - 1))  # any sign
     if k > 1 and np.any(np.tril(c, -1) != 0.0):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (TOL_SUM, ProcessDefinition, check_count, check_positive,
                    component_major, component_sum, face_label, face_points)
-from .errors import EvaluationFailure, SingularNesting
+from .errors import DegenerateState, SingularNesting
 from .statistics import MomentSet
 
 
@@ -200,7 +200,7 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
             # (K, M) diagonals or (K, K, M) matrices: what a run evaluates
             B = proc.diffusion_diag(y) if diag else proc.diffusion(y)
         except Exception as exc:
-            raise EvaluationFailure(
+            raise DegenerateState(
                 f"drift/diffusion raised on {label}: {exc}") from exc
         # each condition's values are freed before the next are formed
         if face < k:
@@ -219,7 +219,7 @@ def audit_boundary(proc: ProcessDefinition, samples_per_face: int, rng,
     try:
         fit = polynomial_generator(proc, gen, samples_per_face)
     except Exception as exc:
-        raise EvaluationFailure(
+        raise DegenerateState(
             f"drift/diffusion raised at a generator node: {exc}") from exc
     if fit is None:
         return report

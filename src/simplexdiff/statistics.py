@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProcessDefinition, check_count, check_positive, component_major
-from .errors import (EnsembleTooSmall, InsufficientSnapshots, InvalidParameter,
-                     UnsupportedProcess)
+from .errors import InsufficientSnapshots, InvalidParameter, UnsupportedProcess
 
 #: variances below this leave skewness/kurtosis undefined (NaN)
 VAR_GUARD = 1e-14
+
+#: standard errors in a rate or stationary check's threshold
+SE_MULTIPLIER = 3.0
 
 #: batch_statistics walks whole batches in chunks whose work buffer, drift
 #: and (K, K, m) diffusion block stay within this many bytes together, so a
@@ -87,7 +89,7 @@ def _ensemble_batches(m: int, n_batches: int):
     """batch_slices of an ensemble of m >= 2 particles into n_batches >= 1."""
     check_count("n_batches", n_batches)
     if m < 2:
-        raise EnsembleTooSmall(f"need M >= 2 particles, got {m}")
+        raise InvalidParameter("states", f"need M >= 2 particles, got {m}")
     return batch_slices(m, n_batches)
 
 
@@ -265,42 +267,60 @@ def batch_mean_se(values: np.ndarray, axis: int = 0):
             values.std(axis=axis, ddof=1) / np.sqrt(values.shape[axis]))
 
 
-def cross_validate_rates(traj, tol_multiplier: float = 3.0) -> dict:
+def judged_snapshots(steps) -> np.ndarray:
+    """Indices of the interior snapshots, recorded after the given steps,
+    whose two intervals hold the same number of steps: the snapshots at
+    which a central difference and the curvature of three rates are
+    judged.  InsufficientSnapshots refuses fewer than three snapshots, or
+    no interior one so spaced."""
+    steps = np.asarray(steps)
+    if steps.size < 3:
+        raise InsufficientSnapshots(f"need >= 3 snapshots, got {steps.size}")
+    judged = np.flatnonzero(steps[2:] - steps[1:-1] == steps[1:-1] - steps[:-2])
+    if judged.size == 0:
+        raise InsufficientSnapshots(
+            "no interior snapshot has two intervals of equal steps, "
+            f"snapshot steps {steps.astype(int).tolist()}")
+    return judged + 1
+
+
+def cross_validate_rates(traj, tol_multiplier: float = SE_MULTIPLIER) -> dict:
     """Compare central finite differences of recorded moments with rates.
 
-    At every interior snapshot at once, the difference FD - rate is formed
-    per particle batch and judged against tol_multiplier * (batch standard
-    error + a finite-difference truncation allowance + an Euler step-bias
-    allowance).  The batch moments cover all N components; the K reduced
-    ones, which have rates, are judged.  Returns compare.json's rate_check:
+    At every judged snapshot at once (judged_snapshots, the steps read as
+    rint(t / dt)), the difference FD - rate is formed per particle batch and
+    judged against tol_multiplier * (batch standard error + a
+    finite-difference truncation allowance + an Euler step-bias allowance).
+    The batch moments cover all N components; the K reduced ones, which
+    have rates, are judged.  Returns compare.json's rate_check:
     overall_pass, form_pass (moment name -> all its checks passed), n_checks
     ((snapshot, entry) checks made) and failures (the failed checks, as
     dicts, in check order).
     """
     check_positive("tol_multiplier", tol_multiplier)
     times = traj.t
-    if times.size < 3:
-        raise InsufficientSnapshots(f"need >= 3 snapshots, got {times.size}")
+    j = judged_snapshots(np.rint(times / traj.config.dt))
+    lo, hi = j - 1, j + 1
     n_checks, failures, form_pass = 0, [], {}
     for key in ("mean", "cov", "third", "fourth"):
         bmom = traj.batch_moments[key]  # (T, nb, ...)
         bmom = bmom[(...,) + (slice(-1),) * (bmom.ndim - 2)]  # reduced only
-        # per interior snapshot, shaped to broadcast against (T-2, ...)
+        # per judged snapshot, shaped to broadcast against (judged, ...)
         col = (-1,) + (1,) * (bmom.ndim - 2)
-        h = (times[2:] - times[:-2]).reshape(col)
-        fd_b = (bmom[2:] - bmom[:-2]) / h[:, np.newaxis]
+        h = (times[hi] - times[lo]).reshape(col)
+        fd_b = (bmom[hi] - bmom[lo]) / h[:, np.newaxis]
         fd = fd_b.mean(axis=1)
         brate = traj.batch_rates[key]
         rate = brate.mean(axis=1)
-        mean_diff, se = batch_mean_se(fd_b - brate[1:-1], axis=1)
+        mean_diff, se = batch_mean_se(fd_b - brate[j], axis=1)
         # truncation allowance from the curvature of the rate series
         if times.size >= 4:
-            rdd = ((rate[2:] - 2.0 * rate[1:-1] + rate[:-2])
-                   / ((times[2:] - times[1:-1]) ** 2).reshape(col))
+            rdd = ((rate[hi] - 2.0 * rate[j] + rate[lo])
+                   / ((times[hi] - times[j]) ** 2).reshape(col))
         else:
             rdd = np.zeros_like(mean_diff)
         trunc = (h / 2.0) ** 2 / 6.0 * np.abs(rdd)
-        em = traj.config.dt * np.abs(rate[1:-1])
+        em = traj.config.dt * np.abs(rate[j])
         threshold = tol_multiplier * (se + trunc + em)
         bad = np.abs(mean_diff) > threshold
         form_pass[key] = not np.any(bad)
@@ -308,8 +328,8 @@ def cross_validate_rates(traj, tol_multiplier: float = 3.0) -> dict:
         for idx in map(tuple, np.argwhere(bad).tolist()):
             failures.append({
                 "quantity": quantity_label(key, idx[1:]),
-                "t": float(times[idx[0] + 1]),
-                "fd": float(fd[idx]), "rate": float(rate[1:-1][idx]),
+                "t": float(times[j[idx[0]]]),
+                "fd": float(fd[idx]), "rate": float(rate[j][idx]),
                 "threshold": float(threshold[idx]), "passed": False})
     return {"overall_pass": all(form_pass.values()), "form_pass": form_pass,
             "n_checks": n_checks, "failures": failures}

@@ -601,10 +601,10 @@ def test_compare_writes_counters_and_builds_no_dumps(tmp_path, monkeypatch):
 
 def test_compare_too_few_snapshots_exits_2(tmp_path, capsys):
     """compare's needs of the run's shape are checked before the audit: at
-    least three snapshots and one inside a given stationary window
-    (InsufficientSnapshots), and a start point with the process's N
-    components (ConfigError); read_run raises each, and main exits 2 with
-    its message."""
+    least three snapshots, an interior one whose two intervals hold equal
+    steps, and one inside a given stationary window (InsufficientSnapshots),
+    and a start point with the process's N components (ConfigError);
+    read_run raises each, and main exits 2 with its message."""
     args = cli.make_parser().parse_args(["compare", "--config", "-"])
     cases = [
         ({"integrator": {"dt": 1e-2, "t_end": 0.02, "record_every": 100}},
@@ -618,7 +618,11 @@ def test_compare_too_few_snapshots_exits_2(tmp_path, capsys):
          r"no snapshots inside the stationary window \[2.0, 3.0\]"),
         ({"ensemble": {"size": 500, "initial": {"kind": "delta",
                                                 "point": [0.3, 0.3, 0.4]}}},
-         cli.ConfigError, r"initial states have 3 components, the process has 2")]
+         cli.ConfigError, r"initial states have 3 components, the process has 2"),
+        # snapshot steps (0, 2, 3): no rate check can be judged
+        ({"integrator": {"dt": 1e-2, "t_end": 0.03, "record_every": 2}},
+         cli.InsufficientSnapshots, r"no interior snapshot has two intervals "
+         r"of equal steps, snapshot steps \[0, 2, 3\]")]
     for i, (overrides, error, message) in enumerate(cases):
         cfg_path = tmp_path / f"run{i}.yaml"
         cfg = write_config(cfg_path, **overrides)
@@ -698,8 +702,11 @@ def test_sweep_failed_audit_point_gets_nan_row(tmp_path):
     write_config(cfg_path,
                  process={"name": "broken",
                           "params": {"style": "constant_diffusion", "n": 2}},
+                 # 250 steps at record_every 200 would leave no interior
+                 # snapshot with equal intervals, which compare refuses
                  sweep={"grid": [{"integrator": {"dt": 2e-3}},
-                                 {"integrator": {"dt": 4e-3}}]})
+                                 {"integrator": {"dt": 4e-3,
+                                                 "record_every": 50}}]})
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg_path),
                  "--outdir", str(out)]) == 1
@@ -950,6 +957,9 @@ def test_readme_config_schema_reads():
     ("simulate", "ensemble", {"size": 500, "initial": {
         "kind": "delta", "point": [0.2, 0.3, 0.9]}},
      "invalid ensemble.initial.point: components sum to 1.4\n"),
+    # every rate and stationary check allows SE_MULTIPLIER standard errors
+    ("compare", "compare", {"tol_multiplier": 3.0}, "'compare.tol_multiplier'"),
+    ("compare", "compare", {"stat_tol": 3.0}, "'compare.stat_tol'"),
 ])
 def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command,
                                              section, values, key):

@@ -10,8 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from simplexdiff import (DegenerateState, Ensemble, IntegratorConfig,
-                         NotPositiveSemiDefinite, ProcessDefinition,
-                         RandomSource, beta_process,
+                         ProcessDefinition, RandomSource, beta_process,
                          broken_process, dirichlet_process,
                          gen_dirichlet_process, make_state, simulate,
                          wright_fisher_process)
@@ -203,7 +202,8 @@ def test_non_finite_drift_raises_with_step_and_particle(bad):
 
 @pytest.mark.parametrize("path", ["diffusion_diag", "eigh"])
 def test_indefinite_diffusion_raises(path):
-    """Both noise-factor paths refuse a diffusion with a negative direction."""
+    """Both noise-factor paths refuse a diffusion with a negative direction,
+    and a step raises the refusal as it is."""
     d = np.array([0.1, -0.1])
 
     def diffusion_diag(y):
@@ -216,7 +216,8 @@ def test_indefinite_diffusion_raises(path):
         dimension=3, drift=lambda y: np.zeros_like(y), diffusion=diffusion,
         name="indefinite",
         diffusion_diag=diffusion_diag if path == "diffusion_diag" else None)
-    with pytest.raises(NotPositiveSemiDefinite):
+    with pytest.raises(DegenerateState, match=r"^(diagonal diffusion entry|"
+                       r"diffusion eigenvalue) -1\.000e-01"):
         step([0.3, 0.4], p, IntegratorConfig(dt=1e-3), RandomSource(6, 0))
 
 

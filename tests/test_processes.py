@@ -2,9 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (DirichletConstraintViolated, InvalidParameter,
-                         SingularNesting, beta_process, broken_process,
-                         dirichlet_process, gen_dirichlet_process,
+from simplexdiff import (InvalidParameter, SingularNesting, beta_process,
+                         broken_process, dirichlet_process, gen_dirichlet_process,
                          reduction_coupling, wright_fisher_process)
 from simplexdiff.core import component_major, face_points
 from simplexdiff.processes import _gen_dirichlet_terms
@@ -135,9 +134,11 @@ def test_dirichlet_invariant_flag():
     # (1-S) b / kappa = (1.0, 1.2): not constant
     varying = {"b": np.array([2.0, 2.0]), "S": np.array([0.5, 0.4]),
                "kappa": np.array([1.0, 1.0])}
-    with pytest.raises(DirichletConstraintViolated):
+    with pytest.raises(InvalidParameter, match=r"^dirichlet_invariant: needs "
+                       r"\(1-S\) b / kappa constant, got \[1\.  1\.2\]$"):
         dirichlet_process(**varying, dirichlet_invariant=True)
-    with pytest.raises(DirichletConstraintViolated):
+    with pytest.raises(InvalidParameter, match=r'^c: "reduction" needs '
+                       r"\(1-S\) b / kappa constant, got \[1\.  1\.2\]$"):
         gen_dirichlet_process(**varying, c="reduction")
     gen_dirichlet_process(**varying, c=reduction_coupling(varying["kappa"]))
     dirichlet_process(b=np.array([2.0, 2.0]), S=np.array([0.5, 0.5]),

@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (EvaluationFailure, MomentSet, RandomSource,
+from simplexdiff import (DegenerateState, MomentSet, RandomSource,
                          SingularNesting, ToleranceSet, UnsupportedProcess,
                          analytic_stationary, audit_boundary,
                          audit_covariance_structure, audit_moment_bounds,
@@ -106,7 +106,8 @@ def test_evaluation_failure_wrapped():
         raise RuntimeError("boom")
 
     proc = ProcessDefinition(dimension=3, drift=bad, diffusion=bad, name="bad")
-    with pytest.raises(EvaluationFailure):
+    with pytest.raises(DegenerateState,
+                       match="^drift/diffusion raised on zero-face-1: boom$"):
         audit_boundary(proc, 10, RandomSource(0, 1))
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from simplexdiff import (Ensemble, EnsembleTooSmall, InsufficientSnapshots,
-                         IntegratorConfig, RandomSource, UnsupportedProcess,
-                         analytic_stationary, beta_process, broken_process,
+from simplexdiff import (Ensemble, InsufficientSnapshots, IntegratorConfig,
+                         InvalidParameter, RandomSource, Trajectory,
+                         UnsupportedProcess, analytic_stationary,
+                         beta_process, broken_process,
                          dirichlet_moments, dirichlet_process,
                          estimate_moments, estimate_rates,
                          gen_dirichlet_process, make_state, simulate,
@@ -16,7 +17,7 @@ from simplexdiff import (Ensemble, EnsembleTooSmall, InsufficientSnapshots,
 from simplexdiff import statistics
 from simplexdiff.realizability import diffusion_matrices
 from simplexdiff.statistics import (batch_slices, batch_statistics,
-                                    cross_validate_rates)
+                                    cross_validate_rates, judged_snapshots)
 
 
 def test_degenerate_ensemble_moments():
@@ -84,7 +85,7 @@ def test_merge_needs_every_particle():
 
 
 def test_moments_too_small():
-    with pytest.raises(EnsembleTooSmall):
+    with pytest.raises(InvalidParameter, match="^states: need M >= 2"):
         estimate_moments(np.array([[1.0, 0.0]]))
 
 
@@ -181,6 +182,45 @@ def test_cross_validation_needs_three_snapshots():
     assert traj.t.size == 2
     with pytest.raises(InsufficientSnapshots, match="need >= 3 snapshots, got 2"):
         cross_validate_rates(traj)
+
+
+def _exact_trajectory(times, dt=1e-3):
+    """A two-component Trajectory of 20 identical batches whose every
+    moment entry is m = t^2 and every rate entry its derivative 2t."""
+    t = np.array(times)
+
+    def entries(value, shape):
+        column = value.reshape((-1, 1) + (1,) * len(shape))
+        return np.broadcast_to(column, (t.size, 20) + shape).copy()
+
+    shapes = {"mean": (2,), "cov": (2, 2), "third": (2,), "fourth": (2,)}
+    return Trajectory(
+        t, None, {key: entries(t ** 2, s) for key, s in shapes.items()},
+        {key: entries(2.0 * t, tuple(1 for _ in s)) for key, s in shapes.items()},
+        IntegratorConfig(dt=dt), 0, 0, 0, 0, {})
+
+
+def test_cross_validation_judges_evenly_spaced_snapshots():
+    """Only an interior snapshot whose two intervals hold the same number of
+    steps is judged.  On exact data, steps (0, 400, 500) failed every form
+    (fd 0.5 against rate 0.8, threshold 0.0024) and are refused now; steps
+    (0, 400, 800, 900) judged t = 0.8 against a curvature of -60, which
+    lifted its threshold to 1.88, and now judge t = 0.4 alone."""
+    with pytest.raises(InsufficientSnapshots,
+                       match=r"^no interior snapshot has two intervals of "
+                             r"equal steps, snapshot steps \[0, 400, 500\]$"):
+        cross_validate_rates(_exact_trajectory([0.0, 0.4, 0.5]))
+    npt.assert_array_equal(judged_snapshots([0, 400, 800, 900]), [1])
+    npt.assert_array_equal(judged_snapshots([0, 2, 4, 6, 7]), [1, 2])
+    traj = _exact_trajectory([0.0, 0.4, 0.8, 0.9])
+    rep = cross_validate_rates(traj)
+    assert rep["overall_pass"] and rep["n_checks"] == 4 and not rep["failures"]
+    # an fd error of 0.0125 at t = 0.4 fails against 3 dt |rate| = 0.0024
+    traj.batch_moments["mean"][2] += 0.01
+    (failure,) = cross_validate_rates(traj)["failures"]
+    assert failure["quantity"] == "mean[1]" and failure["t"] == 0.4
+    assert failure["fd"] == pytest.approx(0.8125)
+    assert failure["threshold"] == pytest.approx(0.0024)
 
 
 def _reference_cross_validate(traj, tol_multiplier):

@@ -13,12 +13,14 @@ default redraw budget, under which many steps redraw, and once with
 Dirichlet config at N = 9, where numpy would sum a lone column's 8 reduced
 components pairwise and a batch's row by row.  It also runs ``check`` on
 both: CLIPPING's ratio (1 - S) b / kappa varies and WIDE_DIRICHLET is wider
-than any benchmark family, so their exact audits are covered too.  Prints
-one block per command and operation: the exit code, the first line of
-stderr, the sha256 of stdout (beside compare's verdict line, so that a
-changed verdict reads as text) and of each output file the command writes
-(run_meta.json without its timestamp; "-" for a file that was not
-written).  Two checkouts give the same outputs when the outputs of this
+than any benchmark family, so their exact audits are covered too.  Last, it
+runs ``compare`` on UNEVEN, a beta config whose snapshot steps (0, 300,
+600, 800) are unevenly spaced, so the rate check's choice of snapshots is
+covered.  Prints one block per command and operation: the exit code, the
+first line of stderr, the sha256 of stdout (beside compare's verdict line,
+so that a changed verdict reads as text) and of each output file the
+command writes (run_meta.json without its timestamp; "-" for a file that
+was not written).  Two checkouts give the same outputs when the outputs of this
 script, run in each, have no diff.  Imported, it leaves ``sys.path`` and
 ``sys.dont_write_bytecode`` as they were.
 """
@@ -66,6 +68,23 @@ WIDE_DIRICHLET = {
     "ensemble": {"size": 2000, "initial": {"kind": "uniform"}},
     "output": {"dump_every": 50},
 }
+
+
+#: a beta run whose last snapshot interval is short: record_every 300 does
+#: not divide its 800 steps
+UNEVEN = {
+    "schema_version": 1,
+    "process": {"name": "beta", "params": {"b": 2.0, "S": 0.5, "kappa": 1.0}},
+    "integrator": {"dt": 1e-3, "t_end": 0.8, "record_every": 300},
+    "ensemble": {"size": 2000,
+                 "initial": {"kind": "delta", "point": [0.9, 0.1]}},
+}
+
+#: the command each extra config is run with, in order, by title
+EXTRA_RUNS = (("simulate", ("clipping default", "clipping max_resample_0",
+                            "wide dirichlet")),
+              ("check", ("clipping default", "wide dirichlet")),
+              ("compare", ("uneven",)))
 
 
 def digest(data: bytes, name: str = "") -> str:
@@ -120,13 +139,14 @@ def report(command: str, config: str, outdir: str, title: str):
             print(f"  {name} {value}")
 
 
-def simulate_configs(seed: int, directory: str) -> dict:
-    """Write CLIPPING at seed with each redraw budget, and WIDE_DIRICHLET;
-    title -> config path."""
+def extra_configs(seed: int, directory: str) -> dict:
+    """Write CLIPPING at seed with each redraw budget, WIDE_DIRICHLET and
+    UNEVEN; title -> config path."""
     configs = {f"clipping {name}": dict(CLIPPING, seed=seed, integrator=dict(
         CLIPPING["integrator"], **budget)) for name, budget in (
             ("default", {}), ("max_resample_0", {"max_resample": 0}))}
     configs["wide dirichlet"] = dict(WIDE_DIRICHLET, seed=seed)
+    configs["uneven"] = dict(UNEVEN, seed=seed)
     paths = {}
     for title, cfg in configs.items():
         paths[title] = os.path.join(directory, f"{title.replace(' ', '-')}-{seed}.yaml")
@@ -151,15 +171,12 @@ def main(argv=None) -> int:
                             tmp, f"{command}-{workload}-{seed}-{family}")
                         report(command, config, outdir,
                                f"{workload} {family} seed={seed}")
-            paths = simulate_configs(seed, tmp)
-            for title, config in paths.items():
-                report("simulate", config, os.path.join(
-                    tmp, f"simulate-{title.replace(' ', '-')}-{seed}"),
-                       f"{title} seed={seed}")
-            for title in ("clipping default", "wide dirichlet"):
-                report("check", paths[title], os.path.join(
-                    tmp, f"check-{title.replace(' ', '-')}-{seed}"),
-                       f"{title} seed={seed}")
+            paths = extra_configs(seed, tmp)
+            for command, titles in EXTRA_RUNS:
+                for title in titles:
+                    report(command, paths[title], os.path.join(
+                        tmp, f"{command}-{title.replace(' ', '-')}-{seed}"),
+                           f"{title} seed={seed}")
     return 0
 
 
